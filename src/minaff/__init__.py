@@ -52,6 +52,7 @@ from .affinization import (
     drinfeld,
     is_regular,
     lambda_sequence,
+    multiplicity_table,
     resolve_family,
     xi_sequence,
 )
@@ -63,6 +64,7 @@ from .decomp import (
     dim_irr,
     irr_character,
     orbit_size,
+    straighten,
 )
 from .spbranch import (
     decompose_sp,

@@ -15,14 +15,15 @@ from .cartan import (
     branch_set,
     check_dominant,
     check_rank,
+    dominates,
     family_nodes,
     lambda0,
     support,
     varpi,
 )
-from .errors import InputError
+from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
-from . import weyl
+from . import decomp, weyl
 
 
 def resolve_family(n, s):
@@ -165,7 +166,8 @@ def lambda_sequence(n, lam, s):
         entries.append(weyl.act(rot, xi.entries[j - 1]))
     entries.append(xi.entries[n - 1])
     for e in entries:
-        assert weyl.is_dominant(e, affine=True), f"non-dominant factor weight {e}"
+        if not weyl.is_dominant(e, affine=True):
+            raise VerificationError(f"non-dominant factor weight {e}")
     return LambdaSequence(n, s, lam, tuple(entries))
 
 
@@ -180,19 +182,13 @@ def _assert_nesting_legal(n):
     expected = n * (n - 1) + (n - 1) * (n - 1)
     got = weyl.length(comp)
     if got != expected:
-        raise AssertionError(f"length additivity failed at rank {n}: {got} != {expected}")
+        raise VerificationError(f"length additivity failed at rank {n}: {got} != {expected}")
     return True
 
 
-def character(n, lam, s):
-    """Finite character of the minimal affinization, exact.
-
-    Nested evaluation, innermost factor first: rotate-and-expand each
-    tensor-factor weight with the rotation operator, multiply in the next
-    factor, finish with the longest-element operator, then kill level and
-    delta.  The fork twin is the fork swap of the s = n character of the
-    swapped weight.
-    """
+def _regular_input(n, lam, s):
+    """Checked (lam, s) for the character pipeline; refuses weights outside
+    the regular classification."""
     lam = tuple(lam)
     check_dominant(n, lam)
     s = resolve_family(n, s)
@@ -201,9 +197,15 @@ def character(n, lam, s):
             f"weight {lam} is outside the regular classification "
             "(full spread support with zero fork coordinate)"
         )
-    if s == n - 1:
-        ch = character(n, _swap_fork(n, lam), n)
-        return ch.twist(weyl.tau_fork(n).tau)
+    return lam, s
+
+
+def _pre_w0(n, lam, s):
+    """The nested polynomial before the longest-element pass, s in {1, n}.
+
+    Innermost factor first: rotate-and-expand each tensor-factor weight
+    with the rotation operator, then multiply in the next factor.
+    """
     _assert_nesting_legal(n)
     lams = lambda_sequence(n, lam, s).entries
     sig = weyl.sigma_word(n)
@@ -212,11 +214,49 @@ def character(n, lam, s):
     for j in range(n - 2, 0, -1):
         g = CharElem.monomial(lams[j - 1]) * g
         g = g.demazure_word(sig)
-    g = CharElem.monomial(lams[n - 1]) * g
-    g = g.demazure_word(weyl.longest_word(n))
+    return CharElem.monomial(lams[n - 1]) * g
+
+
+def character(n, lam, s):
+    """Finite character of the minimal affinization, exact.
+
+    The nested polynomial, finished with the longest-element operator, with
+    level and delta killed.  The fork twin is the fork swap of the s = n
+    character of the swapped weight.
+    """
+    lam, s = _regular_input(n, lam, s)
+    if s == n - 1:
+        ch = character(n, _swap_fork(n, lam), n)
+        return ch.twist(weyl.tau_fork(n).tau)
+    g = _pre_w0(n, lam, s).demazure_word(weyl.longest_word(n))
     ch = g.specialize()
-    assert ch.coeff(AffineWeight(lam)) == 1, "leading coefficient must be 1"
+    if ch.coeff(AffineWeight(lam)) != 1:
+        raise CharacterError(f"leading coefficient at {lam} must be 1")
     return ch
+
+
+def multiplicity_table(n, lam, s):
+    """Multiplicities {mu: m} of the irreducibles in :func:`character`.
+
+    The longest-element operator takes e^mu to the Weyl character of mu
+    straightened by the dot action, so the table is read off the nested
+    polynomial before that pass (:func:`decomp.straighten`); the full
+    character is never expanded.  The fork twin is the fork swap of the
+    s = n table of the swapped weight.
+    """
+    lam, s = _regular_input(n, lam, s)
+    if s == n - 1:
+        inner = multiplicity_table(n, _swap_fork(n, lam), n)
+        return {_swap_fork(n, mu): m for mu, m in inner.items()}
+    mults = decomp.straighten(_pre_w0(n, lam, s).specialize())
+    if mults.get(lam) != 1:
+        raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
+    for mu, m in mults.items():
+        if m < 0:
+            raise CharacterError(f"negative multiplicity {m} at {mu}")
+        if not dominates(n, lam, mu):
+            raise CharacterError(f"{mu} is not below the highest weight {lam}")
+    return mults
 
 
 @dataclass(frozen=True)

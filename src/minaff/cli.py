@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``char`` and ``decomp`` (multiplicity tables through the
-Demazure pipeline), ``sam`` (the independent symplectic pipeline), ``xi``
-(tensor-factor weight data), ``drinfeld`` (classifying polynomial offsets),
-and ``verify`` (internal consistency suites).  Reports go to standard
-output as JSON, CSV, or aligned text; diagnostics go to standard error.
+Demazure pipeline, read off the nested polynomial before the longest-element
+pass by dot-action straightening; ``character`` and ``decompose`` remain
+the full-character API), ``sam`` (the independent symplectic pipeline),
+``xi`` (tensor-factor weight data), ``drinfeld`` (classifying polynomial
+offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
+the straightened tables against the greedy decomposition of the full
+character).  Reports go to standard output as JSON, CSV, or aligned text;
+diagnostics go to standard error.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
 Output is byte-stable for a fixed invocation; the elapsed-time field in
@@ -130,12 +134,16 @@ def _family_str(n, s):
     return {1: "1", n - 1: "n-1", n: "n"}[s]
 
 
+def _table(n, mults):
+    dimension = sum(m * decomp.dim_irr(n, mu) for mu, m in mults.items())
+    return decomp.DecompositionTable(n, dict(mults), dimension)
+
+
 def _cmd_char(args, t0):
     n = args.n
     lam = _parse_weight(args.lam, n)
     s = affinization.resolve_family(n, args.s)
-    ch = affinization.character(n, lam, s)
-    table = decomp.decompose(ch)
+    table = _table(n, affinization.multiplicity_table(n, lam, s))
     return _table_report(args, n, s, lam, table, t0), 0
 
 
@@ -145,9 +153,7 @@ def _cmd_sam(args, t0):
     s = affinization.resolve_family(n, args.s if args.s is not None else 1)
     if s != 1:
         raise InputError("the symplectic pipeline covers the s = 1 family only")
-    mults = spbranch.sam_table(n, lam)
-    dimension = sum(m * decomp.dim_irr(n, mu) for mu, m in mults.items())
-    table = decomp.DecompositionTable(n, dict(mults), dimension)
+    table = _table(n, spbranch.sam_table(n, lam))
     return _table_report(args, n, 1, lam, table, t0), 0
 
 
@@ -336,7 +342,10 @@ def _suite_pipeline(n, checks):
         for mu in doms:
             if table.mults.get(mu, 0) != spbranch.sam_mult(n, lam, mu):
                 ok = False
-        checks.append(("pipeline.crown_" + "".join(map(str, lam)), ok))
+        tag = "".join(map(str, lam))
+        checks.append(("pipeline.crown_" + tag, ok))
+        straightened = affinization.multiplicity_table(n, lam, 1)
+        checks.append(("pipeline.straighten_" + tag, straightened == table.mults))
 
 
 def _cmd_verify(args, t0):

@@ -3,8 +3,10 @@
 Everything here runs in doubled orthogonal coordinates: integer vectors
 whose halves are the usual orthogonal coordinates of the weight lattice.
 Dominant-chamber multiplicities come from the Freudenthal recursion; full
-characters are Weyl-orbit expansions of those.  The Weyl dimension formula
-is kept as an independent cross-check of the recursion.
+characters are Weyl-orbit expansions of those.  A character given through
+its preimage under the longest-element Demazure operator is decomposed by
+dot-action straightening instead, with no expansion at all.  The Weyl
+dimension formula is kept as an independent cross-check of the recursion.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from .cartan import (
     fw_from_eps2,
     is_dominant_fw,
 )
-from .errors import CharacterError, InputError
+from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
 from . import weyl
 
@@ -114,7 +116,8 @@ def dominant_mults(n, lam):
         d_rho = tuple(a + b for a, b in zip(d, rho))
         den = top_norm - _dot(d_rho, d_rho)
         q, r = divmod(2 * num, den)
-        assert r == 0 and q > 0, f"Freudenthal failed at {d}"
+        if r or q <= 0:
+            raise CharacterError(f"Freudenthal recursion failed at {d}")
         mults[d] = q
     return mults
 
@@ -213,7 +216,8 @@ def dim_irr(n, mu):
         num *= _dot(top, a)
         den *= _dot(rho, a)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise VerificationError(f"dimension formula is not integral at {mu}")
     return q
 
 
@@ -274,6 +278,33 @@ def decompose(f, n=None):
         mults[mu] = m
         dimension += m * dim_irr(n, mu)
     return DecompositionTable(n, mults, dimension)
+
+
+def straighten(f):
+    """Irreducible multiplicities {mu: m} of the longest-element Demazure
+    operator applied to the finite element ``f``.
+
+    That operator takes e^mu to the Weyl character of mu straightened by
+    the dot action.  In rho-shifted doubled coordinates a weight with two
+    equal absolute coordinates lies on a wall and contributes nothing; any
+    other is sorted into the dominant chamber with the sign of the sorting
+    permutation (type D Weyl elements flip an even number of signs, so
+    that is their whole sign) and shifted back.
+    """
+    if f.affine:
+        raise InputError("straighten expects a finite-tagged element")
+    n = f.n
+    rho = _rho2(n)
+    out = {}
+    for k, c in f.terms.items():
+        x = tuple(a + b for a, b in zip(eps2(n, k.finite), rho))
+        mags = [abs(v) for v in x]
+        if len(set(mags)) < n:
+            continue
+        inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1 :])
+        mu = fw_from_eps2(n, tuple(a - b for a, b in zip(_dominantize(x), rho)))
+        out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
+    return {mu: m for mu, m in out.items() if m}
 
 
 def compare_affinization(a, b):

@@ -12,7 +12,12 @@ import time
 import pytest
 
 from minaff import CharElem
-from minaff.affinization import character, lambda_sequence, xi_sequence
+from minaff.affinization import (
+    character,
+    lambda_sequence,
+    multiplicity_table,
+    xi_sequence,
+)
 from minaff.cartan import AffineWeight, eps2, fw_from_eps2, varpi
 from minaff.cli import run
 from minaff.decomp import (
@@ -22,7 +27,7 @@ from minaff.decomp import (
     dominant_weights_below,
     irr_character,
 )
-from minaff.spbranch import sam_mult
+from minaff.spbranch import sam_mult, sam_table
 from minaff import weyl
 from _helpers import rand_char, seeded
 
@@ -293,3 +298,45 @@ def test_criterion_10_cli_contract(capsys):
         code, out = invoke(*argv)
         ok = ok and code == 2 and out == ""
     report(10, ok, "three examples byte-stable and schema-valid; exit 2 clean", t0, 120)
+
+
+# regular weights with a coordinate 2, on top of the unit cubes
+STRAIGHTEN_EXTRA = [
+    (4, (2, 1, 1, 2)),
+    (4, (0, 2, 1, 0)),
+    (4, (2, 0, 0, 1)),
+    (4, (1, 2, 0, 2)),
+    (5, (2, 0, 1, 0, 0)),
+    (5, (1, 0, 0, 0, 2)),
+    (5, (0, 0, 2, 0, 1)),
+]
+
+
+def test_criterion_11_straightened_tables_match_greedy():
+    t0 = time.time()
+    ok = True
+    weights = [(n, lam) for n in (4, 5) for lam in regular_unit_cube(n)]
+    weights += STRAIGHTEN_EXTRA
+    for n, lam in weights:
+        tables = {}
+        for s in (1, n - 1, n):
+            tables[s] = multiplicity_table(n, lam, s)
+            if tables[s] != decompose(character(n, lam, s)).mults:
+                ok = False
+        swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
+        twin = {
+            mu[: n - 2] + (mu[n - 1], mu[n - 2]): m
+            for mu, m in multiplicity_table(n, swapped, n).items()
+        }
+        ok = ok and tables[n - 1] == twin
+    report(
+        11, ok, f"{len(weights)} weights x 3 families: straightened == greedy; fork twin", t0, 300
+    )
+
+
+def test_criterion_12_straightened_tables_match_symplectic():
+    t0 = time.time()
+    ok = True
+    for lam in ((1, 0, 0, 1, 1, 1), (1, 1, 0, 1, 1, 1)):
+        ok = ok and multiplicity_table(6, lam, 1) == sam_table(6, lam)
+    report(12, ok, "two rank-6 weights: straightened s = 1 table == sam_table", t0, 120)

@@ -1,16 +1,17 @@
 import pytest
 
-from minaff import CharElem, InputError
+from minaff import CharElem, CharacterError, InputError
 from minaff.affinization import (
     character,
     drinfeld,
     is_regular,
     lambda_sequence,
+    multiplicity_table,
     resolve_family,
     xi_sequence,
 )
 from minaff.cartan import AffineWeight, lambda0, varpi
-from minaff import weyl
+from minaff import decomp, weyl
 from _helpers import seeded
 
 
@@ -194,3 +195,39 @@ def test_drinfeld_family_agreement_on_missed_spin_branch():
         for _ in range(10):
             lam = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (0,)
             assert drinfeld(n, lam, 1).factors == drinfeld(n, lam, n - 1).factors
+
+
+def test_multiplicity_table_small_cases():
+    for s in (1, 3, 4):
+        assert multiplicity_table(4, (1, 0, 0, 0), s) == {(1, 0, 0, 0): 1}
+        assert multiplicity_table(4, (0, 1, 0, 0), s) == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
+    assert multiplicity_table(4, (0, 0, 1, 1), 1) == {(0, 0, 1, 1): 1, (1, 0, 0, 0): 1}
+
+
+def test_multiplicity_table_fork_twin_is_swap():
+    twin = multiplicity_table(4, (1, 1, 2, 1), 3)
+    base = multiplicity_table(4, (1, 1, 1, 2), 4)
+    assert twin == {mu[:2] + (mu[3], mu[2]): m for mu, m in base.items()}
+
+
+def test_multiplicity_table_rejects_bad_input():
+    with pytest.raises(InputError):
+        multiplicity_table(4, (1, 0, 1, 1), 1)  # non-regular
+    with pytest.raises(InputError):
+        multiplicity_table(4, (1, -1, 0, 0), 1)
+    with pytest.raises(InputError):
+        multiplicity_table(4, (1, 0, 0, 0), 2)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({(0, 1, 0, 0): 2}, "leading multiplicity"),
+        ({(0, 1, 0, 0): 1, (0, 0, 0, 0): -1}, "negative multiplicity"),
+        ({(0, 1, 0, 0): 1, (1, 0, 0, 0): 1}, "not below"),
+    ],
+)
+def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
+    monkeypatch.setattr(decomp, "straighten", lambda f: dict(table))
+    with pytest.raises(CharacterError, match=message):
+        multiplicity_table(4, (0, 1, 0, 0), 1)

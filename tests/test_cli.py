@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from minaff import weyl
 from minaff.cli import run
 
 
@@ -112,6 +113,15 @@ def test_unknown_flag_exits_2(capsys):
     code, out, _ = invoke(capsys, "char", "--n", "4", "--frobnicate", "1")
     assert code == 2
     assert out == ""
+
+
+def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
+    # a runtime invariant, not an assert: it still fires under python -O
+    monkeypatch.setattr(weyl, "is_dominant", lambda x, affine=True: False)
+    code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
+    assert code == 3
+    assert out == ""
+    assert "non-dominant factor weight" in err
 
 
 def test_non_regular_message_names_the_exceptional_case(capsys):

@@ -17,6 +17,7 @@ from minaff.decomp import (
     dominant_weights_below,
     irr_character,
     orbit_size,
+    straighten,
     weyl_group_order,
 )
 from minaff import weyl
@@ -176,3 +177,36 @@ def test_weyl_invariance_precondition():
     shifted[key] += 1
     with pytest.raises(CharacterError):
         decompose(CharElem(n, shifted, affine=False))
+
+
+def test_straighten_matches_longest_element_operator():
+    # oracle: D_{w0} e^mu expanded in full and peeled greedily, monomial by
+    # monomial; straightening must give 0 or +-1 copy of one irreducible
+    n = 4
+    w0 = weyl.longest_word(n)
+    rng = seeded(61)
+    seen = set()
+    for _ in range(60):
+        mu = tuple(rng.randint(-3, 2) for _ in range(n))
+        got = straighten(CharElem.monomial(mu, affine=False))
+        full = CharElem.monomial(mu).demazure_word(w0).specialize()
+        if not got:
+            assert not full
+            seen.add(0)
+            continue
+        ((nu, sign),) = got.items()
+        assert sign in (1, -1)
+        assert decompose(sign * full).mults == {nu: 1}
+        seen.add(sign)
+    assert seen == {0, 1, -1}
+
+
+def test_straighten_sums_and_cancels():
+    n = 4
+    # e^{s_1 . mu} straightens to -ch V(mu) and cancels one copy of e^mu
+    mu = (1, 0, 0, 0)
+    dot = (-3, 2, 0, 0)  # s_1(mu + rho) - rho
+    f = CharElem(n, {AffineWeight(mu): 2, AffineWeight(dot): 1}, affine=False)
+    assert straighten(f) == {mu: 1}
+    with pytest.raises(InputError):
+        straighten(CharElem.monomial(mu))
