@@ -2,8 +2,8 @@
 
 Two independent pipelines compute the same multiplicity tables: a nested
 Demazure-operator character formula over the affine weight lattice, and a
-symplectic branching construction through Schur functors.  Everything is
-exact integer or rational arithmetic.
+symplectic branching construction through Schur functors and Littlewood's
+restriction rule.  Everything is exact integer or rational arithmetic.
 """
 
 __version__ = "0.1.0"
@@ -67,12 +67,11 @@ from .decomp import (
     straighten,
 )
 from .spbranch import (
-    decompose_sp,
     iota,
+    lr_coefficient,
     partition_of,
     sam_mult,
     sam_table,
-    schur_char,
+    sp_branch,
     sp_dim_irr,
-    sp_irr_character,
 )

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, VerificationError
 
 MIN_RANK = 4
 
@@ -289,7 +289,8 @@ def positive_roots(n):
             a = alpha_interval(n, p, n)
             b = alpha_interval(n, q, n - 1)
             roots.add(tuple(x + y for x, y in zip(a, b)))
-    assert len(roots) == n * (n - 1)
+    if len(roots) != n * (n - 1):
+        raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
     return frozenset(roots)
 
 

@@ -3,7 +3,8 @@
 Subcommands: ``char`` and ``decomp`` (multiplicity tables through the
 Demazure pipeline, read off the nested polynomial before the longest-element
 pass by dot-action straightening; ``character`` and ``decompose`` remain
-the full-character API), ``sam`` (the independent symplectic pipeline),
+the full-character API), ``sam`` (the independent symplectic pipeline,
+restricting a Schur functor to the symplectic algebra by Littlewood's rule),
 ``xi`` (tensor-factor weight data), ``drinfeld`` (classifying polynomial
 offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
 the straightened tables against the greedy decomposition of the full
@@ -455,9 +456,6 @@ def run(argv):
         from .cartan import check_rank
 
         check_rank(args.n)
-        import minaff.polyring as polyring
-
-        polyring.thread_count()  # fail fast on a malformed override
         text, code = _DISPATCH[args.command](args, t0)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

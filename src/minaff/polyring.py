@@ -6,26 +6,9 @@ never by polynomial division, so every operation stays in exact integer
 arithmetic.  Elements are immutable; all operations return new elements.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .cartan import AffineWeight, check_rank, pairing
 from .errors import InputError
 from . import weyl
-
-_PARALLEL_CUTOFF = 4096
-
-
-def thread_count():
-    """Worker count for partitioned operations, from the environment."""
-    raw = os.environ.get("MINAFF_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise InputError(f"MINAFF_THREADS must be a positive integer, got {raw!r}")
-    if k < 1:
-        raise InputError(f"MINAFF_THREADS must be a positive integer, got {raw!r}")
-    return k
 
 
 class CharElem:
@@ -33,9 +16,8 @@ class CharElem:
 
     ``affine`` tags the lattice: affine-tagged elements may carry level and
     delta; finite-tagged elements must not.  The same container also serves
-    finite character rings of other rank data (the symplectic branching
-    module uses it with its own rank), where only the plain ring operations
-    apply.
+    finite character rings of other rank data, where only the plain ring
+    operations apply.
     """
 
     __slots__ = ("n", "affine", "terms")
@@ -163,24 +145,7 @@ class CharElem:
         if not self.affine:
             raise InputError("Demazure operators act on affine-tagged elements")
         check_rank(self.n)
-        items = list(self.terms.items())
-        workers = thread_count()
-        if workers > 1 and len(items) >= _PARALLEL_CUTOFF:
-            chunk = (len(items) + workers - 1) // workers
-            parts = [items[j : j + chunk] for j in range(0, len(items), chunk)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                dicts = list(pool.map(lambda p: _demazure_chunk(self.n, i, p), parts))
-            out = dicts[0]
-            for d in dicts[1:]:
-                for k, v in d.items():
-                    w = out.get(k, 0) + v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-        else:
-            out = _demazure_chunk(self.n, i, items)
-        return CharElem(self.n, out, True)
+        return CharElem(self.n, _demazure_terms(self.n, i, self.terms), True)
 
     def demazure_word(self, w):
         """Composite operator along a reduced word, then the prefix twist."""
@@ -229,12 +194,12 @@ class CharElem:
         return CharElem(self.n, out, affine=False)
 
 
-def _demazure_chunk(n, i, items):
+def _demazure_terms(n, i, terms):
     out = {}
     alpha = weyl._alpha_wt(n, i)
     af = alpha.finite
     ad = alpha.delta
-    for mu, c in items:
+    for mu, c in terms.items():
         m = pairing(i, mu)
         if m >= 0:
             fin, lvl, dlt = mu.finite, mu.level, mu.delta

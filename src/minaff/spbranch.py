@@ -1,21 +1,23 @@
 """Independent multiplicity pipeline through the rank n-1 symplectic algebra.
 
 The map ``iota`` folds the two spin coordinates into the last symplectic
-node; a Schur functor of the standard symplectic module, evaluated by
-semistandard tableaux, decomposes into symplectic irreducibles; lifting
-back along ``iota`` gives the multiplicity table of the s = 1 family.
+node; the Schur functor of the standard symplectic module with the folded
+weight's partition restricts to symplectic irreducibles by Littlewood's
+rule (a sum of Littlewood-Richardson coefficients over partitions with
+even columns; Koike-Terada 1987); lifting back along ``iota`` gives the
+multiplicity table of the s = 1 family.  The table is checked against the
+hook-content dimension of the Schur functor.
 
 This path deliberately shares no computation with the Demazure pipeline:
-it has its own root data, its own dominant recursion, and its own greedy
-decomposition, all in plain orthogonal coordinates (integral for the
-symplectic lattice, so nothing is doubled here).
+it is integer combinatorics of partitions, with its own root data for the
+symplectic dimension formula, in plain orthogonal coordinates (integral
+for the symplectic lattice, so nothing is doubled here).
 """
 
 from functools import lru_cache
 
-from .cartan import AffineWeight, check_dominant, check_rank
+from .cartan import check_dominant, check_rank
 from .errors import CharacterError, InputError
-from .polyring import CharElem
 from .affinization import is_regular
 
 
@@ -40,72 +42,84 @@ def _strip(p):
     return tuple(v for v in p if v)
 
 
-def _sp_eps(nu):
-    r = len(nu)
-    return tuple(sum(nu[i:]) for i in range(r))
-
-
 def _sp_fund_from_eps(x):
     r = len(x)
     return tuple(x[i] - x[i + 1] for i in range(r - 1)) + (x[r - 1],)
 
 
-# ---------------------------------------------------------------------------
-# Schur functor characters via semistandard tableaux
-
-
-def schur_char(p, rank):
-    """Character of the Schur functor of the standard symplectic module.
-
-    Enumerates semistandard tableaux of shape ``p`` in 2*rank letters; each
-    letter carries one of the orthogonal weights of the standard module.
-    Generally reducible as a symplectic character.
-    """
-    check_rank(rank + 1)
-    p = _strip(tuple(p))
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)) or any(v < 0 for v in p):
+def _check_partition(p):
+    p = tuple(p)
+    if any(v < 0 for v in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InputError(f"{p} is not a partition")
-    nletters = 2 * rank
-    if len(p) > nletters:
-        raise InputError(f"partition {p} too tall for {nletters} letters")
-    if not p:
-        return CharElem.monomial(AffineWeight((0,) * rank), 1, affine=False)
-    # letter 2i-1 adds +1, letter 2i adds -1 at coordinate i (1-based i)
-    rows = len(p)
-    eps_weights = {}
-    col_of = p
-    tableau = [[0] * p[r] for r in range(rows)]
-    acc = [0] * rank
-
-    def fill(r, c):
-        if r == rows:
-            key = tuple(acc)
-            eps_weights[key] = eps_weights.get(key, 0) + 1
-            return
-        nr, nc = (r, c + 1) if c + 1 < col_of[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = tableau[r][c - 1]
-        if r > 0 and c < col_of[r - 1]:
-            lo = max(lo, tableau[r - 1][c] + 1)
-        for letter in range(lo, nletters + 1):
-            tableau[r][c] = letter
-            i, odd = divmod(letter - 1, 2)
-            step = 1 if odd == 0 else -1
-            acc[i] += step
-            fill(nr, nc)
-            acc[i] -= step
-        tableau[r][c] = 0
-
-    fill(0, 0)
-    terms = {}
-    for x, m in eps_weights.items():
-        terms[AffineWeight(_sp_fund_from_eps(x))] = m
-    return CharElem(rank, terms, affine=False)
+    return _strip(p)
 
 
 # ---------------------------------------------------------------------------
-# Symplectic root data, Freudenthal recursion, greedy decomposition
+# Littlewood-Richardson coefficients
+
+
+@lru_cache(maxsize=None)
+def _skew_contents(p, mu):
+    """{content: count} over the LR fillings of the skew shape p/mu.
+
+    Cells are filled in reverse reading order (rows top to bottom, each
+    right to left); a filling is kept when its rows weakly increase, its
+    columns strictly increase and its reading word is a lattice word.
+    """
+    mu = mu + (0,) * (len(p) - len(mu))
+    cells = [(r, c) for r in range(len(p)) for c in range(p[r] - 1, mu[r] - 1, -1)]
+    grid = {}
+    counts = [0] * (len(p) + 2)
+    out = {}
+
+    def fill(j):
+        if j == len(cells):
+            key = _strip(tuple(counts[1:]))
+            out[key] = out.get(key, 0) + 1
+            return
+        r, c = cells[j]
+        lo = grid.get((r - 1, c), 0) + 1
+        hi = min(grid.get((r, c + 1), r + 1), r + 1)
+        for k in range(lo, hi + 1):
+            if k > 1 and counts[k] >= counts[k - 1]:
+                continue
+            grid[r, c] = k
+            counts[k] += 1
+            fill(j + 1)
+            counts[k] -= 1
+        grid.pop((r, c), None)
+
+    fill(0)
+    return out
+
+
+def lr_coefficient(p, mu, nu):
+    """Littlewood-Richardson coefficient c^p_{mu,nu}: the number of LR
+    fillings of p/mu with content nu."""
+    p, mu, nu = _check_partition(p), _check_partition(mu), _check_partition(nu)
+    if len(mu) > len(p) or any(a > b for a, b in zip(mu, p)):
+        return 0
+    return _skew_contents(p, mu).get(nu, 0)
+
+
+def _even_column_partitions(p):
+    """Partitions inside p whose columns all have even length, that is
+    (a1, a1, a2, a2, ...) with a_i at most p_{2i}."""
+    pairs = p[1::2]
+
+    def rec(i, cap):
+        if i == len(pairs):
+            yield ()
+            return
+        for a in range(min(cap, pairs[i]) + 1):
+            for rest in rec(i + 1, a):
+                yield _strip((a, a) + rest)
+
+    return rec(0, p[0] if p else 0)
+
+
+# ---------------------------------------------------------------------------
+# Symplectic root data and dimensions
 
 
 @lru_cache(maxsize=None)
@@ -130,150 +144,61 @@ def _sp_rho(r):
     return tuple(range(r, 0, -1))
 
 
-def _sp_dominant(x):
-    r = len(x)
-    return all(x[i] >= x[i + 1] for i in range(r - 1)) and x[r - 1] >= 0
-
-
-def _sp_dominantize(x):
-    return tuple(sorted((abs(v) for v in x), reverse=True))
-
-
-def _sp_in_root_cone(x):
-    acc = 0
-    for v in x[:-1]:
-        acc += v
-        if acc < 0:
-            return False
-    acc += x[-1]
-    return acc >= 0 and acc % 2 == 0
-
-
 def _dot(a, b):
     return sum(u * v for u, v in zip(a, b))
 
 
-@lru_cache(maxsize=None)
-def _sp_dominant_mults(r, top):
-    """Freudenthal recursion for the symplectic algebra of rank r; ``top``
-    is the highest weight in orthogonal coordinates."""
-    roots = _sp_pos_roots(r)
-    rho = _sp_rho(r)
-    doms = {top}
-    frontier = [top]
-    while frontier:
-        fresh = []
-        for d in frontier:
-            for a in roots:
-                e = tuple(x - y for x, y in zip(d, a))
-                if e not in doms and _sp_dominant(e):
-                    doms.add(e)
-                    fresh.append(e)
-        frontier = fresh
-    top_rho = tuple(a + b for a, b in zip(top, rho))
-    top_norm = _dot(top_rho, top_rho)
-    mults = {}
-    for d in sorted(doms, key=lambda d: (-_dot(d, rho), d)):
-        if d == top:
-            mults[d] = 1
-            continue
-        num = 0
-        for a in roots:
-            nu = tuple(x + y for x, y in zip(d, a))
-            while True:
-                m = mults.get(_sp_dominantize(nu))
-                if m is None:
-                    break
-                num += m * _dot(nu, a)
-                nu = tuple(x + y for x, y in zip(nu, a))
-        d_rho = tuple(a + b for a, b in zip(d, rho))
-        den = top_norm - _dot(d_rho, d_rho)
-        q, rem = divmod(2 * num, den)
-        assert rem == 0 and q > 0, f"symplectic recursion failed at {d}"
-        mults[d] = q
-    return mults
-
-
-def _sp_orbit(x):
-    r = len(x)
-    seen = {x}
-    stack = [x]
-    while stack:
-        d = stack.pop()
-        for i in range(r - 1):
-            if d[i] != d[i + 1]:
-                e = d[:i] + (d[i + 1], d[i]) + d[i + 2 :]
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        if d[r - 1]:
-            e = d[: r - 1] + (-d[r - 1],)
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    return seen
-
-
-@lru_cache(maxsize=None)
-def sp_irr_character(rank, nu):
-    """Irreducible symplectic character with highest weight ``nu``."""
-    nu = tuple(nu)
-    if not all(v >= 0 for v in nu) or len(nu) != rank:
-        raise InputError(f"{nu} is not a dominant rank-{rank} weight")
-    terms = {}
-    for d, m in _sp_dominant_mults(rank, _sp_eps(nu)).items():
-        for e in _sp_orbit(d):
-            terms[AffineWeight(_sp_fund_from_eps(e))] = m
-    return CharElem(rank, terms, affine=False)
-
-
 def sp_dim_irr(rank, nu):
+    """Weyl dimension formula for the symplectic irreducible of highest
+    weight ``nu`` (fundamental coordinates)."""
+    if len(nu) != rank:
+        raise InputError(f"{nu} is not a rank-{rank} weight")
     rho = _sp_rho(rank)
-    top = tuple(a + b for a, b in zip(_sp_eps(tuple(nu)), rho))
+    top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), rho))
     num = 1
     den = 1
     for a in _sp_pos_roots(rank):
         num *= _dot(top, a)
         den *= _dot(rho, a)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise CharacterError(f"dimension formula not integral at {nu}: {num}/{den}")
     return q
 
 
-def decompose_sp(f, rank):
-    """Greedy peel-off over the symplectic dominance order; the residual
-    must reach exactly zero or the input was not a character."""
-    if f.affine:
-        raise InputError("decompose_sp expects a finite-tagged element")
-    work = {k.finite: v for k, v in f.terms.items()}
-    mults = {}
-    while work:
-        dom = [k for k in work if all(v >= 0 for v in k)]
-        if not dom:
-            raise CharacterError("nonzero residual with no dominant term")
-        maximal = [
-            a
-            for a in dom
-            if not any(
-                b != a
-                and _sp_in_root_cone(
-                    tuple(x - y for x, y in zip(_sp_eps(b), _sp_eps(a)))
-                )
-                for b in dom
-            )
-        ]
-        nu = max(maximal)
-        m = work[nu]
-        if m < 0:
-            raise CharacterError(f"negative multiplicity {m} at {nu}")
-        for k, v in sp_irr_character(rank, nu).terms.items():
-            w = work.get(k.finite, 0) - m * v
-            if w:
-                work[k.finite] = w
-            else:
-                work.pop(k.finite, None)
-        mults[nu] = m
-    return mults
+def schur_dim(p, letters):
+    """Dimension of the Schur functor S_p of a ``letters``-dimensional
+    space: the product over cells of (letters + column - row) over hook
+    lengths."""
+    p = _check_partition(p)
+    num = 1
+    den = 1
+    for r in range(len(p)):
+        for c in range(p[r]):
+            num *= letters + c - r
+            den *= p[r] - c + sum(1 for rr in range(r + 1, len(p)) if p[rr] > c)
+    return num // den
+
+
+def sp_branch(p, rank):
+    """Restriction of the Schur functor S_p(C^{2 rank}) to the symplectic
+    algebra of rank ``rank``, as {nu in fundamental coordinates: m}.
+
+    Littlewood's rule: for at most ``rank`` parts, the multiplicity of the
+    irreducible with partition nu is the sum of c^p_{beta,nu} over the
+    partitions beta with even columns.  Refused for taller shapes, where
+    the rule needs modification.
+    """
+    check_rank(rank + 1)
+    p = _check_partition(p)
+    if len(p) > rank:
+        raise InputError(f"partition {p} has more than {rank} parts")
+    out = {}
+    for beta in _even_column_partitions(p):
+        for nu, c in _skew_contents(p, beta).items():
+            key = _sp_fund_from_eps(nu + (0,) * (rank - len(nu)))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +209,25 @@ def decompose_sp(f, rank):
 def sam_table(n, lam):
     """Multiplicity table of the s = 1 family from the symplectic side.
 
-    Decomposes the Schur-functor character of the folded highest weight and
-    lifts each symplectic constituent back to the unique dominant weight
-    with the same spin difference as ``lam``.
+    Restricts the Schur functor of the folded highest weight's partition
+    by :func:`sp_branch`, checks the total dimension, and lifts each
+    symplectic constituent back to the unique dominant weight with the same
+    spin difference as ``lam``.
     """
     lam = tuple(lam)
     check_dominant(n, lam)
     if not is_regular(n, lam):
         raise InputError(f"weight {lam} is outside the regular classification")
     rank = n - 1
-    table = decompose_sp(schur_char(partition_of(iota(n, lam)), rank), rank)
+    p = partition_of(iota(n, lam))
+    table = sp_branch(p, rank)
+    total = sum(m * sp_dim_irr(rank, nu) for nu, m in table.items())
+    expected = schur_dim(p, 2 * rank)
+    if total != expected:
+        raise CharacterError(
+            f"symplectic constituents of {_strip(p)} have total dimension {total},"
+            f" expected {expected}"
+        )
     diff = lam[n - 1] - lam[n - 2]
     out = {}
     for nu, m in table.items():

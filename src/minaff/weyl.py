@@ -24,7 +24,7 @@ from .cartan import (
     theta_coeffs,
     varpi,
 )
-from .errors import InputError
+from .errors import InputError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,8 @@ def longest_word(n):
         x = reflect(i, x)
         rev.append(i)
     w = ExtendedWeylWord(n, _identity_tau(n), tuple(reversed(rev)))
-    assert len(w.word) == n * (n - 1)
+    if len(w.word) != n * (n - 1):
+        raise VerificationError(f"longest word has length {len(w.word)}, expected {n * (n - 1)}")
     return w
 
 

@@ -340,3 +340,12 @@ def test_criterion_12_straightened_tables_match_symplectic():
     for lam in ((1, 0, 0, 1, 1, 1), (1, 1, 0, 1, 1, 1)):
         ok = ok and multiplicity_table(6, lam, 1) == sam_table(6, lam)
     report(12, ok, "two rank-6 weights: straightened s = 1 table == sam_table", t0, 120)
+
+
+def test_criterion_13_straightened_tables_match_littlewood_rule():
+    # weights whose symplectic tables were out of reach by tableau enumeration
+    t0 = time.time()
+    ok = True
+    for n, lam in ((6, (2, 1, 0, 1, 1, 1)), (7, (1, 0, 0, 0, 1, 1, 1)), (7, (1, 1, 0, 1, 1, 1, 1))):
+        ok = ok and multiplicity_table(n, lam, 1) == sam_table(n, lam)
+    report(13, ok, "three rank-6/7 weights: straightened s = 1 table == sam_table", t0, 60)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, CharacterError, InputError
 from minaff.affinization import (
@@ -11,6 +12,7 @@ from minaff.affinization import (
     xi_sequence,
 )
 from minaff.cartan import AffineWeight, lambda0, varpi
+from minaff.spbranch import sam_table
 from minaff import decomp, weyl
 from _helpers import seeded
 
@@ -208,6 +210,29 @@ def test_multiplicity_table_fork_twin_is_swap():
     twin = multiplicity_table(4, (1, 1, 2, 1), 3)
     base = multiplicity_table(4, (1, 1, 1, 2), 4)
     assert twin == {mu[:2] + (mu[3], mu[2]): m for mu, m in base.items()}
+
+
+@st.composite
+def regular_family_case(draw):
+    n = draw(st.sampled_from((4, 5)))
+    lam = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda lam: is_regular(n, lam)))
+    return n, lam, draw(st.sampled_from((1, n - 1, n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_family_case())
+def test_multiplicity_table_cross_pipeline_sweep(case):
+    n, lam, s = case
+    table = multiplicity_table(n, lam, s)
+    if s == 1:
+        assert table == sam_table(n, lam)
+    elif s == n - 1:
+        swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
+        base = multiplicity_table(n, swapped, n)
+        assert table == {mu[: n - 2] + (mu[n - 1], mu[n - 2]): m for mu, m in base.items()}
+    if n == 4 and s != 1:
+        # the full character is cheap at rank 4; rank 5 is covered by criterion 11
+        assert table == decomp.decompose(character(n, lam, s)).mults
 
 
 def test_multiplicity_table_rejects_bad_input():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from minaff import weyl
+from minaff import spbranch, weyl
 from minaff.cli import run
 
 
@@ -124,6 +124,15 @@ def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "non-dominant factor weight" in err
 
 
+def test_failed_symplectic_dimension_check_exits_3_with_no_stdout(capsys, monkeypatch):
+    spbranch.sam_table.cache_clear()
+    monkeypatch.setattr(spbranch, "sp_branch", lambda p, rank: {(0,) * rank: 1})
+    code, out, err = invoke(capsys, "sam", "--n", "4", "--lambda", "0,1,0,0")
+    assert code == 3
+    assert out == ""
+    assert "total dimension" in err
+
+
 def test_non_regular_message_names_the_exceptional_case(capsys):
     code, _, err = invoke(capsys, "char", "--n", "4", "--lambda", "2,0,1,3", "--s", "1")
     assert code == 2
@@ -184,12 +193,3 @@ def test_drinfeld_report(capsys):
     assert code == 0
     report = json.loads(out)
     assert {"i": 2, "m": 1, "c": 3} in report["factors"]
-
-
-def test_thread_override_validated(capsys, monkeypatch):
-    monkeypatch.setenv("MINAFF_THREADS", "zebra")
-    code, out, _ = invoke(capsys, "char", "--n", "4", "--lambda", "1,0,0,0", "--s", "1")
-    assert code == 2 and out == ""
-    monkeypatch.setenv("MINAFF_THREADS", "2")
-    code, out, _ = invoke(capsys, "char", "--n", "4", "--lambda", "1,0,0,0", "--s", "1")
-    assert code == 0 and json.loads(out)["dimension"] == 8

@@ -4,15 +4,16 @@ from hypothesis import given, settings, strategies as st
 from minaff import CharElem, CharacterError, InputError
 from minaff.cartan import AffineWeight
 from minaff.spbranch import (
-    decompose_sp,
     iota,
+    lr_coefficient,
     partition_of,
     sam_mult,
     sam_table,
-    schur_char,
+    schur_dim,
+    sp_branch,
     sp_dim_irr,
-    sp_irr_character,
 )
+from _sp_oracle import decompose_sp, schur_char, sp_irr_character
 
 
 def hook_content_count(p, letters):
@@ -74,6 +75,7 @@ def test_schur_dimension_against_hook_content():
     for rank in (3, 4):
         for p in ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (1, 1, 1), (3, 2, 1)):
             assert schur_char(p, rank).mass() == hook_content_count(p, 2 * rank)
+            assert schur_dim(p, 2 * rank) == hook_content_count(p, 2 * rank)
 
 
 def test_schur_validation():
@@ -85,10 +87,67 @@ def test_schur_validation():
     assert schur_char((1, 0, 0), 3) == schur_char((1,), 3)
 
 
+def partitions(size, parts):
+    """Partitions of ``size`` with at most ``parts`` parts."""
+
+    def rec(left, cap, room):
+        if left == 0:
+            yield ()
+            return
+        if room == 0:
+            return
+        for a in range(min(left, cap), 0, -1):
+            for rest in rec(left - a, a, room - 1):
+                yield (a,) + rest
+
+    return list(rec(size, size, parts))
+
+
+def test_littlewood_rule_matches_tableau_oracle():
+    cases = 0
+    for rank in (3, 4, 5):
+        for size in range(9):
+            for p in partitions(size, rank):
+                assert sp_branch(p, rank) == decompose_sp(schur_char(p, rank), rank), (p, rank)
+                cases += 1
+    assert cases == 154
+
+
+def test_lr_coefficients_by_hand():
+    assert lr_coefficient((2, 1), (1,), (1, 1)) == 1
+    assert lr_coefficient((2, 1), (1,), (2,)) == 1
+    assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert lr_coefficient((3, 2, 1), (2, 1), (3,)) == 1
+    assert lr_coefficient((2, 2), (1, 1), (1, 1)) == 1
+    assert lr_coefficient((2, 2), (1,), (2, 1)) == 1
+    assert lr_coefficient((2, 1), (1,), (1,)) == 0  # sizes do not add up
+    assert lr_coefficient((2, 1), (2, 1), ()) == 1
+    assert lr_coefficient((2, 1), (3,), ()) == 0  # mu not inside p
+    with pytest.raises(InputError):
+        lr_coefficient((1, 2), (1,), (1,))
+    with pytest.raises(InputError):
+        lr_coefficient((1, 0, 1), (1,), (1,))
+
+
+def test_sp_branch_small_cases():
+    assert sp_branch((1, 1), 3) == {(0, 1, 0): 1, (0, 0, 0): 1}
+    assert sp_branch((), 3) == {(0, 0, 0): 1}
+    assert sp_branch((2, 2), 3) == {(0, 2, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1}
+
+
+def test_sp_branch_refuses_tall_shapes():
+    with pytest.raises(InputError):
+        sp_branch((1, 1, 1, 1), 3)
+    with pytest.raises(InputError):
+        sp_branch((1, 2), 3)
+
+
 def test_standard_module_dimension_bridge():
     # the standard symplectic module has dimension twice the rank
     for n in (4, 5, 6):
         assert sp_dim_irr(n - 1, (1,) + (0,) * (n - 2)) == 2 * (n - 1)
+    with pytest.raises(InputError):
+        sp_dim_irr(3, (1, 0))
 
 
 def test_sp_irr_zero_weight_multiplicity():
