@@ -12,11 +12,11 @@ from functools import lru_cache
 
 from .cartan import (
     AffineWeight,
-    branch_set,
     check_dominant,
     check_rank,
     dominates,
     family_nodes,
+    is_regular,
     lambda0,
     support,
     varpi,
@@ -41,20 +41,6 @@ def resolve_family(n, s):
     if s in family_nodes(n):
         return s
     raise InputError(f"family label must be one of 1, {n - 1}, {n} (or 1, n-1, n), got {s}")
-
-
-def is_regular(n, lam):
-    """Whether the classification covers this dominant weight.
-
-    True when some branch misses the support entirely, or when the fork
-    coordinate is positive.  The remaining case (full spread support with a
-    zero fork coordinate) is rejected by the character pipeline.
-    """
-    check_dominant(n, lam)
-    supp = support(lam)
-    if any(not (supp & branch_set(n, s)) for s in family_nodes(n)):
-        return True
-    return lam[n - 3] > 0
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,20 @@ def branch_set(n, s):
     raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
 
 
+def is_regular(n, lam):
+    """Whether the classification covers this dominant weight.
+
+    True when some branch misses the support entirely, or when the fork
+    coordinate is positive.  The remaining case (full spread support with a
+    zero fork coordinate) is rejected by the character pipeline.
+    """
+    check_dominant(n, lam)
+    supp = support(lam)
+    if any(not (supp & branch_set(n, s)) for s in family_nodes(n)):
+        return True
+    return lam[n - 3] > 0
+
+
 @lru_cache(maxsize=None)
 def delta_plus_s(n, s):
     """Positive roots supported away from at least one branch other than s."""

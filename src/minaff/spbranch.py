@@ -16,9 +16,8 @@ for the symplectic lattice, so nothing is doubled here).
 
 from functools import lru_cache
 
-from .cartan import check_dominant, check_rank
+from .cartan import check_dominant, check_rank, is_regular
 from .errors import CharacterError, InputError
-from .affinization import is_regular
 
 
 def iota(n, mu):
@@ -205,7 +204,6 @@ def sp_branch(p, rank):
 # The multiplicity formula
 
 
-@lru_cache(maxsize=None)
 def sam_table(n, lam):
     """Multiplicity table of the s = 1 family from the symplectic side.
 

@@ -3,9 +3,10 @@
 Group elements are carried as words: an automorphism prefix (a permutation
 of the affine nodes generated by the two diagram swaps) followed by a tuple
 of reflection indices.  The represented element is the prefix composed with
-the reflections read left to right, rightmost applied first.  Reduction uses
-the descent algorithm on real roots; equality of group elements is decided
-by comparing actions on a basis.
+the reflections read left to right, rightmost applied first.  Reduction
+walks a regular weight up into the dominant chamber, one simple reflection
+per letter; equality of group elements is decided by comparing actions on
+a basis.
 """
 
 from dataclasses import dataclass
@@ -81,18 +82,12 @@ def tau_fork(n):
     return ExtendedWeylWord(n, _swap_tau(n, n - 1, n), ())
 
 
-ALLOWED_TAUS = {}
-
-
+@lru_cache(maxsize=None)
 def _allowed_taus(n):
     """The four automorphism prefixes generated by the two swaps."""
-    if n not in ALLOWED_TAUS:
-        e = _identity_tau(n)
-        a = _swap_tau(n, 0, 1)
-        b = _swap_tau(n, n - 1, n)
-        ab = tuple(a[b[i]] for i in range(n + 1))
-        ALLOWED_TAUS[n] = {e, a, b, ab}
-    return ALLOWED_TAUS[n]
+    a = _swap_tau(n, 0, 1)
+    b = _swap_tau(n, n - 1, n)
+    return frozenset((_identity_tau(n), a, b, tuple(a[b[i]] for i in range(n + 1))))
 
 
 def compose(u, v):
@@ -251,39 +246,39 @@ def is_positive_root(n, root):
 # Reduction, length, distinguished elements
 
 
+def _walk_up(x, nodes):
+    """Reflect ``x`` at the smallest node of ``nodes`` with a negative
+    pairing until there is none; returns the nodes used, in order."""
+    steps = []
+    while True:
+        i = next((i for i in nodes if pairing(i, x) < 0), None)
+        if i is None:
+            return steps
+        x = reflect(i, x)
+        steps.append(i)
+
+
 def reduce_word(w):
     """Canonical reduced word for the same group element.
 
-    Descent algorithm: while some simple root is sent to a negative real
-    root, strip the corresponding reflection on the right.  Ties break to
-    the smallest node, making the output deterministic.
+    Node i is a right descent of g exactly when g^-1 rho-hat pairs
+    negatively with the i-th coroot, where rho-hat pairs to 1 with every
+    coroot (it is positive on exactly the positive real roots).  Walking
+    w^-1 rho-hat up into the dominant chamber, always at the smallest such
+    node, strips the descents of w one by one; the steps reversed are the
+    word.
     """
     n = w.n
-    g = w
-    collected = []
-    while True:
-        found = None
-        for i in range(n + 1):
-            if not is_positive_root(n, act_root(g, affine_simple_root(n, i))):
-                found = i
-                break
-        if found is None:
-            break
-        g = compose(g, simple(n, found))
-        collected.append(found)
-    if g.tau not in _allowed_taus(n):
-        raise InputError(f"automorphism prefix {g.tau} outside the two-swap subgroup")
-    return ExtendedWeylWord(n, g.tau, tuple(reversed(collected)))
-
-
-@lru_cache(maxsize=None)
-def _reduce_cached(w):
-    return reduce_word(w)
+    if w.tau not in _allowed_taus(n):
+        raise InputError(f"automorphism prefix {w.tau} outside the two-swap subgroup")
+    rho = AffineWeight((1,) * n, 2 * n - 2, 0)
+    steps = _walk_up(act(inverse(w), rho), range(n + 1))
+    return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))
 
 
 def length(w):
     """Length of the underlying affine Weyl group element; prefixes are free."""
-    return len(_reduce_cached(w).word)
+    return len(reduce_word(w).word)
 
 
 def is_reduced(w):
@@ -294,19 +289,12 @@ def is_reduced(w):
 def longest_word(n):
     """A reduced word for the longest finite Weyl group element.
 
-    Built by walking the strictly dominant weight rho into the antidominant
-    chamber, always reflecting at the smallest ascending node.
+    The walk of -rho up into the dominant chamber over the finite nodes,
+    reversed.
     """
     check_rank(n)
-    x = AffineWeight((1,) * n, 0, 0)
-    rev = []
-    while True:
-        i = next((i for i in range(1, n + 1) if x.finite[i - 1] > 0), None)
-        if i is None:
-            break
-        x = reflect(i, x)
-        rev.append(i)
-    w = ExtendedWeylWord(n, _identity_tau(n), tuple(reversed(rev)))
+    steps = _walk_up(AffineWeight((-1,) * n, 0, 0), range(1, n + 1))
+    w = ExtendedWeylWord(n, _identity_tau(n), tuple(reversed(steps)))
     if len(w.word) != n * (n - 1):
         raise VerificationError(f"longest word has length {len(w.word)}, expected {n * (n - 1)}")
     return w

@@ -2,7 +2,7 @@
 
 import random
 
-from minaff import CharElem
+from minaff import CharElem, affinization, weyl
 from minaff.cartan import AffineWeight
 
 
@@ -27,3 +27,17 @@ def rand_dominant(n, rng, span=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def break_longest_word(monkeypatch):
+    """Make ``weyl.longest_word`` repeat the last letter of w0's word, so
+    the composite behind the nested formula cancels and comes out short;
+    clears the cached nesting check so it runs again."""
+    real = weyl.longest_word
+
+    def repeated_last_letter(n):
+        w = real(n)
+        return weyl.ExtendedWeylWord(n, w.tau, w.word + w.word[-1:])
+
+    monkeypatch.setattr(weyl, "longest_word", repeated_last_letter)
+    affinization._assert_nesting_legal.cache_clear()

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, CharacterError, InputError
+from minaff import CharElem, CharacterError, InputError, VerificationError
 from minaff.affinization import (
     character,
     drinfeld,
@@ -13,8 +13,8 @@ from minaff.affinization import (
 )
 from minaff.cartan import AffineWeight, lambda0, varpi
 from minaff.spbranch import sam_table
-from minaff import decomp, weyl
-from _helpers import seeded
+from minaff import affinization, decomp, weyl
+from _helpers import break_longest_word, seeded
 
 
 def fw_sum(n, *nodes):
@@ -256,3 +256,9 @@ def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
     monkeypatch.setattr(decomp, "straighten", lambda f: dict(table))
     with pytest.raises(CharacterError, match=message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
+
+
+def test_nesting_check_refuses_a_composite_that_cancels(monkeypatch):
+    break_longest_word(monkeypatch)
+    with pytest.raises(VerificationError, match="length additivity"):
+        affinization._assert_nesting_legal.__wrapped__(4)

@@ -4,6 +4,7 @@ import pytest
 
 from minaff import spbranch, weyl
 from minaff.cli import run
+from _helpers import break_longest_word
 
 
 def invoke(capsys, *argv):
@@ -124,8 +125,15 @@ def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "non-dominant factor weight" in err
 
 
+def test_failed_nesting_check_exits_3_with_no_stdout(capsys, monkeypatch):
+    break_longest_word(monkeypatch)
+    code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
+    assert code == 3
+    assert out == ""
+    assert "length additivity" in err
+
+
 def test_failed_symplectic_dimension_check_exits_3_with_no_stdout(capsys, monkeypatch):
-    spbranch.sam_table.cache_clear()
     monkeypatch.setattr(spbranch, "sp_branch", lambda p, rank: {(0,) * rank: 1})
     code, out, err = invoke(capsys, "sam", "--n", "4", "--lambda", "0,1,0,0")
     assert code == 3

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,6 +194,42 @@ def test_sam_table_spin_difference_lift():
     table = sam_table(4, (0, 0, 1, 2))
     assert all(mu[3] - mu[2] == 1 for mu in table)
     assert table[(0, 0, 1, 2)] == 1
+
+
+def test_sam_table_result_is_the_callers_own():
+    first = sam_table(4, (0, 1, 0, 0))
+    expected = dict(first)
+    first.clear()
+    assert sam_table(4, (0, 1, 0, 0)) == expected
+    assert sam_mult(4, (0, 1, 0, 0), (0, 1, 0, 0)) == 1
+
+
+def minaff_imports(module):
+    """Names of the minaff modules a module imports, anywhere in its body."""
+    out = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name != "minaff" and not name.startswith("minaff."):
+                    continue
+                name = name[len("minaff.") :]
+            if name:
+                out.add(name.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("minaff."))
+    return out
+
+
+def test_spbranch_shares_no_code_with_the_demazure_stack():
+    from minaff import affinization, decomp, polyring, spbranch, weyl
+
+    assert minaff_imports(spbranch) <= {"cartan", "errors"}
+    for module in (weyl, polyring, decomp, affinization):
+        assert "spbranch" not in minaff_imports(module), module.__name__
+    assert "decomp" in minaff_imports(affinization)  # the scan sees "from . import"
 
 
 def test_sam_rejects_non_regular():

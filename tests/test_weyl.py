@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 
-from minaff import InputError, bilinear
+from minaff import InputError, bilinear, weyl
 from minaff.cartan import AffineWeight, positive_roots, root_to_fw, varpi
 from minaff.weyl import (
     ExtendedWeylWord,
@@ -37,6 +37,27 @@ def rand_extended(n, rng, L):
     if rng.random() < 0.5:
         tau = compose(tau, tau_fork(n))
     return ExtendedWeylWord(n, tau.tau, tuple(rng.randint(0, n) for _ in range(L)))
+
+
+def descent_oracle(w):
+    """The root-by-root descent: while some simple root goes negative under
+    g, strip that reflection on the right, smallest node first."""
+    n = w.n
+    g = w
+    collected = []
+    while True:
+        found = next(
+            (
+                i
+                for i in range(n + 1)
+                if not is_positive_root(n, act_root(g, affine_simple_root(n, i)))
+            ),
+            None,
+        )
+        if found is None:
+            return ExtendedWeylWord(n, g.tau, tuple(reversed(collected)))
+        g = compose(g, simple(n, found))
+        collected.append(found)
 
 
 def modqd(x):
@@ -94,6 +115,32 @@ def test_reduce_basics():
     r = reduce_word(from_word(n, (1, 2, 1)))
     assert len(r.word) == 3
     assert same_element(r, from_word(n, (2, 1, 2)))
+
+
+def test_reduce_matches_descent_oracle_on_random_words():
+    rng = seeded(404)
+    for n in (4, 5, 6):
+        prefixes = set()
+        for _ in range(110):
+            w = rand_extended(n, rng, rng.randint(0, 25))
+            assert reduce_word(w) == descent_oracle(w), w
+            prefixes.add(w.tau)
+        assert prefixes == weyl._allowed_taus(n)
+
+
+def test_reduce_matches_descent_oracle_on_nesting_composite():
+    for n in range(4, 8):
+        comp = compose(longest_word(n), power(sigma_word(n), n - 1))
+        r = reduce_word(comp)
+        assert r == descent_oracle(comp)
+        assert len(r.word) == n * (n - 1) + (n - 1) ** 2
+
+
+def test_reduce_refuses_prefix_outside_two_swap_subgroup():
+    with pytest.raises(InputError):
+        reduce_word(ExtendedWeylWord(4, (0, 2, 1, 3, 4), (1, 2)))
+    assert isinstance(weyl._allowed_taus(4), frozenset)
+    assert len(weyl._allowed_taus(4)) == 4
 
 
 def test_reduce_is_canonical_and_idempotent():
