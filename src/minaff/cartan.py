@@ -43,6 +43,10 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
     __slots__ = ()
 
     def __new__(cls, finite, level=0, delta=0):
+        if not isinstance(level, int):
+            raise InputError(f"level must be an integer, got {level!r}")
+        if isinstance(delta, float):
+            raise InputError(f"delta must be exact, got the float {delta!r}")
         return super().__new__(cls, tuple(finite), int(level), Fraction(delta))
 
     @property
@@ -276,22 +280,27 @@ def alpha_interval(n, p, q):
 
 
 @lru_cache(maxsize=None)
+def positive_roots_eps2(n):
+    """Positive roots in doubled orthogonal coordinates: e_i - e_j and
+    e_i + e_j for i < j, doubled.  The one D_n root list of the library."""
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-2, 2):
+                a = [0] * n
+                a[i], a[j] = 2, sign
+                roots.append(tuple(a))
+    return tuple(roots)
+
+
+@lru_cache(maxsize=None)
 def positive_roots(n):
-    """All positive roots: interval roots plus the doubled-middle family."""
+    """All positive roots in simple-root coordinates, read off the doubled list."""
     check_rank(n)
-    roots = set()
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            if (p, q) != (n - 1, n):
-                roots.add(alpha_interval(n, p, q))
-    for p in range(1, n):
-        for q in range(p + 1, n):
-            a = alpha_interval(n, p, n)
-            b = alpha_interval(n, q, n - 1)
-            roots.add(tuple(x + y for x, y in zip(a, b)))
+    roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
     if len(roots) != n * (n - 1):
         raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
-    return frozenset(roots)
+    return roots
 
 
 def root_to_fw(n, c):

@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .cartan import AffineWeight, check_dominant, eps2, varpi
+from .cartan import AffineWeight, check_dominant, eps2, rank_data, varpi
 from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
 from . import affinization, decomp, spbranch, weyl
@@ -264,15 +264,34 @@ def _suite_demazure(n, checks):
     checks.append(("demazure.twist_involution", ok))
 
     ok = True
+    compared = 0
     for _ in range(10):
         raw = weyl.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
         r = weyl.reduce_word(raw)
         if not weyl.same_element(raw, r) or not weyl.is_reduced(r):
             ok = False
         f = rand_elem(10)
-        if f.demazure_word(r) != f.demazure_word(weyl.reduce_word(r)):
-            ok = False
-    checks.append(("demazure.reduced_word_application", ok))
+        other = _other_reduced_word(n, r.word)
+        if other is not None:
+            compared += 1
+            r2 = weyl.ExtendedWeylWord(n, r.tau, other)
+            if not weyl.same_element(r, r2) or f.demazure_word(r) != f.demazure_word(r2):
+                ok = False
+    checks.append(("demazure.reduced_word_application", ok and compared > 0))
+
+
+def _other_reduced_word(n, word):
+    """Another reduced word of the same element as the reduced ``word``: the
+    first commutation (ab -> ba) or braid move (aba -> bab) it admits, else
+    None."""
+    rd = rank_data(n, "affineD")
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if rd.entry(a, b) == 0:
+            return word[:i] + (b, a) + word[i + 2 :]
+        if word[i + 2 : i + 3] == (a,):
+            return word[:i] + (b, a, b) + word[i + 3 :]
+    return None
 
 
 def _suite_weyl(n, checks):

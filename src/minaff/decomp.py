@@ -9,37 +9,22 @@ dot-action straightening instead, with no expansion at all.  The Weyl
 dimension formula is kept as an independent cross-check of the recursion.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .cartan import (
     AffineWeight,
     check_dominant,
     dominates,
     eps2,
-    finite_edges,
     fw_from_eps2,
     is_dominant_fw,
+    positive_roots_eps2,
 )
 from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
-from . import weyl
-
-
-@lru_cache(maxsize=None)
-def _pos_roots_eps2(n):
-    """Doubled root vectors: coordinate differences and sums of pairs."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = [0] * n
-            a[i], a[j] = 2, -2
-            roots.append(tuple(a))
-            b = [0] * n
-            b[i], b[j] = 2, 2
-            roots.append(tuple(b))
-    return tuple(roots)
 
 
 def _is_dominant_eps(d):
@@ -69,7 +54,7 @@ def dominant_weights_below(n, lam):
     order every covering step is a positive root, so this is exhaustive."""
     check_dominant(n, lam)
     top = eps2(n, lam)
-    roots = _pos_roots_eps2(n)
+    roots = positive_roots_eps2(n)
     seen = {top}
     frontier = [top]
     while frontier:
@@ -84,15 +69,20 @@ def dominant_weights_below(n, lam):
     return seen
 
 
-@lru_cache(maxsize=None)
 def dominant_mults(n, lam):
     """Freudenthal recursion over the dominant chamber.
 
-    Returns a map from doubled coordinates to weight multiplicities for
-    every dominant weight of the irreducible with highest weight ``lam``.
+    Returns a fresh map from doubled coordinates to weight multiplicities
+    for every dominant weight of the irreducible with highest weight
+    ``lam``.
     """
+    return dict(_dominant_mults(n, tuple(lam)))
+
+
+@lru_cache(maxsize=None)
+def _dominant_mults(n, lam):
     check_dominant(n, lam)
-    roots = _pos_roots_eps2(n)
+    roots = positive_roots_eps2(n)
     rho = _rho2(n)
     top = eps2(n, lam)
     doms = dominant_weights_below(n, lam)
@@ -122,85 +112,64 @@ def dominant_mults(n, lam):
     return mults
 
 
-def _orbit(n, d0):
-    """Weyl orbit of a doubled coordinate vector: sorted-coordinate swaps
-    and paired sign flips, closed under the simple reflections."""
+def _reflections(d):
+    """The n simple reflections of a doubled coordinate vector, in node
+    order: the neighbour swaps, then the paired sign flip of the last two
+    coordinates."""
+    n = len(d)
+    for i in range(n - 1):
+        yield d[:i] + (d[i + 1], d[i]) + d[i + 2 :]
+    yield d[: n - 2] + (-d[n - 1], -d[n - 2])
+
+
+def _orbit(d0):
+    """Weyl orbit of a doubled coordinate vector: its closure under the
+    simple reflections."""
     seen = {d0}
     stack = [d0]
     while stack:
-        d = stack.pop()
-        for i in range(n - 2):
-            if d[i] != d[i + 1]:
-                e = d[:i] + (d[i + 1], d[i]) + d[i + 2 :]
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        if d[n - 2] != d[n - 1]:
-            e = d[: n - 2] + (d[n - 1], d[n - 2])
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-        if d[n - 2] != -d[n - 1]:
-            e = d[: n - 2] + (-d[n - 1], -d[n - 2])
+        for e in _reflections(stack.pop()):
             if e not in seen:
                 seen.add(e)
                 stack.append(e)
     return seen
 
 
-def weyl_group_order(n):
-    return 2 ** (n - 1) * factorial(n)
-
-
 def orbit_size(n, mu):
-    """Orbit size through the stabilizer: the product of parabolic orders
-    over connected components of the vanishing nodes."""
+    """Orbit size from the absolute doubled coordinates: every signed
+    permutation of them, halved when none is zero (the Weyl group flips an
+    even number of signs, and only a zero coordinate absorbs an odd flip)."""
     check_dominant(n, mu)
-    zero = {i for i in range(1, n + 1) if mu[i - 1] == 0}
-    adj = {i: set() for i in zero}
-    for a, b in finite_edges(n):
-        if a in zero and b in zero:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    stab = 1
-    for start in zero:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        k = len(comp)
-        if {n - 2, n - 1, n} <= comp:
-            stab *= 2 ** (k - 1) * factorial(k)
-        else:
-            stab *= factorial(k + 1)
-    return weyl_group_order(n) // stab
+    mags = [abs(v) for v in eps2(n, mu)]
+    size = factorial(n) * 2 ** sum(1 for v in mags if v)
+    size //= prod(factorial(k) for k in Counter(mags).values())
+    return size if 0 in mags else size // 2
+
+
+def irr_character(n, mu):
+    """Full weight-multiplicity character of the irreducible V(mu), as a
+    fresh element."""
+    mu = tuple(mu)
+    return CharElem(n, _irr_terms(n, mu), affine=False)
 
 
 @lru_cache(maxsize=None)
-def irr_character(n, mu):
-    """Full weight-multiplicity character of the irreducible V(mu)."""
-    mu = tuple(mu)
+def _irr_terms(n, mu):
+    """Weight multiplicities of V(mu) keyed by finite affine weights; the
+    cached map itself, which callers only read."""
     check_dominant(n, mu)
     terms = {}
-    for d, m in dominant_mults(n, mu).items():
-        for e in _orbit(n, d):
+    for d, m in _dominant_mults(n, mu).items():
+        for e in _orbit(d):
             terms[AffineWeight(fw_from_eps2(n, e))] = m
-    return CharElem(n, terms, affine=False)
+    return terms
 
 
 def character_mass(n, mu):
     """Total multiplicity mass via stabilizer orders; no orbit expansion."""
     mu = tuple(mu)
     return sum(
-        m * orbit_size(n, fw_from_eps2(n, d)) for d, m in dominant_mults(n, mu).items()
+        m * orbit_size(n, fw_from_eps2(n, d)) for d, m in _dominant_mults(n, mu).items()
     )
 
 
@@ -212,7 +181,7 @@ def dim_irr(n, mu):
     top = tuple(a + b for a, b in zip(eps2(n, mu), rho))
     num = 1
     den = 1
-    for a in _pos_roots_eps2(n):
+    for a in positive_roots_eps2(n):
         num *= _dot(top, a)
         den *= _dot(rho, a)
     q, r = divmod(num, den)
@@ -255,9 +224,11 @@ def decompose(f, n=None):
         n = f.n
     if f.affine:
         raise InputError("decompose expects a finite-tagged element")
-    for i in range(1, n + 1):
-        if f.relabel_weyl(weyl.simple(n, i)) != f:
-            raise CharacterError(f"input is not Weyl-invariant at node {i}")
+    coeffs = {eps2(n, k.finite): c for k, c in f.terms.items()}
+    for d, c in coeffs.items():
+        for i, e in enumerate(_reflections(d), 1):
+            if coeffs.get(e) != c:
+                raise CharacterError(f"input is not Weyl-invariant at node {i}")
     work = dict(f.terms)
     mults = {}
     dimension = 0
@@ -269,7 +240,7 @@ def decompose(f, n=None):
         m = work[AffineWeight(mu)]
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {mu}")
-        for k, v in irr_character(n, mu).terms.items():
+        for k, v in _irr_terms(n, mu).items():
             w = work.get(k, 0) - m * v
             if w:
                 work[k] = w

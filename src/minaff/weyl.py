@@ -33,13 +33,13 @@ class ExtendedWeylWord:
     """Automorphism prefix plus reflection word over the affine node set."""
 
     n: int
-    tau: tuple  # permutation of 0..n, tau[i] = image of node i
+    tau: tuple  # diagram automorphism of 0..n, tau[i] = image of node i
     word: tuple
 
     def __post_init__(self):
         check_rank(self.n)
-        if sorted(self.tau) != list(range(self.n + 1)):
-            raise InputError(f"tau {self.tau} is not a permutation of 0..{self.n}")
+        if not isinstance(self.tau, tuple) or self.tau not in _allowed_taus(self.n):
+            raise InputError(f"automorphism prefix {self.tau} outside the two-swap subgroup")
         if any(not 0 <= i <= self.n for i in self.word):
             raise InputError(f"word {self.word} contains nodes outside 0..{self.n}")
 
@@ -269,8 +269,6 @@ def reduce_word(w):
     word.
     """
     n = w.n
-    if w.tau not in _allowed_taus(n):
-        raise InputError(f"automorphism prefix {w.tau} outside the two-swap subgroup")
     rho = AffineWeight((1,) * n, 2 * n - 2, 0)
     steps = _walk_up(act(inverse(w), rho), range(n + 1))
     return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))

@@ -1,6 +1,8 @@
 """Shared generators for the test suite."""
 
+import ast
 import random
+from pathlib import Path
 
 from minaff import CharElem, affinization, weyl
 from minaff.cartan import AffineWeight
@@ -41,3 +43,22 @@ def break_longest_word(monkeypatch):
 
     monkeypatch.setattr(weyl, "longest_word", repeated_last_letter)
     affinization._assert_nesting_legal.cache_clear()
+
+
+def minaff_imports(module):
+    """Names of the minaff modules a module imports, anywhere in its body."""
+    out = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name != "minaff" and not name.startswith("minaff."):
+                    continue
+                name = name[len("minaff.") :]
+            if name:
+                out.add(name.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("minaff."))
+    return out

@@ -30,6 +30,32 @@ def test_positive_root_counts():
         assert len(positive_roots(n)) == n * (n - 1)
 
 
+def test_positive_roots_match_interval_construction():
+    # the interval roots plus, for p < q < n, the root running from p
+    # through the fork to n together with the one from q to n-1
+    for n in range(4, 10):
+        roots = {
+            alpha_interval(n, p, q)
+            for p in range(1, n + 1)
+            for q in range(p, n + 1)
+            if (p, q) != (n - 1, n)
+        }
+        for p in range(1, n):
+            for q in range(p + 1, n):
+                a, b = alpha_interval(n, p, n), alpha_interval(n, q, n - 1)
+                roots.add(tuple(x + y for x, y in zip(a, b)))
+        assert positive_roots(n) == roots
+
+
+def test_affine_weight_refuses_inexact_level_and_delta():
+    with pytest.raises(InputError):
+        AffineWeight((0, 0, 0, 0), 1.7, 0)
+    with pytest.raises(InputError):
+        AffineWeight((0, 0, 0, 0), 1, 0.1)
+    w = AffineWeight((0, 0, 0, 0), 1, Fraction(1, 2))
+    assert w.level == 1 and w.delta == Fraction(1, 2)
+
+
 def test_positive_roots_contain_detour_roots():
     roots = positive_roots(4)
     assert (1, 1, 0, 1) in roots  # runs 1 -> 4 through the fork

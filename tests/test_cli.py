@@ -1,8 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from minaff import spbranch, weyl
+from minaff import CharElem, cli, spbranch, weyl
 from minaff.cli import run
 from _helpers import break_longest_word
 
@@ -201,3 +203,30 @@ def test_drinfeld_report(capsys):
     assert code == 0
     report = json.loads(out)
     assert {"i": 2, "m": 1, "c": 3} in report["factors"]
+
+
+def test_benchmark_cases_print_their_recorded_bytes(capsys, monkeypatch):
+    # the benchmark checks every case's stdout against these digests
+    monkeypatch.delenv("MINAFF_TIMING", raising=False)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text())["cli"]
+    assert len(expected) == 12
+    for key, digest in expected.items():
+        code, out, _ = invoke(capsys, *key.split(" "))
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
+def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch):
+    # scales by a position-weighted letter sum, which every commutation and
+    # braid move changes
+    def order_sensitive(self, w):
+        return (1 + sum(i * a for i, a in enumerate(w.word, 1))) * self
+
+    checks = []
+    cli._suite_demazure(4, checks)
+    assert dict(checks)["demazure.reduced_word_application"]
+    monkeypatch.setattr(CharElem, "demazure_word", order_sensitive)
+    checks = []
+    cli._suite_demazure(4, checks)
+    assert not dict(checks)["demazure.reduced_word_application"]

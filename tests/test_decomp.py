@@ -18,10 +18,9 @@ from minaff.decomp import (
     irr_character,
     orbit_size,
     straighten,
-    weyl_group_order,
 )
-from minaff import weyl
-from _helpers import seeded
+from minaff import decomp, weyl
+from _helpers import minaff_imports, seeded
 
 
 def test_trivial_and_vector_characters():
@@ -30,7 +29,7 @@ def test_trivial_and_vector_characters():
     ch = irr_character(n, varpi(n, 1))
     assert len(ch.terms) == 8 and set(ch.terms.values()) == {1}
     # brute-force oracle: the support is exactly one Weyl orbit
-    orbit = {AffineWeight(fw_from_eps2(n, d)) for d in _orbit(n, eps2(n, varpi(n, 1)))}
+    orbit = {AffineWeight(fw_from_eps2(n, d)) for d in _orbit(eps2(n, varpi(n, 1)))}
     assert set(ch.terms) == orbit
 
 
@@ -58,11 +57,12 @@ def test_mass_equals_dimension():
 
 
 def test_orbit_size_against_expansion():
-    for mu in itertools.product((0, 1, 2), repeat=4):
-        d = eps2(4, mu)
-        assert orbit_size(4, mu) == len(_orbit(4, d))
+    sweeps = [(4, (0, 1, 2)), (5, (0, 1, 2)), (6, (0, 1))]
+    for n, coords in sweeps:
+        for mu in itertools.product(coords, repeat=n):
+            assert orbit_size(n, mu) == len(_orbit(eps2(n, mu))), mu
     assert orbit_size(4, (0, 0, 0, 0)) == 1
-    assert weyl_group_order(4) == 192
+    assert orbit_size(4, (1, 1, 1, 1)) == 192  # a regular orbit is the whole group
 
 
 def test_dominant_enumeration_complete():
@@ -167,6 +167,37 @@ def test_three_families_pairwise_incomparable():
     for a, b in itertools.combinations(tables, 2):
         assert a.mults != b.mults
         assert compare_affinization(a, b) == "incomparable"
+
+
+def test_decompose_refuses_swap_symmetric_element_without_sign_flip():
+    # the four coordinate permutations of e_1 are closed under every swap,
+    # but the paired sign flip takes e_4 to -e_3
+    n = 4
+    terms = {
+        AffineWeight(fw_from_eps2(n, d)): 1
+        for d in set(itertools.permutations((2, 0, 0, 0)))
+    }
+    f = CharElem(n, terms, affine=False)
+    assert len(f) == 4
+    with pytest.raises(CharacterError, match="node 4"):
+        decompose(f)
+
+
+def test_cached_results_are_not_handed_out():
+    n = 4
+    dominant_mults(n, (1, 0, 0, 0)).clear()
+    assert dominant_mults(n, (1, 0, 0, 0)) == {eps2(n, (1, 0, 0, 0)): 1}
+    assert character_mass(n, (1, 0, 0, 0)) == 8
+    adjoint = (0, 1, 0, 0)
+    irr_character(n, adjoint).terms.clear()
+    assert irr_character(n, adjoint).mass() == 28
+    assert character_mass(n, adjoint) == 28
+    assert decompose(irr_character(n, adjoint)).mults == {adjoint: 1}
+
+
+def test_decomp_imports_no_affine_weyl_group():
+    assert "weyl" not in minaff_imports(decomp)
+    assert not hasattr(decomp, "finite_edges")
 
 
 def test_weyl_invariance_precondition():

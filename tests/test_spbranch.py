@@ -1,6 +1,3 @@
-import ast
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +13,7 @@ from minaff.spbranch import (
     sp_branch,
     sp_dim_irr,
 )
+from _helpers import minaff_imports
 from _sp_oracle import decompose_sp, schur_char, sp_irr_character
 
 
@@ -202,25 +200,6 @@ def test_sam_table_result_is_the_callers_own():
     first.clear()
     assert sam_table(4, (0, 1, 0, 0)) == expected
     assert sam_mult(4, (0, 1, 0, 0), (0, 1, 0, 0)) == 1
-
-
-def minaff_imports(module):
-    """Names of the minaff modules a module imports, anywhere in its body."""
-    out = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            name = node.module or ""
-            if node.level == 0:
-                if name != "minaff" and not name.startswith("minaff."):
-                    continue
-                name = name[len("minaff.") :]
-            if name:
-                out.add(name.split(".")[0])
-            else:
-                out.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("minaff."))
-    return out
 
 
 def test_spbranch_shares_no_code_with_the_demazure_stack():

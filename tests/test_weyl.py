@@ -143,6 +143,15 @@ def test_reduce_refuses_prefix_outside_two_swap_subgroup():
     assert len(weyl._allowed_taus(4)) == 4
 
 
+def test_word_refuses_prefix_outside_two_swap_subgroup():
+    with pytest.raises(InputError):
+        from_word(4, (1, 2), tau=(0, 2, 1, 3, 4))
+    with pytest.raises(InputError):
+        ExtendedWeylWord(4, [1, 0, 2, 3, 4], ())
+    for tau in weyl._allowed_taus(4):
+        assert from_word(4, (1, 2), tau=tau).tau == tau
+
+
 def test_reduce_is_canonical_and_idempotent():
     rng = seeded(21)
     for n in (4, 5):
