@@ -4,30 +4,30 @@ Two independent pipelines compute the same multiplicity tables: a nested
 Demazure-operator character formula over the affine weight lattice, and a
 symplectic branching construction through Schur functors and Littlewood's
 restriction rule.  Everything is exact integer or rational arithmetic.
+
+The names below are the documented API and what the command line and the
+two pipelines are built from.  Machinery that only the test suite needs as a
+reference (the affine root action, the interval roots, the tableau
+expansion) lives in the test suite.
 """
 
 __version__ = "0.1.0"
 
 from .cartan import (
     AffineWeight,
-    affine,
-    alpha_interval,
     bilinear,
     delta_plus_s,
     dominates,
     lambda0,
     pairing,
     positive_roots,
-    rank_data,
     support,
     varpi,
-    zero_weight,
 )
 from .errors import CharacterError, InputError, VerificationError
 from .weyl import (
     ExtendedWeylWord,
     act,
-    act_root,
     compose,
     from_word,
     identity,
@@ -35,7 +35,6 @@ from .weyl import (
     is_dominant,
     length,
     longest_word,
-    power,
     reduce_word,
     same_element,
     sigma_word,
@@ -43,7 +42,7 @@ from .weyl import (
     tau_01,
     tau_fork,
 )
-from .polyring import CharElem, demazure, demazure_word, specialize, twist
+from .polyring import CharElem
 from .affinization import (
     DrinfeldSpec,
     LambdaSequence,

@@ -152,7 +152,7 @@ def lambda_sequence(n, lam, s):
         entries.append(weyl.act(rot, xi.entries[j - 1]))
     entries.append(xi.entries[n - 1])
     for e in entries:
-        if not weyl.is_dominant(e, affine=True):
+        if not weyl.is_dominant(e):
             raise VerificationError(f"non-dominant factor weight {e}")
     return LambdaSequence(n, s, lam, tuple(entries))
 

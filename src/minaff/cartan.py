@@ -1,4 +1,4 @@
-"""Static root and weight data for D_n, its untwisted affine diagram, and C_{n-1}.
+"""Static root and weight data for D_n and its untwisted affine diagram.
 
 Conventions used throughout the library:
 
@@ -18,7 +18,6 @@ rejected everywhere.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InputError, VerificationError
 
@@ -84,16 +83,6 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
         return f"AffineWeight({self.finite}, level={self.level}, delta={self.delta})"
 
 
-def affine(finite, level=0, delta=0):
-    """Shorthand constructor for :class:`AffineWeight`."""
-    return AffineWeight(finite, level, delta)
-
-
-def zero_weight(n):
-    check_rank(n)
-    return AffineWeight((0,) * n, 0, 0)
-
-
 def varpi(n, i):
     """The i-th fundamental weight as a finite coordinate tuple."""
     check_rank(n)
@@ -107,13 +96,8 @@ def lambda0(n):
     return AffineWeight((0,) * n, 1, 0)
 
 
-def delta_weight(n):
-    check_rank(n)
-    return AffineWeight((0,) * n, 0, 1)
-
-
 # ---------------------------------------------------------------------------
-# Dynkin diagrams and Cartan matrices
+# Dynkin diagrams
 
 
 def finite_edges(n):
@@ -124,53 +108,6 @@ def finite_edges(n):
 def affine_edges(n):
     """Finite edges plus the affine attachment (0, 2)."""
     return ((0, 2),) + finite_edges(n)
-
-
-class RankData(NamedTuple):
-    """Cartan matrix of one of the three diagrams used by the library."""
-
-    n: int
-    kind: str  # "finiteD" | "affineD" | "finiteC"
-    nodes: tuple
-    entries: tuple  # tuple of rows, aligned with ``nodes``
-
-    def entry(self, i, j):
-        return self.entries[self.nodes.index(i)][self.nodes.index(j)]
-
-
-@lru_cache(maxsize=None)
-def rank_data(n, kind="finiteD"):
-    check_rank(n)
-    if kind == "finiteD" or kind == "affineD":
-        nodes = tuple(range(1, n + 1)) if kind == "finiteD" else tuple(range(n + 1))
-        edges = finite_edges(n) if kind == "finiteD" else affine_edges(n)
-        adj = {i: set() for i in nodes}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        rows = tuple(
-            tuple(2 if i == j else (-1 if j in adj[i] else 0) for j in nodes)
-            for i in nodes
-        )
-        return RankData(n, kind, nodes, rows)
-    if kind == "finiteC":
-        # standard C_{n-1} matrix: node n-1 carries the long root
-        r = n - 1
-        nodes = tuple(range(1, r + 1))
-        rows = []
-        for i in nodes:
-            row = []
-            for j in nodes:
-                if i == j:
-                    v = 2
-                elif abs(i - j) == 1:
-                    v = -2 if (i == r - 1 and j == r) else -1
-                else:
-                    v = 0
-                row.append(v)
-            rows.append(tuple(row))
-        return RankData(n, kind, nodes, tuple(rows))
-    raise InputError(f"unknown diagram kind {kind!r}")
 
 
 def theta_coeffs(n):
@@ -258,25 +195,6 @@ def root_unit(n, i):
     if not 1 <= i <= n:
         raise InputError(f"node {i} outside 1..{n}")
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
-
-
-def alpha_interval(n, p, q):
-    """Connected-support root running from node p to node q.
-
-    For q = n the chain detours through the fork: the summand at node n-1
-    is replaced by node n.  The pair (p, q) = (n-1, n) is not a root.
-    """
-    check_rank(n)
-    if not (1 <= p <= q <= n) or (p, q) == (n - 1, n):
-        raise InputError(f"invalid interval ({p}, {q}) for rank {n}")
-    if q <= n - 1:
-        support = range(p, q + 1)
-    else:
-        support = list(range(p, n - 1)) + [n]
-    c = [0] * n
-    for i in support:
-        c[i - 1] = 1
-    return tuple(c)
 
 
 @lru_cache(maxsize=None)

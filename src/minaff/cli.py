@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .cartan import AffineWeight, check_dominant, eps2, rank_data, varpi
+from .cartan import AffineWeight, affine_edges, check_dominant, eps2, varpi
 from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
 from . import affinization, decomp, spbranch, weyl
@@ -284,10 +284,10 @@ def _other_reduced_word(n, word):
     """Another reduced word of the same element as the reduced ``word``: the
     first commutation (ab -> ba) or braid move (aba -> bab) it admits, else
     None."""
-    rd = rank_data(n, "affineD")
+    joined = {frozenset(e) for e in affine_edges(n)}
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
-        if rd.entry(a, b) == 0:
+        if a != b and frozenset((a, b)) not in joined:
             return word[:i] + (b, a) + word[i + 2 :]
         if word[i + 2 : i + 3] == (a,):
             return word[:i] + (b, a, b) + word[i + 3 :]

@@ -212,7 +212,7 @@ def _maximal_keys(n, keys):
     ]
 
 
-def decompose(f, n=None):
+def decompose(f):
     """Greedy peel-off of irreducible characters from the top.
 
     Repeatedly locates a dominance-maximal dominant key, records its
@@ -220,8 +220,7 @@ def decompose(f, n=None):
     negative coefficient, missing dominant key, or nonzero residual means
     the input was not a genuine character.
     """
-    if n is None:
-        n = f.n
+    n = f.n
     if f.affine:
         raise InputError("decompose expects a finite-tagged element")
     coeffs = {eps2(n, k.finite): c for k, c in f.terms.items()}

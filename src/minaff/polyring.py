@@ -62,6 +62,8 @@ class CharElem:
             raise InputError("lattice tag mismatch")
 
     def __add__(self, other):
+        if not isinstance(other, CharElem):
+            return NotImplemented
         self._check_tag(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -73,6 +75,8 @@ class CharElem:
         return CharElem(self.n, out, self.affine)
 
     def __sub__(self, other):
+        if not isinstance(other, CharElem):
+            return NotImplemented
         return self + (-1) * other
 
     def __mul__(self, other):
@@ -82,6 +86,8 @@ class CharElem:
             return CharElem(
                 self.n, {k: other * v for k, v in self.terms.items()}, self.affine
             )
+        if not isinstance(other, CharElem):
+            return NotImplemented
         self._check_tag(other)
         small, big = (
             (self.terms, other.terms)
@@ -226,18 +232,3 @@ def _demazure_terms(n, i, terms):
                 dlt = dlt + ad
     return out
 
-
-def demazure(f, i):
-    return f.demazure(i)
-
-
-def demazure_word(f, w):
-    return f.demazure_word(w)
-
-
-def twist(f, tau):
-    return f.twist(tau)
-
-
-def specialize(f):
-    return f.specialize()

@@ -10,16 +10,14 @@ a basis.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import (
     AffineWeight,
+    bilinear,
     check_rank,
-    fw_to_root,
     marks,
     pairing,
-    positive_roots,
     root_to_fw,
     root_unit,
     theta_coeffs,
@@ -112,15 +110,6 @@ def inverse(u):
     return ExtendedWeylWord(n, tuple(tinv), word)
 
 
-def power(u, k):
-    if k < 0:
-        return power(inverse(u), -k)
-    out = identity(u.n)
-    for _ in range(k):
-        out = compose(out, u)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Action on affine weights
 
@@ -153,10 +142,12 @@ def _tau_fundamental_images(n, tau):
 
     A diagram automorphism sends the node-i representative to the node
     tau(i) representative plus a rational delta correction; the correction
-    is forced by norm preservation, since delta pairs with the level.
+    is forced by norm preservation, since delta pairs with the level.  A
+    tau outside the four automorphisms generated by the two swaps is
+    refused: it would not preserve the invariant form.
     """
-    from .cartan import bilinear
-
+    if tau not in _allowed_taus(n):
+        raise InputError(f"automorphism {tau} outside the two-swap subgroup")
     mk = marks(n)
     out = []
     for i in range(n + 1):
@@ -200,46 +191,6 @@ def act(w, x):
     for i in reversed(w.word):
         x = reflect(i, x)
     return tau_on_weight(w.tau, x)
-
-
-# ---------------------------------------------------------------------------
-# Action on real roots
-
-# A real root is a pair (beta, k): finite root coordinates plus a delta shift.
-
-
-def root_weight(n, beta, k=0):
-    """Embed a real root into the affine weight space."""
-    return AffineWeight(root_to_fw(n, beta), 0, Fraction(k))
-
-
-def _root_from_weight(x):
-    n = x.n
-    if x.level != 0 or x.delta.denominator != 1:
-        raise InputError(f"{x} is not a real root")
-    return fw_to_root(n, x.finite), int(x.delta)
-
-
-def affine_simple_root(n, i):
-    if i == 0:
-        return tuple(-v for v in theta_coeffs(n)), 1
-    return root_unit(n, i), 0
-
-
-def act_root(w, root):
-    """Image of a real root under an extended word."""
-    beta, k = root
-    if all(v == 0 for v in beta):
-        raise InputError("imaginary roots have no well-defined coordinates here")
-    return _root_from_weight(act(w, root_weight(w.n, beta, k)))
-
-
-def is_positive_root(n, root):
-    """Positivity of a real root: positive delta shift, or none and beta positive."""
-    beta, k = root
-    if k != 0:
-        return k > 0
-    return beta in positive_roots(n)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +258,9 @@ def sigma_word(n):
     return ExtendedWeylWord(n, tau, tuple(range(1, n)))
 
 
-def is_dominant(x, affine=True):
-    """Nonnegative coroot pairings over the affine (or finite) node set."""
-    lo = 0 if affine else 1
-    return all(pairing(i, x) >= 0 for i in range(lo, x.n + 1))
+def is_dominant(x):
+    """Nonnegative coroot pairings over the affine node set 0..n."""
+    return all(pairing(i, x) >= 0 for i in range(x.n + 1))
 
 
 @lru_cache(maxsize=None)

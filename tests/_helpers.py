@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 from minaff import CharElem, affinization, weyl
-from minaff.cartan import AffineWeight
+from minaff.cartan import AffineWeight, affine_edges
 
 
 def rand_affine_weight(n, rng, span=2):
@@ -29,6 +29,26 @@ def rand_dominant(n, rng, span=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def braid_variant(word, n, rng):
+    """Another word of the same element: up to 40 random commutation
+    (ab -> ba, a and b not joined in the affine diagram) and braid
+    (aba -> bab, a and b joined) moves."""
+    joined = {frozenset(e) for e in affine_edges(n)}
+    w = list(word)
+    for _ in range(40):
+        if len(w) < 2:
+            break
+        i = rng.randrange(len(w) - 1)
+        a, b = w[i], w[i + 1]
+        if a == b:
+            continue
+        if frozenset((a, b)) not in joined:
+            w[i], w[i + 1] = b, a
+        elif i + 2 < len(w) and w[i + 2] == a:
+            w[i], w[i + 1], w[i + 2] = b, a, b
+    return tuple(w)
 
 
 def break_longest_word(monkeypatch):

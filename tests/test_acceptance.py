@@ -29,7 +29,7 @@ from minaff.decomp import (
 )
 from minaff.spbranch import sam_mult, sam_table
 from minaff import weyl
-from _helpers import rand_char, seeded
+from _helpers import braid_variant, rand_char, seeded
 
 
 def report(number, ok, detail, t0, budget):
@@ -85,8 +85,6 @@ def test_criterion_01_demazure_defining_identity():
 
 
 def test_criterion_02_idempotency_and_word_independence():
-    from minaff.cartan import rank_data
-
     t0 = time.time()
     ok = True
     for n in (4, 5):
@@ -100,25 +98,10 @@ def test_criterion_02_idempotency_and_word_independence():
     # 30 random elements of length <= 10, two reduced words each
     n = 4
     rng = seeded(222)
-    rd = rank_data(n, "affineD")
-
-    def braid_variant(word):
-        w = list(word)
-        for _ in range(40):
-            if len(w) < 2:
-                break
-            i = rng.randrange(len(w) - 1)
-            a, b = w[i], w[i + 1]
-            if a != b and rd.entry(a, b) == 0:
-                w[i], w[i + 1] = b, a
-            elif i + 2 < len(w) and a != b and rd.entry(a, b) == -1 and w[i + 2] == a:
-                w[i], w[i + 1], w[i + 2] = b, a, b
-        return tuple(w)
-
     for _ in range(30):
         raw = weyl.from_word(n, tuple(rng.randint(0, n) for _ in range(rng.randint(1, 10))))
         r1 = weyl.reduce_word(raw)
-        r2 = weyl.ExtendedWeylWord(n, r1.tau, braid_variant(r1.word))
+        r2 = weyl.ExtendedWeylWord(n, r1.tau, braid_variant(r1.word, n, rng))
         if not (weyl.is_reduced(r2) and weyl.same_element(r1, r2)):
             ok = False
         f = rand_char(n, rng, 20)
@@ -175,7 +158,7 @@ def test_criterion_04_xi_congruence_and_lambda_dominance():
             swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
             for s, l in ((1, lam), (n, lam), (n, swapped)):
                 for x in lambda_sequence(n, l, s).entries:
-                    if not weyl.is_dominant(x, affine=True):
+                    if not weyl.is_dominant(x):
                         ok = False
     report(4, ok, "100 random weights per rank 4..7, all families", t0, 30)
 

@@ -119,7 +119,7 @@ def test_lambda_sequence_dominant_and_fork_rejected():
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n):
                 for x in lambda_sequence(n, lam, s).entries:
-                    assert weyl.is_dominant(x, affine=True)
+                    assert weyl.is_dominant(x)
     with pytest.raises(InputError):
         lambda_sequence(4, (1, 0, 0, 0), 3)
 

@@ -5,24 +5,53 @@ import pytest
 from minaff import InputError
 from minaff.cartan import (
     AffineWeight,
-    alpha_interval,
+    affine_edges,
     bilinear,
+    check_rank,
     delta_plus_s,
     dominates,
     eps2,
+    finite_edges,
     fw_from_eps2,
     fw_to_root,
     in_root_cone,
     lambda0,
     pairing,
     positive_roots,
-    rank_data,
     root_to_fw,
     support,
     varpi,
-    zero_weight,
 )
 from _helpers import seeded
+
+
+def alpha_interval(n, p, q):
+    """Connected-support root running from node p to node q: the reference
+    the positive-root list and the branch subsets are checked against.
+
+    For q = n the chain detours through the fork: the summand at node n-1
+    is replaced by node n.  The pair (p, q) = (n-1, n) is not a root.
+    """
+    check_rank(n)
+    if not (1 <= p <= q <= n) or (p, q) == (n - 1, n):
+        raise InputError(f"invalid interval ({p}, {q}) for rank {n}")
+    if q <= n - 1:
+        support = range(p, q + 1)
+    else:
+        support = list(range(p, n - 1)) + [n]
+    c = [0] * n
+    for i in support:
+        c[i - 1] = 1
+    return tuple(c)
+
+
+def cartan_matrix(nodes, edges):
+    """Rows of the simply-laced Cartan matrix of a diagram, aligned with ``nodes``."""
+    joined = {frozenset(e) for e in edges}
+    return tuple(
+        tuple(2 if i == j else (-1 if frozenset((i, j)) in joined else 0) for j in nodes)
+        for i in nodes
+    )
 
 
 def test_positive_root_counts():
@@ -78,22 +107,22 @@ def test_rank_below_four_rejected():
     with pytest.raises(InputError):
         positive_roots(3)
     with pytest.raises(InputError):
-        rank_data(3)
+        lambda0(3)
 
 
 def test_cartan_matrices():
-    rd = rank_data(4, "finiteD")
-    assert all(rd.entry(i, i) == 2 for i in rd.nodes)
-    assert rd.entry(2, 4) == rd.entry(4, 2) == -1
-    assert rd.entry(3, 4) == 0
-    rda = rank_data(4, "affineD")
-    assert rda.entry(0, 2) == -1 and rda.entry(0, 1) == 0
+    fin = cartan_matrix(range(1, 5), finite_edges(4))
+    assert all(fin[i][i] == 2 for i in range(4))
+    assert fin[1][3] == fin[3][1] == -1  # nodes 2 and 4
+    assert fin[2][3] == 0  # nodes 3 and 4
+    aff = cartan_matrix(range(5), affine_edges(4))
+    assert aff[0][2] == -1 and aff[0][1] == 0
     # row sums reflect node degree: 2 - #neighbours; the central node of the
     # rank-4 affine diagram carries all four outer nodes
-    assert [sum(row) for row in rda.entries] == [1, 1, -2, 1, 1]
-    rdc = rank_data(4, "finiteC")
-    assert rdc.entry(2, 3) == -2 and rdc.entry(3, 2) == -1
-    assert rdc.entry(1, 2) == rdc.entry(2, 1) == -1
+    assert [sum(row) for row in aff] == [1, 1, -2, 1, 1]
+    # the finite diagram is the affine one with node 0 removed
+    aff6 = cartan_matrix(range(7), affine_edges(6))
+    assert tuple(row[1:] for row in aff6[1:]) == cartan_matrix(range(1, 7), finite_edges(6))
 
 
 def test_delta_plus_s_against_brute_force():
@@ -171,7 +200,7 @@ def test_real_roots_have_square_length_two():
 
 def test_support():
     assert support(tuple(a + b for a, b in zip(varpi(4, 1), varpi(4, 3)))) == {1, 3}
-    assert support(zero_weight(4).finite) == frozenset()
+    assert support((0, 0, 0, 0)) == frozenset()
     assert support(alpha_interval(4, 2, 4)) == {2, 4}
     with pytest.raises(InputError):
         support((-1, 0, 0, 0))

@@ -120,7 +120,7 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     # a runtime invariant, not an assert: it still fires under python -O
-    monkeypatch.setattr(weyl, "is_dominant", lambda x, affine=True: False)
+    monkeypatch.setattr(weyl, "is_dominant", lambda x: False)
     code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
     assert code == 3
     assert out == ""
@@ -230,3 +230,23 @@ def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch
     checks = []
     cli._suite_demazure(4, checks)
     assert not dict(checks)["demazure.reduced_word_application"]
+
+
+def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
+    # commutation read off the diagram against the group: a and b commute
+    # exactly when the words ab and ba give the same element
+    for n in (4, 5, 6):
+        for a in range(n + 1):
+            assert cli._other_reduced_word(n, (a, a)) is None
+            for b in range(n + 1):
+                if a == b:
+                    continue
+                ab, ba = weyl.from_word(n, (a, b)), weyl.from_word(n, (b, a))
+                other = cli._other_reduced_word(n, (a, b))
+                if weyl.same_element(ab, ba):
+                    assert other == (b, a), (n, a, b)
+                else:
+                    assert other is None, (n, a, b)
+                    braid = cli._other_reduced_word(n, (a, b, a))
+                    assert braid == (b, a, b)
+                    assert weyl.same_element(weyl.from_word(n, (a, b, a)), weyl.from_word(n, braid))

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, InputError
-from minaff.cartan import AffineWeight, lambda0, rank_data, root_to_fw, varpi
+from minaff.cartan import AffineWeight, lambda0, root_to_fw, varpi
 from minaff import weyl
-from _helpers import rand_char, seeded
+from _helpers import braid_variant, rand_char, seeded
 
 N = 4
 
@@ -74,21 +74,6 @@ def test_demazure_word():
     assert g == CharElem.monomial(L0) + CharElem.monomial(L0 - alpha(N, 0))
     with pytest.raises(InputError):
         f.demazure_word(weyl.from_word(N, (1, 1)))
-
-
-def braid_variant(word, n, rng):
-    rd = rank_data(n, "affineD")
-    w = list(word)
-    for _ in range(40):
-        if len(w) < 2:
-            break
-        i = rng.randrange(len(w) - 1)
-        a, b = w[i], w[i + 1]
-        if a != b and rd.entry(a, b) == 0:
-            w[i], w[i + 1] = b, a
-        elif i + 2 < len(w) and a != b and rd.entry(a, b) == -1 and w[i + 2] == a:
-            w[i], w[i + 1], w[i + 2] = b, a, b
-    return tuple(w)
 
 
 def test_braid_pair_gives_equal_operators():
@@ -166,6 +151,14 @@ def test_ring_operations():
     assert len(sq) == 3
     with pytest.raises(InputError):
         a + a.specialize()
+
+
+def test_foreign_operands_raise_type_error():
+    f = CharElem.monomial((1, 0, 0, 0))
+    for bad in (lambda: f * 1.5, lambda: 1.5 * f, lambda: f + 1, lambda: 1 + f, lambda: f - 1):
+        with pytest.raises(TypeError):
+            bad()
+    assert f * 2 == 2 * f == f + f
 
 
 @st.composite

@@ -2,32 +2,30 @@ from collections import deque
 
 import pytest
 
-from minaff import InputError, bilinear, weyl
-from minaff.cartan import AffineWeight, positive_roots, root_to_fw, varpi
+from minaff import CharElem, InputError, bilinear, weyl
+from minaff.cartan import AffineWeight, is_dominant_fw, lambda0, positive_roots, root_to_fw, varpi
 from minaff.weyl import (
     ExtendedWeylWord,
     act,
-    act_root,
-    affine_simple_root,
     compose,
     element_images,
     from_word,
     identity,
     inverse,
     is_dominant,
-    is_positive_root,
     is_reduced,
     length,
     longest_word,
-    power,
     reduce_word,
     same_element,
     sigma_word,
     simple,
     tau_01,
     tau_fork,
+    tau_on_weight,
 )
-from _helpers import rand_affine_weight, seeded
+from _helpers import braid_variant, rand_affine_weight, seeded
+from _weyl_oracle import act_root, affine_simple_root, descent_oracle, is_positive_root, power
 
 
 def rand_extended(n, rng, L):
@@ -37,27 +35,6 @@ def rand_extended(n, rng, L):
     if rng.random() < 0.5:
         tau = compose(tau, tau_fork(n))
     return ExtendedWeylWord(n, tau.tau, tuple(rng.randint(0, n) for _ in range(L)))
-
-
-def descent_oracle(w):
-    """The root-by-root descent: while some simple root goes negative under
-    g, strip that reflection on the right, smallest node first."""
-    n = w.n
-    g = w
-    collected = []
-    while True:
-        found = next(
-            (
-                i
-                for i in range(n + 1)
-                if not is_positive_root(n, act_root(g, affine_simple_root(n, i)))
-            ),
-            None,
-        )
-        if found is None:
-            return ExtendedWeylWord(n, g.tau, tuple(reversed(collected)))
-        g = compose(g, simple(n, found))
-        collected.append(found)
 
 
 def modqd(x):
@@ -152,6 +129,21 @@ def test_word_refuses_prefix_outside_two_swap_subgroup():
         assert from_word(4, (1, 2), tau=tau).tau == tau
 
 
+def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
+    n = 4
+    bad = (0, 2, 1, 3, 4)
+    x = AffineWeight(varpi(n, 1), 1, 0)
+    with pytest.raises(InputError):
+        tau_on_weight(bad, x)
+    with pytest.raises(InputError):
+        CharElem.monomial(x).twist(bad)
+    # the four allowed prefixes keep the invariant form
+    y = lambda0(n)
+    for tau in weyl._allowed_taus(n):
+        assert bilinear(tau_on_weight(tau, x), tau_on_weight(tau, y)) == bilinear(x, y)
+        assert CharElem.monomial(x).twist(tau) == CharElem.monomial(tau_on_weight(tau, x))
+
+
 def test_reduce_is_canonical_and_idempotent():
     rng = seeded(21)
     for n in (4, 5):
@@ -238,11 +230,11 @@ def test_sigma_word_structure():
 
 def test_is_dominant():
     n = 4
-    assert is_dominant(AffineWeight((0,) * n, 1, 0), affine=True)
+    assert is_dominant(AffineWeight((0,) * n, 1, 0))
     w1 = AffineWeight(varpi(n, 1))
-    assert is_dominant(w1, affine=False)
-    assert not is_dominant(w1, affine=True)
-    assert not is_dominant(AffineWeight(root_to_fw(n, (-1, 0, 0, 0))), affine=False)
+    assert is_dominant_fw(w1.finite)
+    assert not is_dominant(w1)
+    assert not is_dominant_fw(root_to_fw(n, (-1, 0, 0, 0)))
 
 
 def test_action_preserves_form():
@@ -256,30 +248,13 @@ def test_action_preserves_form():
 
 
 def test_distinct_reduced_words_act_identically():
-    from minaff.cartan import rank_data
-
     rng = seeded(98)
     n = 4
-    rd = rank_data(n, "affineD")
-
-    def braid_variant(word):
-        w = list(word)
-        for _ in range(40):
-            if len(w) < 2:
-                break
-            i = rng.randrange(len(w) - 1)
-            a, b = w[i], w[i + 1]
-            if a != b and rd.entry(a, b) == 0:
-                w[i], w[i + 1] = b, a
-            elif i + 2 < len(w) and a != b and rd.entry(a, b) == -1 and w[i + 2] == a:
-                w[i], w[i + 1], w[i + 2] = b, a, b
-        return tuple(w)
-
     distinct = 0
     for _ in range(20):
         w = rand_extended(n, rng, rng.randint(2, 10))
         r = reduce_word(w)
-        r2 = ExtendedWeylWord(n, r.tau, braid_variant(r.word))
+        r2 = ExtendedWeylWord(n, r.tau, braid_variant(r.word, n, rng))
         assert is_reduced(r2)
         distinct += r2.word != r.word
         weights = [rand_affine_weight(n, rng) for _ in range(20)]
