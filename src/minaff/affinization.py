@@ -7,17 +7,16 @@ the classifying polynomial data.  The s = n-1 family is obtained from s = n
 by the fork swap throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import (
     AffineWeight,
     check_dominant,
-    check_rank,
     dominates,
-    family_nodes,
     is_regular,
     lambda0,
+    resolve_family,
     support,
     varpi,
 )
@@ -26,37 +25,18 @@ from .polyring import CharElem
 from . import decomp, weyl
 
 
-def resolve_family(n, s):
-    """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'."""
-    check_rank(n)
-    if isinstance(s, str):
-        key = s.strip().lower()
-        named = {"1": 1, "n-1": n - 1, "n": n}
-        if key in named:
-            return named[key]
-        try:
-            s = int(key)
-        except ValueError:
-            raise InputError(f"unknown family label {s!r}")
-    if s in family_nodes(n):
-        return s
-    raise InputError(f"family label must be one of 1, {n - 1}, {n} (or 1, n-1, n), got {s}")
-
-
-@dataclass(frozen=True)
-class XiSequence:
+class XiSequence(
+    namedtuple(
+        "XiSequence",
+        ("n", "s", "lam", "entries", "m", "m_prime", "cut", "lambda_bar"),
+        defaults=(None, None, None, None),
+    )
+):
     """Tensor-factor weights for one family, plus the bookkeeping that
     produced them: the spin split (m, m_prime) for s = 1, the cut index and
     leftover bar coordinate for s = n and its fork twin."""
 
-    n: int
-    s: int
-    lam: tuple
-    entries: tuple
-    m: int = None
-    m_prime: int = None
-    cut: int = None
-    lambda_bar: int = None
+    __slots__ = ()
 
 
 def _xi_family_one(n, lam):
@@ -123,12 +103,8 @@ def xi_sequence(n, lam, s):
     return XiSequence(n, s, lam, entries, cut=inner.cut, lambda_bar=inner.lambda_bar)
 
 
-@dataclass(frozen=True)
-class LambdaSequence:
-    n: int
-    s: int
-    lam: tuple
-    entries: tuple
+class LambdaSequence(namedtuple("LambdaSequence", ("n", "s", "lam", "entries"))):
+    __slots__ = ()
 
 
 def lambda_sequence(n, lam, s):
@@ -245,16 +221,11 @@ def multiplicity_table(n, lam, s):
     return mults
 
 
-@dataclass(frozen=True)
-class DrinfeldSpec:
+class DrinfeldSpec(namedtuple("DrinfeldSpec", ("n", "s", "lam", "epsilon", "factors"))):
     """Classifying polynomial data: one factor per supported node, each a
     (node, degree, power-offset) triple relative to a symbolic base point."""
 
-    n: int
-    s: int
-    lam: tuple
-    epsilon: int
-    factors: tuple
+    __slots__ = ()
 
     @property
     def wt(self):

@@ -13,6 +13,9 @@ Conventions used throughout the library:
 The fork of the finite diagram sits at node n-2, with spin nodes n-1 and n
 attached to it; the affine node 0 is attached to node 2.  Ranks below 4 are
 rejected everywhere.
+
+The family labels and the Weyl dimension formula live here too, so that
+the command line reaches them without loading either pipeline.
 """
 
 from collections import namedtuple
@@ -267,6 +270,23 @@ def family_nodes(n):
     return (1, n - 1, n)
 
 
+def resolve_family(n, s):
+    """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'."""
+    check_rank(n)
+    if isinstance(s, str):
+        key = s.strip().lower()
+        named = {"1": 1, "n-1": n - 1, "n": n}
+        if key in named:
+            return named[key]
+        try:
+            s = int(key)
+        except ValueError:
+            raise InputError(f"unknown family label {s!r}")
+    if s in family_nodes(n):
+        return s
+    raise InputError(f"family label must be one of 1, {n - 1}, {n} (or 1, n-1, n), got {s}")
+
+
 def branch_set(n, s):
     """Nodes cut off by removing the fork from the branch at s."""
     if s == 1:
@@ -345,3 +365,32 @@ def dominates(n, lam, mu):
     """Dominance order: lam - mu lies in the positive root cone."""
     diff = tuple(a - b for a, b in zip(lam, mu))
     return in_root_cone(n, diff)
+
+
+# ---------------------------------------------------------------------------
+# Dimensions
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _rho2(n):
+    return eps2(n, (1,) * n)
+
+
+def dim_irr(n, mu):
+    """Weyl dimension formula, exact integer arithmetic."""
+    mu = tuple(mu)
+    check_dominant(n, mu)
+    rho = _rho2(n)
+    top = tuple(a + b for a, b in zip(eps2(n, mu), rho))
+    num = 1
+    den = 1
+    for a in positive_roots_eps2(n):
+        num *= _dot(top, a)
+        den *= _dot(rho, a)
+    q, r = divmod(num, den)
+    if r:
+        raise VerificationError(f"dimension formula is not integral at {mu}")
+    return q

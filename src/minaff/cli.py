@@ -9,7 +9,9 @@ restricting a Schur functor to the symplectic algebra by Littlewood's rule),
 offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
 the straightened tables against the greedy decomposition of the full
 character).  Reports go to standard output as JSON, CSV, or aligned text;
-diagnostics go to standard error.
+diagnostics go to standard error.  Each subcommand imports the pipeline
+modules it runs inside its handler, so a ``sam`` process never loads the
+Demazure side and ``--version`` loads neither pipeline.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
 Output is byte-stable for a fixed invocation; the elapsed-time field in
@@ -21,15 +23,23 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import time
 
 from . import __version__
-from .cartan import AffineWeight, affine_edges, check_dominant, eps2, varpi
+from .cartan import (
+    AffineWeight,
+    affine_edges,
+    bilinear,
+    check_dominant,
+    check_rank,
+    dim_irr,
+    eps2,
+    fw_from_eps2,
+    resolve_family,
+    varpi,
+)
 from .errors import CharacterError, InputError, VerificationError
-from .polyring import CharElem
-from . import affinization, decomp, spbranch, weyl
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +106,22 @@ def _csv_text(header, rows):
 # reports
 
 
-def _table_report(args, n, s, lam, table, t0):
+def _table_report(args, n, s, lam, mults, t0):
     entries = [
-        {"mu": list(mu), "m": m, "dim": decomp.dim_irr(n, mu)}
-        for mu, m in _sorted_mults(n, table.mults)
+        {"mu": list(mu), "m": m, "dim": dim_irr(n, mu)} for mu, m in _sorted_mults(n, mults)
     ]
+    dimension = sum(e["m"] * e["dim"] for e in entries)
     if getattr(args, "mu", None) is not None:
         mu = _parse_weight(args.mu, n)
         check_dominant(n, mu)
         entries = [e for e in entries if tuple(e["mu"]) == mu]
         if not entries:
-            entries = [{"mu": list(mu), "m": 0, "dim": decomp.dim_irr(n, mu)}]
+            entries = [{"mu": list(mu), "m": 0, "dim": dim_irr(n, mu)}]
     report = {
         "n": n,
         "s": s,
         "lambda": list(lam),
-        "dimension": table.dimension,
+        "dimension": dimension,
         "multiplicities": entries,
         "meta": _meta(t0),
     }
@@ -122,7 +132,7 @@ def _table_report(args, n, s, lam, table, t0):
         return _csv_text(("mu", "m", "dim"), rows)
     lines = [
         f"n = {n}  s = {s}  lambda = {','.join(map(str, lam))}",
-        f"dimension = {table.dimension}",
+        f"dimension = {dimension}",
         "  mu" + " " * (3 * n - 1) + "m      dim",
     ]
     for e in entries:
@@ -135,33 +145,32 @@ def _family_str(n, s):
     return {1: "1", n - 1: "n-1", n: "n"}[s]
 
 
-def _table(n, mults):
-    dimension = sum(m * decomp.dim_irr(n, mu) for mu, m in mults.items())
-    return decomp.DecompositionTable(n, dict(mults), dimension)
-
-
 def _cmd_char(args, t0):
+    from .affinization import multiplicity_table
+
     n = args.n
     lam = _parse_weight(args.lam, n)
-    s = affinization.resolve_family(n, args.s)
-    table = _table(n, affinization.multiplicity_table(n, lam, s))
-    return _table_report(args, n, s, lam, table, t0), 0
+    s = resolve_family(n, args.s)
+    return _table_report(args, n, s, lam, multiplicity_table(n, lam, s), t0), 0
 
 
 def _cmd_sam(args, t0):
+    from .spbranch import sam_table
+
     n = args.n
     lam = _parse_weight(args.lam, n)
-    s = affinization.resolve_family(n, args.s if args.s is not None else 1)
+    s = resolve_family(n, args.s if args.s is not None else 1)
     if s != 1:
         raise InputError("the symplectic pipeline covers the s = 1 family only")
-    table = _table(n, spbranch.sam_table(n, lam))
-    return _table_report(args, n, 1, lam, table, t0), 0
+    return _table_report(args, n, 1, lam, sam_table(n, lam), t0), 0
 
 
 def _cmd_xi(args, t0):
+    from . import affinization
+
     n = args.n
     lam = _parse_weight(args.lam, n)
-    s = affinization.resolve_family(n, args.s)
+    s = resolve_family(n, args.s)
     xs = affinization.xi_sequence(n, lam, s)
     lams = None
     if s != n - 1:
@@ -200,11 +209,13 @@ def _cmd_xi(args, t0):
 
 
 def _cmd_drinfeld(args, t0):
+    from .affinization import drinfeld
+
     n = args.n
     lam = _parse_weight(args.lam, n)
-    s = affinization.resolve_family(n, args.s)
+    s = resolve_family(n, args.s)
     eps = _parse_epsilon(args.epsilon)
-    data = affinization.drinfeld(n, lam, s, eps)
+    data = drinfeld(n, lam, s, eps)
     if args.format == "json":
         report = {
             "n": n,
@@ -230,6 +241,11 @@ def _cmd_drinfeld(args, t0):
 
 
 def _suite_demazure(n, checks):
+    import random
+
+    from . import weyl
+    from .polyring import CharElem
+
     rng = random.Random(20240 + n)
 
     def rand_elem(maxterms=25):
@@ -295,6 +311,10 @@ def _other_reduced_word(n, word):
 
 
 def _suite_weyl(n, checks):
+    import random
+
+    from . import weyl
+
     sig = weyl.sigma_word(n)
     w0 = weyl.longest_word(n)
     lam0 = AffineWeight((0,) * n, 1, 0)
@@ -330,8 +350,6 @@ def _suite_weyl(n, checks):
     )
     checks.append(("weyl.length_additivity", ok))
 
-    from .cartan import bilinear
-
     rng = random.Random(777 + n)
     ok = True
     for _ in range(10):
@@ -344,8 +362,7 @@ def _suite_weyl(n, checks):
 
 
 def _suite_pipeline(n, checks):
-    from .decomp import dominant_weights_below
-    from .cartan import fw_from_eps2
+    from . import affinization, decomp, spbranch
 
     if n == 4:
         lams = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)]
@@ -357,7 +374,7 @@ def _suite_pipeline(n, checks):
         ]
     for lam in lams:
         table = decomp.decompose(affinization.character(n, lam, 1))
-        doms = [fw_from_eps2(n, d) for d in dominant_weights_below(n, lam)]
+        doms = [fw_from_eps2(n, d) for d in decomp.dominant_weights_below(n, lam)]
         ok = table.mults.get(lam, 0) == 1
         for mu in doms:
             if table.mults.get(mu, 0) != spbranch.sam_mult(n, lam, mu):
@@ -472,8 +489,6 @@ def run(argv):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        from .cartan import check_rank
-
         check_rank(args.n)
         text, code = _DISPATCH[args.command](args, t0)
     except InputError as e:

@@ -6,24 +6,27 @@ Dominant-chamber multiplicities come from the Freudenthal recursion; full
 characters are Weyl-orbit expansions of those.  A character given through
 its preimage under the longest-element Demazure operator is decomposed by
 dot-action straightening instead, with no expansion at all.  The Weyl
-dimension formula is kept as an independent cross-check of the recursion.
+dimension formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept
+as an independent cross-check of the recursion.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
 from .cartan import (
     AffineWeight,
+    _dot,
+    _rho2,
     check_dominant,
+    dim_irr,
     dominates,
     eps2,
     fw_from_eps2,
     is_dominant_fw,
     positive_roots_eps2,
 )
-from .errors import CharacterError, InputError, VerificationError
+from .errors import CharacterError, InputError
 from .polyring import CharElem
 
 
@@ -38,14 +41,6 @@ def _dominantize(d):
     if neg % 2 and mags[-1]:
         mags[-1] = -mags[-1]
     return tuple(mags)
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _rho2(n):
-    return eps2(n, (1,) * n)
 
 
 def dominant_weights_below(n, lam):
@@ -69,18 +64,12 @@ def dominant_weights_below(n, lam):
     return seen
 
 
-def dominant_mults(n, lam):
-    """Freudenthal recursion over the dominant chamber.
-
-    Returns a fresh map from doubled coordinates to weight multiplicities
-    for every dominant weight of the irreducible with highest weight
-    ``lam``.
-    """
-    return dict(_dominant_mults(n, tuple(lam)))
-
-
 @lru_cache(maxsize=None)
 def _dominant_mults(n, lam):
+    """Freudenthal recursion over the dominant chamber: weight
+    multiplicities of the irreducible with highest weight ``lam``, keyed by
+    doubled coordinates, for every dominant weight.  The cached map itself,
+    which callers only read."""
     check_dominant(n, lam)
     roots = positive_roots_eps2(n)
     rho = _rho2(n)
@@ -165,39 +154,11 @@ def _irr_terms(n, mu):
     return terms
 
 
-def character_mass(n, mu):
-    """Total multiplicity mass via stabilizer orders; no orbit expansion."""
-    mu = tuple(mu)
-    return sum(
-        m * orbit_size(n, fw_from_eps2(n, d)) for d, m in _dominant_mults(n, mu).items()
-    )
-
-
-def dim_irr(n, mu):
-    """Weyl dimension formula, exact integer arithmetic."""
-    mu = tuple(mu)
-    check_dominant(n, mu)
-    rho = _rho2(n)
-    top = tuple(a + b for a, b in zip(eps2(n, mu), rho))
-    num = 1
-    den = 1
-    for a in positive_roots_eps2(n):
-        num *= _dot(top, a)
-        den *= _dot(rho, a)
-    q, r = divmod(num, den)
-    if r:
-        raise VerificationError(f"dimension formula is not integral at {mu}")
-    return q
-
-
-@dataclass(frozen=True)
-class DecompositionTable:
+class DecompositionTable(namedtuple("DecompositionTable", ("n", "mults", "dimension"))):
     """Multiplicities of irreducibles in a finite character, with the total
     dimension they account for."""
 
-    n: int
-    mults: dict
-    dimension: int
+    __slots__ = ()
 
     def top_weight(self):
         tops = _maximal_keys(self.n, list(self.mults))

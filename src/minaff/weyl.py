@@ -9,7 +9,7 @@ per letter; equality of group elements is decided by comparing actions on
 a basis.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import (
@@ -26,20 +26,28 @@ from .cartan import (
 from .errors import InputError, VerificationError
 
 
-@dataclass(frozen=True)
-class ExtendedWeylWord:
-    """Automorphism prefix plus reflection word over the affine node set."""
+class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
+    """Automorphism prefix plus reflection word over the affine node set.
 
-    n: int
-    tau: tuple  # diagram automorphism of 0..n, tau[i] = image of node i
-    word: tuple
+    ``tau`` is a diagram automorphism of 0..n, ``tau[i]`` the image of node
+    i; it must be one of the four generated by the two swaps.
+    """
 
-    def __post_init__(self):
-        check_rank(self.n)
-        if not isinstance(self.tau, tuple) or self.tau not in _allowed_taus(self.n):
-            raise InputError(f"automorphism prefix {self.tau} outside the two-swap subgroup")
-        if any(not 0 <= i <= self.n for i in self.word):
-            raise InputError(f"word {self.word} contains nodes outside 0..{self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n, tau, word):
+        check_rank(n)
+        if not isinstance(tau, tuple) or tau not in _allowed_taus(n):
+            raise InputError(f"automorphism prefix {tau} outside the two-swap subgroup")
+        if any(not 0 <= i <= n for i in word):
+            raise InputError(f"word {word} contains nodes outside 0..{n}")
+        return super().__new__(cls, n, tau, word)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace bypass __new__; route them through
+        # it so that no word escapes the checks
+        return cls(*iterable)
 
 
 def _identity_tau(n):

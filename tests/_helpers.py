@@ -1,11 +1,16 @@
 """Shared generators for the test suite."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from minaff import CharElem, affinization, weyl
 from minaff.cartan import AffineWeight, affine_edges
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rand_affine_weight(n, rng, span=2):
@@ -82,3 +87,13 @@ def minaff_imports(module):
         elif isinstance(node, ast.Import):
             out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("minaff."))
     return out
+
+
+def run_fresh(*args):
+    """Run the interpreter on ``args`` in a fresh process, with minaff from
+    ``src``, MINAFF_TIMING unset and this process's optimization level;
+    returns the completed process, output as text."""
+    env = {k: v for k, v in os.environ.items() if k != "MINAFF_TIMING"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    argv = [sys.executable, *["-O"] * sys.flags.optimize, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)

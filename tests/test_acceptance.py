@@ -21,7 +21,6 @@ from minaff.affinization import (
 from minaff.cartan import AffineWeight, eps2, fw_from_eps2, varpi
 from minaff.cli import run
 from minaff.decomp import (
-    character_mass,
     decompose,
     dim_irr,
     dominant_weights_below,
@@ -29,6 +28,7 @@ from minaff.decomp import (
 )
 from minaff.spbranch import sam_mult, sam_table
 from minaff import weyl
+from _decomp_oracle import character_mass
 from _helpers import braid_variant, rand_char, seeded
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from minaff import CharElem, cli, spbranch, weyl
 from minaff.cli import run
-from _helpers import break_longest_word
+from _helpers import break_longest_word, run_fresh
 
 
 def invoke(capsys, *argv):
@@ -250,3 +251,69 @@ def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
                     braid = cli._other_reduced_word(n, (a, b, a))
                     assert braid == (b, a, b)
                     assert weyl.same_element(weyl.from_word(n, (a, b, a)), weyl.from_word(n, braid))
+
+
+# Which modules a fresh process loads.  The ast scan of ``minaff_imports``
+# cannot tell an import inside a handler from one at module level, so these
+# read ``sys.modules`` of a process that ran one command.
+
+MODULES_AFTER_RUN = """
+import json, sys
+from minaff import cli
+code = cli.run(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+CLI_BASE = {"minaff", "minaff.cli", "minaff.cartan", "minaff.errors"}
+SAM = ("sam", "--n", "5", "--lambda", "1,1,1,1,1")
+CHAR = ("char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1")
+SUBCOMMANDS = (
+    ("--version",),
+    SAM,
+    CHAR,
+    ("decomp", "--n", "4", "--lambda", "0,1,0,0", "--s", "1", "--mu", "0,0,0,0"),
+    ("xi", "--n", "5", "--lambda", "1,1,0,2,0", "--s", "n"),
+    ("drinfeld", "--n", "4", "--lambda", "1,1,0,0", "--s", "1"),
+    ("verify", "--n", "4", "--suite", "all"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def modules_after_run(*argv):
+    proc = run_fresh("-c", MODULES_AFTER_RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def minaff_modules(modules):
+    return {m for m in modules if m == "minaff" or m.startswith("minaff.")}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_no_subcommand_loads_dataclasses(argv):
+    assert "dataclasses" not in modules_after_run(*argv)
+
+
+def test_version_loads_only_the_cli_and_what_every_subcommand_needs():
+    assert minaff_modules(modules_after_run("--version")) <= CLI_BASE
+
+
+def test_sam_adds_only_the_symplectic_pipeline():
+    base = minaff_modules(modules_after_run("--version"))
+    modules = minaff_modules(modules_after_run(*SAM))
+    assert modules - base == {"minaff.spbranch"}
+    demazure_side = {"minaff.weyl", "minaff.polyring", "minaff.affinization", "minaff.decomp"}
+    assert not modules & demazure_side
+
+
+def test_char_loads_no_symplectic_pipeline():
+    modules = minaff_modules(modules_after_run(*CHAR))
+    assert "minaff.spbranch" not in modules
+    assert "minaff.affinization" in modules
+
+
+def test_import_minaff_loads_no_submodule():
+    proc = run_fresh("-c", "import json, sys, minaff; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert minaff_modules(json.loads(proc.stdout)) == {"minaff"}

@@ -9,17 +9,16 @@ from minaff.decomp import (
     DecompositionTable,
     _dominantize,
     _orbit,
-    character_mass,
     compare_affinization,
     decompose,
     dim_irr,
-    dominant_mults,
     dominant_weights_below,
     irr_character,
     orbit_size,
     straighten,
 )
 from minaff import decomp, weyl
+from _decomp_oracle import character_mass, dominant_mults
 from _helpers import minaff_imports, seeded
 
 

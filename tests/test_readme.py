@@ -1,8 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example and command lines run and print what they say."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from minaff.cli import run
+from _helpers import run_fresh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,6 +16,30 @@ def library_example():
     text = README.read_text()
     section = text[text.index("\n## Library\n") :]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def command_lines():
+    text = README.read_text()
+    section = text[text.index("\n## Command line\n") :]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [tuple(line.split()[1:]) for line in block.splitlines() if line.startswith("minaff ")]
+
+
+def test_readme_command_lines_cover_every_subcommand():
+    assert sorted(argv[0] for argv in command_lines()) == [
+        "char", "decomp", "drinfeld", "sam", "verify", "xi",
+    ]
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_line_runs_in_a_fresh_process(argv, capsys, monkeypatch):
+    # a handler that forgot one of its imports fails here, in a process
+    # that has loaded only what the command itself imports
+    monkeypatch.delenv("MINAFF_TIMING", raising=False)
+    proc = run_fresh("-m", "minaff", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert run(list(argv)) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_readme_library_example_runs():
