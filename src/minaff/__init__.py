@@ -7,8 +7,9 @@ restriction rule.  Everything is exact integer or rational arithmetic.
 
 The names in ``__all__`` are the documented API and what the command line
 and the two pipelines are built from.  Machinery that only the test suite
-needs as a reference (the affine root action, the interval roots, the
-tableau expansion, the Freudenthal mass) lives in the test suite.
+needs as a reference (the affine root action, the twist by norm
+preservation, the interval roots, the tableau expansion, orbit sizes and
+the Freudenthal mass) lives in the test suite.
 
 ``import minaff`` loads no submodule.  Each exported name, and each
 submodule as an attribute (``minaff.weyl``), is imported on first use
@@ -43,8 +44,7 @@ _EXPORTS = {
         ),
         (
             "decomp",
-            "DecompositionTable compare_affinization decompose irr_character orbit_size "
-            "straighten",
+            "DecompositionTable compare_affinization decompose irr_character straighten",
         ),
         (
             "spbranch",

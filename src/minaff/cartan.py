@@ -51,6 +51,12 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
             raise InputError(f"delta must be exact, got the float {delta!r}")
         return super().__new__(cls, tuple(finite), int(level), Fraction(delta))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace bypass __new__; route them through
+        # it so that no weight escapes the checks
+        return cls(*iterable)
+
     @property
     def n(self):
         return len(self.finite)
@@ -117,11 +123,6 @@ def theta_coeffs(n):
     """Simple-root coefficients of the highest root."""
     check_rank(n)
     return (1,) + (2,) * (n - 3) + (1, 1)
-
-
-def marks(n):
-    """Affine marks (a_0, a_1, ..., a_n); node 0 carries mark 1."""
-    return (1,) + theta_coeffs(n)
 
 
 # ---------------------------------------------------------------------------

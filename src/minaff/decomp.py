@@ -10,9 +10,8 @@ dimension formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept
 as an independent cross-check of the recursion.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
-from math import factorial, prod
 
 from .cartan import (
     AffineWeight,
@@ -122,17 +121,6 @@ def _orbit(d0):
                 seen.add(e)
                 stack.append(e)
     return seen
-
-
-def orbit_size(n, mu):
-    """Orbit size from the absolute doubled coordinates: every signed
-    permutation of them, halved when none is zero (the Weyl group flips an
-    even number of signs, and only a zero coordinate absorbs an odd flip)."""
-    check_dominant(n, mu)
-    mags = [abs(v) for v in eps2(n, mu)]
-    size = factorial(n) * 2 ** sum(1 for v in mags if v)
-    size //= prod(factorial(k) for k in Counter(mags).values())
-    return size if 0 in mags else size // 2
 
 
 def irr_character(n, mu):

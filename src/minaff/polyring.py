@@ -1,9 +1,12 @@
 """Sparse exact character polynomials over the affine and finite weight lattices.
 
-Elements are maps from affine weights to nonzero integers.  The Demazure
-operator is applied monomial by monomial through its integer string form,
-never by polynomial division, so every operation stays in exact integer
-arithmetic.  Elements are immutable; all operations return new elements.
+Elements are maps from affine weights to nonzero integers.  The constructor
+is the one place zero coefficients are dropped: every operation sums into a
+plain map, cancelled keys included, and hands it to the constructor.  The
+Demazure operator is applied monomial by monomial through its integer
+string form, never by polynomial division, so every operation stays in
+exact integer arithmetic.  Elements are immutable; all operations return
+new elements.
 """
 
 from .cartan import AffineWeight, check_rank, pairing
@@ -67,11 +70,7 @@ class CharElem:
         self._check_tag(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+            out[k] = out.get(k, 0) + v
         return CharElem(self.n, out, self.affine)
 
     def __sub__(self, other):
@@ -81,8 +80,6 @@ class CharElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return CharElem.zero(self.n, self.affine)
             return CharElem(
                 self.n, {k: other * v for k, v in self.terms.items()}, self.affine
             )
@@ -98,11 +95,7 @@ class CharElem:
         for k1, v1 in small.items():
             for k2, v2 in big.items():
                 k = k1 + k2
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, 0) + v1 * v2
         return CharElem(self.n, out, self.affine)
 
     __rmul__ = __mul__
@@ -192,43 +185,29 @@ class CharElem:
         out = {}
         for k, v in self.terms.items():
             kk = AffineWeight(k.finite)
-            w = out.get(kk, 0) + v
-            if w:
-                out[kk] = w
-            elif kk in out:
-                del out[kk]
+            out[kk] = out.get(kk, 0) + v
         return CharElem(self.n, out, affine=False)
 
 
 def _demazure_terms(n, i, terms):
     out = {}
     alpha = weyl._alpha_wt(n, i)
-    af = alpha.finite
-    ad = alpha.delta
+    up = alpha.finite, alpha.delta
+    down = tuple(-a for a in alpha.finite), -alpha.delta
     for mu, c in terms.items():
         m = pairing(i, mu)
         if m >= 0:
-            fin, lvl, dlt = mu.finite, mu.level, mu.delta
-            for _ in range(m + 1):
-                k = AffineWeight(fin, lvl, dlt)
-                w = out.get(k, 0) + c
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-                fin = tuple(a - b for a, b in zip(fin, af))
-                dlt = dlt - ad
-        elif m <= -2:
-            fin = tuple(a + b for a, b in zip(mu.finite, af))
-            lvl, dlt = mu.level, mu.delta + ad
-            for _ in range(-m - 1):
-                k = AffineWeight(fin, lvl, dlt)
-                w = out.get(k, 0) - c
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-                fin = tuple(a + b for a, b in zip(fin, af))
-                dlt = dlt + ad
+            # c times the descending string mu, mu - alpha, ..., mu - m alpha
+            fin, dlt, step, count, sign = mu.finite, mu.delta, down, m + 1, c
+        else:
+            # -c times the ascending string mu + alpha, ..., mu + (-m-1) alpha,
+            # empty when m = -1
+            fin = tuple(a + b for a, b in zip(mu.finite, alpha.finite))
+            dlt, step, count, sign = mu.delta + alpha.delta, up, -m - 1, -c
+        sf, sd = step
+        for _ in range(count):
+            k = AffineWeight(fin, mu.level, dlt)
+            out[k] = out.get(k, 0) + sign
+            fin = tuple(a + b for a, b in zip(fin, sf))
+            dlt += sd
     return out
-

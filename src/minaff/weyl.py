@@ -10,13 +10,12 @@ a basis.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import (
     AffineWeight,
-    bilinear,
     check_rank,
-    marks,
     pairing,
     root_to_fw,
     root_unit,
@@ -131,65 +130,40 @@ def _alpha_wt(n, i):
     return AffineWeight(root_to_fw(n, root_unit(n, i)), 0, 0)
 
 
-@lru_cache(maxsize=None)
-def _affine_fundamental(n, i):
-    """Level-a_i weight attached to node i, delta-free."""
-    if i == 0:
-        return AffineWeight((0,) * n, 1, 0)
-    return AffineWeight(varpi(n, i), marks(n)[i], 0)
-
-
 def reflect(i, x):
     """Simple reflection at node i applied to an affine weight."""
     return x - pairing(i, x) * _alpha_wt(x.n, i)
 
 
-@lru_cache(maxsize=None)
-def _tau_fundamental_images(n, tau):
-    """Exact images of the delta-free fundamental representatives.
-
-    A diagram automorphism sends the node-i representative to the node
-    tau(i) representative plus a rational delta correction; the correction
-    is forced by norm preservation, since delta pairs with the level.  A
-    tau outside the four automorphisms generated by the two swaps is
-    refused: it would not preserve the invariant form.
-    """
-    if tau not in _allowed_taus(n):
-        raise InputError(f"automorphism {tau} outside the two-swap subgroup")
-    mk = marks(n)
-    out = []
-    for i in range(n + 1):
-        li = _affine_fundamental(n, i)
-        lt = _affine_fundamental(n, tau[i])
-        d = (bilinear(li, li) - bilinear(lt, lt)) / (2 * mk[tau[i]])
-        out.append(AffineWeight(lt.finite, lt.level, d))
-    return tuple(out)
-
-
 def tau_on_weight(tau, x):
     """Relabel an affine weight by a diagram automorphism.
 
-    Expands the weight over the delta-free fundamental representatives and
-    delta, then maps each representative to its exact image; delta itself
-    is fixed.
+    An automorphism sends the node-i fundamental weight Lambda_i to
+    Lambda_tau(i) plus a delta correction, so the image pairs with the
+    coroot at node tau(i) as ``x`` does at node i: its finite coordinates
+    are the permuted pairings.  The level is the mark-weighted sum of the
+    pairings and the marks are tau-invariant, so it is unchanged.  The
+    delta correction is forced by norm preservation, since delta pairs
+    with the level: Lambda_0 has norm 0 and Lambda_1 norm 1, so swapping
+    nodes 0 and 1 adds (c_1 - c_0)/2 for pairings c_i, while the two spin
+    weights swapped by the fork have equal norms and add nothing.  A tau
+    outside the four automorphisms generated by the two swaps is refused:
+    it would not preserve the invariant form.
     """
     n = x.n
+    tau = tuple(tau)
     if tau == _identity_tau(n):
         return x
-    images = _tau_fundamental_images(n, tuple(tau))
-    fin = [0] * n
-    lvl = 0
+    if tau not in _allowed_taus(n):
+        raise InputError(f"automorphism {tau} outside the two-swap subgroup")
+    c = (pairing(0, x),) + x.finite
+    img = [0] * (n + 1)
+    for i, j in enumerate(tau):
+        img[j] = c[i]
     dlt = x.delta
-    for i in range(n + 1):
-        c = pairing(i, x)
-        if c:
-            img = images[i]
-            lvl += c * img.level
-            dlt += c * img.delta
-            for j, v in enumerate(img.finite):
-                if v:
-                    fin[j] += c * v
-    return AffineWeight(tuple(fin), lvl, dlt)
+    if tau[0] == 1:
+        dlt += Fraction(c[1] - c[0], 2)
+    return AffineWeight(img[1:], x.level, dlt)
 
 
 def act(w, x):

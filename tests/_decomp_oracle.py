@@ -1,14 +1,18 @@
 """Reference side of the Freudenthal data in :mod:`minaff.decomp`.
 
-The dominant-chamber multiplicities handed out as a fresh map, and the total
-multiplicity mass of an irreducible summed over orbit sizes, with no orbit
-expansion.  Only the tests use them: the mass is checked against the Weyl
-dimension formula and against the full expansion of
-:func:`minaff.decomp.irr_character`.
+The dominant-chamber multiplicities handed out as a fresh map, orbit sizes
+counted from the doubled coordinates, and the total multiplicity mass of an
+irreducible summed over orbit sizes, with no orbit expansion.  Only the
+tests use them: orbit sizes are checked against the full orbit closure, and
+the mass against the Weyl dimension formula and against the full expansion
+of :func:`minaff.decomp.irr_character`.
 """
 
-from minaff.cartan import fw_from_eps2
-from minaff.decomp import _dominant_mults, orbit_size
+from collections import Counter
+from math import factorial, prod
+
+from minaff.cartan import check_dominant, eps2, fw_from_eps2
+from minaff.decomp import _dominant_mults
 
 
 def dominant_mults(n, lam):
@@ -19,6 +23,17 @@ def dominant_mults(n, lam):
     ``lam``.
     """
     return dict(_dominant_mults(n, tuple(lam)))
+
+
+def orbit_size(n, mu):
+    """Orbit size from the absolute doubled coordinates: every signed
+    permutation of them, halved when none is zero (the Weyl group flips an
+    even number of signs, and only a zero coordinate absorbs an odd flip)."""
+    check_dominant(n, mu)
+    mags = [abs(v) for v in eps2(n, mu)]
+    size = factorial(n) * 2 ** sum(1 for v in mags if v)
+    size //= prod(factorial(k) for k in Counter(mags).values())
+    return size if 0 in mags else size // 2
 
 
 def character_mass(n, mu):

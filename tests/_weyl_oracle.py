@@ -1,9 +1,12 @@
-"""The affine root action and the root-by-root descent, kept as a reference.
+"""The affine root action, the root-by-root descent and the twist by norm
+preservation, kept as a reference.
 
 ``weyl.reduce_word`` walks a regular weight into the dominant chamber; this
 module keeps the older construction it replaced, which strips right descents
 found by acting on the affine simple roots, so the two can be compared word
-for word.
+for word.  ``weyl.tau_on_weight`` permutes coroot pairings; this module keeps
+the expansion over the fundamental weights that it replaced, each mapped to
+its image with the delta correction that norm preservation forces.
 """
 
 from fractions import Fraction
@@ -11,11 +14,14 @@ from fractions import Fraction
 from minaff import InputError
 from minaff.cartan import (
     AffineWeight,
+    bilinear,
     fw_to_root,
+    pairing,
     positive_roots,
     root_to_fw,
     root_unit,
     theta_coeffs,
+    varpi,
 )
 from minaff.weyl import ExtendedWeylWord, act, compose, identity, inverse, simple
 
@@ -84,3 +90,20 @@ def descent_oracle(w):
             return ExtendedWeylWord(n, g.tau, tuple(reversed(collected)))
         g = compose(g, simple(n, found))
         collected.append(found)
+
+
+def tau_on_weight_oracle(tau, x):
+    """The twist by expansion: write ``x`` over the delta-free fundamental
+    weights (node i at level a_i) and delta, and send the node-i weight to
+    the node-tau(i) weight plus the delta correction that keeps its norm
+    (delta pairs with the level a_tau(i))."""
+    n = x.n
+    marks = (1,) + theta_coeffs(n)
+    fundamental = [AffineWeight((0,) * n, 1, 0)]
+    fundamental += [AffineWeight(varpi(n, i), marks[i], 0) for i in range(1, n + 1)]
+    out = AffineWeight((0,) * n, 0, x.delta)
+    for i in range(n + 1):
+        li, lt = fundamental[i], fundamental[tau[i]]
+        d = (bilinear(li, li) - bilinear(lt, lt)) / (2 * marks[tau[i]])
+        out = out + pairing(i, x) * AffineWeight(lt.finite, lt.level, d)
+    return out

@@ -85,6 +85,18 @@ def test_affine_weight_refuses_inexact_level_and_delta():
     assert w.level == 1 and w.delta == Fraction(1, 2)
 
 
+def test_affine_weight_replace_and_make_run_the_same_checks():
+    w = AffineWeight((0, 0, 0, 0))
+    with pytest.raises(InputError):
+        w._replace(delta=0.5)
+    with pytest.raises(InputError):
+        w._replace(level=1.5)
+    with pytest.raises(InputError):
+        AffineWeight._make(((0, 0, 0, 0), 1, 0.25))
+    assert w._replace(delta=Fraction(1, 2)) == AffineWeight((0, 0, 0, 0), 0, Fraction(1, 2))
+    assert AffineWeight._make(([1, 0, 0, 0], 1, 2)) == AffineWeight((1, 0, 0, 0), 1, 2)
+
+
 def test_positive_roots_contain_detour_roots():
     roots = positive_roots(4)
     assert (1, 1, 0, 1) in roots  # runs 1 -> 4 through the fork

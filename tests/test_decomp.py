@@ -14,11 +14,10 @@ from minaff.decomp import (
     dim_irr,
     dominant_weights_below,
     irr_character,
-    orbit_size,
     straighten,
 )
 from minaff import decomp, weyl
-from _decomp_oracle import character_mass, dominant_mults
+from _decomp_oracle import character_mass, dominant_mults, orbit_size
 from _helpers import minaff_imports, seeded
 
 

@@ -17,8 +17,9 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 52
+    assert len(minaff.__all__) == 51
     assert "character_mass" not in minaff.__all__
+    assert "orbit_size" not in minaff.__all__
 
 
 def test_each_export_is_the_attribute_of_its_defining_module():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,36 @@ def test_ring_operations():
     assert len(sq) == 3
     with pytest.raises(InputError):
         a + a.specialize()
+
+
+def test_no_operation_keeps_a_zero_coefficient():
+    n = 4
+    x = AffineWeight(varpi(n, 1), 1, 0)
+    y = AffineWeight(varpi(n, 2), 0, Fraction(1, 2))
+    f = CharElem.monomial(x, 2) + CharElem.monomial(y, -1)
+    a1 = alpha(n, 1)
+    # x pairs 1 with node 1 and x - 2 alpha_1 is its dot-reflection: opposite strings
+    z = CharElem.monomial(x) + CharElem.monomial(x - 2 * a1)
+    results = {
+        "add": f + CharElem.monomial(x, -2),
+        "sub": f - CharElem.monomial(y, -1),
+        "int mul": 0 * f,
+        "mul int": f * 0,
+        "elem mul": (CharElem.monomial(x) + CharElem.monomial(y))
+        * (CharElem.monomial(x) - CharElem.monomial(y)),
+        "specialize": (mono(varpi(n, 1), level=1) - mono(varpi(n, 1), delta=3)).specialize(),
+        # bijections on keys: fed a sum whose x term cancelled
+        "twist": (f - CharElem.monomial(x, 2)).twist(weyl.tau_01(n)),
+        "relabel_weyl": (f - CharElem.monomial(x, 2)).relabel_weyl(weyl.simple(n, 1)),
+        "demazure": z.demazure(1),
+    }
+    for name, r in results.items():
+        assert 0 not in r.terms.values(), name
+    assert not results["add"] - CharElem.monomial(y, -1)
+    assert not results["sub"] - CharElem.monomial(x, 2)
+    assert not results["int mul"] and not results["mul int"] and not results["demazure"]
+    assert len(results["elem mul"]) == 2
+    assert not results["specialize"]
 
 
 def test_foreign_operands_raise_type_error():

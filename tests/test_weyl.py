@@ -1,9 +1,18 @@
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from minaff import CharElem, InputError, bilinear, weyl
-from minaff.cartan import AffineWeight, is_dominant_fw, lambda0, positive_roots, root_to_fw, varpi
+from minaff.cartan import (
+    AffineWeight,
+    is_dominant_fw,
+    lambda0,
+    pairing,
+    positive_roots,
+    root_to_fw,
+    varpi,
+)
 from minaff.weyl import (
     ExtendedWeylWord,
     act,
@@ -25,7 +34,14 @@ from minaff.weyl import (
     tau_on_weight,
 )
 from _helpers import braid_variant, rand_affine_weight, seeded
-from _weyl_oracle import act_root, affine_simple_root, descent_oracle, is_positive_root, power
+from _weyl_oracle import (
+    act_root,
+    affine_simple_root,
+    descent_oracle,
+    is_positive_root,
+    power,
+    tau_on_weight_oracle,
+)
 
 
 def rand_extended(n, rng, L):
@@ -142,6 +158,25 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
     for tau in weyl._allowed_taus(n):
         assert bilinear(tau_on_weight(tau, x), tau_on_weight(tau, y)) == bilinear(x, y)
         assert CharElem.monomial(x).twist(tau) == CharElem.monomial(tau_on_weight(tau, x))
+
+
+def test_tau_on_weight_matches_norm_preserving_expansion():
+    rng = seeded(31)
+    for n in range(4, 9):
+        for tau in sorted(weyl._allowed_taus(n)):
+            for _ in range(60):
+                x = AffineWeight(
+                    tuple(rng.randint(-3, 3) for _ in range(n)),
+                    rng.randint(-2, 3),
+                    Fraction(rng.randint(-8, 8), rng.randint(1, 4)),
+                )
+                y = tau_on_weight(tau, x)
+                assert y == tau_on_weight_oracle(tau, x), (tau, x)
+                assert tau_on_weight(list(tau), x) == y
+                assert bilinear(y, y) == bilinear(x, x)
+                assert [pairing(tau[i], y) for i in range(n + 1)] == [
+                    pairing(i, x) for i in range(n + 1)
+                ]
 
 
 def test_reduce_is_canonical_and_idempotent():
