@@ -53,7 +53,7 @@ _EXPORTS = {
     )
     for name in names.split()
 }
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "verify"}
 
 __all__ = sorted(_EXPORTS)
 

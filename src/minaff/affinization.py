@@ -11,13 +11,10 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import (
-    AffineWeight,
     check_dominant,
     dominates,
     is_regular,
-    lambda0,
     resolve_family,
-    support,
     varpi,
 )
 from .errors import CharacterError, InputError, VerificationError
@@ -25,10 +22,15 @@ from .polyring import CharElem
 from . import decomp, weyl
 
 
+# The two weight-sequence records hold integer keys (see weyl.key_of);
+# ``entries`` reads them as affine weights.
+_entries = property(lambda self: tuple(map(weyl.weight_of, self.keys)))
+
+
 class XiSequence(
     namedtuple(
         "XiSequence",
-        ("n", "s", "lam", "entries", "m", "m_prime", "cut", "lambda_bar"),
+        ("n", "s", "lam", "keys", "m", "m_prime", "cut", "lambda_bar"),
         defaults=(None, None, None, None),
     )
 ):
@@ -37,20 +39,30 @@ class XiSequence(
     leftover bar coordinate for s = n and its fork twin."""
 
     __slots__ = ()
+    entries = _entries
+
+
+def _level_one(n, j):
+    """Key of the level-one weight varpi_j + Lambda_0."""
+    return varpi(n, j) + (1, 0)
+
+
+def _scaled(c, k):
+    return tuple(c * v for v in k)
+
+
+def _plus(*keys):
+    return tuple(map(sum, zip(*keys)))
 
 
 def _xi_family_one(n, lam):
     lm, lmp = max(lam[n - 2], lam[n - 1]), min(lam[n - 2], lam[n - 1])
     m = n - 1 if lam[n - 2] >= lam[n - 1] else n
     mp = n + (n - 1) - m
-    entries = []
-    for j in range(1, n - 1):
-        entries.append(lam[j - 1] * AffineWeight(varpi(n, j), 1, 0))
-    entries.append(
-        lmp * AffineWeight(tuple(a + b for a, b in zip(varpi(n, n - 1), varpi(n, n))), 1, 0)
-    )
-    entries.append((lm - lmp) * AffineWeight(varpi(n, m), 1, 0))
-    return tuple(entries), m, mp
+    keys = [_scaled(lam[j - 1], _level_one(n, j)) for j in range(1, n - 1)]
+    keys.append(_scaled(lmp, _plus(_level_one(n, n - 1), varpi(n, n) + (0, 0))))
+    keys.append(_scaled(lm - lmp, _level_one(n, m)))
+    return tuple(keys), m, mp
 
 
 def _cut_index(n, lam):
@@ -64,21 +76,22 @@ def _cut_index(n, lam):
 def _xi_family_n(n, lam):
     cut = _cut_index(n, lam)
     lbar = lam[n - 2] - sum(lam[cut : n - 3])
-    spin = AffineWeight(varpi(n, n - 1), 0, 0)
-    entries = []
+    spin = varpi(n, n - 1) + (0, 0)
+    lambda0 = (0,) * n + (1, 0)
+    keys = []
     for j in range(1, n + 1):
         if j == n - 1:
-            xi = AffineWeight((0,) * n)
+            xi = (0,) * (n + 2)
         elif j < cut or j in (n - 2, n):
-            xi = lam[j - 1] * AffineWeight(varpi(n, j), 1, 0)
+            xi = _scaled(lam[j - 1], _level_one(n, j))
         elif j == cut:
-            xi = lam[j - 1] * AffineWeight(varpi(n, j), 1, 0) + lbar * spin
+            xi = _plus(_scaled(lam[j - 1], _level_one(n, j)), _scaled(lbar, spin))
         else:  # cut < j < n-2
-            xi = lam[j - 1] * (AffineWeight(varpi(n, j), 1, 0) + spin)
+            xi = _scaled(lam[j - 1], _plus(_level_one(n, j), spin))
             if cut == 0 and j == 1:
-                xi = xi + lbar * (spin + lambda0(n))
-        entries.append(xi)
-    return tuple(entries), cut, lbar
+                xi = _plus(xi, _scaled(lbar, _plus(spin, lambda0)))
+        keys.append(xi)
+    return tuple(keys), cut, lbar
 
 
 def _swap_fork(n, lam):
@@ -91,20 +104,20 @@ def xi_sequence(n, lam, s):
     check_dominant(n, lam)
     s = resolve_family(n, s)
     if s == 1:
-        entries, m, mp = _xi_family_one(n, lam)
-        return XiSequence(n, s, lam, entries, m=m, m_prime=mp)
+        keys, m, mp = _xi_family_one(n, lam)
+        return XiSequence(n, s, lam, keys, m=m, m_prime=mp)
     if s == n:
-        entries, cut, lbar = _xi_family_n(n, lam)
-        return XiSequence(n, s, lam, entries, cut=cut, lambda_bar=lbar)
+        keys, cut, lbar = _xi_family_n(n, lam)
+        return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
     # fork twin: swap, build the s = n data, swap back
     inner = xi_sequence(n, _swap_fork(n, lam), n)
-    tau = weyl.tau_fork(n).tau
-    entries = tuple(weyl.tau_on_weight(tau, xi) for xi in inner.entries)
-    return XiSequence(n, s, lam, entries, cut=inner.cut, lambda_bar=inner.lambda_bar)
+    keys = tuple(map(weyl.key_twist(n, weyl.tau_fork(n).tau), inner.keys))
+    return XiSequence(n, s, lam, keys, cut=inner.cut, lambda_bar=inner.lambda_bar)
 
 
-class LambdaSequence(namedtuple("LambdaSequence", ("n", "s", "lam", "entries"))):
+class LambdaSequence(namedtuple("LambdaSequence", ("n", "s", "lam", "keys"))):
     __slots__ = ()
+    entries = _entries
 
 
 def lambda_sequence(n, lam, s):
@@ -121,16 +134,16 @@ def lambda_sequence(n, lam, s):
         raise InputError("the fork twin family is handled by the character twist")
     xi = xi_sequence(n, lam, s)
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
-    entries = []
+    keys = []
     rot = weyl.identity(n)
     for j in range(1, n):
         rot = weyl.compose(rot, sigma_inv)
-        entries.append(weyl.act(rot, xi.entries[j - 1]))
-    entries.append(xi.entries[n - 1])
-    for e in entries:
-        if not weyl.is_dominant(e):
-            raise VerificationError(f"non-dominant factor weight {e}")
-    return LambdaSequence(n, s, lam, tuple(entries))
+        keys.append(weyl.act_key(rot, xi.keys[j - 1]))
+    keys.append(xi.keys[n - 1])
+    for k in keys:
+        if not weyl.is_dominant_key(k):
+            raise VerificationError(f"non-dominant factor weight {weyl.weight_of(k)}")
+    return LambdaSequence(n, s, lam, tuple(keys))
 
 
 @lru_cache(maxsize=None)
@@ -169,14 +182,14 @@ def _pre_w0(n, lam, s):
     with the rotation operator, then multiply in the next factor.
     """
     _assert_nesting_legal(n)
-    lams = lambda_sequence(n, lam, s).entries
+    lams = lambda_sequence(n, lam, s).keys
     sig = weyl.sigma_word(n)
-    g = CharElem.monomial(lams[n - 2])
+    g = CharElem._of(n, {lams[n - 2]: 1})
     g = g.demazure_word(sig)
     for j in range(n - 2, 0, -1):
-        g = CharElem.monomial(lams[j - 1]) * g
+        g = CharElem._of(n, {lams[j - 1]: 1}) * g
         g = g.demazure_word(sig)
-    return CharElem.monomial(lams[n - 1]) * g
+    return CharElem._of(n, {lams[n - 1]: 1}) * g
 
 
 def character(n, lam, s):
@@ -192,7 +205,7 @@ def character(n, lam, s):
         return ch.twist(weyl.tau_fork(n).tau)
     g = _pre_w0(n, lam, s).demazure_word(weyl.longest_word(n))
     ch = g.specialize()
-    if ch.coeff(AffineWeight(lam)) != 1:
+    if ch.coeff(lam) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")
     return ch
 

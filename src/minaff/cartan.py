@@ -19,7 +19,6 @@ the command line reaches them without loading either pipeline.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, VerificationError
@@ -45,6 +44,8 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
     __slots__ = ()
 
     def __new__(cls, finite, level=0, delta=0):
+        from fractions import Fraction
+
         if not isinstance(level, int):
             raise InputError(f"level must be an integer, got {level!r}")
         if isinstance(delta, float):
@@ -84,9 +85,6 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
         )
 
     __rmul__ = __mul__
-
-    def is_finite(self):
-        return self.level == 0 and self.delta == 0
 
     def __repr__(self):
         return f"AffineWeight({self.finite}, level={self.level}, delta={self.delta})"
@@ -184,6 +182,8 @@ def bilinear(x, y):
     Finite parts pair through the orthogonal coordinates, delta pairs with
     the level, and both delta and the level-one generator are isotropic.
     """
+    from fractions import Fraction
+
     n = x.n
     if y.n != n:
         raise InputError("rank mismatch in bilinear form")

@@ -14,7 +14,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import (
-    AffineWeight,
     _dot,
     _rho2,
     check_dominant,
@@ -127,18 +126,18 @@ def irr_character(n, mu):
     """Full weight-multiplicity character of the irreducible V(mu), as a
     fresh element."""
     mu = tuple(mu)
-    return CharElem(n, _irr_terms(n, mu), affine=False)
+    return CharElem._of(n, _irr_terms(n, mu), affine=False)
 
 
 @lru_cache(maxsize=None)
 def _irr_terms(n, mu):
-    """Weight multiplicities of V(mu) keyed by finite affine weights; the
-    cached map itself, which callers only read."""
+    """Weight multiplicities of V(mu) under the integer keys of finite
+    weights; the cached map itself, which callers only read."""
     check_dominant(n, mu)
     terms = {}
     for d, m in _dominant_mults(n, mu).items():
         for e in _orbit(d):
-            terms[AffineWeight(fw_from_eps2(n, e))] = m
+            terms[fw_from_eps2(n, e) + (0, 0)] = m
     return terms
 
 
@@ -172,20 +171,20 @@ def decompose(f):
     n = f.n
     if f.affine:
         raise InputError("decompose expects a finite-tagged element")
-    coeffs = {eps2(n, k.finite): c for k, c in f.terms.items()}
+    coeffs = {eps2(n, k[:n]): c for k, c in f._terms.items()}
     for d, c in coeffs.items():
         for i, e in enumerate(_reflections(d), 1):
             if coeffs.get(e) != c:
                 raise CharacterError(f"input is not Weyl-invariant at node {i}")
-    work = dict(f.terms)
+    work = dict(f._terms)
     mults = {}
     dimension = 0
     while work:
-        dom = [k.finite for k in work if is_dominant_fw(k.finite)]
+        dom = [k[:n] for k in work if is_dominant_fw(k[:n])]
         if not dom:
             raise CharacterError(f"nonzero residual with no dominant term: {len(work)} terms")
         mu = max(_maximal_keys(n, dom))
-        m = work[AffineWeight(mu)]
+        m = work[mu + (0, 0)]
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {mu}")
         for k, v in _irr_terms(n, mu).items():
@@ -215,8 +214,8 @@ def straighten(f):
     n = f.n
     rho = _rho2(n)
     out = {}
-    for k, c in f.terms.items():
-        x = tuple(a + b for a, b in zip(eps2(n, k.finite), rho))
+    for k, c in f._terms.items():
+        x = tuple(a + b for a, b in zip(eps2(n, k[:n]), rho))
         mags = [abs(v) for v in x]
         if len(set(mags)) < n:
             continue

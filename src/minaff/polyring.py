@@ -1,15 +1,21 @@
 """Sparse exact character polynomials over the affine and finite weight lattices.
 
-Elements are maps from affine weights to nonzero integers.  The constructor
-is the one place zero coefficients are dropped: every operation sums into a
-plain map, cancelled keys included, and hands it to the constructor.  The
-Demazure operator is applied monomial by monomial through its integer
-string form, never by polynomial division, so every operation stays in
-exact integer arithmetic.  Elements are immutable; all operations return
-new elements.
+Elements are maps from affine weights to nonzero integers.  They store each
+weight under its integer key (a_1, ..., a_n, level, 2 delta) from
+:mod:`weyl`, so every operation is integer arithmetic on int tuples; an
+``AffineWeight`` appears only at the boundary (the constructor,
+:meth:`CharElem.monomial`, :meth:`CharElem.coeff` and
+:meth:`CharElem.items`).  Operation results go through a trusted
+constructor that skips the conversion; both constructors end in
+``_set``, the one place zero coefficients are dropped: every operation
+sums into a plain map, cancelled keys included, and hands it over.  The Demazure operator is applied monomial by monomial through its
+integer string form, never by polynomial division.  Elements are immutable;
+all operations return new elements.
 """
 
-from .cartan import AffineWeight, check_rank, pairing
+from operator import add
+
+from .cartan import AffineWeight, check_rank
 from .errors import InputError
 from . import weyl
 
@@ -20,27 +26,37 @@ class CharElem:
     ``affine`` tags the lattice: affine-tagged elements may carry level and
     delta; finite-tagged elements must not.  The same container also serves
     finite character rings of other rank data, where only the plain ring
-    operations apply.
+    operations apply.  Deltas must be multiples of 1/2.
     """
 
-    __slots__ = ("n", "affine", "terms")
+    __slots__ = ("n", "affine", "_terms")
 
     def __init__(self, n, terms=None, affine=True):
         if not isinstance(n, int) or n < 1:
             raise InputError(f"coordinate rank must be a positive integer, got {n!r}")
+        keys = {}
+        for x, v in (terms or {}).items():
+            if not isinstance(x, AffineWeight):
+                x = AffineWeight(x)
+            if x.n != n:
+                raise InputError(f"key {x} has rank {x.n}, element has rank {n}")
+            keys[weyl.key_of(x)] = v
+        self._set(n, keys, affine)
+
+    def _set(self, n, terms, affine):
         self.n = n
         self.affine = affine
-        clean = {}
-        for k, v in (terms or {}).items():
-            if not isinstance(k, AffineWeight):
-                k = AffineWeight(k)
-            if k.n != n:
-                raise InputError(f"key {k} has rank {k.n}, element has rank {n}")
-            if v:
-                if not affine and not k.is_finite():
-                    raise InputError(f"finite-tagged element with affine key {k}")
-                clean[k] = v
-        self.terms = clean
+        self._terms = {k: v for k, v in terms.items() if v}
+        if not affine and any(k[n] or k[n + 1] for k in self._terms):
+            raise InputError("finite-tagged element with a level or delta")
+
+    @classmethod
+    def _of(cls, n, terms, affine=True):
+        """The element with integer-keyed ``terms`` of rank n: the trusted
+        constructor of operation results."""
+        f = cls.__new__(cls)
+        f._set(n, terms, affine)
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -68,10 +84,10 @@ class CharElem:
         if not isinstance(other, CharElem):
             return NotImplemented
         self._check_tag(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out = dict(self._terms)
+        for k, v in other._terms.items():
             out[k] = out.get(k, 0) + v
-        return CharElem(self.n, out, self.affine)
+        return CharElem._of(self.n, out, self.affine)
 
     def __sub__(self, other):
         if not isinstance(other, CharElem):
@@ -80,23 +96,23 @@ class CharElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CharElem(
-                self.n, {k: other * v for k, v in self.terms.items()}, self.affine
+            return CharElem._of(
+                self.n, {k: other * v for k, v in self._terms.items()}, self.affine
             )
         if not isinstance(other, CharElem):
             return NotImplemented
         self._check_tag(other)
         small, big = (
-            (self.terms, other.terms)
-            if len(self.terms) <= len(other.terms)
-            else (other.terms, self.terms)
+            (self._terms, other._terms)
+            if len(self._terms) <= len(other._terms)
+            else (other._terms, self._terms)
         )
         out = {}
         for k1, v1 in small.items():
             for k2, v2 in big.items():
-                k = k1 + k2
+                k = tuple(map(add, k1, k2))
                 out[k] = out.get(k, 0) + v1 * v2
-        return CharElem(self.n, out, self.affine)
+        return CharElem._of(self.n, out, self.affine)
 
     __rmul__ = __mul__
 
@@ -105,30 +121,35 @@ class CharElem:
             isinstance(other, CharElem)
             and self.n == other.n
             and self.affine == other.affine
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def coeff(self, x):
         if not isinstance(x, AffineWeight):
             x = AffineWeight(x)
-        return self.terms.get(x, 0)
+        return self._terms.get(weyl.key_of(x), 0)
+
+    def items(self):
+        """The (weight, coefficient) pairs, as a list in no fixed order."""
+        return [(weyl.weight_of(k), v) for k, v in self._terms.items()]
 
     def mass(self):
         """Sum of all coefficients (the dimension, for a module character)."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].finite, kv[0].level, kv[0].delta))
+        """The (weight, coefficient) pairs by finite part, level, then delta."""
+        return [(weyl.weight_of(k), v) for k, v in sorted(self._terms.items())]
 
     def __repr__(self):
         parts = [f"{v}*e{k.finite, k.level, str(k.delta)}" for k, v in self.items_sorted()[:6]]
-        more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
+        more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
         return f"CharElem[{' + '.join(parts) or '0'}{more}]"
 
     # -- Demazure operators --------------------------------------------------
@@ -144,7 +165,7 @@ class CharElem:
         if not self.affine:
             raise InputError("Demazure operators act on affine-tagged elements")
         check_rank(self.n)
-        return CharElem(self.n, _demazure_terms(self.n, i, self.terms), True)
+        return CharElem._of(self.n, _demazure_terms(self.n, i, self._terms))
 
     def demazure_word(self, w):
         """Composite operator along a reduced word, then the prefix twist."""
@@ -165,49 +186,44 @@ class CharElem:
             if tau.word:
                 raise InputError("twist expects a pure automorphism")
             tau = tau.tau
-        out = {}
-        for k, v in self.terms.items():
-            out[weyl.tau_on_weight(tau, k)] = v
-        return CharElem(self.n, out, self.affine)
+        twist = weyl.key_twist(self.n, tuple(tau))
+        return CharElem._of(self.n, {twist(k): v for k, v in self._terms.items()}, self.affine)
 
     def relabel_weyl(self, w):
         """Relabel keys by a Weyl group element (exact orbit map)."""
         out = {}
-        for k, v in self.terms.items():
-            kk = weyl.act(w, k)
+        for k, v in self._terms.items():
+            kk = weyl.act_key(w, k)
             out[kk] = out.get(kk, 0) + v
-        return CharElem(self.n, out, self.affine)
+        return CharElem._of(self.n, out, self.affine)
 
     def specialize(self):
         """Kill level and delta: project keys to their finite parts."""
         if not self.affine:
             raise InputError("element is already finite-tagged")
+        n = self.n
         out = {}
-        for k, v in self.terms.items():
-            kk = AffineWeight(k.finite)
+        for k, v in self._terms.items():
+            kk = k[:n] + (0, 0)
             out[kk] = out.get(kk, 0) + v
-        return CharElem(self.n, out, affine=False)
+        return CharElem._of(n, out, affine=False)
 
 
 def _demazure_terms(n, i, terms):
     out = {}
-    alpha = weyl._alpha_wt(n, i)
-    up = alpha.finite, alpha.delta
-    down = tuple(-a for a in alpha.finite), -alpha.delta
-    for mu, c in terms.items():
-        m = pairing(i, mu)
+    up = weyl.alpha_key(n, i)
+    down = tuple(-a for a in up)
+    pair = weyl.key_pairing(n, i)
+    for k, c in terms.items():
+        m = pair(k)
         if m >= 0:
-            # c times the descending string mu, mu - alpha, ..., mu - m alpha
-            fin, dlt, step, count, sign = mu.finite, mu.delta, down, m + 1, c
+            # c times the descending string k, k - alpha, ..., k - m alpha
+            step, count, sign = down, m + 1, c
         else:
-            # -c times the ascending string mu + alpha, ..., mu + (-m-1) alpha,
+            # -c times the ascending string k + alpha, ..., k + (-m-1) alpha,
             # empty when m = -1
-            fin = tuple(a + b for a, b in zip(mu.finite, alpha.finite))
-            dlt, step, count, sign = mu.delta + alpha.delta, up, -m - 1, -c
-        sf, sd = step
+            k, step, count, sign = tuple(map(add, k, up)), up, -m - 1, -c
         for _ in range(count):
-            k = AffineWeight(fin, mu.level, dlt)
             out[k] = out.get(k, 0) + sign
-            fin = tuple(a + b for a, b in zip(fin, sf))
-            dlt += sd
+            k = tuple(map(add, k, step))
     return out

@@ -6,17 +6,17 @@ of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; equality of group elements is decided by comparing actions on
-a basis.
+a basis.  The action itself is written once, on the integer keys that the
+character ring stores (see :func:`key_of`).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from .cartan import (
     AffineWeight,
     check_rank,
-    pairing,
     root_to_fw,
     root_unit,
     theta_coeffs,
@@ -118,76 +118,157 @@ def inverse(u):
 
 
 # ---------------------------------------------------------------------------
-# Action on affine weights
+# The action on integer keys, and on affine weights through it
+#
+# The Demazure path carries an affine weight whose delta is a multiple of
+# 1/2 as one flat int tuple (a_1, ..., a_n, level, 2 delta): every delta it
+# meets has denominator 1 or 2, so doubling keeps the key exact.  The affine
+# Weyl action below is written once, on these keys; its effect on delta is
+# always a shift, so an AffineWeight with any rational delta is acted on
+# through the key of its delta-free part plus that shift.
+
+
+def key_of(x):
+    """The integer key of an affine weight.  A delta that is not a multiple
+    of 1/2 is refused, never truncated."""
+    d = x.delta
+    d2, r = divmod(2 * d.numerator, d.denominator)
+    if r:
+        raise InputError(f"delta {d} of {x} is not a multiple of 1/2")
+    return x.finite + (x.level, d2)
+
+
+def weight_of(k, delta=0):
+    """The affine weight with integer key ``k``, its delta raised by the
+    exact ``delta``: that of the weight whose delta-free key was acted on."""
+    from fractions import Fraction
+
+    n = len(k) - 2
+    return AffineWeight(k[:n], k[n], delta + Fraction(k[n + 1], 2))
+
+
+def _delta_free(x):
+    return x.finite + (x.level, 0)
 
 
 @lru_cache(maxsize=None)
-def _alpha_wt(n, i):
-    """Simple root i as an element of the affine weight space."""
+def key_pairing(n, i):
+    """The pairing of the i-th simple coroot (i in 0..n) with a key, as a
+    function.  The node-0 coroot is the canonical central element minus the
+    highest-root coroot: the level minus the mark-weighted finite part.
+    The 2-delta slot never contributes."""
+    check_rank(n)
+    if 1 <= i <= n:
+        return itemgetter(i - 1)
+    if i != 0:
+        raise InputError(f"node {i} outside 0..{n}")
+    marks = theta_coeffs(n)
+    return lambda k: k[n] - sum(map(mul, marks, k))
+
+
+@lru_cache(maxsize=None)
+def alpha_key(n, i):
+    """Simple root i as a key; alpha_0 = delta - theta has 2 in the 2-delta slot."""
     if i == 0:
-        theta = root_to_fw(n, theta_coeffs(n))
-        return AffineWeight(tuple(-v for v in theta), 0, 1)
-    return AffineWeight(root_to_fw(n, root_unit(n, i)), 0, 0)
+        return tuple(-v for v in root_to_fw(n, theta_coeffs(n))) + (0, 2)
+    return root_to_fw(n, root_unit(n, i)) + (0, 0)
 
 
-def reflect(i, x):
-    """Simple reflection at node i applied to an affine weight."""
-    return x - pairing(i, x) * _alpha_wt(x.n, i)
+def _alpha_wt(n, i):
+    """Simple root i as an affine weight."""
+    return weight_of(alpha_key(n, i))
 
 
-def tau_on_weight(tau, x):
-    """Relabel an affine weight by a diagram automorphism.
+def reflect_key(i, k):
+    """Simple reflection at node i: subtract the pairing times alpha_i."""
+    n = len(k) - 2
+    alpha = alpha_key(n, i)
+    m = key_pairing(n, i)(k)
+    return tuple(a - m * b for a, b in zip(k, alpha))
+
+
+@lru_cache(maxsize=None)
+def key_twist(n, tau):
+    """The relabelling of keys by a diagram automorphism ``tau`` (a tuple),
+    as a function.
 
     An automorphism sends the node-i fundamental weight Lambda_i to
     Lambda_tau(i) plus a delta correction, so the image pairs with the
-    coroot at node tau(i) as ``x`` does at node i: its finite coordinates
+    coroot at node tau(i) as the key does at node i: its finite coordinates
     are the permuted pairings.  The level is the mark-weighted sum of the
     pairings and the marks are tau-invariant, so it is unchanged.  The
     delta correction is forced by norm preservation, since delta pairs
     with the level: Lambda_0 has norm 0 and Lambda_1 norm 1, so swapping
-    nodes 0 and 1 adds (c_1 - c_0)/2 for pairings c_i, while the two spin
-    weights swapped by the fork have equal norms and add nothing.  A tau
-    outside the four automorphisms generated by the two swaps is refused:
-    it would not preserve the invariant form.
+    nodes 0 and 1 adds c_1 - c_0 to 2 delta for pairings c_i, while the two
+    spin weights swapped by the fork have equal norms and add nothing.  A
+    tau outside the four automorphisms generated by the two swaps is
+    refused: it would not preserve the invariant form.
     """
-    n = x.n
-    tau = tuple(tau)
-    if tau == _identity_tau(n):
-        return x
     if tau not in _allowed_taus(n):
         raise InputError(f"automorphism {tau} outside the two-swap subgroup")
-    c = (pairing(0, x),) + x.finite
-    img = [0] * (n + 1)
+    src = [0] * (n + 1)
     for i, j in enumerate(tau):
-        img[j] = c[i]
-    dlt = x.delta
-    if tau[0] == 1:
-        dlt += Fraction(c[1] - c[0], 2)
-    return AffineWeight(img[1:], x.level, dlt)
+        src[j] = i
+    pick = itemgetter(*src[1:])
+    pair0 = key_pairing(n, 0)
+    if tau[0] == 0:
+        return lambda k: pick((pair0(k),) + k) + k[n:]
+
+    def twist(k):
+        c0 = pair0(k)
+        return pick((c0,) + k) + (k[n], k[n + 1] + k[0] - c0)
+
+    return twist
+
+
+def act_key(w, k):
+    """Apply an extended word to a key, word first, prefix last."""
+    for i in reversed(w.word):
+        k = reflect_key(i, k)
+    if w.tau == _identity_tau(w.n):
+        return k
+    return key_twist(w.n, w.tau)(k)
+
+
+def is_dominant_key(k):
+    """Nonnegative coroot pairings over the affine node set 0..n."""
+    n = len(k) - 2
+    return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
+
+
+def reflect(i, x):
+    """Simple reflection at node i applied to an affine weight."""
+    return weight_of(reflect_key(i, _delta_free(x)), x.delta)
+
+
+def tau_on_weight(tau, x):
+    """Relabel an affine weight by a diagram automorphism (see
+    :func:`key_twist`); ``tau`` may be any sequence."""
+    return weight_of(key_twist(x.n, tuple(tau))(_delta_free(x)), x.delta)
 
 
 def act(w, x):
     """Apply an extended word to an affine weight, word first, prefix last."""
     if w.n != x.n:
         raise InputError("rank mismatch in action")
-    for i in reversed(w.word):
-        x = reflect(i, x)
-    return tau_on_weight(w.tau, x)
+    return weight_of(act_key(w, _delta_free(x)), x.delta)
 
 
 # ---------------------------------------------------------------------------
 # Reduction, length, distinguished elements
 
 
-def _walk_up(x, nodes):
-    """Reflect ``x`` at the smallest node of ``nodes`` with a negative
-    pairing until there is none; returns the nodes used, in order."""
+def _walk_up(k, nodes):
+    """Reflect the key ``k`` at the smallest node of ``nodes`` with a
+    negative pairing until there is none; returns the nodes used, in order."""
+    n = len(k) - 2
+    pairings = [(i, key_pairing(n, i)) for i in nodes]
     steps = []
     while True:
-        i = next((i for i in nodes if pairing(i, x) < 0), None)
+        i = next((i for i, pair in pairings if pair(k) < 0), None)
         if i is None:
             return steps
-        x = reflect(i, x)
+        k = reflect_key(i, k)
         steps.append(i)
 
 
@@ -202,8 +283,8 @@ def reduce_word(w):
     word.
     """
     n = w.n
-    rho = AffineWeight((1,) * n, 2 * n - 2, 0)
-    steps = _walk_up(act(inverse(w), rho), range(n + 1))
+    rho = (1,) * n + (2 * n - 2, 0)
+    steps = _walk_up(act_key(inverse(w), rho), range(n + 1))
     return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))
 
 
@@ -224,7 +305,7 @@ def longest_word(n):
     reversed.
     """
     check_rank(n)
-    steps = _walk_up(AffineWeight((-1,) * n, 0, 0), range(1, n + 1))
+    steps = _walk_up((-1,) * n + (0, 0), range(1, n + 1))
     w = ExtendedWeylWord(n, _identity_tau(n), tuple(reversed(steps)))
     if len(w.word) != n * (n - 1):
         raise VerificationError(f"longest word has length {len(w.word)}, expected {n * (n - 1)}")
@@ -242,20 +323,20 @@ def sigma_word(n):
 
 def is_dominant(x):
     """Nonnegative coroot pairings over the affine node set 0..n."""
-    return all(pairing(i, x) >= 0 for i in range(x.n + 1))
+    return is_dominant_key(_delta_free(x))
 
 
 @lru_cache(maxsize=None)
 def _basis(n):
-    basis = [AffineWeight(varpi(n, i), 0, 0) for i in range(1, n + 1)]
-    basis.append(AffineWeight((0,) * n, 1, 0))
-    basis.append(AffineWeight((0,) * n, 0, 1))
-    return tuple(basis)
+    """Keys of the fundamental weights, Lambda_0 and delta."""
+    zero = (0,) * n
+    return tuple(varpi(n, i) + (0, 0) for i in range(1, n + 1)) + (zero + (1, 0), zero + (0, 2))
 
 
 def element_images(w):
-    """Action on a basis of the affine weight space; canonical fingerprint."""
-    return tuple(act(w, b) for b in _basis(w.n))
+    """Action on a basis of the affine weight space, as keys; canonical
+    fingerprint."""
+    return tuple(act_key(w, b) for b in _basis(w.n))
 
 
 def same_element(u, v):

@@ -163,12 +163,19 @@ def sp_irr_character(rank, nu):
     return CharElem(rank, terms, affine=False)
 
 
+@lru_cache(maxsize=None)
+def _finite_terms(rank, nu):
+    """The terms of :func:`sp_irr_character` keyed by finite weights, read
+    off the element once; the cached map itself, which callers only read."""
+    return {k.finite: v for k, v in sp_irr_character(rank, nu).items()}
+
+
 def decompose_sp(f, rank):
     """Greedy peel-off over the symplectic dominance order; the residual
     must reach exactly zero or the input was not a character."""
     if f.affine:
         raise InputError("decompose_sp expects a finite-tagged element")
-    work = {k.finite: v for k, v in f.terms.items()}
+    work = {k.finite: v for k, v in f.items()}
     mults = {}
     while work:
         dom = [k for k in work if all(v >= 0 for v in k)]
@@ -189,11 +196,11 @@ def decompose_sp(f, rank):
         m = work[nu]
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {nu}")
-        for k, v in sp_irr_character(rank, nu).terms.items():
-            w = work.get(k.finite, 0) - m * v
+        for k, v in _finite_terms(rank, nu).items():
+            w = work.get(k, 0) - m * v
             if w:
-                work[k.finite] = w
+                work[k] = w
             else:
-                work.pop(k.finite, None)
+                work.pop(k, None)
         mults[nu] = m
     return mults

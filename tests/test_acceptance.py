@@ -41,7 +41,7 @@ def report(number, ok, detail, t0, budget):
 
 
 def canonical_serialization(ch):
-    items = sorted((k.finite, k.level, str(k.delta), v) for k, v in ch.terms.items())
+    items = sorted((k.finite, k.level, str(k.delta), v) for k, v in ch.items())
     return json.dumps(items)
 
 

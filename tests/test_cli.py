@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from minaff import CharElem, cli, spbranch, weyl
+from minaff import CharElem, spbranch, verify, weyl
 from minaff.cli import run
 from _helpers import break_longest_word, run_fresh
 
@@ -121,7 +121,7 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     # a runtime invariant, not an assert: it still fires under python -O
-    monkeypatch.setattr(weyl, "is_dominant", lambda x: False)
+    monkeypatch.setattr(weyl, "is_dominant_key", lambda k: False)
     code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
     assert code == 3
     assert out == ""
@@ -225,11 +225,11 @@ def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch
         return (1 + sum(i * a for i, a in enumerate(w.word, 1))) * self
 
     checks = []
-    cli._suite_demazure(4, checks)
+    verify._suite_demazure(4, checks)
     assert dict(checks)["demazure.reduced_word_application"]
     monkeypatch.setattr(CharElem, "demazure_word", order_sensitive)
     checks = []
-    cli._suite_demazure(4, checks)
+    verify._suite_demazure(4, checks)
     assert not dict(checks)["demazure.reduced_word_application"]
 
 
@@ -238,17 +238,17 @@ def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
     # exactly when the words ab and ba give the same element
     for n in (4, 5, 6):
         for a in range(n + 1):
-            assert cli._other_reduced_word(n, (a, a)) is None
+            assert verify._other_reduced_word(n, (a, a)) is None
             for b in range(n + 1):
                 if a == b:
                     continue
                 ab, ba = weyl.from_word(n, (a, b)), weyl.from_word(n, (b, a))
-                other = cli._other_reduced_word(n, (a, b))
+                other = verify._other_reduced_word(n, (a, b))
                 if weyl.same_element(ab, ba):
                     assert other == (b, a), (n, a, b)
                 else:
                     assert other is None, (n, a, b)
-                    braid = cli._other_reduced_word(n, (a, b, a))
+                    braid = verify._other_reduced_word(n, (a, b, a))
                     assert braid == (b, a, b)
                     assert weyl.same_element(weyl.from_word(n, (a, b, a)), weyl.from_word(n, braid))
 
@@ -317,3 +317,15 @@ def test_import_minaff_loads_no_submodule():
     proc = run_fresh("-c", "import json, sys, minaff; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert minaff_modules(json.loads(proc.stdout)) == {"minaff"}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_only_verify_loads_the_suites(argv):
+    assert ("minaff.verify" in modules_after_run(*argv)) == (argv[0] == "verify")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS[:4], ids=lambda argv: argv[0])
+def test_table_subcommands_build_no_fraction(argv):
+    # the Demazure path runs on integer keys; only reports of affine
+    # weights (xi, verify) read a delta as a Fraction
+    assert "fractions" not in modules_after_run(*argv)

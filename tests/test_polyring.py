@@ -109,7 +109,7 @@ def test_twist():
     # node swap at the affine end: image of the level-one generator pairs
     # like the original did, one node over
     g = CharElem.monomial(lambda0(n)).twist(weyl.tau_01(n))
-    (key,) = g.terms
+    ((key, _),) = g.items()
     from minaff.cartan import pairing
 
     tau = weyl.tau_01(n).tau
@@ -140,7 +140,7 @@ def test_ring_operations():
     n = 4
     a = mono(varpi(n, 1), level=1)
     b = mono(varpi(n, 2), delta=2)
-    (key,) = (a * b).terms
+    ((key, _),) = (a * b).items()
     assert key == AffineWeight(
         tuple(x + y for x, y in zip(varpi(n, 1), varpi(n, 2))), 1, 2
     )
@@ -177,12 +177,41 @@ def test_no_operation_keeps_a_zero_coefficient():
         "demazure": z.demazure(1),
     }
     for name, r in results.items():
-        assert 0 not in r.terms.values(), name
+        assert 0 not in dict(r.items()).values(), name
     assert not results["add"] - CharElem.monomial(y, -1)
     assert not results["sub"] - CharElem.monomial(x, 2)
     assert not results["int mul"] and not results["mul int"] and not results["demazure"]
     assert len(results["elem mul"]) == 2
     assert not results["specialize"]
+
+
+def test_half_integer_delta_round_trips_and_quarter_is_refused():
+    n = 4
+    x = AffineWeight(varpi(n, 1), 1, Fraction(-3, 2))
+    f = CharElem.monomial(x, 5)
+    assert f.items() == [(x, 5)]
+    assert f.coeff(x) == 5
+    assert isinstance(f.items()[0][0].delta, Fraction)
+    quarter = AffineWeight(varpi(n, 1), 1, Fraction(1, 4))
+    with pytest.raises(InputError):
+        CharElem.monomial(quarter)
+    with pytest.raises(InputError):
+        CharElem(n, {x: 1, quarter: 1})
+    with pytest.raises(InputError):
+        f.coeff(quarter)
+
+
+def test_finite_tagged_elements_stay_on_the_finite_lattice():
+    n = 4
+    with pytest.raises(InputError):
+        CharElem(n, {AffineWeight(varpi(n, 1), 1, 0): 1}, affine=False)
+    fin = mono(varpi(n, 1), affine=False)
+    assert fin.twist(weyl.tau_fork(n)) == fin
+    # the node 0-1 swap and the node-0 reflection move delta off zero
+    with pytest.raises(InputError):
+        fin.twist(weyl.tau_01(n))
+    with pytest.raises(InputError):
+        fin.relabel_weyl(weyl.simple(n, 0))
 
 
 def test_foreign_operands_raise_type_error():

@@ -49,7 +49,7 @@ def test_partition_of():
 
 def test_schur_standard_module():
     ch = schur_char((1,), 3)
-    assert len(ch.terms) == 6 and ch.mass() == 6
+    assert len(ch.items()) == 6 and ch.mass() == 6
     assert decompose_sp(ch, 3) == {(1, 0, 0): 1}
 
 
