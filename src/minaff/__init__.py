@@ -40,12 +40,9 @@ _EXPORTS = {
         (
             "affinization",
             "DrinfeldSpec LambdaSequence XiSequence character drinfeld lambda_sequence "
-            "multiplicity_table xi_sequence",
+            "multiplicity_table straighten xi_sequence",
         ),
-        (
-            "decomp",
-            "DecompositionTable compare_affinization decompose irr_character straighten",
-        ),
+        ("decomp", "DecompositionTable compare_affinization decompose irr_character"),
         (
             "spbranch",
             "iota lr_coefficient partition_of sam_mult sam_table sp_branch sp_dim_irr",

@@ -31,6 +31,17 @@ def check_rank(n):
         raise InputError(f"rank must be an integer >= {MIN_RANK}, got {n!r}")
 
 
+def _fraction(q):
+    """``Fraction(q)``.  The first call imports ``fractions`` and rebinds
+    this name to the class itself, so a process that builds no weight never
+    loads the module and later weights skip the import."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(q)
+
+
 class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
     """Element of the affine weight lattice extended by rational delta.
 
@@ -44,13 +55,11 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
     __slots__ = ()
 
     def __new__(cls, finite, level=0, delta=0):
-        from fractions import Fraction
-
         if not isinstance(level, int):
             raise InputError(f"level must be an integer, got {level!r}")
         if isinstance(delta, float):
             raise InputError(f"delta must be exact, got the float {delta!r}")
-        return super().__new__(cls, tuple(finite), int(level), Fraction(delta))
+        return super().__new__(cls, tuple(finite), int(level), _fraction(delta))
 
     @classmethod
     def _make(cls, iterable):
@@ -128,19 +137,12 @@ def theta_coeffs(n):
 
 
 def pairing(i, x):
-    """Integer pairing of the i-th simple coroot (i in 0..n) with ``x``.
+    """Integer pairing of the i-th simple coroot (i in 0..n) with the affine
+    weight ``x``: :func:`minaff.weyl.key_pairing` read on its key, where the
+    one formula lives.  The delta component never contributes."""
+    from .weyl import key_pairing  # weyl imports this module
 
-    The node-0 coroot is the canonical central element minus the highest-root
-    coroot, so its pairing is ``level`` minus the highest-root pairing of
-    the finite part.  The delta component never contributes.
-    """
-    n = x.n
-    if 1 <= i <= n:
-        return x.finite[i - 1]
-    if i == 0:
-        f = x.finite
-        return x.level - (f[0] + 2 * sum(f[1 : n - 2]) + f[n - 2] + f[n - 1])
-    raise InputError(f"node {i} outside 0..{n}")
+    return key_pairing(x.n, i)(x.finite + (x.level, 0))
 
 
 def eps2(n, fw):
@@ -378,6 +380,17 @@ def _dot(a, b):
 
 def _rho2(n):
     return eps2(n, (1,) * n)
+
+
+def _dominantize(d):
+    """The dominant point of the Weyl orbit of a doubled coordinate vector:
+    absolute values sorted descending, the last one negated when an odd
+    number of coordinates is negative (type D flips signs in pairs)."""
+    neg = sum(1 for v in d if v < 0)
+    mags = sorted((abs(v) for v in d), reverse=True)
+    if neg % 2 and mags[-1]:
+        mags[-1] = -mags[-1]
+    return tuple(mags)
 
 
 def dim_irr(n, mu):

@@ -3,17 +3,16 @@
 Everything here runs in doubled orthogonal coordinates: integer vectors
 whose halves are the usual orthogonal coordinates of the weight lattice.
 Dominant-chamber multiplicities come from the Freudenthal recursion; full
-characters are Weyl-orbit expansions of those.  A character given through
-its preimage under the longest-element Demazure operator is decomposed by
-dot-action straightening instead, with no expansion at all.  The Weyl
-dimension formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept
-as an independent cross-check of the recursion.
+characters are Weyl-orbit expansions of those.  The Weyl dimension
+formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept as an
+independent cross-check of the recursion.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import (
+    _dominantize,
     _dot,
     _rho2,
     check_dominant,
@@ -31,14 +30,6 @@ from .polyring import CharElem
 def _is_dominant_eps(d):
     n = len(d)
     return all(d[i] >= d[i + 1] for i in range(n - 2)) and d[n - 2] >= abs(d[n - 1])
-
-
-def _dominantize(d):
-    neg = sum(1 for v in d if v < 0)
-    mags = sorted((abs(v) for v in d), reverse=True)
-    if neg % 2 and mags[-1]:
-        mags[-1] = -mags[-1]
-    return tuple(mags)
 
 
 def dominant_weights_below(n, lam):
@@ -196,33 +187,6 @@ def decompose(f):
         mults[mu] = m
         dimension += m * dim_irr(n, mu)
     return DecompositionTable(n, mults, dimension)
-
-
-def straighten(f):
-    """Irreducible multiplicities {mu: m} of the longest-element Demazure
-    operator applied to the finite element ``f``.
-
-    That operator takes e^mu to the Weyl character of mu straightened by
-    the dot action.  In rho-shifted doubled coordinates a weight with two
-    equal absolute coordinates lies on a wall and contributes nothing; any
-    other is sorted into the dominant chamber with the sign of the sorting
-    permutation (type D Weyl elements flip an even number of signs, so
-    that is their whole sign) and shifted back.
-    """
-    if f.affine:
-        raise InputError("straighten expects a finite-tagged element")
-    n = f.n
-    rho = _rho2(n)
-    out = {}
-    for k, c in f._terms.items():
-        x = tuple(a + b for a, b in zip(eps2(n, k[:n]), rho))
-        mags = [abs(v) for v in x]
-        if len(set(mags)) < n:
-            continue
-        inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1 :])
-        mu = fw_from_eps2(n, tuple(a - b for a, b in zip(_dominantize(x), rho)))
-        out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
-    return {mu: m for mu, m in out.items() if m}
 
 
 def compare_affinization(a, b):

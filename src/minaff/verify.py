@@ -152,9 +152,9 @@ def _suite_pipeline(n, checks):
         checks.append(("pipeline.straighten_" + tag, straightened == table.mults))
 
 
-def verify_report(args, t0):
-    n = args.n
-    suites = [args.suite] if args.suite != "all" else ["demazure", "weyl", "pipeline"]
+def verify_report(opts, t0):
+    n = opts["n"]
+    suites = [opts["suite"]] if opts["suite"] != "all" else ["demazure", "weyl", "pipeline"]
     checks = []
     for suite in suites:
         if suite == "demazure":
@@ -165,17 +165,17 @@ def verify_report(args, t0):
             _suite_pipeline(n, checks)
     passed = sum(1 for _, ok in checks if ok)
     failed = len(checks) - passed
-    if args.format == "json":
+    if opts["format"] == "json":
         report = {
             "n": n,
-            "suite": args.suite,
+            "suite": opts["suite"],
             "checks": [{"name": name, "status": "pass" if ok else "FAIL"} for name, ok in checks],
             "passed": passed,
             "failed": failed,
             "meta": _meta(t0),
         }
         text = _json_text(report)
-    elif args.format == "csv":
+    elif opts["format"] == "csv":
         text = _csv_text(
             ("check", "status"),
             [(name, "pass" if ok else "FAIL") for name, ok in checks],

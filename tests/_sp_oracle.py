@@ -4,7 +4,10 @@ The character of the Schur functor of the standard symplectic module by
 semistandard tableaux, symplectic irreducible characters by Freudenthal's
 recursion, and a greedy peel over the symplectic dominance order.  It is
 exponential in the partition size, so it serves only to pin
-:func:`minaff.spbranch.sp_branch` on small shapes.
+:func:`minaff.spbranch.sp_branch` on small shapes.  The enumeration, the
+irreducible characters and the peel run on plain {finite weight: m} maps;
+``schur_char``, ``sp_irr_character`` and ``decompose_sp`` convert them at
+the ``CharElem`` boundary.
 """
 
 from functools import lru_cache
@@ -22,11 +25,17 @@ from minaff.spbranch import (
 
 
 def schur_char(p, rank):
-    """Character of the Schur functor of the standard symplectic module.
+    """Character of the Schur functor of the standard symplectic module,
+    as an element; generally reducible as a symplectic character."""
+    terms = schur_terms(p, rank)
+    return CharElem(rank, {AffineWeight(k): m for k, m in terms.items()}, affine=False)
+
+
+def schur_terms(p, rank):
+    """The terms of :func:`schur_char`: {finite weight: m}.
 
     Enumerates semistandard tableaux of shape ``p`` in 2*rank letters; each
     letter carries one of the orthogonal weights of the standard module.
-    Generally reducible as a symplectic character.
     """
     check_rank(rank + 1)
     p = _strip(tuple(p))
@@ -36,7 +45,7 @@ def schur_char(p, rank):
     if len(p) > nletters:
         raise InputError(f"partition {p} too tall for {nletters} letters")
     if not p:
-        return CharElem.monomial(AffineWeight((0,) * rank), 1, affine=False)
+        return {(0,) * rank: 1}
     # letter 2i-1 adds +1, letter 2i adds -1 at coordinate i (1-based i)
     rows = len(p)
     eps_weights = {}
@@ -64,10 +73,7 @@ def schur_char(p, rank):
         tableau[r][c] = 0
 
     fill(0, 0)
-    terms = {}
-    for x, m in eps_weights.items():
-        terms[AffineWeight(_sp_fund_from_eps(x))] = m
-    return CharElem(rank, terms, affine=False)
+    return {_sp_fund_from_eps(x): m for x, m in eps_weights.items()}
 
 
 def _sp_dominant(x):
@@ -150,32 +156,37 @@ def _sp_orbit(x):
     return seen
 
 
-@lru_cache(maxsize=None)
 def sp_irr_character(rank, nu):
     """Irreducible symplectic character with highest weight ``nu``."""
-    nu = tuple(nu)
+    terms = _sp_irr_terms(rank, tuple(nu))
+    return CharElem(rank, {AffineWeight(k): m for k, m in terms.items()}, affine=False)
+
+
+@lru_cache(maxsize=None)
+def _sp_irr_terms(rank, nu):
+    """The terms of :func:`sp_irr_character`: {finite weight: m}; the
+    cached map itself, which callers only read."""
     if not all(v >= 0 for v in nu) or len(nu) != rank:
         raise InputError(f"{nu} is not a dominant rank-{rank} weight")
     terms = {}
     for d, m in _sp_dominant_mults(rank, partition_of(nu)).items():
         for e in _sp_orbit(d):
-            terms[AffineWeight(_sp_fund_from_eps(e))] = m
-    return CharElem(rank, terms, affine=False)
-
-
-@lru_cache(maxsize=None)
-def _finite_terms(rank, nu):
-    """The terms of :func:`sp_irr_character` keyed by finite weights, read
-    off the element once; the cached map itself, which callers only read."""
-    return {k.finite: v for k, v in sp_irr_character(rank, nu).items()}
+            terms[_sp_fund_from_eps(e)] = m
+    return terms
 
 
 def decompose_sp(f, rank):
-    """Greedy peel-off over the symplectic dominance order; the residual
-    must reach exactly zero or the input was not a character."""
+    """:func:`peel_sp` of the finite-tagged element ``f``."""
     if f.affine:
         raise InputError("decompose_sp expects a finite-tagged element")
-    work = {k.finite: v for k, v in f.items()}
+    return peel_sp({k.finite: v for k, v in f.items()}, rank)
+
+
+def peel_sp(terms, rank):
+    """Greedy peel-off of {finite weight: m} over the symplectic dominance
+    order; the residual must reach exactly zero or the input was not a
+    character."""
+    work = dict(terms)
     mults = {}
     while work:
         dom = [k for k in work if all(v >= 0 for v in k)]
@@ -196,7 +207,7 @@ def decompose_sp(f, rank):
         m = work[nu]
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {nu}")
-        for k, v in _finite_terms(rank, nu).items():
+        for k, v in _sp_irr_terms(rank, nu).items():
             w = work.get(k, 0) - m * v
             if w:
                 work[k] = w

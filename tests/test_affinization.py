@@ -12,6 +12,7 @@ from minaff.affinization import (
     xi_sequence,
 )
 from minaff.cartan import AffineWeight, lambda0, varpi
+from minaff.cli import run
 from minaff.spbranch import sam_table
 from minaff import affinization, decomp, weyl
 from _helpers import break_longest_word, seeded
@@ -253,7 +254,7 @@ def test_multiplicity_table_rejects_bad_input():
     ],
 )
 def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
-    monkeypatch.setattr(decomp, "straighten", lambda f: dict(table))
+    monkeypatch.setattr(affinization, "straighten", lambda f: dict(table))
     with pytest.raises(CharacterError, match=message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
 
@@ -262,3 +263,26 @@ def test_nesting_check_refuses_a_composite_that_cancels(monkeypatch):
     break_longest_word(monkeypatch)
     with pytest.raises(VerificationError, match="length additivity"):
         affinization._assert_nesting_legal.__wrapped__(4)
+
+
+def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
+    # a tiny limit stands in for a huge job, which is never launched
+    lam = (0, 1, 1, 1, 1)
+    assert len(affinization._pre_w0(5, lam, 5)) == 52  # the largest pass
+    monkeypatch.setattr(affinization, "MAX_TERMS", 52)
+    table = multiplicity_table(5, lam, "n")
+    monkeypatch.setattr(affinization, "MAX_TERMS", 51)
+    with pytest.raises(InputError, match="limit of 51 terms"):
+        multiplicity_table(5, lam, "n")
+    with pytest.raises(InputError, match="limit of 51 terms"):
+        multiplicity_table(5, lam, "n-1")
+    argv = ["char", "--n", "5", "--lambda", "0,1,1,1,1", "--s", "n"]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "limit of 51 terms" in out.err
+    # the verify suites build their characters through the same passes
+    monkeypatch.setattr(affinization, "MAX_TERMS", 1)
+    assert run(["verify", "--n", "4", "--suite", "pipeline"]) == 2
+    assert capsys.readouterr().out == ""
+    monkeypatch.undo()
+    assert multiplicity_table(5, lam, "n") == table

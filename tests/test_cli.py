@@ -258,14 +258,16 @@ def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
 # read ``sys.modules`` of a process that ran one command.
 
 MODULES_AFTER_RUN = """
-import json, sys
+import sys
 from minaff import cli
 code = cli.run(sys.argv[1:])
-print(json.dumps(sorted(sys.modules)))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 sys.exit(code)
 """
 
-CLI_BASE = {"minaff", "minaff.cli", "minaff.cartan", "minaff.errors"}
+CLI_BASE = {"minaff", "minaff.cli", "minaff.errors"}
 SAM = ("sam", "--n", "5", "--lambda", "1,1,1,1,1")
 CHAR = ("char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1")
 SUBCOMMANDS = (
@@ -296,13 +298,24 @@ def test_no_subcommand_loads_dataclasses(argv):
 
 
 def test_version_loads_only_the_cli_and_what_every_subcommand_needs():
-    assert minaff_modules(modules_after_run("--version")) <= CLI_BASE
+    modules = modules_after_run("--version")
+    assert minaff_modules(modules) == CLI_BASE
+    assert not {"json", "csv"} & modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*SUBCOMMANDS, ("--help",), ("char", "--help")],
+    ids=[argv[0] for argv in SUBCOMMANDS] + ["--help", "char --help"],
+)
+def test_no_subcommand_loads_argparse(argv):
+    assert not {"argparse", "gettext", "locale"} & modules_after_run(*argv)
 
 
 def test_sam_adds_only_the_symplectic_pipeline():
     base = minaff_modules(modules_after_run("--version"))
     modules = minaff_modules(modules_after_run(*SAM))
-    assert modules - base == {"minaff.spbranch"}
+    assert modules - base == {"minaff.cartan", "minaff.spbranch"}
     demazure_side = {"minaff.weyl", "minaff.polyring", "minaff.affinization", "minaff.decomp"}
     assert not modules & demazure_side
 
@@ -311,6 +324,13 @@ def test_char_loads_no_symplectic_pipeline():
     modules = minaff_modules(modules_after_run(*CHAR))
     assert "minaff.spbranch" not in modules
     assert "minaff.affinization" in modules
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS[2:4], ids=lambda argv: argv[0])
+def test_table_subcommands_load_no_greedy_decomposition(argv):
+    # the straightened table needs neither the Freudenthal recursion nor
+    # the greedy peel
+    assert "minaff.decomp" not in modules_after_run(*argv)
 
 
 def test_import_minaff_loads_no_submodule():

@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, CharacterError, InputError
-from minaff.cartan import AffineWeight, eps2, fw_from_eps2, varpi
+from minaff.affinization import straighten
+from minaff.cartan import AffineWeight, _dominantize, eps2, fw_from_eps2, varpi
 from minaff.decomp import (
     DecompositionTable,
-    _dominantize,
     _orbit,
     compare_affinization,
     decompose,
     dim_irr,
     dominant_weights_below,
     irr_character,
-    straighten,
 )
 from minaff import decomp, weyl
 from _decomp_oracle import character_mass, dominant_mults, orbit_size

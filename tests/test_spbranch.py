@@ -14,7 +14,7 @@ from minaff.spbranch import (
     sp_dim_irr,
 )
 from _helpers import minaff_imports
-from _sp_oracle import decompose_sp, schur_char, sp_irr_character
+from _sp_oracle import decompose_sp, peel_sp, schur_char, schur_terms, sp_irr_character
 
 
 def hook_content_count(p, letters):
@@ -109,7 +109,7 @@ def test_littlewood_rule_matches_tableau_oracle():
     for rank in (3, 4, 5):
         for size in range(9):
             for p in partitions(size, rank):
-                assert sp_branch(p, rank) == decompose_sp(schur_char(p, rank), rank), (p, rank)
+                assert sp_branch(p, rank) == peel_sp(schur_terms(p, rank), rank), (p, rank)
                 cases += 1
     assert cases == 154
 
@@ -208,7 +208,7 @@ def test_spbranch_shares_no_code_with_the_demazure_stack():
     assert minaff_imports(spbranch) <= {"cartan", "errors"}
     for module in (weyl, polyring, decomp, affinization):
         assert "spbranch" not in minaff_imports(module), module.__name__
-    assert "decomp" in minaff_imports(affinization)  # the scan sees "from . import"
+    assert "weyl" in minaff_imports(affinization)  # the scan sees "from . import"
 
 
 def test_sam_rejects_non_regular():
