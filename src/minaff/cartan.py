@@ -31,15 +31,15 @@ def check_rank(n):
         raise InputError(f"rank must be an integer >= {MIN_RANK}, got {n!r}")
 
 
-def _fraction(q):
-    """``Fraction(q)``.  The first call imports ``fractions`` and rebinds
+def _fraction(*args):
+    """``Fraction(*args)``.  The first call imports ``fractions`` and rebinds
     this name to the class itself, so a process that builds no weight never
     loads the module and later weights skip the import."""
     global _fraction
     from fractions import Fraction
 
     _fraction = Fraction
-    return Fraction(q)
+    return Fraction(*args)
 
 
 class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
@@ -59,7 +59,9 @@ class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
             raise InputError(f"level must be an integer, got {level!r}")
         if isinstance(delta, float):
             raise InputError(f"delta must be exact, got the float {delta!r}")
-        return super().__new__(cls, tuple(finite), int(level), _fraction(delta))
+        if delta.__class__ is not _fraction:  # until the first call, the loader
+            delta = _fraction(delta)
+        return super().__new__(cls, tuple(finite), int(level), delta)
 
     @classmethod
     def _make(cls, iterable):
@@ -393,18 +395,35 @@ def _dominantize(d):
     return tuple(mags)
 
 
+def _root_product(d):
+    """The product over the positive roots e_i - e_j and e_i + e_j (i < j)
+    of their pairings with the doubled coordinates ``d``, up to a power of
+    4 that depends on n alone: the product of d_i^2 - d_j^2."""
+    squares = [v * v for v in d]
+    out = 1
+    for i, a in enumerate(squares):
+        for b in squares[i + 1 :]:
+            out *= a - b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rho_product(n):
+    return _root_product(_rho2(n))
+
+
 def dim_irr(n, mu):
-    """Weyl dimension formula, exact integer arithmetic."""
+    """Weyl dimension formula, exact integer arithmetic.
+
+    With x = mu + rho in orthogonal coordinates, the dimension is the
+    product of x_i^2 - x_j^2 over i < j divided by the same product at
+    rho; both are taken on doubled coordinates, whose common power of 4
+    cancels.
+    """
     mu = tuple(mu)
     check_dominant(n, mu)
-    rho = _rho2(n)
-    top = tuple(a + b for a, b in zip(eps2(n, mu), rho))
-    num = 1
-    den = 1
-    for a in positive_roots_eps2(n):
-        num *= _dot(top, a)
-        den *= _dot(rho, a)
-    q, r = divmod(num, den)
+    num = _root_product(eps2(n, tuple(v + 1 for v in mu)))
+    q, r = divmod(num, _rho_product(n))
     if r:
         raise VerificationError(f"dimension formula is not integral at {mu}")
     return q

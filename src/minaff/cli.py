@@ -12,14 +12,22 @@ character).  Reports go to standard output as JSON, CSV, or aligned text;
 diagnostics go to standard error.
 
 One table, ``_COMMANDS``, names each subcommand's handler, help line and
-options; :func:`_parse` reads the argument list against it and the usage
-and help texts are generated from it.  The parser takes ``--opt value``,
-``--opt=value`` and unique prefixes of option names (an exact name first);
-a repeated option keeps its last value.  Anything else is invalid input.
-Each handler imports the modules it runs, and ``json``, ``csv`` and
-``cartan`` load only once a report is built, so a ``sam`` process never
-loads the Demazure side and ``--version`` loads nothing beyond this module
-and ``errors``.
+options; :func:`_parse` reads the argument list against it, and
+:mod:`minaff.cli_extra` generates the usage and help texts from it.  The
+parser takes ``--opt value``, ``--opt=value`` and unique prefixes of option
+names (an exact name first); a repeated option keeps its last value.
+Anything else is invalid input.
+
+This module holds only what a table process (``char``, ``decomp``, ``sam``)
+runs: a process run without cached bytecode compiles every module it
+imports, in full.  Each handler imports the modules it runs, so a
+``sam`` process never loads the Demazure side; ``csv`` and ``cartan`` load
+only once a report is built, and JSON is written here without ``json``.
+``--version`` loads nothing beyond this module and ``errors``.  The usage
+and help generator and the ``xi`` and ``drinfeld`` handlers live in
+:mod:`minaff.cli_extra`, which only ``--help``, a refused command line,
+``xi`` and ``drinfeld`` load; the ``verify`` suites live in
+:mod:`minaff.verify`, which only ``verify`` loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
 Output is byte-stable for a fixed invocation; the elapsed-time field in
@@ -49,23 +57,6 @@ def _parse_weight(raw, n):
     return coords
 
 
-def _parse_epsilon(raw):
-    key = raw.strip()
-    if key in ("+", "+1", "1"):
-        return 1
-    if key in ("-", "-1"):
-        return -1
-    raise InputError(f"epsilon must be + or -, got {raw!r}")
-
-
-def _fraction_json(q):
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _weight_json(x):
-    return {"finite": list(x.finite), "level": x.level, "delta": _fraction_json(x.delta)}
-
-
 def _sorted_mults(n, mults):
     from .cartan import eps2
 
@@ -82,9 +73,52 @@ def _meta(t0):
 
 
 def _json_text(obj):
-    import json
+    """``json.dumps(obj, indent=2) + "\\n"``, written without loading ``json``.
 
-    return json.dumps(obj, indent=2) + "\n"
+    Takes exactly the values a report holds: dicts with ``str`` keys,
+    lists, ints (not bools), None, and printable ASCII strings with no
+    quote or backslash, which JSON writes verbatim.  Anything else raises
+    rather than being guessed at; every report string comes from minaff.
+    """
+    out = []
+    _json_write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(obj, pad, out):
+    kind = type(obj)
+    if obj is None:
+        out.append("null")
+    elif kind is int:
+        out.append(repr(obj))
+    elif kind is str:
+        out.append(_json_str(obj))
+    elif kind is list or kind is dict:
+        if not obj:
+            out.append("[]" if kind is list else "{}")
+            return
+        inner = pad + "  "
+        out.append("[" if kind is list else "{")
+        sep = inner
+        for item in obj:
+            out.append(sep)
+            if kind is dict:
+                if type(item) is not str:
+                    raise TypeError(f"JSON report key {item!r} is not a str")
+                out.append(_json_str(item) + ": ")
+                item = obj[item]
+            _json_write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + ("]" if kind is list else "}"))
+    else:
+        raise TypeError(f"JSON report value {obj!r} is not a dict, list, int, str or None")
+
+
+def _json_str(text):
+    if not all(" " <= c <= "~" and c not in '"\\' for c in text):
+        raise ValueError(f"JSON report string {text!r} needs escaping")
+    return f'"{text}"'
 
 
 def _csv_text(header, rows):
@@ -138,10 +172,6 @@ def _table_report(opts, n, s, lam, mults, t0):
     return "\n".join(lines) + "\n"
 
 
-def _family_str(n, s):
-    return {1: "1", n - 1: "n-1", n: "n"}[s]
-
-
 def _cmd_char(opts, t0):
     from .affinization import multiplicity_table
     from .cartan import resolve_family
@@ -165,76 +195,15 @@ def _cmd_sam(opts, t0):
 
 
 def _cmd_xi(opts, t0):
-    from . import affinization
-    from .cartan import resolve_family
+    from .cli_extra import xi_report
 
-    n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"])
-    xs = affinization.xi_sequence(n, lam, s)
-    lams = None
-    if s != n - 1:
-        lams = affinization.lambda_sequence(n, lam, s).entries
-    if opts["format"] == "json":
-        report = {
-            "n": n,
-            "s": s,
-            "lambda": list(lam),
-            "m": xs.m,
-            "m_prime": xs.m_prime,
-            "cut": xs.cut,
-            "lambda_bar": xs.lambda_bar,
-            "xi": [_weight_json(x) for x in xs.entries],
-            "Lambda": [_weight_json(x) for x in lams] if lams else None,
-            "meta": _meta(t0),
-        }
-        return _json_text(report), 0
-    if opts["format"] == "csv":
-        rows = []
-        for j, x in enumerate(xs.entries, 1):
-            rows.append(("xi", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
-        for j, x in enumerate(lams or (), 1):
-            rows.append(("Lambda", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
-        return _csv_text(("seq", "j", "finite", "level", "delta"), rows), 0
-    lines = [f"n = {n}  s = {_family_str(n, s)}  lambda = {','.join(map(str, lam))}"]
-    if xs.m is not None:
-        lines.append(f"m = {xs.m}  m' = {xs.m_prime}")
-    if xs.cut is not None:
-        lines.append(f"cut = {xs.cut}  lambda_bar = {xs.lambda_bar}")
-    for j, x in enumerate(xs.entries, 1):
-        lines.append(f"xi_{j}     = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
-    for j, x in enumerate(lams or (), 1):
-        lines.append(f"Lambda_{j} = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
-    return "\n".join(lines) + "\n", 0
+    return xi_report(opts, t0)
 
 
 def _cmd_drinfeld(opts, t0):
-    from .affinization import drinfeld
-    from .cartan import resolve_family
+    from .cli_extra import drinfeld_report
 
-    n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"])
-    eps = _parse_epsilon(opts["epsilon"])
-    data = drinfeld(n, lam, s, eps)
-    if opts["format"] == "json":
-        report = {
-            "n": n,
-            "s": s,
-            "epsilon": eps,
-            "lambda": list(lam),
-            "factors": [{"i": i, "m": m, "c": c} for i, m, c in data.factors],
-            "meta": _meta(t0),
-        }
-        return _json_text(report), 0
-    if opts["format"] == "csv":
-        return _csv_text(("i", "m", "c"), list(data.factors)), 0
-    lines = [f"n = {n}  s = {_family_str(n, s)}  epsilon = {'+' if eps > 0 else '-'}"]
-    for i, m, c in data.factors:
-        lines.append(f"node {i}: degree {m}, offset q^{c}")
-    if not data.factors:
-        lines.append("trivial (zero weight)")
-    return "\n".join(lines) + "\n", 0
+    return drinfeld_report(opts, t0)
 
 
 def _cmd_verify(opts, t0):
@@ -276,45 +245,9 @@ _COMMANDS = {
 _HELP = ("-h", "--help")
 
 
-def _metavar(name, value):
-    return "{" + ",".join(value) + "}" if isinstance(value, tuple) else name[2:].upper()
-
-
-def _usage(command=None):
-    if command is None:
-        return "usage: minaff [-h] [--version] {" + ",".join(_COMMANDS) + "} ..."
-    parts = []
-    for name, value, default, _ in _COMMANDS[command][2]:
-        part = f"{name} {_metavar(name, value)}"
-        parts.append(part if default is _REQUIRED else f"[{part}]")
-    return f"usage: minaff {command} [-h] " + " ".join(parts)
-
-
-def _columns(rows):
-    width = max(len(left) for left, _ in rows) + 2
-    return [f"  {left:<{width}}{right}" for left, right in rows]
-
-
-def _help(command=None):
-    help_row = ("-h, --help", "show this help and exit")
-    if command is None:
-        commands = [(name, line) for name, (_, line, _) in _COMMANDS.items()]
-        options = [help_row, ("--version", "print the version and exit")]
-        body = [
-            "Exact characters and multiplicities of regular minimal affinizations in type D.",
-            "", "commands:", *_columns(commands), "", "options:", *_columns(options),
-        ]
-    else:
-        rows = [help_row]
-        for name, value, default, line in _COMMANDS[command][2]:
-            if default is not None:
-                line += " (required)" if default is _REQUIRED else f" (default: {default})"
-            rows.append((f"{name} {_metavar(name, value)}", line))
-        body = [_COMMANDS[command][1], "", "options:", *_columns(rows)]
-    return "\n".join([_usage(command), "", *body]) + "\n"
-
-
 def _refuse(message, command=None):
+    from .cli_extra import _usage
+
     return InputError(f"{message}\n{_usage(command)}")
 
 
@@ -357,7 +290,11 @@ def _parse(argv):
             continue
         if inline is not None:
             raise _refuse(f"{name} takes no value")
-        return _help() if name in _HELP else f"minaff {__version__}\n"
+        if name in _HELP:
+            from .cli_extra import _help
+
+            return _help()
+        return f"minaff {__version__}\n"
     else:
         raise _refuse("a subcommand is required")
     if command not in _COMMANDS:
@@ -375,6 +312,8 @@ def _parse(argv):
         if name in _HELP:
             if raw is not None:
                 raise _refuse(f"{name} takes no value", command)
+            from .cli_extra import _help
+
             return _help(command)
         if raw is None:
             if i == len(rest) or _option(rest[i], names, command) is not None:

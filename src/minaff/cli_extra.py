@@ -1,0 +1,152 @@
+"""The parts of the command line that no table subcommand runs.
+
+The usage and help texts, generated from :data:`minaff.cli._COMMANDS`, and
+the ``xi`` and ``drinfeld`` handlers with their report helpers.  Only
+``--help``, a refused command line, ``xi`` and ``drinfeld`` import this
+module, so a ``char``, ``decomp`` or ``sam`` process never compiles it.
+"""
+
+from . import cli
+from .cli import _csv_text, _json_text, _meta, _parse_weight
+from .errors import InputError
+
+
+# ---------------------------------------------------------------------------
+# usage and help, read off cli._COMMANDS at each call, so that they always
+# describe the table the parser reads
+
+
+def _metavar(name, value):
+    return "{" + ",".join(value) + "}" if isinstance(value, tuple) else name[2:].upper()
+
+
+def _usage(command=None):
+    if command is None:
+        return "usage: minaff [-h] [--version] {" + ",".join(cli._COMMANDS) + "} ..."
+    parts = []
+    for name, value, default, _ in cli._COMMANDS[command][2]:
+        part = f"{name} {_metavar(name, value)}"
+        parts.append(part if default is cli._REQUIRED else f"[{part}]")
+    return f"usage: minaff {command} [-h] " + " ".join(parts)
+
+
+def _columns(rows):
+    width = max(len(left) for left, _ in rows) + 2
+    return [f"  {left:<{width}}{right}" for left, right in rows]
+
+
+def _help(command=None):
+    help_row = ("-h, --help", "show this help and exit")
+    if command is None:
+        commands = [(name, line) for name, (_, line, _) in cli._COMMANDS.items()]
+        options = [help_row, ("--version", "print the version and exit")]
+        body = [
+            "Exact characters and multiplicities of regular minimal affinizations in type D.",
+            "", "commands:", *_columns(commands), "", "options:", *_columns(options),
+        ]
+    else:
+        rows = [help_row]
+        for name, value, default, line in cli._COMMANDS[command][2]:
+            if default is not None:
+                line += " (required)" if default is cli._REQUIRED else f" (default: {default})"
+            rows.append((f"{name} {_metavar(name, value)}", line))
+        body = [cli._COMMANDS[command][1], "", "options:", *_columns(rows)]
+    return "\n".join([_usage(command), "", *body]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the xi and drinfeld reports
+
+
+def _parse_epsilon(raw):
+    key = raw.strip()
+    if key in ("+", "+1", "1"):
+        return 1
+    if key in ("-", "-1"):
+        return -1
+    raise InputError(f"epsilon must be + or -, got {raw!r}")
+
+
+def _fraction_json(q):
+    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _weight_json(x):
+    return {"finite": list(x.finite), "level": x.level, "delta": _fraction_json(x.delta)}
+
+
+def _family_str(n, s):
+    return {1: "1", n - 1: "n-1", n: "n"}[s]
+
+
+def xi_report(opts, t0):
+    from . import affinization
+    from .cartan import resolve_family
+
+    n = opts["n"]
+    lam = _parse_weight(opts["lambda"], n)
+    s = resolve_family(n, opts["s"])
+    xs = affinization.xi_sequence(n, lam, s)
+    lams = None
+    if s != n - 1:
+        lams = affinization.lambda_sequence(n, lam, s).entries
+    if opts["format"] == "json":
+        report = {
+            "n": n,
+            "s": s,
+            "lambda": list(lam),
+            "m": xs.m,
+            "m_prime": xs.m_prime,
+            "cut": xs.cut,
+            "lambda_bar": xs.lambda_bar,
+            "xi": [_weight_json(x) for x in xs.entries],
+            "Lambda": [_weight_json(x) for x in lams] if lams else None,
+            "meta": _meta(t0),
+        }
+        return _json_text(report), 0
+    if opts["format"] == "csv":
+        rows = []
+        for j, x in enumerate(xs.entries, 1):
+            rows.append(("xi", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
+        for j, x in enumerate(lams or (), 1):
+            rows.append(("Lambda", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
+        return _csv_text(("seq", "j", "finite", "level", "delta"), rows), 0
+    lines = [f"n = {n}  s = {_family_str(n, s)}  lambda = {','.join(map(str, lam))}"]
+    if xs.m is not None:
+        lines.append(f"m = {xs.m}  m' = {xs.m_prime}")
+    if xs.cut is not None:
+        lines.append(f"cut = {xs.cut}  lambda_bar = {xs.lambda_bar}")
+    for j, x in enumerate(xs.entries, 1):
+        lines.append(f"xi_{j}     = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
+    for j, x in enumerate(lams or (), 1):
+        lines.append(f"Lambda_{j} = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
+    return "\n".join(lines) + "\n", 0
+
+
+def drinfeld_report(opts, t0):
+    from .affinization import drinfeld
+    from .cartan import resolve_family
+
+    n = opts["n"]
+    lam = _parse_weight(opts["lambda"], n)
+    s = resolve_family(n, opts["s"])
+    eps = _parse_epsilon(opts["epsilon"])
+    data = drinfeld(n, lam, s, eps)
+    if opts["format"] == "json":
+        report = {
+            "n": n,
+            "s": s,
+            "epsilon": eps,
+            "lambda": list(lam),
+            "factors": [{"i": i, "m": m, "c": c} for i, m, c in data.factors],
+            "meta": _meta(t0),
+        }
+        return _json_text(report), 0
+    if opts["format"] == "csv":
+        return _csv_text(("i", "m", "c"), list(data.factors)), 0
+    lines = [f"n = {n}  s = {_family_str(n, s)}  epsilon = {'+' if eps > 0 else '-'}"]
+    for i, m, c in data.factors:
+        lines.append(f"node {i}: degree {m}, offset q^{c}")
+    if not data.factors:
+        lines.append("trivial (zero weight)")
+    return "\n".join(lines) + "\n", 0

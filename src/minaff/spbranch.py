@@ -121,44 +121,40 @@ def _even_column_partitions(p):
 # Symplectic root data and dimensions
 
 
-@lru_cache(maxsize=None)
-def _sp_pos_roots(r):
-    roots = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            a = [0] * r
-            a[i], a[j] = 1, -1
-            roots.append(tuple(a))
-            b = [0] * r
-            b[i], b[j] = 1, 1
-            roots.append(tuple(b))
-    for i in range(r):
-        c = [0] * r
-        c[i] = 2
-        roots.append(tuple(c))
-    return tuple(roots)
-
-
 def _sp_rho(r):
     return tuple(range(r, 0, -1))
 
 
-def _dot(a, b):
-    return sum(u * v for u, v in zip(a, b))
+def _sp_root_product(x):
+    """The product over the positive roots e_i - e_j, e_i + e_j (i < j) and
+    2 e_i of their pairings with ``x``, up to the factor 2^r: the product of
+    x_i^2 - x_j^2 over i < j times the product of the x_i."""
+    out = 1
+    for i, a in enumerate(x):
+        out *= a
+        for b in x[i + 1 :]:
+            out *= a * a - b * b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sp_rho_product(r):
+    return _sp_root_product(_sp_rho(r))
 
 
 def sp_dim_irr(rank, nu):
     """Weyl dimension formula for the symplectic irreducible of highest
-    weight ``nu`` (fundamental coordinates)."""
+    weight ``nu`` (fundamental coordinates).
+
+    With x = nu + rho in orthogonal coordinates, the dimension is the
+    product of x_i^2 - x_j^2 over i < j times the product of the x_i,
+    divided by the same product at rho.
+    """
     if len(nu) != rank:
         raise InputError(f"{nu} is not a rank-{rank} weight")
-    rho = _sp_rho(rank)
-    top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), rho))
-    num = 1
-    den = 1
-    for a in _sp_pos_roots(rank):
-        num *= _dot(top, a)
-        den *= _dot(rho, a)
+    top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), _sp_rho(rank)))
+    num = _sp_root_product(top)
+    den = _sp_rho_product(rank)
     q, r = divmod(num, den)
     if r:
         raise CharacterError(f"dimension formula not integral at {nu}: {num}/{den}")

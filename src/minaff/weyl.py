@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter, mul
 
+from . import cartan
 from .cartan import (
     AffineWeight,
     check_rank,
@@ -140,11 +141,11 @@ def key_of(x):
 
 def weight_of(k, delta=0):
     """The affine weight with integer key ``k``, its delta raised by the
-    exact ``delta``: that of the weight whose delta-free key was acted on."""
-    from fractions import Fraction
-
+    exact ``delta``: that of the weight whose delta-free key was acted on.
+    The delta is built as a ``Fraction`` once, and the weight keeps it."""
     n = len(k) - 2
-    return AffineWeight(k[:n], k[n], delta + Fraction(k[n + 1], 2))
+    half = cartan._fraction(k[n + 1], 2)
+    return AffineWeight(k[:n], k[n], half + delta if delta else half)
 
 
 def _delta_free(x):

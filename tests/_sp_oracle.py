@@ -4,7 +4,9 @@ The character of the Schur functor of the standard symplectic module by
 semistandard tableaux, symplectic irreducible characters by Freudenthal's
 recursion, and a greedy peel over the symplectic dominance order.  It is
 exponential in the partition size, so it serves only to pin
-:func:`minaff.spbranch.sp_branch` on small shapes.  The enumeration, the
+:func:`minaff.spbranch.sp_branch` on small shapes.  The Weyl dimension
+formula root by root pins the closed product of
+:func:`minaff.spbranch.sp_dim_irr`.  The enumeration, the
 irreducible characters and the peel run on plain {finite weight: m} maps;
 ``schur_char``, ``sp_irr_character`` and ``decompose_sp`` convert them at
 the ``CharElem`` boundary.
@@ -14,14 +16,7 @@ from functools import lru_cache
 
 from minaff import CharElem, CharacterError, InputError
 from minaff.cartan import AffineWeight, check_rank
-from minaff.spbranch import (
-    _dot,
-    _sp_fund_from_eps,
-    _sp_pos_roots,
-    _sp_rho,
-    _strip,
-    partition_of,
-)
+from minaff.spbranch import _sp_fund_from_eps, _sp_rho, _strip, partition_of
 
 
 def schur_char(p, rank):
@@ -79,6 +74,42 @@ def schur_terms(p, rank):
 def _sp_dominant(x):
     r = len(x)
     return all(x[i] >= x[i + 1] for i in range(r - 1)) and x[r - 1] >= 0
+
+
+@lru_cache(maxsize=None)
+def _sp_pos_roots(r):
+    roots = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            a = [0] * r
+            a[i], a[j] = 1, -1
+            roots.append(tuple(a))
+            b = [0] * r
+            b[i], b[j] = 1, 1
+            roots.append(tuple(b))
+    for i in range(r):
+        c = [0] * r
+        c[i] = 2
+        roots.append(tuple(c))
+    return tuple(roots)
+
+
+def _dot(a, b):
+    return sum(u * v for u, v in zip(a, b))
+
+
+def sp_dim_by_roots(rank, nu):
+    """Weyl dimension formula root by root: the product of the pairings of
+    nu + rho with every positive root over the same product at rho."""
+    rho = _sp_rho(rank)
+    top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), rho))
+    num = den = 1
+    for a in _sp_pos_roots(rank):
+        num *= _dot(top, a)
+        den *= _dot(rho, a)
+    q, r = divmod(num, den)
+    assert r == 0, f"dimension formula not integral at {nu}"
+    return q
 
 
 def _sp_dominantize(x):

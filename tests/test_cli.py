@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, spbranch, verify, weyl
-from minaff.cli import run
+from minaff.cli import _json_text, run
 from _helpers import break_longest_word, run_fresh
 
 
@@ -81,6 +83,57 @@ def test_json_reports_match_schema(capsys):
         code, out, _ = invoke(capsys, *cmd, "--format", "json")
         assert code == 0
         assert_schema(json.loads(out))
+
+
+# Every JSON report the command line writes; each must be exactly what
+# ``json.dumps(report, indent=2)`` writes.
+JSON_REPORTS = (
+    ("char", "--n", "5", "--lambda", "1,0,1,1,2", "--s", "1"),
+    ("decomp", "--n", "5", "--lambda", "0,1,1,1,1", "--s", "n"),
+    ("decomp", "--n", "4", "--lambda", "0,1,0,0", "--s", "1", "--mu", "0,0,0,0"),
+    ("decomp", "--n", "4", "--lambda", "0,1,0,0", "--s", "1", "--mu", "1,0,0,0"),
+    ("sam", "--n", "5", "--lambda", "1,1,1,1,1"),
+    *(("xi", "--n", "5", "--lambda", "1,1,0,2,0", "--s", s) for s in ("1", "n", "n-1")),
+    *(("drinfeld", "--n", "5", "--lambda", "1,1,0,2,0", "--s", "n", "--epsilon", e)
+      for e in ("+", "-")),
+    *(("verify", "--n", "4", "--suite", suite)
+      for suite in ("demazure", "weyl", "pipeline", "all")),
+)
+
+
+@pytest.mark.parametrize("argv", JSON_REPORTS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_json_reports_are_what_json_dumps_writes(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+REPORT_TEXT = st.text(
+    alphabet=st.sampled_from([chr(c) for c in range(32, 127) if chr(c) not in '"\\']),
+    max_size=6,
+)
+REPORT_VALUES = st.recursive(
+    st.none() | st.integers() | st.integers(min_value=-(2**200), max_value=2**200) | REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_json_text_matches_json_dumps_on_report_shaped_values(value):
+    assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 1.5, Fraction(1, 2), (1, 2), 'a"b', "a\\b", "caf\u00e9", "a\nb", "\x7f",
+     [0, False], {"k": 0.5}, {1: 2}, {'"': 1}],
+    ids=repr,
+)
+def test_json_text_refuses_what_it_would_have_to_guess(value):
+    with pytest.raises((TypeError, ValueError)):
+        _json_text(value)
 
 
 def test_byte_stability(capsys):
@@ -279,12 +332,13 @@ SUBCOMMANDS = (
     ("drinfeld", "--n", "4", "--lambda", "1,1,0,0", "--s", "1"),
     ("verify", "--n", "4", "--suite", "all"),
 )
+REFUSED = ("char", "--n", "4", "--frobnicate", "1")
 
 
 @functools.lru_cache(maxsize=None)
 def modules_after_run(*argv):
     proc = run_fresh("-c", MODULES_AFTER_RUN, *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == (2 if argv == REFUSED else 0), proc.stderr
     return frozenset(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -337,6 +391,18 @@ def test_import_minaff_loads_no_submodule():
     proc = run_fresh("-c", "import json, sys, minaff; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert minaff_modules(json.loads(proc.stdout)) == {"minaff"}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_no_subcommand_loads_json(argv):
+    # reports are written by cli._json_text
+    assert "json" not in modules_after_run(*argv)
+
+
+def test_only_help_refusals_xi_and_drinfeld_load_the_extra_cli():
+    argvs = (*SUBCOMMANDS, ("--help",), ("char", "--help"), REFUSED)
+    loading = {argv for argv in argvs if "minaff.cli_extra" in modules_after_run(*argv)}
+    assert loading == {SUBCOMMANDS[4], SUBCOMMANDS[5], ("--help",), ("char", "--help"), REFUSED}
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

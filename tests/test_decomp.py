@@ -16,7 +16,7 @@ from minaff.decomp import (
     irr_character,
 )
 from minaff import decomp, weyl
-from _decomp_oracle import character_mass, dominant_mults, orbit_size
+from _decomp_oracle import character_mass, dim_by_roots, dominant_mults, orbit_size
 from _helpers import minaff_imports, seeded
 
 
@@ -45,6 +45,15 @@ def test_dim_examples():
     assert dim_irr(4, (0, 0, 0, 0)) == 1
     with pytest.raises(InputError):
         dim_irr(4, (0, -1, 0, 0))
+
+
+def test_closed_dimension_product_matches_root_by_root_formula():
+    count = 0
+    for n in (4, 5, 6, 7):
+        for mu in itertools.product((0, 1, 2), repeat=n):
+            assert dim_irr(n, mu) == dim_by_roots(n, mu), mu
+            count += 1
+    assert count == 3240
 
 
 def test_mass_equals_dimension():

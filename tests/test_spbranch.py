@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,14 @@ from minaff.spbranch import (
     sp_dim_irr,
 )
 from _helpers import minaff_imports
-from _sp_oracle import decompose_sp, peel_sp, schur_char, schur_terms, sp_irr_character
+from _sp_oracle import (
+    decompose_sp,
+    peel_sp,
+    schur_char,
+    schur_terms,
+    sp_dim_by_roots,
+    sp_irr_character,
+)
 
 
 def hook_content_count(p, letters):
@@ -141,6 +150,15 @@ def test_sp_branch_refuses_tall_shapes():
         sp_branch((1, 1, 1, 1), 3)
     with pytest.raises(InputError):
         sp_branch((1, 2), 3)
+
+
+def test_closed_dimension_product_matches_root_by_root_formula():
+    count = 0
+    for n in (4, 5, 6, 7):
+        for nu in itertools.product((0, 1, 2), repeat=n - 1):
+            assert sp_dim_irr(n - 1, nu) == sp_dim_by_roots(n - 1, nu), nu
+            count += 1
+    assert count == 1080
 
 
 def test_standard_module_dimension_bridge():
