@@ -3,13 +3,15 @@
 Two independent pipelines compute the same multiplicity tables: a nested
 Demazure-operator character formula over the affine weight lattice, and a
 symplectic branching construction through Schur functors and Littlewood's
-restriction rule.  Everything is exact integer or rational arithmetic.
+restriction rule.  Everything is exact integer arithmetic; an affine weight
+is one int tuple (a_1, ..., a_n, level, 2 delta).
 
 The names in ``__all__`` are the documented API and what the command line
 and the two pipelines are built from.  Machinery that only the test suite
-needs as a reference (the affine root action, the twist by norm
-preservation, the interval roots, the tableau expansion, orbit sizes and
-the Freudenthal mass) lives in the test suite.
+needs as a reference (rational affine weights and the action on them, the
+affine root action, the twist by norm preservation, the interval roots,
+the tableau expansion, orbit sizes and the Freudenthal mass) lives in the
+test suite.
 
 ``import minaff`` loads no submodule.  Each exported name, and each
 submodule as an attribute (``minaff.weyl``), is imported on first use
@@ -27,8 +29,8 @@ _EXPORTS = {
     for module, names in (
         (
             "cartan",
-            "AffineWeight bilinear delta_plus_s dim_irr dominates is_regular lambda0 "
-            "pairing positive_roots resolve_family support varpi",
+            "bilinear delta_plus_s dim_irr dominates is_regular positive_roots "
+            "resolve_family support varpi",
         ),
         ("errors", "CharacterError InputError VerificationError"),
         (

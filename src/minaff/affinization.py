@@ -28,11 +28,6 @@ from .polyring import CharElem
 from . import weyl
 
 
-# The two weight-sequence records hold integer keys (see weyl.key_of);
-# ``entries`` reads them as affine weights.
-_entries = property(lambda self: tuple(map(weyl.weight_of, self.keys)))
-
-
 class XiSequence(
     namedtuple(
         "XiSequence",
@@ -42,10 +37,10 @@ class XiSequence(
 ):
     """Tensor-factor weights for one family, plus the bookkeeping that
     produced them: the spin split (m, m_prime) for s = 1, the cut index and
-    leftover bar coordinate for s = n and its fork twin."""
+    leftover bar coordinate for s = n and its fork twin.  ``keys`` holds the
+    weights as integer keys (a_1, ..., a_n, level, 2 delta)."""
 
     __slots__ = ()
-    entries = _entries
 
 
 def _level_one(n, j):
@@ -123,7 +118,6 @@ def xi_sequence(n, lam, s):
 
 class LambdaSequence(namedtuple("LambdaSequence", ("n", "s", "lam", "keys"))):
     __slots__ = ()
-    entries = _entries
 
 
 def lambda_sequence(n, lam, s):
@@ -144,11 +138,11 @@ def lambda_sequence(n, lam, s):
     rot = weyl.identity(n)
     for j in range(1, n):
         rot = weyl.compose(rot, sigma_inv)
-        keys.append(weyl.act_key(rot, xi.keys[j - 1]))
+        keys.append(weyl.act(rot, xi.keys[j - 1]))
     keys.append(xi.keys[n - 1])
     for k in keys:
-        if not weyl.is_dominant_key(k):
-            raise VerificationError(f"non-dominant factor weight {weyl.weight_of(k)}")
+        if not weyl.is_dominant(k):
+            raise VerificationError(f"non-dominant factor weight {k}")
     return LambdaSequence(n, s, lam, tuple(keys))
 
 
@@ -252,7 +246,7 @@ def character(n, lam, s):
         return ch.twist(weyl.tau_fork(n).tau)
     g = _pre_w0(n, lam, s).demazure_word(weyl.longest_word(n))
     ch = g.specialize()
-    if ch.coeff(lam) != 1:
+    if ch.coeff(lam + (0, 0)) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")
     return ch
 

@@ -6,9 +6,10 @@ Conventions used throughout the library:
   fundamental weights (node order 1..n, the two fork nodes last);
 * finite roots are integer tuples of length n holding coefficients on the
   simple roots;
-* affine weights carry a finite part, an integer level (coefficient of the
-  level-one fundamental weight at node 0) and an exact rational coefficient
-  of the null root delta.
+* affine weights are integer keys (a_1, ..., a_n, level, 2 delta): the
+  finite part, the coefficient of the level-one fundamental weight at node
+  0, and twice the coefficient of the null root delta, which every weight
+  the library meets has as a multiple of 1/2.
 
 The fork of the finite diagram sits at node n-2, with spin nodes n-1 and n
 attached to it; the affine node 0 is attached to node 2.  Ranks below 4 are
@@ -18,7 +19,6 @@ The family labels and the Weyl dimension formula live here too, so that
 the command line reaches them without loading either pipeline.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InputError, VerificationError
@@ -31,87 +31,12 @@ def check_rank(n):
         raise InputError(f"rank must be an integer >= {MIN_RANK}, got {n!r}")
 
 
-def _fraction(*args):
-    """``Fraction(*args)``.  The first call imports ``fractions`` and rebinds
-    this name to the class itself, so a process that builds no weight never
-    loads the module and later weights skip the import."""
-    global _fraction
-    from fractions import Fraction
-
-    _fraction = Fraction
-    return Fraction(*args)
-
-
-class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
-    """Element of the affine weight lattice extended by rational delta.
-
-    ``finite`` is the fundamental-coordinate tuple, ``level`` the integer
-    coefficient of the node-0 fundamental weight, ``delta`` the exact
-    rational coefficient of the null root.  Coroot pairings never see
-    ``delta``.  Tuple-backed, so hashing and equality are cheap enough for
-    large character supports.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, finite, level=0, delta=0):
-        if not isinstance(level, int):
-            raise InputError(f"level must be an integer, got {level!r}")
-        if isinstance(delta, float):
-            raise InputError(f"delta must be exact, got the float {delta!r}")
-        if delta.__class__ is not _fraction:  # until the first call, the loader
-            delta = _fraction(delta)
-        return super().__new__(cls, tuple(finite), int(level), delta)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make and _replace bypass __new__; route them through
-        # it so that no weight escapes the checks
-        return cls(*iterable)
-
-    @property
-    def n(self):
-        return len(self.finite)
-
-    def __add__(self, other):
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            self.level + other.level,
-            self.delta + other.delta,
-        )
-
-    def __sub__(self, other):
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.finite, other.finite)),
-            self.level - other.level,
-            self.delta - other.delta,
-        )
-
-    def __neg__(self):
-        return AffineWeight(tuple(-a for a in self.finite), -self.level, -self.delta)
-
-    def __mul__(self, k):
-        return AffineWeight(
-            tuple(k * a for a in self.finite), k * self.level, k * self.delta
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"AffineWeight({self.finite}, level={self.level}, delta={self.delta})"
-
-
 def varpi(n, i):
     """The i-th fundamental weight as a finite coordinate tuple."""
     check_rank(n)
     if not 1 <= i <= n:
         raise InputError(f"node {i} outside 1..{n}")
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
-
-
-def lambda0(n):
-    check_rank(n)
-    return AffineWeight((0,) * n, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +60,7 @@ def theta_coeffs(n):
 
 
 # ---------------------------------------------------------------------------
-# Pairings and the invariant bilinear form
-
-
-def pairing(i, x):
-    """Integer pairing of the i-th simple coroot (i in 0..n) with the affine
-    weight ``x``: :func:`minaff.weyl.key_pairing` read on its key, where the
-    one formula lives.  The delta component never contributes."""
-    from .weyl import key_pairing  # weyl imports this module
-
-    return key_pairing(x.n, i)(x.finite + (x.level, 0))
+# Orthogonal coordinates and the invariant bilinear form
 
 
 def eps2(n, fw):
@@ -181,18 +97,16 @@ def fw_from_eps2(n, d):
 
 
 def bilinear(x, y):
-    """The invariant symmetric form, exact.
+    """Four times the invariant symmetric form of two keys, an integer.
 
     Finite parts pair through the orthogonal coordinates, delta pairs with
     the level, and both delta and the level-one generator are isotropic.
     """
-    from fractions import Fraction
-
-    n = x.n
-    if y.n != n:
+    n = len(x) - 2
+    if len(y) != n + 2:
         raise InputError("rank mismatch in bilinear form")
-    dot = sum(a * b for a, b in zip(eps2(n, x.finite), eps2(n, y.finite)))
-    return Fraction(dot, 4) + x.level * y.delta + y.level * x.delta
+    dot = sum(a * b for a, b in zip(eps2(n, x[:n]), eps2(n, y[:n])))
+    return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
 
 
 # ---------------------------------------------------------------------------

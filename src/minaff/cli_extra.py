@@ -67,12 +67,20 @@ def _parse_epsilon(raw):
     raise InputError(f"epsilon must be + or -, got {raw!r}")
 
 
-def _fraction_json(q):
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _delta(d2):
+    """Delta from the 2-delta slot of a key: the int k, or the string "k/2"
+    for an odd slot, so that printed it reads as the reduced fraction."""
+    return d2 // 2 if d2 % 2 == 0 else f"{d2}/2"
 
 
-def _weight_json(x):
-    return {"finite": list(x.finite), "level": x.level, "delta": _fraction_json(x.delta)}
+def _weight_json(k):
+    return {"finite": list(k[:-2]), "level": k[-2], "delta": _delta(k[-1])}
+
+
+def _weight_text(k, sep):
+    """Finite part, level and delta of a key, the finite coordinates joined
+    by ``sep``."""
+    return sep.join(map(str, k[:-2])), k[-2], _delta(k[-1])
 
 
 def _family_str(n, s):
@@ -89,7 +97,7 @@ def xi_report(opts, t0):
     xs = affinization.xi_sequence(n, lam, s)
     lams = None
     if s != n - 1:
-        lams = affinization.lambda_sequence(n, lam, s).entries
+        lams = affinization.lambda_sequence(n, lam, s).keys
     if opts["format"] == "json":
         report = {
             "n": n,
@@ -99,27 +107,27 @@ def xi_report(opts, t0):
             "m_prime": xs.m_prime,
             "cut": xs.cut,
             "lambda_bar": xs.lambda_bar,
-            "xi": [_weight_json(x) for x in xs.entries],
+            "xi": [_weight_json(x) for x in xs.keys],
             "Lambda": [_weight_json(x) for x in lams] if lams else None,
             "meta": _meta(t0),
         }
         return _json_text(report), 0
     if opts["format"] == "csv":
         rows = []
-        for j, x in enumerate(xs.entries, 1):
-            rows.append(("xi", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
+        for j, x in enumerate(xs.keys, 1):
+            rows.append(("xi", j, *map(str, _weight_text(x, " "))))
         for j, x in enumerate(lams or (), 1):
-            rows.append(("Lambda", j, " ".join(map(str, x.finite)), x.level, str(x.delta)))
+            rows.append(("Lambda", j, *map(str, _weight_text(x, " "))))
         return _csv_text(("seq", "j", "finite", "level", "delta"), rows), 0
     lines = [f"n = {n}  s = {_family_str(n, s)}  lambda = {','.join(map(str, lam))}"]
     if xs.m is not None:
         lines.append(f"m = {xs.m}  m' = {xs.m_prime}")
     if xs.cut is not None:
         lines.append(f"cut = {xs.cut}  lambda_bar = {xs.lambda_bar}")
-    for j, x in enumerate(xs.entries, 1):
-        lines.append(f"xi_{j}     = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
+    for j, x in enumerate(xs.keys, 1):
+        lines.append("xi_{}     = {}  level {}  delta {}".format(j, *_weight_text(x, ",")))
     for j, x in enumerate(lams or (), 1):
-        lines.append(f"Lambda_{j} = {','.join(map(str, x.finite))}  level {x.level}  delta {x.delta}")
+        lines.append("Lambda_{} = {}  level {}  delta {}".format(j, *_weight_text(x, ",")))
     return "\n".join(lines) + "\n", 0
 
 

@@ -1,23 +1,47 @@
 """Sparse exact character polynomials over the affine and finite weight lattices.
 
-Elements are maps from affine weights to nonzero integers.  They store each
-weight under its integer key (a_1, ..., a_n, level, 2 delta) from
-:mod:`weyl`, so every operation is integer arithmetic on int tuples; an
-``AffineWeight`` appears only at the boundary (the constructor,
-:meth:`CharElem.monomial`, :meth:`CharElem.coeff` and
-:meth:`CharElem.items`).  Operation results go through a trusted
-constructor that skips the conversion; both constructors end in
-``_set``, the one place zero coefficients are dropped: every operation
-sums into a plain map, cancelled keys included, and hands it over.  The Demazure operator is applied monomial by monomial through its
-integer string form, never by polynomial division.  Elements are immutable;
-all operations return new elements.
+Elements are maps from integer keys (a_1, ..., a_n, level, 2 delta) to
+nonzero integers, so every operation is integer arithmetic on int tuples.
+The constructor, :meth:`CharElem.monomial` and :meth:`CharElem.coeff`
+check each key they are given; operation results go through a trusted
+constructor that skips the check.  Both constructors end in ``_set``, the
+one place zero coefficients are dropped: every operation sums into a plain
+map, cancelled keys included, and hands it over.
+
+The Demazure operator is applied monomial by monomial through its integer
+string form, never by polynomial division.  Elements are immutable; all
+operations return new elements.
 """
 
 from operator import add
 
-from .cartan import AffineWeight, check_rank
+from .cartan import check_rank
 from .errors import InputError
 from . import weyl
+
+
+def _checked_rank(n):
+    if n.__class__ is not int or n < 1:
+        raise InputError(f"coordinate rank must be a positive integer, got {n!r}")
+    return n
+
+
+def _checked_key(n, k):
+    """``k`` if it is a tuple of n + 2 ints, else InputError; a bool or a
+    float is not an int here."""
+    if k.__class__ is not tuple or len(k) != n + 2 or any(v.__class__ is not int for v in k):
+        raise InputError(f"key {k!r} is not a tuple of {n + 2} integers")
+    return k
+
+
+def _checked_terms(n, terms):
+    """``terms`` as a fresh map, each key checked and each coefficient an int."""
+    out = {}
+    for k, v in terms.items():
+        if v.__class__ is not int:
+            raise InputError(f"coefficient {v!r} at {k!r} is not an integer")
+        out[_checked_key(n, k)] = v
+    return out
 
 
 class CharElem:
@@ -26,22 +50,13 @@ class CharElem:
     ``affine`` tags the lattice: affine-tagged elements may carry level and
     delta; finite-tagged elements must not.  The same container also serves
     finite character rings of other rank data, where only the plain ring
-    operations apply.  Deltas must be multiples of 1/2.
+    operations apply.  Keys are int tuples of length n + 2.
     """
 
     __slots__ = ("n", "affine", "_terms")
 
     def __init__(self, n, terms=None, affine=True):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"coordinate rank must be a positive integer, got {n!r}")
-        keys = {}
-        for x, v in (terms or {}).items():
-            if not isinstance(x, AffineWeight):
-                x = AffineWeight(x)
-            if x.n != n:
-                raise InputError(f"key {x} has rank {x.n}, element has rank {n}")
-            keys[weyl.key_of(x)] = v
-        self._set(n, keys, affine)
+        self._set(_checked_rank(n), _checked_terms(n, terms or {}), affine)
 
     def _set(self, n, terms, affine):
         self.n = n
@@ -65,14 +80,14 @@ class CharElem:
         return cls(n, {}, affine)
 
     @classmethod
-    def monomial(cls, x, coeff=1, affine=True):
-        if not isinstance(x, AffineWeight):
-            x = AffineWeight(x)
-        return cls(x.n, {x: coeff}, affine)
+    def monomial(cls, key, coeff=1, affine=True):
+        if key.__class__ is not tuple:
+            raise InputError(f"key {key!r} is not a tuple of integers")
+        return cls(len(key) - 2, {key: coeff}, affine)
 
     @classmethod
     def one(cls, n, affine=True):
-        return cls.monomial(AffineWeight((0,) * n), 1, affine)
+        return cls(n, {(0,) * (_checked_rank(n) + 2): 1}, affine)
 
     # -- ring structure ----------------------------------------------------
 
@@ -130,25 +145,19 @@ class CharElem:
     def __bool__(self):
         return bool(self._terms)
 
-    def coeff(self, x):
-        if not isinstance(x, AffineWeight):
-            x = AffineWeight(x)
-        return self._terms.get(weyl.key_of(x), 0)
+    def coeff(self, key):
+        return self._terms.get(_checked_key(self.n, key), 0)
 
     def items(self):
-        """The (weight, coefficient) pairs, as a list in no fixed order."""
-        return [(weyl.weight_of(k), v) for k, v in self._terms.items()]
+        """The (key, coefficient) pairs, as a list in no fixed order."""
+        return list(self._terms.items())
 
     def mass(self):
         """Sum of all coefficients (the dimension, for a module character)."""
         return sum(self._terms.values())
 
-    def items_sorted(self):
-        """The (weight, coefficient) pairs by finite part, level, then delta."""
-        return [(weyl.weight_of(k), v) for k, v in sorted(self._terms.items())]
-
     def __repr__(self):
-        parts = [f"{v}*e{k.finite, k.level, str(k.delta)}" for k, v in self.items_sorted()[:6]]
+        parts = [f"{v}*e{k}" for k, v in sorted(self._terms.items())[:6]]
         more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
         return f"CharElem[{' + '.join(parts) or '0'}{more}]"
 
@@ -193,7 +202,7 @@ class CharElem:
         """Relabel keys by a Weyl group element (exact orbit map)."""
         out = {}
         for k, v in self._terms.items():
-            kk = weyl.act_key(w, k)
+            kk = weyl.act(w, k)
             out[kk] = out.get(kk, 0) + v
         return CharElem._of(self.n, out, self.affine)
 

@@ -12,10 +12,16 @@ the full character, and both against the symplectic pipeline).  Only the
 import random
 
 from . import affinization, decomp, spbranch, weyl
-from .cartan import AffineWeight, affine_edges, bilinear, fw_from_eps2, varpi
+from .cartan import affine_edges, bilinear, fw_from_eps2, varpi
 from .cli import _csv_text, _json_text, _meta
 from .polyring import CharElem
 
+
+def _rand_key(rng, n, levels):
+    """A key with finite coordinates in -2..2, a level from ``levels`` and
+    a delta in -1..1."""
+    finite = tuple(rng.randint(-2, 2) for _ in range(n))
+    return finite + (rng.randint(*levels), 2 * rng.randint(-1, 1))
 
 
 def _suite_demazure(n, checks):
@@ -24,12 +30,7 @@ def _suite_demazure(n, checks):
     def rand_elem(maxterms=25):
         terms = {}
         for _ in range(rng.randint(1, maxterms)):
-            k = AffineWeight(
-                tuple(rng.randint(-2, 2) for _ in range(n)),
-                rng.randint(0, 2),
-                rng.randint(-1, 1),
-            )
-            terms[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[_rand_key(rng, n, (0, 2))] = rng.choice([-3, -2, -1, 1, 2, 3])
         return CharElem(n, terms)
 
     ok = True
@@ -37,7 +38,7 @@ def _suite_demazure(n, checks):
         f = rand_elem()
         for i in range(n + 1):
             D = f.demazure(i)
-            am = CharElem.monomial(-weyl._alpha_wt(n, i))
+            am = CharElem.monomial(tuple(-v for v in weyl.alpha_key(n, i)))
             if D - am * D != f - am * f.relabel_weyl(weyl.simple(n, i)):
                 ok = False
             if D.demazure(i) != D:
@@ -86,15 +87,14 @@ def _other_reduced_word(n, word):
 def _suite_weyl(n, checks):
     sig = weyl.sigma_word(n)
     w0 = weyl.longest_word(n)
-    lam0 = AffineWeight((0,) * n, 1, 0)
 
-    def modqd(x):
-        return (x.finite, x.level)
+    def modqd(k):
+        return (k[:n], k[n])
 
     table = {}
     for j in range(n + 1):
         fin = varpi(n, j) if j else (0,) * n
-        table[j] = modqd(weyl.act(sig, AffineWeight(fin, 1, 0)))
+        table[j] = modqd(weyl.act(sig, fin + (1, 0)))
     expect = {}
     for j in range(n + 1):
         if j <= n - 3:
@@ -106,7 +106,7 @@ def _suite_weyl(n, checks):
         else:
             expect[j] = (varpi(n, n - 1), 1)
     ok = table == expect
-    ok = ok and modqd(weyl.act(sig, AffineWeight(varpi(n, n - 1)))) == (varpi(n, n - 1), 0)
+    ok = ok and modqd(weyl.act(sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
     checks.append(("weyl.rotation_table", ok))
 
     comp = w0
@@ -123,8 +123,7 @@ def _suite_weyl(n, checks):
     ok = True
     for _ in range(10):
         w = weyl.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
-        x = AffineWeight(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-1, 1), rng.randint(-1, 1))
-        y = AffineWeight(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-1, 1), rng.randint(-1, 1))
+        x, y = _rand_key(rng, n, (-1, 1)), _rand_key(rng, n, (-1, 1))
         if bilinear(weyl.act(w, x), weyl.act(w, y)) != bilinear(x, y):
             ok = False
     checks.append(("weyl.form_invariance", ok))

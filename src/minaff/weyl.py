@@ -6,23 +6,15 @@ of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; equality of group elements is decided by comparing actions on
-a basis.  The action itself is written once, on the integer keys that the
-character ring stores (see :func:`key_of`).
+a basis.  The action is written once, on the integer keys
+(a_1, ..., a_n, level, 2 delta) that the character ring stores.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from . import cartan
-from .cartan import (
-    AffineWeight,
-    check_rank,
-    root_to_fw,
-    root_unit,
-    theta_coeffs,
-    varpi,
-)
+from .cartan import check_rank, root_to_fw, root_unit, theta_coeffs, varpi
 from .errors import InputError, VerificationError
 
 
@@ -119,37 +111,12 @@ def inverse(u):
 
 
 # ---------------------------------------------------------------------------
-# The action on integer keys, and on affine weights through it
+# The action on integer keys
 #
-# The Demazure path carries an affine weight whose delta is a multiple of
-# 1/2 as one flat int tuple (a_1, ..., a_n, level, 2 delta): every delta it
-# meets has denominator 1 or 2, so doubling keeps the key exact.  The affine
-# Weyl action below is written once, on these keys; its effect on delta is
-# always a shift, so an AffineWeight with any rational delta is acted on
-# through the key of its delta-free part plus that shift.
-
-
-def key_of(x):
-    """The integer key of an affine weight.  A delta that is not a multiple
-    of 1/2 is refused, never truncated."""
-    d = x.delta
-    d2, r = divmod(2 * d.numerator, d.denominator)
-    if r:
-        raise InputError(f"delta {d} of {x} is not a multiple of 1/2")
-    return x.finite + (x.level, d2)
-
-
-def weight_of(k, delta=0):
-    """The affine weight with integer key ``k``, its delta raised by the
-    exact ``delta``: that of the weight whose delta-free key was acted on.
-    The delta is built as a ``Fraction`` once, and the weight keeps it."""
-    n = len(k) - 2
-    half = cartan._fraction(k[n + 1], 2)
-    return AffineWeight(k[:n], k[n], half + delta if delta else half)
-
-
-def _delta_free(x):
-    return x.finite + (x.level, 0)
+# An affine weight is one flat int tuple (a_1, ..., a_n, level, 2 delta):
+# every delta the library meets has denominator 1 or 2, so doubling keeps
+# the key exact.  The affine Weyl action is written once, below, on these
+# keys.
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +140,6 @@ def alpha_key(n, i):
     if i == 0:
         return tuple(-v for v in root_to_fw(n, theta_coeffs(n))) + (0, 2)
     return root_to_fw(n, root_unit(n, i)) + (0, 0)
-
-
-def _alpha_wt(n, i):
-    """Simple root i as an affine weight."""
-    return weight_of(alpha_key(n, i))
 
 
 def reflect_key(i, k):
@@ -222,8 +184,10 @@ def key_twist(n, tau):
     return twist
 
 
-def act_key(w, k):
+def act(w, k):
     """Apply an extended word to a key, word first, prefix last."""
+    if len(k) != w.n + 2:
+        raise InputError("rank mismatch in action")
     for i in reversed(w.word):
         k = reflect_key(i, k)
     if w.tau == _identity_tau(w.n):
@@ -231,28 +195,10 @@ def act_key(w, k):
     return key_twist(w.n, w.tau)(k)
 
 
-def is_dominant_key(k):
+def is_dominant(k):
     """Nonnegative coroot pairings over the affine node set 0..n."""
     n = len(k) - 2
     return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
-
-
-def reflect(i, x):
-    """Simple reflection at node i applied to an affine weight."""
-    return weight_of(reflect_key(i, _delta_free(x)), x.delta)
-
-
-def tau_on_weight(tau, x):
-    """Relabel an affine weight by a diagram automorphism (see
-    :func:`key_twist`); ``tau`` may be any sequence."""
-    return weight_of(key_twist(x.n, tuple(tau))(_delta_free(x)), x.delta)
-
-
-def act(w, x):
-    """Apply an extended word to an affine weight, word first, prefix last."""
-    if w.n != x.n:
-        raise InputError("rank mismatch in action")
-    return weight_of(act_key(w, _delta_free(x)), x.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +231,7 @@ def reduce_word(w):
     """
     n = w.n
     rho = (1,) * n + (2 * n - 2, 0)
-    steps = _walk_up(act_key(inverse(w), rho), range(n + 1))
+    steps = _walk_up(act(inverse(w), rho), range(n + 1))
     return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))
 
 
@@ -322,11 +268,6 @@ def sigma_word(n):
     return ExtendedWeylWord(n, tau, tuple(range(1, n)))
 
 
-def is_dominant(x):
-    """Nonnegative coroot pairings over the affine node set 0..n."""
-    return is_dominant_key(_delta_free(x))
-
-
 @lru_cache(maxsize=None)
 def _basis(n):
     """Keys of the fundamental weights, Lambda_0 and delta."""
@@ -337,7 +278,7 @@ def _basis(n):
 def element_images(w):
     """Action on a basis of the affine weight space, as keys; canonical
     fingerprint."""
-    return tuple(act_key(w, b) for b in _basis(w.n))
+    return tuple(act(w, b) for b in _basis(w.n))
 
 
 def same_element(u, v):

@@ -8,23 +8,22 @@ import sys
 from pathlib import Path
 
 from minaff import CharElem, affinization, weyl
-from minaff.cartan import AffineWeight, affine_edges
+from minaff.cartan import affine_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def rand_affine_weight(n, rng, span=2):
-    return AffineWeight(
-        tuple(rng.randint(-span, span) for _ in range(n)),
-        rng.randint(0, 2),
-        rng.randint(-1, 1),
-    )
+def rand_key(n, rng, span=2):
+    """A key (a_1, ..., a_n, level, 2 delta): coordinates in -span..span, a
+    level in 0..2 and a delta in -1..1."""
+    finite = tuple(rng.randint(-span, span) for _ in range(n))
+    return finite + (rng.randint(0, 2), 2 * rng.randint(-1, 1))
 
 
 def rand_char(n, rng, maxterms=50):
     terms = {}
     for _ in range(rng.randint(1, maxterms)):
-        terms[rand_affine_weight(n, rng)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[rand_key(n, rng)] = rng.choice([-3, -2, -1, 1, 2, 3])
     return CharElem(n, terms)
 
 

@@ -15,7 +15,7 @@ the ``CharElem`` boundary.
 from functools import lru_cache
 
 from minaff import CharElem, CharacterError, InputError
-from minaff.cartan import AffineWeight, check_rank
+from minaff.cartan import check_rank
 from minaff.spbranch import _sp_fund_from_eps, _sp_rho, _strip, partition_of
 
 
@@ -23,7 +23,7 @@ def schur_char(p, rank):
     """Character of the Schur functor of the standard symplectic module,
     as an element; generally reducible as a symplectic character."""
     terms = schur_terms(p, rank)
-    return CharElem(rank, {AffineWeight(k): m for k, m in terms.items()}, affine=False)
+    return CharElem(rank, {k + (0, 0): m for k, m in terms.items()}, affine=False)
 
 
 def schur_terms(p, rank):
@@ -190,7 +190,7 @@ def _sp_orbit(x):
 def sp_irr_character(rank, nu):
     """Irreducible symplectic character with highest weight ``nu``."""
     terms = _sp_irr_terms(rank, tuple(nu))
-    return CharElem(rank, {AffineWeight(k): m for k, m in terms.items()}, affine=False)
+    return CharElem(rank, {k + (0, 0): m for k, m in terms.items()}, affine=False)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +210,7 @@ def decompose_sp(f, rank):
     """:func:`peel_sp` of the finite-tagged element ``f``."""
     if f.affine:
         raise InputError("decompose_sp expects a finite-tagged element")
-    return peel_sp({k.finite: v for k, v in f.items()}, rank)
+    return peel_sp({k[:rank]: v for k, v in f.items()}, rank)
 
 
 def peel_sp(terms, rank):

@@ -1,29 +1,112 @@
-"""The affine root action, the root-by-root descent and the twist by norm
-preservation, kept as a reference.
+"""Rational affine weights, the affine root action, the root-by-root descent
+and the twist by norm preservation, kept as a reference.
+
+minaff carries an affine weight as one int key (a_1, ..., a_n, level,
+2 delta).  This module keeps the weight with an exact rational delta, any
+denominator, and acts on it through the key kernel plus a delta shift, so
+the kernel is pinned on deltas the keys cannot hold.
 
 ``weyl.reduce_word`` walks a regular weight into the dominant chamber; this
 module keeps the older construction it replaced, which strips right descents
 found by acting on the affine simple roots, so the two can be compared word
-for word.  ``weyl.tau_on_weight`` permutes coroot pairings; this module keeps
+for word.  ``weyl.key_twist`` permutes coroot pairings; this module keeps
 the expansion over the fundamental weights that it replaced, each mapped to
 its image with the delta correction that norm preservation forces.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
-from minaff import InputError
+from minaff import InputError, weyl
 from minaff.cartan import (
-    AffineWeight,
-    bilinear,
+    check_rank,
+    eps2,
     fw_to_root,
-    pairing,
     positive_roots,
     root_to_fw,
     root_unit,
     theta_coeffs,
     varpi,
 )
-from minaff.weyl import ExtendedWeylWord, act, compose, identity, inverse, simple
+from minaff.weyl import ExtendedWeylWord, compose, identity, inverse, simple
+
+
+class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
+    """Finite fundamental coordinates, the integer level and the exact
+    rational coefficient of delta."""
+
+    __slots__ = ()
+
+    def __new__(cls, finite, level=0, delta=0):
+        return super().__new__(cls, tuple(finite), level, Fraction(delta))
+
+    @property
+    def n(self):
+        return len(self.finite)
+
+    def __add__(self, other):
+        return AffineWeight(
+            tuple(a + b for a, b in zip(self.finite, other.finite)),
+            self.level + other.level,
+            self.delta + other.delta,
+        )
+
+    def __mul__(self, k):
+        return AffineWeight(
+            tuple(k * a for a in self.finite), k * self.level, k * self.delta
+        )
+
+    __rmul__ = __mul__
+
+
+def lambda0(n):
+    check_rank(n)
+    return AffineWeight((0,) * n, 1, 0)
+
+
+def key_of(x):
+    """The int key of a weight whose delta is a multiple of 1/2."""
+    d2 = 2 * x.delta
+    if d2.denominator != 1:
+        raise InputError(f"delta {x.delta} of {x} is not a multiple of 1/2")
+    return x.finite + (x.level, int(d2))
+
+
+def weight_of(k, delta=0):
+    """The weight with int key ``k``, its delta raised by ``delta``."""
+    n = len(k) - 2
+    return AffineWeight(k[:n], k[n], Fraction(k[n + 1], 2) + delta)
+
+
+def _delta_free(x):
+    return x.finite + (x.level, 0)
+
+
+def pairing(i, x):
+    """The i-th simple coroot (i in 0..n) paired with ``x``; delta never
+    contributes."""
+    return weyl.key_pairing(x.n, i)(_delta_free(x))
+
+
+def form(x, y):
+    """The invariant symmetric form, exact: finite parts pair through the
+    orthogonal coordinates, delta pairs with the level."""
+    n = x.n
+    dot = sum(a * b for a, b in zip(eps2(n, x.finite), eps2(n, y.finite)))
+    return Fraction(dot, 4) + x.level * y.delta + y.level * x.delta
+
+
+def act(w, x):
+    """An extended word on a weight: the key kernel on the delta-free part,
+    plus the delta of ``x``."""
+    return weight_of(weyl.act(w, _delta_free(x)), x.delta)
+
+
+def tau_on_weight(tau, x):
+    """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
+    ``tau`` may be any sequence."""
+    return weight_of(weyl.key_twist(x.n, tuple(tau))(_delta_free(x)), x.delta)
+
 
 # A real root is a pair (beta, k): finite root coordinates plus a delta shift.
 
@@ -99,11 +182,11 @@ def tau_on_weight_oracle(tau, x):
     (delta pairs with the level a_tau(i))."""
     n = x.n
     marks = (1,) + theta_coeffs(n)
-    fundamental = [AffineWeight((0,) * n, 1, 0)]
+    fundamental = [lambda0(n)]
     fundamental += [AffineWeight(varpi(n, i), marks[i], 0) for i in range(1, n + 1)]
     out = AffineWeight((0,) * n, 0, x.delta)
     for i in range(n + 1):
         li, lt = fundamental[i], fundamental[tau[i]]
-        d = (bilinear(li, li) - bilinear(lt, lt)) / (2 * marks[tau[i]])
+        d = (form(li, li) - form(lt, lt)) / (2 * marks[tau[i]])
         out = out + pairing(i, x) * AffineWeight(lt.finite, lt.level, d)
     return out

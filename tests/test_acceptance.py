@@ -18,7 +18,7 @@ from minaff.affinization import (
     multiplicity_table,
     xi_sequence,
 )
-from minaff.cartan import AffineWeight, eps2, fw_from_eps2, varpi
+from minaff.cartan import fw_from_eps2, varpi
 from minaff.cli import run
 from minaff.decomp import (
     decompose,
@@ -41,8 +41,7 @@ def report(number, ok, detail, t0, budget):
 
 
 def canonical_serialization(ch):
-    items = sorted((k.finite, k.level, str(k.delta), v) for k, v in ch.items())
-    return json.dumps(items)
+    return json.dumps(sorted(ch.items()))
 
 
 def regular_unit_cube(n):
@@ -78,7 +77,7 @@ def test_criterion_01_demazure_defining_identity():
             f = rand_char(n, rng, 50)
             for i in range(0, n + 1):
                 D = f.demazure(i)
-                am = CharElem.monomial(-weyl._alpha_wt(n, i))
+                am = CharElem.monomial(tuple(-v for v in weyl.alpha_key(n, i)))
                 if D - am * D != f - am * f.relabel_weyl(weyl.simple(n, i)):
                     ok = False
     report(1, ok, "defining identity on 200 random elements, every node", t0, 10)
@@ -117,7 +116,7 @@ def test_criterion_03_rotation_table_and_length_additivity():
         sig = weyl.sigma_word(n)
         for j in range(0, n + 1):
             fin = varpi(n, j) if j else (0,) * n
-            got = weyl.act(sig, AffineWeight(fin, 1, 0))
+            got = weyl.act(sig, fin + (1, 0))
             if j <= n - 3:
                 expect = (varpi(n, j + 1), 1)
             elif j == n - 2:
@@ -126,10 +125,10 @@ def test_criterion_03_rotation_table_and_length_additivity():
                 expect = (tuple(a + b for a, b in zip(varpi(n, n - 1), varpi(n, 1))), 1)
             else:
                 expect = (varpi(n, n - 1), 1)
-            if (got.finite, got.level) != expect:
+            if (got[:n], got[n]) != expect:
                 ok = False
-        fix = weyl.act(sig, AffineWeight(varpi(n, n - 1)))
-        if (fix.finite, fix.level) != (varpi(n, n - 1), 0):
+        fix = weyl.act(sig, varpi(n, n - 1) + (0, 0))
+        if (fix[:n], fix[n]) != (varpi(n, n - 1), 0):
             ok = False
         comp = weyl.longest_word(n)
         for _ in range(n - 1):
@@ -148,16 +147,14 @@ def test_criterion_04_xi_congruence_and_lambda_dominance():
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n - 1, n):
                 xs = xi_sequence(n, lam, s)
-                tot = xs.entries[0]
-                for x in xs.entries[1:]:
-                    tot = tot + x
-                if tot.finite != lam:
+                tot = tuple(map(sum, zip(*xs.keys)))
+                if tot[:n] != lam:
                     ok = False
             # rotated factor weights are affine-dominant; the fork twin is
             # covered by running the swapped weight through s = n
             swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
             for s, l in ((1, lam), (n, lam), (n, swapped)):
-                for x in lambda_sequence(n, l, s).entries:
+                for x in lambda_sequence(n, l, s).keys:
                     if not weyl.is_dominant(x):
                         ok = False
     report(4, ok, "100 random weights per rank 4..7, all families", t0, 30)
@@ -170,7 +167,7 @@ def test_criterion_05_character_well_formedness():
     cases += [(5, lam, s) for lam, s in N5_SAMPLE]
     for n, lam, s in cases:
         ch = character(n, lam, s)
-        if ch.coeff(AffineWeight(lam)) != 1:
+        if ch.coeff(lam + (0, 0)) != 1:
             ok = False
         table = decompose(ch)  # checks Weyl invariance and zero residual
         if table.dimension != ch.mass():

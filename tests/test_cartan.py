@@ -4,7 +4,6 @@ import pytest
 
 from minaff import InputError
 from minaff.cartan import (
-    AffineWeight,
     affine_edges,
     bilinear,
     check_rank,
@@ -15,14 +14,14 @@ from minaff.cartan import (
     fw_from_eps2,
     fw_to_root,
     in_root_cone,
-    lambda0,
-    pairing,
     positive_roots,
     root_to_fw,
     support,
     varpi,
 )
-from _helpers import seeded
+from minaff.weyl import key_pairing
+from _helpers import rand_key, seeded
+from _weyl_oracle import AffineWeight, form, key_of, pairing, weight_of
 
 
 def alpha_interval(n, p, q):
@@ -76,27 +75,6 @@ def test_positive_roots_match_interval_construction():
         assert positive_roots(n) == roots
 
 
-def test_affine_weight_refuses_inexact_level_and_delta():
-    with pytest.raises(InputError):
-        AffineWeight((0, 0, 0, 0), 1.7, 0)
-    with pytest.raises(InputError):
-        AffineWeight((0, 0, 0, 0), 1, 0.1)
-    w = AffineWeight((0, 0, 0, 0), 1, Fraction(1, 2))
-    assert w.level == 1 and w.delta == Fraction(1, 2)
-
-
-def test_affine_weight_replace_and_make_run_the_same_checks():
-    w = AffineWeight((0, 0, 0, 0))
-    with pytest.raises(InputError):
-        w._replace(delta=0.5)
-    with pytest.raises(InputError):
-        w._replace(level=1.5)
-    with pytest.raises(InputError):
-        AffineWeight._make(((0, 0, 0, 0), 1, 0.25))
-    assert w._replace(delta=Fraction(1, 2)) == AffineWeight((0, 0, 0, 0), 0, Fraction(1, 2))
-    assert AffineWeight._make(([1, 0, 0, 0], 1, 2)) == AffineWeight((1, 0, 0, 0), 1, 2)
-
-
 def test_positive_roots_contain_detour_roots():
     roots = positive_roots(4)
     assert (1, 1, 0, 1) in roots  # runs 1 -> 4 through the fork
@@ -119,7 +97,7 @@ def test_rank_below_four_rejected():
     with pytest.raises(InputError):
         positive_roots(3)
     with pytest.raises(InputError):
-        lambda0(3)
+        varpi(3, 1)
 
 
 def test_cartan_matrices():
@@ -174,10 +152,12 @@ def test_delta_plus_s_multiplicity_free():
 
 
 def test_pairing():
-    L0 = lambda0(4)
-    assert pairing(2, L0) == 0
-    assert pairing(0, L0) == 1
-    assert pairing(0, AffineWeight(varpi(4, 2))) == -2
+    L0 = (0,) * 4 + (1, 0)
+    assert key_pairing(4, 2)(L0) == 0
+    assert key_pairing(4, 0)(L0) == 1
+    assert key_pairing(4, 0)(varpi(4, 2) + (0, 0)) == -2
+    with pytest.raises(InputError):
+        key_pairing(4, 5)
 
 
 def test_pairing_ignores_delta():
@@ -191,15 +171,33 @@ def test_pairing_ignores_delta():
 
 
 def test_bilinear_normalization():
+    # bilinear is four times the form: delta pairs 1 with Lambda_0, a simple
+    # root has square length 2
     n = 4
-    d = AffineWeight((0,) * n, 0, 1)
-    assert bilinear(d, lambda0(n)) == 1
-    assert bilinear(lambda0(n), lambda0(n)) == 0
-    a1 = AffineWeight(root_to_fw(n, (1, 0, 0, 0)))
-    a2 = AffineWeight(root_to_fw(n, (0, 1, 0, 0)))
-    assert bilinear(a1, a1) == 2
-    assert bilinear(a1, a2) == -1
-    assert bilinear(AffineWeight(varpi(n, 1)), d) == 0
+    d = (0,) * n + (0, 2)
+    L0 = (0,) * n + (1, 0)
+    assert bilinear(d, L0) == 4
+    assert bilinear(L0, L0) == 0
+    a1 = root_to_fw(n, (1, 0, 0, 0)) + (0, 0)
+    a2 = root_to_fw(n, (0, 1, 0, 0)) + (0, 0)
+    assert bilinear(a1, a1) == 8
+    assert bilinear(a1, a2) == -4
+    assert bilinear(varpi(n, 1) + (0, 0), d) == 0
+    with pytest.raises(InputError):
+        bilinear(L0, (0,) * 7)
+
+
+def test_bilinear_is_four_times_the_rational_form():
+    rng = seeded(5)
+    for n in (4, 5, 6):
+        for _ in range(40):
+            x = AffineWeight(
+                tuple(rng.randint(-3, 3) for _ in range(n)),
+                rng.randint(-2, 2),
+                Fraction(rng.randint(-5, 5), 2),
+            )
+            y = rand_key(n, rng)
+            assert bilinear(key_of(x), y) == 4 * form(x, weight_of(y))
 
 
 def test_real_roots_have_square_length_two():
@@ -207,7 +205,8 @@ def test_real_roots_have_square_length_two():
         for beta in positive_roots(n):
             for k in range(-3, 4):
                 x = AffineWeight(root_to_fw(n, beta), 0, k)
-                assert bilinear(x, x) == 2
+                assert form(x, x) == 2
+                assert bilinear(key_of(x), key_of(x)) == 8
 
 
 def test_support():

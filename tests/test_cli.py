@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, spbranch, verify, weyl
 from minaff.cli import _json_text, run
+from minaff.cli_extra import _delta
 from _helpers import break_longest_word, run_fresh
 
 
@@ -174,7 +175,7 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     # a runtime invariant, not an assert: it still fires under python -O
-    monkeypatch.setattr(weyl, "is_dominant_key", lambda k: False)
+    monkeypatch.setattr(weyl, "is_dominant", lambda k: False)
     code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
     assert code == 3
     assert out == ""
@@ -269,6 +270,50 @@ def test_benchmark_cases_print_their_recorded_bytes(capsys, monkeypatch):
         code, out, _ = invoke(capsys, *key.split(" "))
         assert code == 0, key
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
+# sha256 of the reports that print affine weights (xi; s = 1 prints a delta
+# of 1/2) and of the verify suites, which draw random elements: the bytes
+# stay fixed whatever the weights are stored as
+XI = ("xi", "--n", "5", "--lambda", "1,1,0,2,0")
+VERIFY = ("verify", "--n", "4", "--suite", "all")
+PINNED_BYTES = {
+    (*XI, "--s", "1", "--format", "json"): "1b3657d650ab95656932c0371894f6ff649e0b102a8752fdef871bcd8a61bbc1",
+    (*XI, "--s", "1", "--format", "csv"): "e882c72955e2447177c9dbcd5be88a00c18e63c445bf403e193e4f9db654a81b",
+    (*XI, "--s", "1", "--format", "pretty"): "e38a8bf6a27fe5ff4d7e4adebd7a5db2666e826bf0e0ead3f0550508ed1c0401",
+    (*XI, "--s", "n", "--format", "json"): "24377e43553762418a0ef230609ade02e6c3673e134288104398b19a75097f4f",
+    (*XI, "--s", "n", "--format", "csv"): "92a357dc14b5aa433685bf944bb83ddbca405cf6e3b68c71320b5e1610ad500f",
+    (*XI, "--s", "n", "--format", "pretty"): "c423e5a912e08521a66a69f55253cd693b2554b30238ea568287c928e292ebb0",
+    (*XI, "--s", "n-1", "--format", "json"): "9b7a0370716574c90b7b143bfff2fd1d5352738b1baf0f5e6a4372d72d1cd7e6",
+    (*XI, "--s", "n-1", "--format", "csv"): "e087205d940d390fc6c9af8bd451ab4791812e8bc66f38a7faa15ceae46b627a",
+    (*XI, "--s", "n-1", "--format", "pretty"): "869cb03a1d72889be8dfc8dfa0870e363d0bf37aa0fedf5f79f8640fa9db7f96",
+    (*VERIFY, "--format", "json"): "ead57ed81b8a403634aaec5f2c108ec4b8dc4108da2fb3f0c911e44ee54c50c8",
+    (*VERIFY, "--format", "csv"): "cac4163b8fba21ede9d05210bcc39b47ccc1d41231ef825497d1f55d8e0d1686",
+    (*VERIFY, "--format", "pretty"): "175d625760f4b72c8fe24bd0fc9da0c84d5834aac75ade26eec583369539cd1a",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_BYTES, ids=" ".join)
+def test_weight_and_verify_reports_print_their_pinned_bytes(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MINAFF_TIMING", raising=False)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BYTES[argv]
+    if argv[-3:] == ("1", "--format", "pretty"):
+        assert "Lambda_1 = 0,0,0,0,0  level 1  delta 1/2\n" in out
+
+
+def fraction_json(q):
+    """A Fraction as a JSON report value: an int when whole, else "p/q"."""
+    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+@given(st.integers(-60, 60))
+def test_delta_of_a_key_prints_as_the_fraction(d2):
+    value = _delta(d2)
+    assert str(value) == str(Fraction(d2, 2))
+    assert value == fraction_json(Fraction(d2, 2))
+    assert type(value) is type(fraction_json(Fraction(d2, 2)))
 
 
 def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch):
@@ -410,8 +455,8 @@ def test_only_verify_loads_the_suites(argv):
     assert ("minaff.verify" in modules_after_run(*argv)) == (argv[0] == "verify")
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS[:4], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_table_subcommands_build_no_fraction(argv):
-    # the Demazure path runs on integer keys; only reports of affine
-    # weights (xi, verify) read a delta as a Fraction
+    # every weight is an integer key, and the xi report prints delta from
+    # its doubled slot
     assert "fractions" not in modules_after_run(*argv)

@@ -17,7 +17,8 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 51
+    assert len(minaff.__all__) == 48
+    assert not {"AffineWeight", "lambda0", "pairing"} & set(minaff.__all__)
     assert "character_mass" not in minaff.__all__
     assert "orbit_size" not in minaff.__all__
 

@@ -1,38 +1,50 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, InputError
-from minaff.cartan import AffineWeight, lambda0, root_to_fw, varpi
+from minaff.cartan import varpi
 from minaff import weyl
+from minaff.weyl import key_pairing
 from _helpers import braid_variant, rand_char, seeded
 
 N = 4
 
 
 def mono(fin, level=0, delta=0, coeff=1, affine=True):
-    return CharElem.monomial(AffineWeight(fin, level, delta), coeff, affine)
+    return CharElem.monomial(fin + (level, 2 * delta), coeff, affine)
+
+
+def plus(*keys):
+    return tuple(map(sum, zip(*keys)))
+
+
+def times(c, k):
+    return tuple(c * v for v in k)
 
 
 def alpha(n, i):
-    return weyl._alpha_wt(n, i)
+    return weyl.alpha_key(n, i)
+
+
+def lambda0(n):
+    return (0,) * n + (1, 0)
 
 
 def test_demazure_monomial_cases():
     one = CharElem.one(N)
     for i in range(0, N + 1):
         assert one.demazure(i) == one
-    w1 = AffineWeight(varpi(N, 1))
+    w1 = varpi(N, 1) + (0, 0)
+    w1_a1 = plus(w1, times(-1, alpha(N, 1)))
     f = CharElem.monomial(w1)
-    assert f.demazure(1) == f + CharElem.monomial(w1 - alpha(N, 1))
+    assert f.demazure(1) == f + CharElem.monomial(w1_a1)
     # pairing -1 annihilates; value pinned by the defining identity below
-    assert not CharElem.monomial(w1 - alpha(N, 1)).demazure(1)
+    assert not CharElem.monomial(w1_a1).demazure(1)
     # negative pairings give negated interior strings
-    g = CharElem.monomial(AffineWeight((-2, 0, 0, 0))).demazure(1)
-    assert g == CharElem.monomial(AffineWeight((0, -1, 0, 0)), -1)
-    g = CharElem.monomial(w1 - 2 * alpha(N, 1)).demazure(1)
-    assert g == CharElem.monomial(w1 - alpha(N, 1), -1) + CharElem.monomial(w1, -1)
+    g = mono((-2, 0, 0, 0)).demazure(1)
+    assert g == mono((0, -1, 0, 0), coeff=-1)
+    g = CharElem.monomial(plus(w1, times(-2, alpha(N, 1)))).demazure(1)
+    assert g == CharElem.monomial(w1_a1, -1) + CharElem.monomial(w1, -1)
 
 
 def test_demazure_defining_identity():
@@ -42,7 +54,7 @@ def test_demazure_defining_identity():
             f = rand_char(n, rng)
             for i in range(0, n + 1):
                 D = f.demazure(i)
-                am = CharElem.monomial(-alpha(n, i))
+                am = CharElem.monomial(times(-1, alpha(n, i)))
                 assert D - am * D == f - am * f.relabel_weyl(weyl.simple(n, i)), (n, i)
 
 
@@ -73,7 +85,7 @@ def test_demazure_word():
     assert f.demazure_word(weyl.identity(N)) == f
     L0 = lambda0(N)
     g = CharElem.monomial(L0).demazure_word(weyl.simple(N, 0))
-    assert g == CharElem.monomial(L0) + CharElem.monomial(L0 - alpha(N, 0))
+    assert g == CharElem.monomial(L0) + CharElem.monomial(plus(L0, times(-1, alpha(N, 0))))
     with pytest.raises(InputError):
         f.demazure_word(weyl.from_word(N, (1, 1)))
 
@@ -110,11 +122,9 @@ def test_twist():
     # like the original did, one node over
     g = CharElem.monomial(lambda0(n)).twist(weyl.tau_01(n))
     ((key, _),) = g.items()
-    from minaff.cartan import pairing
-
     tau = weyl.tau_01(n).tau
     for i in range(n + 1):
-        assert pairing(tau[i], key) == pairing(i, lambda0(n))
+        assert key_pairing(n, tau[i])(key) == key_pairing(n, i)(lambda0(n))
     rng = seeded(19)
     for t in (weyl.tau_01(n), weyl.tau_fork(n)):
         for _ in range(20):
@@ -130,7 +140,7 @@ def test_specialize():
     w1 = varpi(n, 1)
     f = mono(w1, level=1) + mono(w1, level=1, delta=-1)
     assert f.specialize() == mono(w1, coeff=2, affine=False)
-    g = CharElem.monomial(AffineWeight(varpi(n, 2), 1, 0))
+    g = mono(varpi(n, 2), level=1)
     fin = g.demazure_word(weyl.longest_word(n)).specialize()
     for i in range(1, n + 1):
         assert fin.relabel_weyl(weyl.simple(n, i)) == fin
@@ -141,15 +151,13 @@ def test_ring_operations():
     a = mono(varpi(n, 1), level=1)
     b = mono(varpi(n, 2), delta=2)
     ((key, _),) = (a * b).items()
-    assert key == AffineWeight(
-        tuple(x + y for x, y in zip(varpi(n, 1), varpi(n, 2))), 1, 2
-    )
+    assert key == plus(varpi(n, 1), varpi(n, 2)) + (1, 4)
     f = rand_char(n, seeded(23))
     assert not (f + (-1) * f)
     v = mono(varpi(n, 1)) + mono(tuple(-x for x in varpi(n, 1)))
     sq = v * v
-    assert sq.coeff(AffineWeight((0,) * n)) == 2
-    assert sq.coeff(AffineWeight(tuple(2 * x for x in varpi(n, 1)))) == 1
+    assert sq.coeff((0,) * (n + 2)) == 2
+    assert sq.coeff(times(2, varpi(n, 1)) + (0, 0)) == 1
     assert len(sq) == 3
     with pytest.raises(InputError):
         a + a.specialize()
@@ -157,12 +165,12 @@ def test_ring_operations():
 
 def test_no_operation_keeps_a_zero_coefficient():
     n = 4
-    x = AffineWeight(varpi(n, 1), 1, 0)
-    y = AffineWeight(varpi(n, 2), 0, Fraction(1, 2))
+    x = varpi(n, 1) + (1, 0)
+    y = varpi(n, 2) + (0, 1)  # delta 1/2
     f = CharElem.monomial(x, 2) + CharElem.monomial(y, -1)
     a1 = alpha(n, 1)
     # x pairs 1 with node 1 and x - 2 alpha_1 is its dot-reflection: opposite strings
-    z = CharElem.monomial(x) + CharElem.monomial(x - 2 * a1)
+    z = CharElem.monomial(x) + CharElem.monomial(plus(x, times(-2, a1)))
     results = {
         "add": f + CharElem.monomial(x, -2),
         "sub": f - CharElem.monomial(y, -1),
@@ -187,12 +195,11 @@ def test_no_operation_keeps_a_zero_coefficient():
 
 def test_half_integer_delta_round_trips_and_quarter_is_refused():
     n = 4
-    x = AffineWeight(varpi(n, 1), 1, Fraction(-3, 2))
+    x = varpi(n, 1) + (1, -3)  # delta -3/2
     f = CharElem.monomial(x, 5)
     assert f.items() == [(x, 5)]
     assert f.coeff(x) == 5
-    assert isinstance(f.items()[0][0].delta, Fraction)
-    quarter = AffineWeight(varpi(n, 1), 1, Fraction(1, 4))
+    quarter = varpi(n, 1) + (1, 0.5)  # a 2-delta slot of 1/2
     with pytest.raises(InputError):
         CharElem.monomial(quarter)
     with pytest.raises(InputError):
@@ -201,10 +208,53 @@ def test_half_integer_delta_round_trips_and_quarter_is_refused():
         f.coeff(quarter)
 
 
+def test_keys_refuse_inexact_level_and_delta():
+    n = 4
+    bad_keys = [
+        (0, 0, 0, 0, 1.7, 0),  # a float level
+        (0, 0, 0, 0, 1, 0.1),  # a float 2-delta slot
+        (0, 0, 0, 0, True, 0),  # a bool is not an int here
+        (0, 0, 0, False, 1, 0),
+        (0, 0, 0, 0, 1),  # one slot short
+        (0, 0, 0, 0, 1, 0, 0),  # one slot long
+        (0, 0, 0, 0),  # a finite weight is not a key
+        [0, 0, 0, 0, 1, 0],  # not a tuple
+    ]
+    for key in bad_keys:
+        with pytest.raises(InputError):
+            CharElem.one(n).coeff(key)
+        if isinstance(key, tuple):
+            with pytest.raises(InputError):
+                CharElem(n, {key: 1})
+        # monomial reads the rank off the key, so only a key of rank n's
+        # length can be wrong for it
+        if len(key) == n + 2:
+            with pytest.raises(InputError):
+                CharElem.monomial(key)
+
+
+def test_refuses_a_coefficient_that_is_not_an_int():
+    key = (1, 0, 0, 0, 0, 0)
+    for c in (1.5, 2.0, True):
+        with pytest.raises(InputError):
+            CharElem(4, {key: c})
+        with pytest.raises(InputError):
+            CharElem.monomial(key, c)
+
+
+def test_refuses_a_rank_that_is_not_a_positive_int():
+    for rank in (True, False, 0, -1, 1.0, "4", None):
+        with pytest.raises(InputError):
+            CharElem(rank, {})
+        with pytest.raises(InputError):
+            CharElem.one(rank)
+    assert CharElem(1, {(0, 0, 0): 1}).n == 1
+
+
 def test_finite_tagged_elements_stay_on_the_finite_lattice():
     n = 4
     with pytest.raises(InputError):
-        CharElem(n, {AffineWeight(varpi(n, 1), 1, 0): 1}, affine=False)
+        CharElem(n, {varpi(n, 1) + (1, 0): 1}, affine=False)
     fin = mono(varpi(n, 1), affine=False)
     assert fin.twist(weyl.tau_fork(n)) == fin
     # the node 0-1 swap and the node-0 reflection move delta off zero
@@ -215,7 +265,7 @@ def test_finite_tagged_elements_stay_on_the_finite_lattice():
 
 
 def test_foreign_operands_raise_type_error():
-    f = CharElem.monomial((1, 0, 0, 0))
+    f = CharElem.monomial((1, 0, 0, 0, 0, 0))
     for bad in (lambda: f * 1.5, lambda: 1.5 * f, lambda: f + 1, lambda: 1 + f, lambda: f - 1):
         with pytest.raises(TypeError):
             bad()
@@ -237,7 +287,7 @@ def small_char(draw):
         )
     )
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys)))
-    return CharElem(n, {AffineWeight(*k): c for k, c in zip(keys, coeffs)})
+    return CharElem(n, {f + (level, 2 * d): c for (f, level, d), c in zip(keys, coeffs)})
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,5 +302,5 @@ def test_ring_laws(f, g, h):
 @settings(max_examples=40, deadline=None)
 @given(small_char(), st.integers(0, 4))
 def test_demazure_linear(f, i):
-    g = CharElem.monomial(AffineWeight((1, 0, -1, 0), 1, 0), 2)
+    g = mono((1, 0, -1, 0), level=1, coeff=2)
     assert (f + g).demazure(i) == f.demazure(i) + g.demazure(i)

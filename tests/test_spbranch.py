@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, CharacterError, InputError
-from minaff.cartan import AffineWeight
 from minaff.spbranch import (
     iota,
     lr_coefficient,
@@ -174,7 +173,7 @@ def test_sp_irr_zero_weight_multiplicity():
     # multiplicity rank - 1
     ch = sp_irr_character(3, (0, 1, 0))
     assert ch.mass() == 14
-    assert ch.coeff(AffineWeight((0, 0, 0))) == 2
+    assert ch.coeff((0, 0, 0, 0, 0)) == 2
 
 
 @settings(max_examples=20, deadline=None)
@@ -196,7 +195,7 @@ def test_decompose_sp_round_trip(tbl):
 
 def test_decompose_sp_rejects_non_characters():
     with pytest.raises(CharacterError):
-        decompose_sp(CharElem.monomial(AffineWeight((1, 0, 0)), affine=False), 3)
+        decompose_sp(CharElem.monomial((1, 0, 0, 0, 0), affine=False), 3)
 
 
 def test_sam_mult_examples():

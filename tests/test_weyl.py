@@ -1,18 +1,11 @@
 from collections import deque
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
 from minaff import CharElem, InputError, bilinear, weyl
-from minaff.cartan import (
-    AffineWeight,
-    is_dominant_fw,
-    lambda0,
-    pairing,
-    positive_roots,
-    root_to_fw,
-    varpi,
-)
+from minaff.cartan import is_dominant_fw, positive_roots, root_to_fw, varpi
 from minaff.weyl import (
     ExtendedWeylWord,
     act,
@@ -31,15 +24,20 @@ from minaff.weyl import (
     simple,
     tau_01,
     tau_fork,
-    tau_on_weight,
 )
-from _helpers import braid_variant, rand_affine_weight, seeded
+from _helpers import braid_variant, rand_key, seeded
 from _weyl_oracle import (
+    AffineWeight,
     act_root,
     affine_simple_root,
     descent_oracle,
+    form,
     is_positive_root,
+    key_of,
+    lambda0,
+    pairing,
     power,
+    tau_on_weight,
     tau_on_weight_oracle,
 )
 
@@ -53,15 +51,18 @@ def rand_extended(n, rng, L):
     return ExtendedWeylWord(n, tau.tau, tuple(rng.randint(0, n) for _ in range(L)))
 
 
-def modqd(x):
-    return (x.finite, x.level)
+def modqd(k):
+    """A key's finite part and level: the weight modulo delta."""
+    return (k[:-2], k[-2])
 
 
 def test_simple_reflection_on_fundamental():
     n = 4
-    w1 = AffineWeight(varpi(n, 1))
-    a1 = AffineWeight(root_to_fw(n, (1, 0, 0, 0)))
-    assert act(simple(n, 1), w1) == w1 - a1
+    w1 = varpi(n, 1) + (0, 0)
+    a1 = root_to_fw(n, (1, 0, 0, 0)) + (0, 0)
+    assert act(simple(n, 1), w1) == tuple(map(sub, w1, a1))
+    with pytest.raises(InputError):
+        act(simple(n, 1), varpi(5, 1) + (0, 0))
 
 
 def test_rotation_table():
@@ -70,7 +71,7 @@ def test_rotation_table():
         sig = sigma_word(n)
         for j in range(0, n + 1):
             fin = varpi(n, j) if j else (0,) * n
-            got = modqd(act(sig, AffineWeight(fin, 1, 0)))
+            got = modqd(act(sig, fin + (1, 0)))
             if j <= n - 3:
                 expect = (varpi(n, j + 1), 1)
             elif j == n - 2:
@@ -80,7 +81,7 @@ def test_rotation_table():
             else:
                 expect = (varpi(n, n - 1), 1)
             assert got == expect, (n, j)
-        assert modqd(act(sig, AffineWeight(varpi(n, n - 1)))) == (varpi(n, n - 1), 0)
+        assert modqd(act(sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
 
 
 def test_act_root():
@@ -152,12 +153,13 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
     with pytest.raises(InputError):
         tau_on_weight(bad, x)
     with pytest.raises(InputError):
-        CharElem.monomial(x).twist(bad)
+        CharElem.monomial(key_of(x)).twist(bad)
     # the four allowed prefixes keep the invariant form
     y = lambda0(n)
     for tau in weyl._allowed_taus(n):
-        assert bilinear(tau_on_weight(tau, x), tau_on_weight(tau, y)) == bilinear(x, y)
-        assert CharElem.monomial(x).twist(tau) == CharElem.monomial(tau_on_weight(tau, x))
+        assert form(tau_on_weight(tau, x), tau_on_weight(tau, y)) == form(x, y)
+        twisted = CharElem.monomial(key_of(tau_on_weight(tau, x)))
+        assert CharElem.monomial(key_of(x)).twist(tau) == twisted
 
 
 def test_tau_on_weight_matches_norm_preserving_expansion():
@@ -173,7 +175,7 @@ def test_tau_on_weight_matches_norm_preserving_expansion():
                 y = tau_on_weight(tau, x)
                 assert y == tau_on_weight_oracle(tau, x), (tau, x)
                 assert tau_on_weight(list(tau), x) == y
-                assert bilinear(y, y) == bilinear(x, x)
+                assert form(y, y) == form(x, x)
                 assert [pairing(tau[i], y) for i in range(n + 1)] == [
                     pairing(i, x) for i in range(n + 1)
                 ]
@@ -244,9 +246,9 @@ def test_composite_reduction_example():
 def test_longest_element():
     w0 = longest_word(4)
     for i in range(1, 5):
-        assert act(w0, AffineWeight(varpi(4, i))).finite == tuple(-v for v in varpi(4, i))
+        assert act(w0, varpi(4, i) + (0, 0))[:4] == tuple(-v for v in varpi(4, i))
     w0 = longest_word(5)
-    assert act(w0, AffineWeight(varpi(5, 4))).finite == tuple(-v for v in varpi(5, 5))
+    assert act(w0, varpi(5, 4) + (0, 0))[:5] == tuple(-v for v in varpi(5, 5))
     for n in (4, 5):
         w0 = longest_word(n)
         for beta in positive_roots(n):
@@ -259,15 +261,15 @@ def test_sigma_word_structure():
     assert sig.word == (1, 2, 3)
     assert sig.tau[0] == 1 and sig.tau[1] == 0 and sig.tau[3] == 4 and sig.tau[4] == 3
     assert is_reduced(sig)
-    L0 = AffineWeight((0,) * n, 1, 0)
+    L0 = (0,) * n + (1, 0)
     assert modqd(act(sig, L0)) == (varpi(n, 1), 1)
 
 
 def test_is_dominant():
     n = 4
-    assert is_dominant(AffineWeight((0,) * n, 1, 0))
-    w1 = AffineWeight(varpi(n, 1))
-    assert is_dominant_fw(w1.finite)
+    assert is_dominant((0,) * n + (1, 0))
+    w1 = varpi(n, 1) + (0, 0)
+    assert is_dominant_fw(w1[:n])
     assert not is_dominant(w1)
     assert not is_dominant_fw(root_to_fw(n, (-1, 0, 0, 0)))
 
@@ -277,8 +279,8 @@ def test_action_preserves_form():
     for n in (4, 5):
         for _ in range(30):
             w = rand_extended(n, rng, rng.randint(0, 12))
-            x = rand_affine_weight(n, rng)
-            y = rand_affine_weight(n, rng)
+            x = rand_key(n, rng)
+            y = rand_key(n, rng)
             assert bilinear(act(w, x), act(w, y)) == bilinear(x, y)
 
 
@@ -292,7 +294,7 @@ def test_distinct_reduced_words_act_identically():
         r2 = ExtendedWeylWord(n, r.tau, braid_variant(r.word, n, rng))
         assert is_reduced(r2)
         distinct += r2.word != r.word
-        weights = [rand_affine_weight(n, rng) for _ in range(20)]
+        weights = [rand_key(n, rng) for _ in range(20)]
         for x in weights:
             assert act(r, x) == act(w, x) == act(r2, x)
     assert distinct >= 5
@@ -304,6 +306,6 @@ def test_compose_matches_action():
         for _ in range(50):
             u = rand_extended(n, rng, 4)
             v = rand_extended(n, rng, 4)
-            x = rand_affine_weight(n, rng)
+            x = rand_key(n, rng)
             assert act(compose(u, v), x) == act(u, act(v, x))
             assert act(compose(u, inverse(u)), x) == x
