@@ -29,14 +29,14 @@ _EXPORTS = {
     for module, names in (
         (
             "cartan",
-            "bilinear delta_plus_s dim_irr dominates is_regular positive_roots "
-            "resolve_family support varpi",
+            "dim_irr is_regular resolve_family support varpi",
         ),
         ("errors", "CharacterError InputError VerificationError"),
         (
             "weyl",
-            "ExtendedWeylWord act compose from_word identity inverse is_dominant length "
-            "longest_word reduce_word same_element sigma_word simple tau_01 tau_fork",
+            "ExtendedWeylWord act bilinear compose delta_plus_s dominates from_word identity "
+            "inverse is_dominant length longest_word positive_roots reduce_word same_element "
+            "sigma_word simple tau_01 tau_fork",
         ),
         ("polyring", "CharElem"),
         (

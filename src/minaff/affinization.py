@@ -12,19 +12,10 @@ obtained from s = n by the fork swap throughout.
 from collections import namedtuple
 from functools import lru_cache
 
-from .cartan import (
-    _dominantize,
-    _rho2,
-    check_dominant,
-    dominates,
-    eps2,
-    fw_from_eps2,
-    is_regular,
-    resolve_family,
-    varpi,
-)
+from .cartan import _rho2, check_dominant, eps2, fw_from_eps2, is_regular, resolve_family, varpi
 from .errors import CharacterError, InputError, VerificationError
 from .polyring import CharElem
+from .weyl import _dominantize, dominates
 from . import weyl
 
 
@@ -149,12 +140,7 @@ def lambda_sequence(n, lam, s):
 @lru_cache(maxsize=None)
 def _assert_nesting_legal(n):
     """Length additivity of the composite word behind the nested formula."""
-    w = weyl.longest_word(n)
-    comp = w
-    sig = weyl.sigma_word(n)
-    for _ in range(n - 1):
-        comp = weyl.compose(comp, sig)
-    expected = n * (n - 1) + (n - 1) * (n - 1)
+    comp, expected = weyl.nesting_composite(n)
     got = weyl.length(comp)
     if got != expected:
         raise VerificationError(f"length additivity failed at rank {n}: {got} != {expected}")

@@ -1,22 +1,16 @@
-"""Static root and weight data for D_n and its untwisted affine diagram.
+"""The weight lattice of D_n: coordinates, dominance, family labels, dimensions.
 
-Conventions used throughout the library:
+Finite weights are integer tuples of length n holding coefficients on the
+fundamental weights (node order 1..n, the two fork nodes last); doubled
+orthogonal coordinates (:func:`eps2`) keep every weight integral.  The fork
+of the finite diagram sits at node n-2, with spin nodes n-1 and n attached
+to it.  Ranks below 4 are rejected everywhere.
 
-* finite weights are integer tuples of length n holding coefficients on the
-  fundamental weights (node order 1..n, the two fork nodes last);
-* finite roots are integer tuples of length n holding coefficients on the
-  simple roots;
-* affine weights are integer keys (a_1, ..., a_n, level, 2 delta): the
-  finite part, the coefficient of the level-one fundamental weight at node
-  0, and twice the coefficient of the null root delta, which every weight
-  the library meets has as a multiple of 1/2.
-
-The fork of the finite diagram sits at node n-2, with spin nodes n-1 and n
-attached to it; the affine node 0 is attached to node 2.  Ranks below 4 are
-rejected everywhere.
-
-The family labels and the Weyl dimension formula live here too, so that
-the command line reaches them without loading either pipeline.
+This module knows no root: the root system, the diagrams and the invariant
+form live in :mod:`minaff.weyl`.  What is here is what the command line and
+both pipelines read (rank and weight checks, the family labels, regularity
+and the closed Weyl dimension formula), so a ``sam`` process loads nothing
+of the Demazure side.
 """
 
 from functools import lru_cache
@@ -40,27 +34,7 @@ def varpi(n, i):
 
 
 # ---------------------------------------------------------------------------
-# Dynkin diagrams
-
-
-def finite_edges(n):
-    """Edges of the finite diagram: a chain 1..n-1 plus the fork edge (n-2, n)."""
-    return tuple((i, i + 1) for i in range(1, n - 1)) + ((n - 2, n),)
-
-
-def affine_edges(n):
-    """Finite edges plus the affine attachment (0, 2)."""
-    return ((0, 2),) + finite_edges(n)
-
-
-def theta_coeffs(n):
-    """Simple-root coefficients of the highest root."""
-    check_rank(n)
-    return (1,) + (2,) * (n - 3) + (1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Orthogonal coordinates and the invariant bilinear form
+# Orthogonal coordinates
 
 
 def eps2(n, fw):
@@ -96,87 +70,12 @@ def fw_from_eps2(n, d):
     return tuple(fw)
 
 
-def bilinear(x, y):
-    """Four times the invariant symmetric form of two keys, an integer.
-
-    Finite parts pair through the orthogonal coordinates, delta pairs with
-    the level, and both delta and the level-one generator are isotropic.
-    """
-    n = len(x) - 2
-    if len(y) != n + 2:
-        raise InputError("rank mismatch in bilinear form")
-    dot = sum(a * b for a, b in zip(eps2(n, x[:n]), eps2(n, y[:n])))
-    return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
-
-
-# ---------------------------------------------------------------------------
-# Roots
-
-
-def root_unit(n, i):
-    if not 1 <= i <= n:
-        raise InputError(f"node {i} outside 1..{n}")
-    return tuple(1 if j == i else 0 for j in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def positive_roots_eps2(n):
-    """Positive roots in doubled orthogonal coordinates: e_i - e_j and
-    e_i + e_j for i < j, doubled.  The one D_n root list of the library."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sign in (-2, 2):
-                a = [0] * n
-                a[i], a[j] = 2, sign
-                roots.append(tuple(a))
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(n):
-    """All positive roots in simple-root coordinates, read off the doubled list."""
-    check_rank(n)
-    roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
-    if len(roots) != n * (n - 1):
-        raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
-    return roots
-
-
-def root_to_fw(n, c):
-    """Fundamental coordinates of a root-coordinate vector (Cartan matrix action)."""
-    fw = [2 * v for v in c]
-    for a, b in finite_edges(n):
-        fw[a - 1] -= c[b - 1]
-        fw[b - 1] -= c[a - 1]
-    return tuple(fw)
-
-
-def fw_to_root(n, fw):
-    """Root coordinates of a root-lattice element given in fundamental coordinates."""
-    d = eps2(n, fw)
-    c = []
-    acc = 0
-    for k in range(n - 2):
-        acc += d[k]
-        q, r = divmod(acc, 2)
-        if r:
-            raise InputError(f"{fw} is not on the root lattice")
-        c.append(q)
-    acc += d[n - 2]
-    qa, ra = divmod(acc - d[n - 1], 4)
-    qb, rb = divmod(acc + d[n - 1], 4)
-    if ra or rb:
-        raise InputError(f"{fw} is not on the root lattice")
-    c.extend([qa, qb])
-    return tuple(c)
-
-
 def support(coords):
     """Indices (1-based nodes) of strictly positive coordinates.
 
-    Serves both dominant weights and positive roots; a negative coordinate
-    means the input is neither and is rejected.
+    Serves both dominant weights and positive roots (in simple-root
+    coordinates); a negative coordinate means the input is neither and is
+    rejected.
     """
     if any(v < 0 for v in coords):
         raise InputError(f"support undefined for {coords}: negative coordinate")
@@ -231,23 +130,8 @@ def is_regular(n, lam):
     return lam[n - 3] > 0
 
 
-@lru_cache(maxsize=None)
-def delta_plus_s(n, s):
-    """Positive roots supported away from at least one branch other than s."""
-    check_rank(n)
-    others = [r for r in family_nodes(n) if r != s]
-    if len(others) != 2:
-        raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
-    out = set()
-    for root in positive_roots(n):
-        supp = support(root)
-        if any(not (supp & branch_set(n, r)) for r in others):
-            out.add(root)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
-# Dominance
+# Dominant weights
 
 
 def is_dominant_fw(fw):
@@ -264,49 +148,12 @@ def check_dominant(n, fw):
         raise InputError(f"weight {fw} is not dominant")
 
 
-def in_root_cone(n, fw):
-    """True when ``fw`` is a nonnegative integer combination of simple roots."""
-    d = eps2(n, fw)
-    acc = 0
-    for k in range(n - 2):
-        acc += d[k]
-        if acc < 0 or acc % 2:
-            return False
-    acc += d[n - 2]
-    return (
-        acc >= abs(d[n - 1])
-        and (acc - d[n - 1]) % 4 == 0
-        and (acc + d[n - 1]) % 4 == 0
-    )
-
-
-def dominates(n, lam, mu):
-    """Dominance order: lam - mu lies in the positive root cone."""
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    return in_root_cone(n, diff)
-
-
 # ---------------------------------------------------------------------------
 # Dimensions
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _rho2(n):
     return eps2(n, (1,) * n)
-
-
-def _dominantize(d):
-    """The dominant point of the Weyl orbit of a doubled coordinate vector:
-    absolute values sorted descending, the last one negated when an odd
-    number of coordinates is negative (type D flips signs in pairs)."""
-    neg = sum(1 for v in d if v < 0)
-    mags = sorted((abs(v) for v in d), reverse=True)
-    if neg % 2 and mags[-1]:
-        mags[-1] = -mags[-1]
-    return tuple(mags)
 
 
 def _root_product(d):

@@ -21,8 +21,11 @@ Anything else is invalid input.
 This module holds only what a table process (``char``, ``decomp``, ``sam``)
 runs: a process run without cached bytecode compiles every module it
 imports, in full.  Each handler imports the modules it runs, so a
-``sam`` process never loads the Demazure side; ``csv`` and ``cartan`` load
-only once a report is built, and JSON is written here without ``json``.
+``sam`` process never loads the Demazure side: it reads only
+:mod:`minaff.cartan`, the weight lattice and labels that both pipelines
+share, which knows no root.  ``cartan`` loads once the command line has
+parsed, ``csv`` only for a CSV report, and JSON is written here without
+``json``.
 ``--version`` loads nothing beyond this module and ``errors``.  The usage
 and help generator and the ``xi`` and ``drinfeld`` handlers live in
 :mod:`minaff.cli_extra`, which only ``--help``, a refused command line,
@@ -30,14 +33,12 @@ and help generator and the ``xi`` and ``drinfeld`` handlers live in
 :mod:`minaff.verify`, which only ``verify`` loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
-Output is byte-stable for a fixed invocation; the elapsed-time field in
-JSON metadata reports 0 unless MINAFF_TIMING=1 is set.
+Output is byte-stable for a fixed invocation: the elapsed-time field in
+JSON metadata always reports 0.
 """
 
 import io
-import os
 import sys
-import time
 
 from . import __version__
 from .errors import CharacterError, InputError, VerificationError
@@ -64,12 +65,8 @@ def _sorted_mults(n, mults):
     return [(mu, mults[mu]) for mu in keys]
 
 
-def _meta(t0):
-    timing = os.environ.get("MINAFF_TIMING") == "1"
-    return {
-        "tool_version": __version__,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000) if timing else 0,
-    }
+def _meta():
+    return {"tool_version": __version__, "elapsed_ms": 0}
 
 
 def _json_text(obj):
@@ -135,7 +132,7 @@ def _csv_text(header, rows):
 # reports
 
 
-def _table_report(opts, n, s, lam, mults, t0):
+def _table_report(opts, n, s, lam, mults):
     from .cartan import check_dominant, dim_irr
 
     entries = [
@@ -154,7 +151,7 @@ def _table_report(opts, n, s, lam, mults, t0):
         "lambda": list(lam),
         "dimension": dimension,
         "multiplicities": entries,
-        "meta": _meta(t0),
+        "meta": _meta(),
     }
     if opts["format"] == "json":
         return _json_text(report)
@@ -172,17 +169,17 @@ def _table_report(opts, n, s, lam, mults, t0):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_char(opts, t0):
+def _cmd_char(opts):
     from .affinization import multiplicity_table
     from .cartan import resolve_family
 
     n = opts["n"]
     lam = _parse_weight(opts["lambda"], n)
     s = resolve_family(n, opts["s"])
-    return _table_report(opts, n, s, lam, multiplicity_table(n, lam, s), t0), 0
+    return _table_report(opts, n, s, lam, multiplicity_table(n, lam, s)), 0
 
 
-def _cmd_sam(opts, t0):
+def _cmd_sam(opts):
     from .cartan import resolve_family
     from .spbranch import sam_table
 
@@ -191,25 +188,25 @@ def _cmd_sam(opts, t0):
     s = resolve_family(n, opts["s"] if opts["s"] is not None else 1)
     if s != 1:
         raise InputError("the symplectic pipeline covers the s = 1 family only")
-    return _table_report(opts, n, 1, lam, sam_table(n, lam), t0), 0
+    return _table_report(opts, n, 1, lam, sam_table(n, lam)), 0
 
 
-def _cmd_xi(opts, t0):
+def _cmd_xi(opts):
     from .cli_extra import xi_report
 
-    return xi_report(opts, t0)
+    return xi_report(opts)
 
 
-def _cmd_drinfeld(opts, t0):
+def _cmd_drinfeld(opts):
     from .cli_extra import drinfeld_report
 
-    return drinfeld_report(opts, t0)
+    return drinfeld_report(opts)
 
 
-def _cmd_verify(opts, t0):
+def _cmd_verify(opts):
     from .verify import verify_report
 
-    return verify_report(opts, t0)
+    return verify_report(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,6 @@ def _parse(argv):
 
 def run(argv):
     """Parse arguments, execute, print the report; returns the exit code."""
-    t0 = time.monotonic()
     try:
         parsed = _parse(argv)
         if isinstance(parsed, str):  # help or version
@@ -350,7 +346,7 @@ def run(argv):
 
             command, opts = parsed
             check_rank(opts["n"])
-            text, code = _COMMANDS[command][0](opts, t0)
+            text, code = _COMMANDS[command][0](opts)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

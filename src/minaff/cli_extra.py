@@ -87,7 +87,7 @@ def _family_str(n, s):
     return {1: "1", n - 1: "n-1", n: "n"}[s]
 
 
-def xi_report(opts, t0):
+def xi_report(opts):
     from . import affinization
     from .cartan import resolve_family
 
@@ -109,7 +109,7 @@ def xi_report(opts, t0):
             "lambda_bar": xs.lambda_bar,
             "xi": [_weight_json(x) for x in xs.keys],
             "Lambda": [_weight_json(x) for x in lams] if lams else None,
-            "meta": _meta(t0),
+            "meta": _meta(),
         }
         return _json_text(report), 0
     if opts["format"] == "csv":
@@ -131,7 +131,7 @@ def xi_report(opts, t0):
     return "\n".join(lines) + "\n", 0
 
 
-def drinfeld_report(opts, t0):
+def drinfeld_report(opts):
     from .affinization import drinfeld
     from .cartan import resolve_family
 
@@ -147,7 +147,7 @@ def drinfeld_report(opts, t0):
             "epsilon": eps,
             "lambda": list(lam),
             "factors": [{"i": i, "m": m, "c": c} for i, m, c in data.factors],
-            "meta": _meta(t0),
+            "meta": _meta(),
         }
         return _json_text(report), 0
     if opts["format"] == "csv":

@@ -3,7 +3,9 @@
 Everything here runs in doubled orthogonal coordinates: integer vectors
 whose halves are the usual orthogonal coordinates of the weight lattice.
 Dominant-chamber multiplicities come from the Freudenthal recursion; full
-characters are Weyl-orbit expansions of those.  The Weyl dimension
+characters are Weyl-orbit expansions of those.  The positive roots and
+the dominance order come from :mod:`minaff.weyl`, which owns the root
+system; none of its group machinery is used here.  The Weyl dimension
 formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept as an
 independent cross-check of the recursion.
 """
@@ -11,20 +13,14 @@ independent cross-check of the recursion.
 from collections import namedtuple
 from functools import lru_cache
 
-from .cartan import (
-    _dominantize,
-    _dot,
-    _rho2,
-    check_dominant,
-    dim_irr,
-    dominates,
-    eps2,
-    fw_from_eps2,
-    is_dominant_fw,
-    positive_roots_eps2,
-)
+from .cartan import _rho2, check_dominant, dim_irr, eps2, fw_from_eps2, is_dominant_fw
 from .errors import CharacterError, InputError
 from .polyring import CharElem
+from .weyl import _dominantize, dominates, positive_roots_eps2
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _is_dominant_eps(d):

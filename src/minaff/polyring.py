@@ -80,10 +80,8 @@ class CharElem:
         return cls(n, {}, affine)
 
     @classmethod
-    def monomial(cls, key, coeff=1, affine=True):
-        if key.__class__ is not tuple:
-            raise InputError(f"key {key!r} is not a tuple of integers")
-        return cls(len(key) - 2, {key: coeff}, affine)
+    def monomial(cls, n, key, coeff=1, affine=True):
+        return cls(n, {_checked_key(_checked_rank(n), key): coeff}, affine)
 
     @classmethod
     def one(cls, n, affine=True):

@@ -1,4 +1,13 @@
-"""Extended affine Weyl group of the doubled-fork diagram.
+"""The root system and the extended affine Weyl group of the doubled-fork diagram.
+
+Finite roots are integer tuples of length n holding coefficients on the
+simple roots; :func:`root_to_fw` and :func:`fw_to_root` convert between
+them and the fundamental coordinates of :mod:`minaff.cartan`.  The affine
+node 0 is attached to node 2.  Affine weights are integer keys
+(a_1, ..., a_n, level, 2 delta): the finite part, the coefficient of the
+level-one fundamental weight at node 0, and twice the coefficient of the
+null root delta, which every weight the library meets has as a multiple
+of 1/2.
 
 Group elements are carried as words: an automorphism prefix (a permutation
 of the affine nodes generated by the two diagram swaps) followed by a tuple
@@ -6,16 +15,149 @@ of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; equality of group elements is decided by comparing actions on
-a basis.  The action is written once, on the integer keys
-(a_1, ..., a_n, level, 2 delta) that the character ring stores.
+a basis.  The action is written once, on the keys that the character ring
+stores.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .cartan import check_rank, root_to_fw, root_unit, theta_coeffs, varpi
+from .cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
 from .errors import InputError, VerificationError
+
+
+# ---------------------------------------------------------------------------
+# Dynkin diagrams and roots
+
+
+def finite_edges(n):
+    """Edges of the finite diagram: a chain 1..n-1 plus the fork edge (n-2, n)."""
+    return tuple((i, i + 1) for i in range(1, n - 1)) + ((n - 2, n),)
+
+
+def affine_edges(n):
+    """Finite edges plus the affine attachment (0, 2)."""
+    return ((0, 2),) + finite_edges(n)
+
+
+def theta_coeffs(n):
+    """Simple-root coefficients of the highest root."""
+    check_rank(n)
+    return (1,) + (2,) * (n - 3) + (1, 1)
+
+
+def root_unit(n, i):
+    if not 1 <= i <= n:
+        raise InputError(f"node {i} outside 1..{n}")
+    return tuple(1 if j == i else 0 for j in range(1, n + 1))
+
+
+def root_to_fw(n, c):
+    """Fundamental coordinates of a root-coordinate vector (Cartan matrix action)."""
+    fw = [2 * v for v in c]
+    for a, b in finite_edges(n):
+        fw[a - 1] -= c[b - 1]
+        fw[b - 1] -= c[a - 1]
+    return tuple(fw)
+
+
+def fw_to_root(n, fw):
+    """Root coordinates of a root-lattice element given in fundamental coordinates."""
+    d = eps2(n, fw)
+    c = []
+    acc = 0
+    for k in range(n - 2):
+        acc += d[k]
+        q, r = divmod(acc, 2)
+        if r:
+            raise InputError(f"{fw} is not on the root lattice")
+        c.append(q)
+    acc += d[n - 2]
+    qa, ra = divmod(acc - d[n - 1], 4)
+    qb, rb = divmod(acc + d[n - 1], 4)
+    if ra or rb:
+        raise InputError(f"{fw} is not on the root lattice")
+    c.extend([qa, qb])
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def positive_roots_eps2(n):
+    """Positive roots in doubled orthogonal coordinates: e_i - e_j and
+    e_i + e_j for i < j, doubled.  The one D_n root list of the library."""
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-2, 2):
+                a = [0] * n
+                a[i], a[j] = 2, sign
+                roots.append(tuple(a))
+    return tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def positive_roots(n):
+    """All positive roots in simple-root coordinates, read off the doubled list."""
+    check_rank(n)
+    roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
+    if len(roots) != n * (n - 1):
+        raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
+    return roots
+
+
+@lru_cache(maxsize=None)
+def delta_plus_s(n, s):
+    """Positive roots supported away from at least one branch other than s."""
+    check_rank(n)
+    others = [r for r in family_nodes(n) if r != s]
+    if len(others) != 2:
+        raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
+    out = set()
+    for root in positive_roots(n):
+        supp = support(root)
+        if any(not (supp & branch_set(n, r)) for r in others):
+            out.add(root)
+    return frozenset(out)
+
+
+def dominates(n, lam, mu):
+    """Dominance order: lam - mu is a sum of positive roots, that is, its
+    root coordinates exist and none is negative."""
+    diff = tuple(a - b for a, b in zip(lam, mu))
+    try:
+        c = fw_to_root(n, diff)
+    except InputError:  # off the root lattice
+        return False
+    return min(c) >= 0
+
+
+def _dominantize(d):
+    """The dominant point of the Weyl orbit of a doubled coordinate vector:
+    absolute values sorted descending, the last one negated when an odd
+    number of coordinates is negative (type D flips signs in pairs)."""
+    neg = sum(1 for v in d if v < 0)
+    mags = sorted((abs(v) for v in d), reverse=True)
+    if neg % 2 and mags[-1]:
+        mags[-1] = -mags[-1]
+    return tuple(mags)
+
+
+def bilinear(x, y):
+    """Four times the invariant symmetric form of two keys, an integer.
+
+    Finite parts pair through the orthogonal coordinates, delta pairs with
+    the level, and both delta and the level-one generator are isotropic.
+    """
+    n = len(x) - 2
+    if len(y) != n + 2:
+        raise InputError("rank mismatch in bilinear form")
+    dot = sum(a * b for a, b in zip(eps2(n, x[:n]), eps2(n, y[:n])))
+    return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
+
+
+# ---------------------------------------------------------------------------
+# Words
 
 
 class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
@@ -266,6 +408,16 @@ def sigma_word(n):
     check_rank(n)
     tau = compose(tau_01(n), tau_fork(n)).tau
     return ExtendedWeylWord(n, tau, tuple(range(1, n)))
+
+
+def nesting_composite(n):
+    """The composite w0 sigma^(n-1) behind the nested character formula,
+    and its length when the lengths of the factors add: n(n-1) + (n-1)^2."""
+    comp = longest_word(n)
+    sig = sigma_word(n)
+    for _ in range(n - 1):
+        comp = compose(comp, sig)
+    return comp, n * (n - 1) + (n - 1) ** 2
 
 
 @lru_cache(maxsize=None)

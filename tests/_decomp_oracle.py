@@ -13,8 +13,9 @@ the closed product of :func:`minaff.cartan.dim_irr`.
 from collections import Counter
 from math import factorial, prod
 
-from minaff.cartan import _dot, _rho2, check_dominant, eps2, fw_from_eps2, positive_roots_eps2
-from minaff.decomp import _dominant_mults
+from minaff.cartan import _rho2, check_dominant, eps2, fw_from_eps2
+from minaff.decomp import _dominant_mults, _dot
+from minaff.weyl import positive_roots_eps2
 
 
 def dominant_mults(n, lam):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from minaff import CharElem, affinization, weyl
-from minaff.cartan import affine_edges
+from minaff.weyl import affine_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,11 +88,21 @@ def minaff_imports(module):
     return out
 
 
+def imported_names(module, source):
+    """Names that ``module`` imports from the minaff module ``source``."""
+    return {
+        a.name
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
+        for a in node.names
+    }
+
+
 def run_fresh(*args):
     """Run the interpreter on ``args`` in a fresh process, with minaff from
-    ``src``, MINAFF_TIMING unset and this process's optimization level;
-    returns the completed process, output as text."""
-    env = {k: v for k, v in os.environ.items() if k != "MINAFF_TIMING"}
+    ``src`` and this process's optimization level; returns the completed
+    process, output as text."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     argv = [sys.executable, *["-O"] * sys.flags.optimize, *args]
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)

@@ -18,17 +18,19 @@ from collections import namedtuple
 from fractions import Fraction
 
 from minaff import InputError, weyl
-from minaff.cartan import (
-    check_rank,
-    eps2,
+from minaff.cartan import check_rank, eps2, varpi
+from minaff.weyl import (
+    ExtendedWeylWord,
+    compose,
     fw_to_root,
+    identity,
+    inverse,
     positive_roots,
     root_to_fw,
     root_unit,
+    simple,
     theta_coeffs,
-    varpi,
 )
-from minaff.weyl import ExtendedWeylWord, compose, identity, inverse, simple
 
 
 class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):

@@ -77,7 +77,7 @@ def test_criterion_01_demazure_defining_identity():
             f = rand_char(n, rng, 50)
             for i in range(0, n + 1):
                 D = f.demazure(i)
-                am = CharElem.monomial(tuple(-v for v in weyl.alpha_key(n, i)))
+                am = CharElem.monomial(n, tuple(-v for v in weyl.alpha_key(n, i)))
                 if D - am * D != f - am * f.relabel_weyl(weyl.simple(n, i)):
                     ok = False
     report(1, ok, "defining identity on 200 random elements, every node", t0, 10)

@@ -1,26 +1,24 @@
+import functools
+import itertools
 from fractions import Fraction
+from operator import mul, sub
 
 import pytest
 
-from minaff import InputError
-from minaff.cartan import (
+from minaff import InputError, cartan, decomp, spbranch, weyl
+from minaff.cartan import _rho2, check_rank, eps2, fw_from_eps2, support, varpi
+from minaff.weyl import (
     affine_edges,
     bilinear,
-    check_rank,
     delta_plus_s,
     dominates,
-    eps2,
     finite_edges,
-    fw_from_eps2,
     fw_to_root,
-    in_root_cone,
+    key_pairing,
     positive_roots,
     root_to_fw,
-    support,
-    varpi,
 )
-from minaff.weyl import key_pairing
-from _helpers import rand_key, seeded
+from _helpers import minaff_imports, rand_key, seeded
 from _weyl_oracle import AffineWeight, form, key_of, pairing, weight_of
 
 
@@ -234,4 +232,51 @@ def test_dominance_order():
     assert dominates(n, lam, tuple(l - a for l, a in zip(lam, a2)))
     assert not dominates(n, (0, 0, 0, 1), (0, 0, 1, 0))  # different coset
     assert not dominates(n, (0, 0, 0, 0), (0, 1, 0, 0))
-    assert in_root_cone(n, root_to_fw(n, (1, 2, 1, 1)))
+    assert dominates(n, root_to_fw(n, (1, 2, 1, 1)), (0, 0, 0, 0))
+
+
+def test_dominates_matches_sums_of_positive_roots():
+    # oracle: every positive root is a sum of simple roots, so lam - mu must
+    # be one.  A nonzero sum q of simple roots has <q, q> > 0, so it pairs
+    # positively with a simple coroot at some node of its support, and that
+    # pairing is q's fundamental coordinate there: stepping down by simple
+    # roots at positive coordinates while the rho-height stays positive
+    # finds every such sum.
+    for n in (4, 5):
+        simple = cartan_matrix(range(1, n + 1), finite_edges(n))
+        rho = _rho2(n)
+
+        @functools.lru_cache(maxsize=None)
+        def is_sum(d):
+            if not any(d):
+                return True
+            if sum(map(mul, eps2(n, d), rho)) <= 0:
+                return False
+            return any(v > 0 and is_sum(tuple(map(sub, d, a))) for v, a in zip(d, simple))
+
+        weights = list(itertools.product(range(3), repeat=n))
+        below = 0
+        for lam in weights:
+            for mu in weights:
+                expected = is_sum(tuple(map(sub, lam, mu)))
+                assert dominates(n, lam, mu) == expected, (lam, mu)
+                below += expected
+        assert len(weights) < below < len(weights) ** 2
+
+
+# The root-system names: weyl defines them and cartan must not.
+MOVED_TO_WEYL = (
+    "finite_edges affine_edges theta_coeffs root_unit root_to_fw fw_to_root "
+    "positive_roots_eps2 positive_roots delta_plus_s dominates _dominantize bilinear"
+).split()
+
+
+def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
+    assert minaff_imports(cartan) == {"errors"}
+    for name in MOVED_TO_WEYL:
+        assert not hasattr(cartan, name), name
+        assert getattr(weyl, name).__module__ == "minaff.weyl", name
+    assert not hasattr(cartan, "_dot") and decomp._dot.__module__ == "minaff.decomp"
+    assert not hasattr(cartan, "in_root_cone") and not hasattr(weyl, "in_root_cone")
+    # so the symplectic pipeline loads no code that knows a root
+    assert minaff_imports(spbranch) == {"cartan", "errors"}

@@ -73,6 +73,7 @@ def assert_schema(report):
         assert isinstance(entry["mu"], list) and len(entry["mu"]) == report["n"]
         assert isinstance(entry["m"], int) and isinstance(entry["dim"], int)
     assert set(report["meta"]) == {"tool_version", "elapsed_ms"}
+    assert report["meta"]["elapsed_ms"] == 0  # byte-stable: no clock is read
 
 
 def test_json_reports_match_schema(capsys):
@@ -260,9 +261,28 @@ def test_drinfeld_report(capsys):
     assert {"i": 2, "m": 1, "c": 3} in report["factors"]
 
 
-def test_benchmark_cases_print_their_recorded_bytes(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1"),
+        ("sam", "--n", "4", "--lambda", "2,1,1,1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_traced_benchmark_worker_prints_what_the_cli_prints(argv):
+    # the traced benchmark run imports minaff's modules and wraps functions
+    # by name, so a module or a name it needs that is gone fails every
+    # traced sample
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    traced = run_fresh(str(worker), *argv)
+    assert traced.returncode == 0, traced.stderr
+    record = json.loads(traced.stdout)
+    assert record["code"] == 0
+    assert record["stdout"] == run_fresh("-m", "minaff", *argv).stdout
+
+
+def test_benchmark_cases_print_their_recorded_bytes(capsys):
     # the benchmark checks every case's stdout against these digests
-    monkeypatch.delenv("MINAFF_TIMING", raising=False)
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
     expected = json.loads(path.read_text())["cli"]
     assert len(expected) == 12
@@ -294,8 +314,7 @@ PINNED_BYTES = {
 
 
 @pytest.mark.parametrize("argv", PINNED_BYTES, ids=" ".join)
-def test_weight_and_verify_reports_print_their_pinned_bytes(capsys, monkeypatch, argv):
-    monkeypatch.delenv("MINAFF_TIMING", raising=False)
+def test_weight_and_verify_reports_print_their_pinned_bytes(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BYTES[argv]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, CharacterError, InputError
 from minaff.affinization import straighten
-from minaff.cartan import _dominantize, eps2, fw_from_eps2, varpi
+from minaff.cartan import eps2, fw_from_eps2, varpi
 from minaff.decomp import (
     DecompositionTable,
     _orbit,
@@ -16,8 +16,9 @@ from minaff.decomp import (
     irr_character,
 )
 from minaff import decomp, weyl
+from minaff.weyl import _dominantize
 from _decomp_oracle import character_mass, dim_by_roots, dominant_mults, orbit_size
-from _helpers import minaff_imports, seeded
+from _helpers import imported_names, seeded
 
 
 def test_trivial_and_vector_characters():
@@ -75,7 +76,7 @@ def test_orbit_size_against_expansion():
 def test_dominant_enumeration_complete():
     # oracle: walk the full weight diagram by simple-root steps and collect
     # the dominant points
-    from minaff.cartan import root_to_fw, root_unit
+    from minaff.weyl import root_to_fw, root_unit
 
     n = 4
     lam = (1, 1, 0, 0)
@@ -125,7 +126,7 @@ def test_tensor_fork_pair():
 def test_decompose_rejects_non_characters():
     n = 4
     with pytest.raises(CharacterError):
-        decompose(CharElem.monomial(varpi(n, 1) + (0, 0), affine=False))
+        decompose(CharElem.monomial(n, varpi(n, 1) + (0, 0), affine=False))
     bad = irr_character(n, varpi(n, 2)) - 2 * CharElem.one(n, affine=False)
     with pytest.raises(CharacterError):
         decompose(bad)
@@ -203,7 +204,9 @@ def test_cached_results_are_not_handed_out():
 
 
 def test_decomp_imports_no_affine_weyl_group():
-    assert "weyl" not in minaff_imports(decomp)
+    # decomp takes the root system from weyl, never the group or its action
+    assert imported_names(decomp, "weyl") == {"_dominantize", "dominates", "positive_roots_eps2"}
+    assert not hasattr(decomp, "weyl")
     assert not hasattr(decomp, "finite_edges")
 
 
@@ -226,8 +229,8 @@ def test_straighten_matches_longest_element_operator():
     seen = set()
     for _ in range(60):
         mu = tuple(rng.randint(-3, 2) for _ in range(n))
-        got = straighten(CharElem.monomial(mu + (0, 0), affine=False))
-        full = CharElem.monomial(mu + (0, 0)).demazure_word(w0).specialize()
+        got = straighten(CharElem.monomial(n, mu + (0, 0), affine=False))
+        full = CharElem.monomial(n, mu + (0, 0)).demazure_word(w0).specialize()
         if not got:
             assert not full
             seen.add(0)
@@ -247,4 +250,4 @@ def test_straighten_sums_and_cancels():
     f = CharElem(n, {mu + (0, 0): 2, dot + (0, 0): 1}, affine=False)
     assert straighten(f) == {mu: 1}
     with pytest.raises(InputError):
-        straighten(CharElem.monomial(mu + (0, 0)))
+        straighten(CharElem.monomial(n, mu + (0, 0)))

@@ -11,7 +11,7 @@ N = 4
 
 
 def mono(fin, level=0, delta=0, coeff=1, affine=True):
-    return CharElem.monomial(fin + (level, 2 * delta), coeff, affine)
+    return CharElem.monomial(len(fin), fin + (level, 2 * delta), coeff, affine)
 
 
 def plus(*keys):
@@ -36,15 +36,15 @@ def test_demazure_monomial_cases():
         assert one.demazure(i) == one
     w1 = varpi(N, 1) + (0, 0)
     w1_a1 = plus(w1, times(-1, alpha(N, 1)))
-    f = CharElem.monomial(w1)
-    assert f.demazure(1) == f + CharElem.monomial(w1_a1)
+    f = CharElem.monomial(N, w1)
+    assert f.demazure(1) == f + CharElem.monomial(N, w1_a1)
     # pairing -1 annihilates; value pinned by the defining identity below
-    assert not CharElem.monomial(w1_a1).demazure(1)
+    assert not CharElem.monomial(N, w1_a1).demazure(1)
     # negative pairings give negated interior strings
     g = mono((-2, 0, 0, 0)).demazure(1)
     assert g == mono((0, -1, 0, 0), coeff=-1)
-    g = CharElem.monomial(plus(w1, times(-2, alpha(N, 1)))).demazure(1)
-    assert g == CharElem.monomial(w1_a1, -1) + CharElem.monomial(w1, -1)
+    g = CharElem.monomial(N, plus(w1, times(-2, alpha(N, 1)))).demazure(1)
+    assert g == CharElem.monomial(N, w1_a1, -1) + CharElem.monomial(N, w1, -1)
 
 
 def test_demazure_defining_identity():
@@ -54,7 +54,7 @@ def test_demazure_defining_identity():
             f = rand_char(n, rng)
             for i in range(0, n + 1):
                 D = f.demazure(i)
-                am = CharElem.monomial(times(-1, alpha(n, i)))
+                am = CharElem.monomial(n, times(-1, alpha(n, i)))
                 assert D - am * D == f - am * f.relabel_weyl(weyl.simple(n, i)), (n, i)
 
 
@@ -84,8 +84,8 @@ def test_demazure_word():
     f = rand_char(N, rng, 10)
     assert f.demazure_word(weyl.identity(N)) == f
     L0 = lambda0(N)
-    g = CharElem.monomial(L0).demazure_word(weyl.simple(N, 0))
-    assert g == CharElem.monomial(L0) + CharElem.monomial(plus(L0, times(-1, alpha(N, 0))))
+    g = CharElem.monomial(N, L0).demazure_word(weyl.simple(N, 0))
+    assert g == CharElem.monomial(N, L0) + CharElem.monomial(N, plus(L0, times(-1, alpha(N, 0))))
     with pytest.raises(InputError):
         f.demazure_word(weyl.from_word(N, (1, 1)))
 
@@ -120,7 +120,7 @@ def test_twist():
     assert f.twist(weyl.tau_fork(n)) == mono(varpi(n, n))
     # node swap at the affine end: image of the level-one generator pairs
     # like the original did, one node over
-    g = CharElem.monomial(lambda0(n)).twist(weyl.tau_01(n))
+    g = CharElem.monomial(n, lambda0(n)).twist(weyl.tau_01(n))
     ((key, _),) = g.items()
     tau = weyl.tau_01(n).tau
     for i in range(n + 1):
@@ -136,7 +136,7 @@ def test_twist():
 
 def test_specialize():
     n = 4
-    assert CharElem.monomial(lambda0(n)).specialize() == CharElem.one(n, affine=False)
+    assert CharElem.monomial(n, lambda0(n)).specialize() == CharElem.one(n, affine=False)
     w1 = varpi(n, 1)
     f = mono(w1, level=1) + mono(w1, level=1, delta=-1)
     assert f.specialize() == mono(w1, coeff=2, affine=False)
@@ -167,27 +167,27 @@ def test_no_operation_keeps_a_zero_coefficient():
     n = 4
     x = varpi(n, 1) + (1, 0)
     y = varpi(n, 2) + (0, 1)  # delta 1/2
-    f = CharElem.monomial(x, 2) + CharElem.monomial(y, -1)
+    f = CharElem.monomial(n, x, 2) + CharElem.monomial(n, y, -1)
     a1 = alpha(n, 1)
     # x pairs 1 with node 1 and x - 2 alpha_1 is its dot-reflection: opposite strings
-    z = CharElem.monomial(x) + CharElem.monomial(plus(x, times(-2, a1)))
+    z = CharElem.monomial(n, x) + CharElem.monomial(n, plus(x, times(-2, a1)))
     results = {
-        "add": f + CharElem.monomial(x, -2),
-        "sub": f - CharElem.monomial(y, -1),
+        "add": f + CharElem.monomial(n, x, -2),
+        "sub": f - CharElem.monomial(n, y, -1),
         "int mul": 0 * f,
         "mul int": f * 0,
-        "elem mul": (CharElem.monomial(x) + CharElem.monomial(y))
-        * (CharElem.monomial(x) - CharElem.monomial(y)),
+        "elem mul": (CharElem.monomial(n, x) + CharElem.monomial(n, y))
+        * (CharElem.monomial(n, x) - CharElem.monomial(n, y)),
         "specialize": (mono(varpi(n, 1), level=1) - mono(varpi(n, 1), delta=3)).specialize(),
         # bijections on keys: fed a sum whose x term cancelled
-        "twist": (f - CharElem.monomial(x, 2)).twist(weyl.tau_01(n)),
-        "relabel_weyl": (f - CharElem.monomial(x, 2)).relabel_weyl(weyl.simple(n, 1)),
+        "twist": (f - CharElem.monomial(n, x, 2)).twist(weyl.tau_01(n)),
+        "relabel_weyl": (f - CharElem.monomial(n, x, 2)).relabel_weyl(weyl.simple(n, 1)),
         "demazure": z.demazure(1),
     }
     for name, r in results.items():
         assert 0 not in dict(r.items()).values(), name
-    assert not results["add"] - CharElem.monomial(y, -1)
-    assert not results["sub"] - CharElem.monomial(x, 2)
+    assert not results["add"] - CharElem.monomial(n, y, -1)
+    assert not results["sub"] - CharElem.monomial(n, x, 2)
     assert not results["int mul"] and not results["mul int"] and not results["demazure"]
     assert len(results["elem mul"]) == 2
     assert not results["specialize"]
@@ -196,12 +196,12 @@ def test_no_operation_keeps_a_zero_coefficient():
 def test_half_integer_delta_round_trips_and_quarter_is_refused():
     n = 4
     x = varpi(n, 1) + (1, -3)  # delta -3/2
-    f = CharElem.monomial(x, 5)
+    f = CharElem.monomial(n, x, 5)
     assert f.items() == [(x, 5)]
     assert f.coeff(x) == 5
     quarter = varpi(n, 1) + (1, 0.5)  # a 2-delta slot of 1/2
     with pytest.raises(InputError):
-        CharElem.monomial(quarter)
+        CharElem.monomial(n, quarter)
     with pytest.raises(InputError):
         CharElem(n, {x: 1, quarter: 1})
     with pytest.raises(InputError):
@@ -226,11 +226,20 @@ def test_keys_refuse_inexact_level_and_delta():
         if isinstance(key, tuple):
             with pytest.raises(InputError):
                 CharElem(n, {key: 1})
-        # monomial reads the rank off the key, so only a key of rank n's
-        # length can be wrong for it
-        if len(key) == n + 2:
-            with pytest.raises(InputError):
-                CharElem.monomial(key)
+        with pytest.raises(InputError):
+            CharElem.monomial(n, key)
+
+
+def test_monomial_takes_the_rank_first():
+    n = 4
+    assert CharElem.monomial(n, (0,) * (n + 2)) == CharElem.one(n)
+    assert CharElem.monomial(n, varpi(n, 1) + (0, 0), affine=False).n == n
+    # a finite weight is not a key of rank 4, nor is a key a rank: the
+    # (key, coeff) call of old is refused
+    with pytest.raises(InputError):
+        CharElem.monomial(n, (1, 0, 0, 0), affine=False)
+    with pytest.raises(InputError):
+        CharElem.monomial((0, 0, 0, 0, 0, 0), 2)
 
 
 def test_refuses_a_coefficient_that_is_not_an_int():
@@ -239,7 +248,7 @@ def test_refuses_a_coefficient_that_is_not_an_int():
         with pytest.raises(InputError):
             CharElem(4, {key: c})
         with pytest.raises(InputError):
-            CharElem.monomial(key, c)
+            CharElem.monomial(4, key, c)
 
 
 def test_refuses_a_rank_that_is_not_a_positive_int():
@@ -265,7 +274,7 @@ def test_finite_tagged_elements_stay_on_the_finite_lattice():
 
 
 def test_foreign_operands_raise_type_error():
-    f = CharElem.monomial((1, 0, 0, 0, 0, 0))
+    f = CharElem.monomial(4, (1, 0, 0, 0, 0, 0))
     for bad in (lambda: f * 1.5, lambda: 1.5 * f, lambda: f + 1, lambda: 1 + f, lambda: f - 1):
         with pytest.raises(TypeError):
             bad()

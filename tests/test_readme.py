@@ -32,10 +32,9 @@ def test_readme_command_lines_cover_every_subcommand():
 
 
 @pytest.mark.parametrize("argv", command_lines(), ids=lambda argv: argv[0])
-def test_readme_command_line_runs_in_a_fresh_process(argv, capsys, monkeypatch):
+def test_readme_command_line_runs_in_a_fresh_process(argv, capsys):
     # a handler that forgot one of its imports fails here, in a process
     # that has loaded only what the command itself imports
-    monkeypatch.delenv("MINAFF_TIMING", raising=False)
     proc = run_fresh("-m", "minaff", *argv)
     assert proc.returncode == 0, proc.stderr
     assert run(list(argv)) == 0

@@ -195,7 +195,7 @@ def test_decompose_sp_round_trip(tbl):
 
 def test_decompose_sp_rejects_non_characters():
     with pytest.raises(CharacterError):
-        decompose_sp(CharElem.monomial((1, 0, 0, 0, 0), affine=False), 3)
+        decompose_sp(CharElem.monomial(3, (1, 0, 0, 0, 0), affine=False), 3)
 
 
 def test_sam_mult_examples():

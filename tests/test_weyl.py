@@ -5,7 +5,7 @@ from operator import sub
 import pytest
 
 from minaff import CharElem, InputError, bilinear, weyl
-from minaff.cartan import is_dominant_fw, positive_roots, root_to_fw, varpi
+from minaff.cartan import is_dominant_fw, varpi
 from minaff.weyl import (
     ExtendedWeylWord,
     act,
@@ -18,7 +18,9 @@ from minaff.weyl import (
     is_reduced,
     length,
     longest_word,
+    positive_roots,
     reduce_word,
+    root_to_fw,
     same_element,
     sigma_word,
     simple,
@@ -153,13 +155,13 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
     with pytest.raises(InputError):
         tau_on_weight(bad, x)
     with pytest.raises(InputError):
-        CharElem.monomial(key_of(x)).twist(bad)
+        CharElem.monomial(n, key_of(x)).twist(bad)
     # the four allowed prefixes keep the invariant form
     y = lambda0(n)
     for tau in weyl._allowed_taus(n):
         assert form(tau_on_weight(tau, x), tau_on_weight(tau, y)) == form(x, y)
-        twisted = CharElem.monomial(key_of(tau_on_weight(tau, x)))
-        assert CharElem.monomial(key_of(x)).twist(tau) == twisted
+        twisted = CharElem.monomial(n, key_of(tau_on_weight(tau, x)))
+        assert CharElem.monomial(n, key_of(x)).twist(tau) == twisted
 
 
 def test_tau_on_weight_matches_norm_preserving_expansion():
