@@ -34,21 +34,19 @@ _EXPORTS = {
         ("errors", "CharacterError InputError VerificationError"),
         (
             "weyl",
-            "ExtendedWeylWord act bilinear compose delta_plus_s dominates from_word identity "
-            "inverse is_dominant length longest_word positive_roots reduce_word same_element "
-            "sigma_word simple tau_01 tau_fork",
+            "ExtendedWeylWord act bilinear compose dominates from_word identity inverse "
+            "is_dominant length longest_word reduce_word same_element sigma_word simple "
+            "tau_01 tau_fork",
         ),
         ("polyring", "CharElem"),
         (
             "affinization",
-            "DrinfeldSpec LambdaSequence XiSequence character drinfeld lambda_sequence "
-            "multiplicity_table straighten xi_sequence",
+            "LambdaSequence XiSequence character lambda_sequence multiplicity_table "
+            "straighten xi_sequence",
         ),
         ("decomp", "DecompositionTable compare_affinization decompose irr_character"),
-        (
-            "spbranch",
-            "iota lr_coefficient partition_of sam_mult sam_table sp_branch sp_dim_irr",
-        ),
+        ("spbranch", "iota lr_coefficient partition_of sam_table sp_branch sp_dim_irr"),
+        ("cli_extra", "DrinfeldSpec drinfeld"),
     )
     for name in names.split()
 }

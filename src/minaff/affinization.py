@@ -2,19 +2,26 @@
 
 For a dominant weight and a family label s (one of the three extreme nodes)
 this module builds the tensor-factor weights xi_j, their rotated dominant
-forms Lambda_j, the nested Demazure character of the associated module,
-its multiplicity table, and the classifying polynomial data.  The table is
-read off the nested polynomial before the longest-element pass by
-dot-action straightening, with no expansion at all.  The s = n-1 family is
-obtained from s = n by the fork swap throughout.
+forms Lambda_j, the nested Demazure character of the associated module and
+its multiplicity table.  The s = n-1 family is obtained from s = n by the
+fork swap throughout.
+
+The table path runs on plain maps {key: coefficient}: each rotation pass
+shifts by a factor weight, applies the Demazure string of
+:func:`minaff.weyl.demazure_terms` at each letter of the rotation word and
+relabels by its diagram twist, and the table is read off the result before
+the longest-element pass by dot-action straightening, with no expansion at
+all.  Only :func:`character`, the full-character API, builds a
+:class:`minaff.polyring.CharElem`, and it imports that module in its body,
+so a ``char`` or ``decomp`` process never compiles it.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import add
 
 from .cartan import _rho2, check_dominant, eps2, fw_from_eps2, is_regular, resolve_family, varpi
 from .errors import CharacterError, InputError, VerificationError
-from .polyring import CharElem
 from .weyl import _dominantize, dominates
 from . import weyl
 
@@ -139,7 +146,11 @@ def lambda_sequence(n, lam, s):
 
 @lru_cache(maxsize=None)
 def _assert_nesting_legal(n):
-    """Length additivity of the composite word behind the nested formula."""
+    """The rotation word is reduced, and the lengths of the composite word
+    behind the nested formula add."""
+    sig = weyl.sigma_word(n)
+    if not weyl.is_reduced(sig):
+        raise InputError(f"word {sig.word} is not reduced")
     comp, expected = weyl.nesting_composite(n)
     got = weyl.length(comp)
     if got != expected:
@@ -170,31 +181,42 @@ def _regular_input(n, lam, s):
 MAX_TERMS = 200_000
 
 
-def _pre_w0(n, lam, s):
-    """The nested polynomial before the longest-element pass, s in {1, n}.
+def _shift(k, terms):
+    """The map ``terms`` times e^k: every key shifted by ``k``."""
+    return {tuple(map(add, kk, k)): c for kk, c in terms.items()}
 
-    Innermost factor first: multiply in each tensor-factor weight, then
-    rotate-and-expand with the rotation operator; the last factor is
-    multiplied in unrotated.  Refuses with InputError once a pass leaves
-    more than MAX_TERMS terms.
+
+def _pre_w0(n, lam, s):
+    """The nested polynomial before the longest-element pass, s in {1, n},
+    as a map {key: coefficient} without zeros.
+
+    Innermost factor first: shift by each tensor-factor weight, then run
+    the rotation pass (the Demazure string at each letter of the rotation
+    word, last letter first, then the rotation's diagram twist); the last
+    factor is shifted in unrotated.  Refuses with InputError once a pass
+    leaves more than MAX_TERMS terms.
     """
     _assert_nesting_legal(n)
     lams = lambda_sequence(n, lam, s).keys
     sig = weyl.sigma_word(n)
-    g = CharElem._of(n, {(0,) * (n + 2): 1})
+    twist = weyl.key_twist(n, sig.tau)
+    g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):
-        g = (CharElem._of(n, {lams[j - 1]: 1}) * g).demazure_word(sig)
+        g = _shift(lams[j - 1], g)
+        for i in reversed(sig.word):
+            g = weyl.demazure_terms(n, i, g)
+        g = {twist(k): c for k, c in g.items()}
         if len(g) > MAX_TERMS:
             raise InputError(
                 f"rank {n} weight {lam}: the nested polynomial passed the limit of "
                 f"{MAX_TERMS} terms, so the job is refused"
             )
-    return CharElem._of(n, {lams[n - 1]: 1}) * g
+    return _shift(lams[n - 1], g)
 
 
-def straighten(f):
+def straighten(n, terms):
     """Irreducible multiplicities {mu: m} of the longest-element Demazure
-    operator applied to the finite element ``f``.
+    operator applied to the finite weights {mu: c} of ``terms``.
 
     That operator takes e^mu to the Weyl character of mu straightened by
     the dot action.  In rho-shifted doubled coordinates a weight with two
@@ -203,20 +225,19 @@ def straighten(f):
     permutation (type D Weyl elements flip an even number of signs, so
     that is their whole sign) and shifted back.
     """
-    if f.affine:
-        raise InputError("straighten expects a finite-tagged element")
-    n = f.n
     rho = _rho2(n)
     out = {}
-    for k, c in f._terms.items():
-        x = tuple(a + b for a, b in zip(eps2(n, k[:n]), rho))
+    for mu, c in terms.items():
+        if len(mu) != n:
+            raise InputError(f"straighten expects finite weights of length {n}, got {mu}")
+        x = tuple(map(add, eps2(n, mu), rho))
         mags = [abs(v) for v in x]
         if len(set(mags)) < n:
             continue
         inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1 :])
-        mu = fw_from_eps2(n, tuple(a - b for a, b in zip(_dominantize(x), rho)))
-        out[mu] = out.get(mu, 0) + (-c if inversions % 2 else c)
-    return {mu: m for mu, m in out.items() if m}
+        nu = fw_from_eps2(n, tuple(a - b for a, b in zip(_dominantize(x), rho)))
+        out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return {nu: m for nu, m in out.items() if m}
 
 
 def character(n, lam, s):
@@ -226,11 +247,13 @@ def character(n, lam, s):
     level and delta killed.  The fork twin is the fork swap of the s = n
     character of the swapped weight.
     """
+    from .polyring import CharElem
+
     lam, s = _regular_input(n, lam, s)
     if s == n - 1:
         ch = character(n, _swap_fork(n, lam), n)
         return ch.twist(weyl.tau_fork(n).tau)
-    g = _pre_w0(n, lam, s).demazure_word(weyl.longest_word(n))
+    g = CharElem._of(n, _pre_w0(n, lam, s)).demazure_word(weyl.longest_word(n))
     ch = g.specialize()
     if ch.coeff(lam + (0, 0)) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")
@@ -250,7 +273,11 @@ def multiplicity_table(n, lam, s):
     if s == n - 1:
         inner = multiplicity_table(n, _swap_fork(n, lam), n)
         return {_swap_fork(n, mu): m for mu, m in inner.items()}
-    mults = straighten(_pre_w0(n, lam, s).specialize())
+    finite = {}
+    for k, c in _pre_w0(n, lam, s).items():
+        mu = k[:n]
+        finite[mu] = finite.get(mu, 0) + c
+    mults = straighten(n, finite)
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
     for mu, m in mults.items():
@@ -260,40 +287,3 @@ def multiplicity_table(n, lam, s):
             raise CharacterError(f"{mu} is not below the highest weight {lam}")
     return mults
 
-
-class DrinfeldSpec(namedtuple("DrinfeldSpec", ("n", "s", "lam", "epsilon", "factors"))):
-    """Classifying polynomial data: one factor per supported node, each a
-    (node, degree, power-offset) triple relative to a symbolic base point."""
-
-    __slots__ = ()
-
-    @property
-    def wt(self):
-        out = [0] * self.n
-        for i, m, _ in self.factors:
-            out[i - 1] += m
-        return tuple(out)
-
-
-def drinfeld(n, lam, s, epsilon=1):
-    """Offsets of the spectral parameters, instantiated exactly."""
-    lam = tuple(lam)
-    check_dominant(n, lam)
-    s = resolve_family(n, s)
-    if epsilon not in (1, -1):
-        raise InputError(f"epsilon must be +1 or -1, got {epsilon}")
-    chain = lam[0] + 2 * sum(lam[1 : n - 2])
-
-    def offset(i):
-        if i == 1:
-            return 0
-        if 2 <= i <= n - 2:
-            e = lam[0] + 2 * sum(lam[1 : i - 1]) + lam[i - 1] + i - 1
-        elif s == 1 or i == s:
-            e = chain + lam[i - 1] + n - 2
-        else:
-            e = lam[0] + 2 * sum(lam[1 : n - 3]) - lam[i - 1] + n - 4
-        return epsilon * e
-
-    factors = tuple((i, lam[i - 1], offset(i)) for i in range(1, n + 1) if lam[i - 1] > 0)
-    return DrinfeldSpec(n, s, lam, epsilon, factors)

@@ -23,14 +23,19 @@ runs: a process run without cached bytecode compiles every module it
 imports, in full.  Each handler imports the modules it runs, so a
 ``sam`` process never loads the Demazure side: it reads only
 :mod:`minaff.cartan`, the weight lattice and labels that both pipelines
-share, which knows no root.  ``cartan`` loads once the command line has
-parsed, ``csv`` only for a CSV report, and JSON is written here without
-``json``.
+share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
+``decomp`` process loads exactly ``cartan``, :mod:`minaff.weyl` and
+:mod:`minaff.affinization`, whose table path runs on plain maps from keys
+to coefficients, so neither the full-character ring
+(:mod:`minaff.polyring`) nor the greedy decomposition loads.  ``cartan``
+loads once the command line has parsed, ``csv`` only for a CSV report,
+and JSON is written here without ``json``.
 ``--version`` loads nothing beyond this module and ``errors``.  The usage
-and help generator and the ``xi`` and ``drinfeld`` handlers live in
-:mod:`minaff.cli_extra`, which only ``--help``, a refused command line,
-``xi`` and ``drinfeld`` load; the ``verify`` suites live in
-:mod:`minaff.verify`, which only ``verify`` loads.
+and help generator, the ``xi`` and ``drinfeld`` handlers and the
+classifying polynomial data live in :mod:`minaff.cli_extra`, which only
+``--help``, a refused command line, ``xi`` and ``drinfeld`` load; the
+``verify`` suites live in :mod:`minaff.verify`, which only ``verify``
+loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
 Output is byte-stable for a fixed invocation: the elapsed-time field in

@@ -1,10 +1,14 @@
 """The parts of the command line that no table subcommand runs.
 
-The usage and help texts, generated from :data:`minaff.cli._COMMANDS`, and
-the ``xi`` and ``drinfeld`` handlers with their report helpers.  Only
-``--help``, a refused command line, ``xi`` and ``drinfeld`` import this
-module, so a ``char``, ``decomp`` or ``sam`` process never compiles it.
+The usage and help texts, generated from :data:`minaff.cli._COMMANDS`, the
+``xi`` and ``drinfeld`` handlers with their report helpers, and the
+classifying polynomial data that only the ``drinfeld`` handler reads
+(:func:`drinfeld`).  Only ``--help``, a refused command line, ``xi`` and
+``drinfeld`` import this module, so a ``char``, ``decomp`` or ``sam``
+process never compiles it.
 """
+
+from collections import namedtuple
 
 from . import cli
 from .cli import _csv_text, _json_text, _meta, _parse_weight
@@ -52,6 +56,50 @@ def _help(command=None):
             rows.append((f"{name} {_metavar(name, value)}", line))
         body = [cli._COMMANDS[command][1], "", "options:", *_columns(rows)]
     return "\n".join([_usage(command), "", *body]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the classifying polynomial data
+
+
+class DrinfeldSpec(namedtuple("DrinfeldSpec", ("n", "s", "lam", "epsilon", "factors"))):
+    """Classifying polynomial data: one factor per supported node, each a
+    (node, degree, power-offset) triple relative to a symbolic base point."""
+
+    __slots__ = ()
+
+    @property
+    def wt(self):
+        out = [0] * self.n
+        for i, m, _ in self.factors:
+            out[i - 1] += m
+        return tuple(out)
+
+
+def drinfeld(n, lam, s, epsilon=1):
+    """Offsets of the spectral parameters, instantiated exactly."""
+    from .cartan import check_dominant, resolve_family
+
+    lam = tuple(lam)
+    check_dominant(n, lam)
+    s = resolve_family(n, s)
+    if epsilon not in (1, -1):
+        raise InputError(f"epsilon must be +1 or -1, got {epsilon}")
+    chain = lam[0] + 2 * sum(lam[1 : n - 2])
+
+    def offset(i):
+        if i == 1:
+            return 0
+        if 2 <= i <= n - 2:
+            e = lam[0] + 2 * sum(lam[1 : i - 1]) + lam[i - 1] + i - 1
+        elif s == 1 or i == s:
+            e = chain + lam[i - 1] + n - 2
+        else:
+            e = lam[0] + 2 * sum(lam[1 : n - 3]) - lam[i - 1] + n - 4
+        return epsilon * e
+
+    factors = tuple((i, lam[i - 1], offset(i)) for i in range(1, n + 1) if lam[i - 1] > 0)
+    return DrinfeldSpec(n, s, lam, epsilon, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +180,6 @@ def xi_report(opts):
 
 
 def drinfeld_report(opts):
-    from .affinization import drinfeld
     from .cartan import resolve_family
 
     n = opts["n"]

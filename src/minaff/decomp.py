@@ -3,9 +3,10 @@
 Everything here runs in doubled orthogonal coordinates: integer vectors
 whose halves are the usual orthogonal coordinates of the weight lattice.
 Dominant-chamber multiplicities come from the Freudenthal recursion; full
-characters are Weyl-orbit expansions of those.  The positive roots and
-the dominance order come from :mod:`minaff.weyl`, which owns the root
-system; none of its group machinery is used here.  The Weyl dimension
+characters are Weyl-orbit expansions of those.  The positive roots that
+the recursion steps along are listed here, in doubled coordinates; the
+dominance order comes from :mod:`minaff.weyl`, which owns the root system,
+and none of its group machinery is used here.  The Weyl dimension
 formula (:func:`minaff.cartan.dim_irr`, re-exported here) is kept as an
 independent cross-check of the recursion.
 """
@@ -16,7 +17,21 @@ from functools import lru_cache
 from .cartan import _rho2, check_dominant, dim_irr, eps2, fw_from_eps2, is_dominant_fw
 from .errors import CharacterError, InputError
 from .polyring import CharElem
-from .weyl import _dominantize, dominates, positive_roots_eps2
+from .weyl import _dominantize, dominates
+
+
+@lru_cache(maxsize=None)
+def positive_roots_eps2(n):
+    """Positive roots in doubled orthogonal coordinates: e_i - e_j and
+    e_i + e_j for i < j, doubled.  The one D_n root list of the library."""
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for sign in (-2, 2):
+                a = [0] * n
+                a[i], a[j] = 2, sign
+                roots.append(tuple(a))
+    return tuple(roots)
 
 
 def _dot(a, b):

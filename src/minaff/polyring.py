@@ -1,16 +1,21 @@
-"""Sparse exact character polynomials over the affine and finite weight lattices.
+"""Sparse exact characters: the full-character ring of the library API.
 
 Elements are maps from integer keys (a_1, ..., a_n, level, 2 delta) to
 nonzero integers, so every operation is integer arithmetic on int tuples.
 The constructor, :meth:`CharElem.monomial` and :meth:`CharElem.coeff`
 check each key they are given; operation results go through a trusted
 constructor that skips the check.  Both constructors end in ``_set``, the
-one place zero coefficients are dropped: every operation sums into a plain
-map, cancelled keys included, and hands it over.
+one place an element drops zero coefficients: every operation sums into a
+plain map, cancelled keys included, and hands it over.
 
 The Demazure operator is applied monomial by monomial through its integer
-string form, never by polynomial division.  Elements are immutable; all
-operations return new elements.
+string form, :func:`minaff.weyl.demazure_terms`, the kernel that the
+multiplicity tables also run on plain maps; never by polynomial division.
+Elements are immutable; all operations return new elements.
+
+:func:`minaff.affinization.character`, the ``verify`` suites and the
+greedy decomposition build elements; no table subcommand (``char``,
+``decomp``, ``sam``) loads this module.
 """
 
 from operator import add
@@ -162,17 +167,14 @@ class CharElem:
     # -- Demazure operators --------------------------------------------------
 
     def demazure(self, i):
-        """One divided-difference step at node i.
-
-        Per monomial with coroot pairing m: a descending string of length
-        m+1 when m >= 0, nothing when m = -1, and a negated ascending string
-        of length -m-1 otherwise.  The defining rational identity is pinned
-        by the test suite.
+        """One divided-difference step at node i, through the string form
+        of :func:`minaff.weyl.demazure_terms`.  The defining rational
+        identity is pinned by the test suite.
         """
         if not self.affine:
             raise InputError("Demazure operators act on affine-tagged elements")
         check_rank(self.n)
-        return CharElem._of(self.n, _demazure_terms(self.n, i, self._terms))
+        return CharElem._of(self.n, weyl.demazure_terms(self.n, i, self._terms))
 
     def demazure_word(self, w):
         """Composite operator along a reduced word, then the prefix twist."""
@@ -215,22 +217,3 @@ class CharElem:
             out[kk] = out.get(kk, 0) + v
         return CharElem._of(n, out, affine=False)
 
-
-def _demazure_terms(n, i, terms):
-    out = {}
-    up = weyl.alpha_key(n, i)
-    down = tuple(-a for a in up)
-    pair = weyl.key_pairing(n, i)
-    for k, c in terms.items():
-        m = pair(k)
-        if m >= 0:
-            # c times the descending string k, k - alpha, ..., k - m alpha
-            step, count, sign = down, m + 1, c
-        else:
-            # -c times the ascending string k + alpha, ..., k + (-m-1) alpha,
-            # empty when m = -1
-            k, step, count, sign = tuple(map(add, k, up)), up, -m - 1, -c
-        for _ in range(count):
-            out[k] = out.get(k, 0) + sign
-            k = tuple(map(add, k, step))
-    return out

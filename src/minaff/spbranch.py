@@ -233,13 +233,3 @@ def sam_table(n, lam):
         out[mu] = m
     return out
 
-
-def sam_mult(n, lam, mu):
-    """Multiplicity of V(mu) in the s = 1 minimal affinization of ``lam``,
-    computed without Demazure operators."""
-    lam, mu = tuple(lam), tuple(mu)
-    check_dominant(n, mu)
-    table = sam_table(n, lam)
-    if mu[n - 1] - mu[n - 2] != lam[n - 1] - lam[n - 2]:
-        return 0
-    return table.get(mu, 0)

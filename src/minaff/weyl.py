@@ -16,14 +16,15 @@ the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; equality of group elements is decided by comparing actions on
 a basis.  The action is written once, on the keys that the character ring
-stores.
+stores, and so is the Demazure string (:func:`demazure_terms`), on plain
+maps from keys to coefficients.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
-from .cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
+from .cartan import check_rank, eps2, varpi
 from .errors import InputError, VerificationError
 
 
@@ -80,45 +81,6 @@ def fw_to_root(n, fw):
         raise InputError(f"{fw} is not on the root lattice")
     c.extend([qa, qb])
     return tuple(c)
-
-
-@lru_cache(maxsize=None)
-def positive_roots_eps2(n):
-    """Positive roots in doubled orthogonal coordinates: e_i - e_j and
-    e_i + e_j for i < j, doubled.  The one D_n root list of the library."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sign in (-2, 2):
-                a = [0] * n
-                a[i], a[j] = 2, sign
-                roots.append(tuple(a))
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(n):
-    """All positive roots in simple-root coordinates, read off the doubled list."""
-    check_rank(n)
-    roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
-    if len(roots) != n * (n - 1):
-        raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
-    return roots
-
-
-@lru_cache(maxsize=None)
-def delta_plus_s(n, s):
-    """Positive roots supported away from at least one branch other than s."""
-    check_rank(n)
-    others = [r for r in family_nodes(n) if r != s]
-    if len(others) != 2:
-        raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
-    out = set()
-    for root in positive_roots(n):
-        supp = support(root)
-        if any(not (supp & branch_set(n, r)) for r in others):
-            out.add(root)
-    return frozenset(out)
 
 
 def dominates(n, lam, mu):
@@ -341,6 +303,32 @@ def is_dominant(k):
     """Nonnegative coroot pairings over the affine node set 0..n."""
     n = len(k) - 2
     return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
+
+
+def demazure_terms(n, i, terms):
+    """One Demazure step at node i on a map {key: coefficient}, as a fresh
+    map without zero coefficients.
+
+    Per key with coroot pairing m: the coefficient times the descending
+    string k, k - alpha_i, ..., k - m alpha_i when m >= 0, nothing when
+    m = -1, and its negative times the ascending string k + alpha_i, ...,
+    k + (-m-1) alpha_i otherwise.  The one Demazure kernel: the table path
+    runs it on plain maps and :class:`minaff.polyring.CharElem` calls it.
+    """
+    out = {}
+    up = alpha_key(n, i)
+    down = tuple(-a for a in up)
+    pair = key_pairing(n, i)
+    for k, c in terms.items():
+        m = pair(k)
+        if m >= 0:
+            step, count, sign = down, m + 1, c
+        else:
+            k, step, count, sign = tuple(map(add, k, up)), up, -m - 1, -c
+        for _ in range(count):
+            out[k] = out.get(k, 0) + sign
+            k = tuple(map(add, k, step))
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

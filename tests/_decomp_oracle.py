@@ -14,8 +14,7 @@ from collections import Counter
 from math import factorial, prod
 
 from minaff.cartan import _rho2, check_dominant, eps2, fw_from_eps2
-from minaff.decomp import _dominant_mults, _dot
-from minaff.weyl import positive_roots_eps2
+from minaff.decomp import _dominant_mults, _dot, positive_roots_eps2
 
 
 def dominant_mults(n, lam):

@@ -1,4 +1,5 @@
-"""Rational affine weights, the affine root action, the root-by-root descent
+"""Rational affine weights, the positive roots in simple-root coordinates
+and their family subsets, the affine root action, the root-by-root descent
 and the twist by norm preservation, kept as a reference.
 
 minaff carries an affine weight as one int key (a_1, ..., a_n, level,
@@ -16,16 +17,17 @@ its image with the delta correction that norm preservation forces.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
-from minaff import InputError, weyl
-from minaff.cartan import check_rank, eps2, varpi
+from minaff import InputError, VerificationError, weyl
+from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
+from minaff.decomp import positive_roots_eps2
 from minaff.weyl import (
     ExtendedWeylWord,
     compose,
     fw_to_root,
     identity,
     inverse,
-    positive_roots,
     root_to_fw,
     root_unit,
     simple,
@@ -108,6 +110,35 @@ def tau_on_weight(tau, x):
     """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
     ``tau`` may be any sequence."""
     return weight_of(weyl.key_twist(x.n, tuple(tau))(_delta_free(x)), x.delta)
+
+
+# Positive roots in simple-root coordinates, and the ones a family label
+# leaves out of some other branch.
+
+
+@lru_cache(maxsize=None)
+def positive_roots(n):
+    """All positive roots in simple-root coordinates, read off the doubled list."""
+    check_rank(n)
+    roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
+    if len(roots) != n * (n - 1):
+        raise VerificationError(f"found {len(roots)} positive roots, expected {n * (n - 1)}")
+    return roots
+
+
+@lru_cache(maxsize=None)
+def delta_plus_s(n, s):
+    """Positive roots supported away from at least one branch other than s."""
+    check_rank(n)
+    others = [r for r in family_nodes(n) if r != s]
+    if len(others) != 2:
+        raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
+    out = set()
+    for root in positive_roots(n):
+        supp = support(root)
+        if any(not (supp & branch_set(n, r)) for r in others):
+            out.add(root)
+    return frozenset(out)
 
 
 # A real root is a pair (beta, k): finite root coordinates plus a delta shift.

@@ -1,21 +1,24 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharElem, CharacterError, InputError, VerificationError
 from minaff.affinization import (
     character,
-    drinfeld,
     is_regular,
     lambda_sequence,
     multiplicity_table,
     resolve_family,
+    straighten,
     xi_sequence,
 )
 from minaff.cartan import varpi
 from minaff.cli import run
+from minaff.cli_extra import drinfeld
 from minaff.spbranch import sam_table
 from minaff import affinization, decomp, weyl
-from _helpers import break_longest_word, seeded
+from _helpers import break_longest_word, rand_char, seeded
 
 
 def fw_sum(n, *nodes):
@@ -253,7 +256,7 @@ def test_multiplicity_table_rejects_bad_input():
     ],
 )
 def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
-    monkeypatch.setattr(affinization, "straighten", lambda f: dict(table))
+    monkeypatch.setattr(affinization, "straighten", lambda n, terms: dict(table))
     with pytest.raises(CharacterError, match=message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
 
@@ -285,3 +288,72 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
     monkeypatch.undo()
     assert multiplicity_table(5, lam, "n") == table
+
+
+def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
+    # the table path checks the rotation word once per rank, with the
+    # error that the word operator gives
+    real = weyl.sigma_word
+
+    def doubled_first_letter(n):
+        w = real(n)
+        return weyl.ExtendedWeylWord(n, w.tau, w.word[:1] + w.word)
+
+    monkeypatch.setattr(weyl, "sigma_word", doubled_first_letter)
+    with pytest.raises(InputError, match="is not reduced"):
+        affinization._assert_nesting_legal.__wrapped__(4)
+    with pytest.raises(InputError, match="is not reduced"):
+        CharElem.one(4).demazure_word(doubled_first_letter(4))
+
+
+def pre_w0_oracle(n, lam, s):
+    """The nested polynomial before the longest-element pass by the
+    element route: CharElem products and the word operator of the
+    rotation word, which checks the word on every pass."""
+    lams = lambda_sequence(n, lam, s).keys
+    sig = weyl.sigma_word(n)
+    g = CharElem.one(n)
+    for j in range(n - 1, 0, -1):
+        g = (CharElem.monomial(n, lams[j - 1]) * g).demazure_word(sig)
+    return CharElem.monomial(n, lams[n - 1]) * g
+
+
+def swap_fork(n, mu):
+    return mu[: n - 2] + (mu[n - 1], mu[n - 2])
+
+
+# every regular weight with coordinates <= 1 at ranks 4 and 5, and the
+# weights of the benchmark's char/decomp cases
+MAP_PATH_WEIGHTS = [
+    (n, lam)
+    for n in (4, 5)
+    for lam in itertools.product((0, 1), repeat=n)
+    if is_regular(n, lam)
+] + [(6, (1, 0, 0, 1, 1, 1)), (5, (1, 0, 1, 1, 2)), (5, (1, 0, 1, 1, 0))]
+
+
+def test_map_path_matches_the_element_route():
+    for n, lam in MAP_PATH_WEIGHTS:
+        for s in (1, n - 1, n):
+            # the fork twin runs the s = n passes of the swapped weight
+            base, s0 = (swap_fork(n, lam), n) if s == n - 1 else (lam, s)
+            oracle = pre_w0_oracle(n, base, s0)
+            assert affinization._pre_w0(n, base, s0) == dict(oracle.items()), (n, lam, s)
+            finite = {k[:n]: c for k, c in oracle.specialize().items()}
+            expected = straighten(n, finite)
+            if s == n - 1:
+                expected = {swap_fork(n, mu): m for mu, m in expected.items()}
+            assert multiplicity_table(n, lam, s) == expected, (n, lam, s)
+
+
+def test_demazure_kernel_drops_cancelled_keys():
+    rng = seeded(83)
+    for n in (4, 5):
+        for _ in range(20):
+            terms = dict(rand_char(n, rng).items())
+            for i in range(n + 1):
+                assert all(weyl.demazure_terms(n, i, terms).values())
+    # at node 1, D e^0 = e^0 and D e^{-alpha_1} = -e^0, so their sum maps to 0
+    alpha = weyl.alpha_key(4, 1)
+    terms = {(0,) * 6: 1, tuple(-a for a in alpha): 1}
+    assert weyl.demazure_terms(4, 1, terms) == {}

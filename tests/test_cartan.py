@@ -10,16 +10,22 @@ from minaff.cartan import _rho2, check_rank, eps2, fw_from_eps2, support, varpi
 from minaff.weyl import (
     affine_edges,
     bilinear,
-    delta_plus_s,
     dominates,
     finite_edges,
     fw_to_root,
     key_pairing,
-    positive_roots,
     root_to_fw,
 )
 from _helpers import minaff_imports, rand_key, seeded
-from _weyl_oracle import AffineWeight, form, key_of, pairing, weight_of
+from _weyl_oracle import (
+    AffineWeight,
+    delta_plus_s,
+    form,
+    key_of,
+    pairing,
+    positive_roots,
+    weight_of,
+)
 
 
 def alpha_interval(n, p, q):
@@ -267,8 +273,12 @@ def test_dominates_matches_sums_of_positive_roots():
 # The root-system names: weyl defines them and cartan must not.
 MOVED_TO_WEYL = (
     "finite_edges affine_edges theta_coeffs root_unit root_to_fw fw_to_root "
-    "positive_roots_eps2 positive_roots delta_plus_s dominates _dominantize bilinear"
+    "dominates _dominantize bilinear"
 ).split()
+# Root lists: the doubled one lives with its only reader, the Freudenthal
+# recursion; the simple-root-coordinate one and its family subsets only in
+# the test oracle.
+ROOT_LISTS = ("positive_roots_eps2", "positive_roots", "delta_plus_s")
 
 
 def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
@@ -276,6 +286,10 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     for name in MOVED_TO_WEYL:
         assert not hasattr(cartan, name), name
         assert getattr(weyl, name).__module__ == "minaff.weyl", name
+    for name in ROOT_LISTS:
+        assert not hasattr(cartan, name) and not hasattr(weyl, name), name
+    assert decomp.positive_roots_eps2.__module__ == "minaff.decomp"
+    assert positive_roots.__module__ == delta_plus_s.__module__ == "_weyl_oracle"
     assert not hasattr(cartan, "_dot") and decomp._dot.__module__ == "minaff.decomp"
     assert not hasattr(cartan, "in_root_cone") and not hasattr(weyl, "in_root_cone")
     # so the symplectic pipeline loads no code that knows a root

@@ -445,10 +445,12 @@ def test_char_loads_no_symplectic_pipeline():
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS[2:4], ids=lambda argv: argv[0])
-def test_table_subcommands_load_no_greedy_decomposition(argv):
+def test_table_subcommands_load_exactly_the_table_path(argv):
     # the straightened table needs neither the Freudenthal recursion nor
-    # the greedy peel
-    assert "minaff.decomp" not in modules_after_run(*argv)
+    # the greedy peel, and the passes run on plain maps, so the
+    # full-character ring is not compiled either
+    modules = minaff_modules(modules_after_run(*argv))
+    assert modules == CLI_BASE | {"minaff.cartan", "minaff.weyl", "minaff.affinization"}
 
 
 def test_import_minaff_loads_no_submodule():

@@ -7,7 +7,8 @@ import pytest
 
 import minaff
 from minaff import InputError
-from minaff.affinization import XiSequence, drinfeld, lambda_sequence, xi_sequence
+from minaff.affinization import XiSequence, lambda_sequence, xi_sequence
+from minaff.cli_extra import drinfeld
 from minaff.decomp import decompose, irr_character
 from minaff.weyl import ExtendedWeylWord, identity
 
@@ -17,7 +18,8 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 48
+    assert len(minaff.__all__) == 45
+    assert not {"positive_roots", "delta_plus_s", "sam_mult"} & set(minaff.__all__)
     assert not {"AffineWeight", "lambda0", "pairing"} & set(minaff.__all__)
     assert "character_mass" not in minaff.__all__
     assert "orbit_size" not in minaff.__all__

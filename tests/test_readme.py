@@ -53,7 +53,7 @@ def test_readme_library_example_runs():
             exec(code, namespace)
     assert values["table.mults"] == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
     assert values["ch.coeff((0, 1, 0, 0, 0, 0))"] == 1
-    (sam,) = [v for code, v in values.items() if code.startswith("sam_mult(")]
+    (sam,) = [v for code, v in values.items() if code.startswith("sam_table(")]
     assert sam == 1
     (straightened,) = [v for code, v in values.items() if code.startswith("multiplicity_table(")]
     assert straightened == values["table.mults"]

@@ -8,7 +8,6 @@ from minaff.spbranch import (
     iota,
     lr_coefficient,
     partition_of,
-    sam_mult,
     sam_table,
     schur_dim,
     sp_branch,
@@ -198,11 +197,11 @@ def test_decompose_sp_rejects_non_characters():
         decompose_sp(CharElem.monomial(3, (1, 0, 0, 0, 0), affine=False), 3)
 
 
-def test_sam_mult_examples():
-    assert sam_mult(4, (0, 0, 1, 1), (1, 0, 0, 0)) == 1
-    assert sam_mult(4, (0, 0, 1, 1), (0, 0, 1, 0)) == 0  # spin difference mismatch
+def test_sam_table_entries():
+    assert sam_table(4, (0, 0, 1, 1)).get((1, 0, 0, 0), 0) == 1
+    assert sam_table(4, (0, 0, 1, 1)).get((0, 0, 1, 0), 0) == 0  # spin difference mismatch
     for lam in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)):
-        assert sam_mult(4, lam, lam) == 1
+        assert sam_table(4, lam).get(lam, 0) == 1
 
 
 def test_sam_table_spin_difference_lift():
@@ -216,7 +215,7 @@ def test_sam_table_result_is_the_callers_own():
     expected = dict(first)
     first.clear()
     assert sam_table(4, (0, 1, 0, 0)) == expected
-    assert sam_mult(4, (0, 1, 0, 0), (0, 1, 0, 0)) == 1
+    assert sam_table(4, (0, 1, 0, 0)).get((0, 1, 0, 0), 0) == 1
 
 
 def test_spbranch_shares_no_code_with_the_demazure_stack():

@@ -18,7 +18,6 @@ from minaff.weyl import (
     is_reduced,
     length,
     longest_word,
-    positive_roots,
     reduce_word,
     root_to_fw,
     same_element,
@@ -38,6 +37,7 @@ from _weyl_oracle import (
     key_of,
     lambda0,
     pairing,
+    positive_roots,
     power,
     tau_on_weight,
     tau_on_weight_oracle,
