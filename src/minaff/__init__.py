@@ -10,7 +10,8 @@ The names in ``__all__`` are the documented API and what the command line
 and the two pipelines are built from.  Machinery that only the test suite
 needs as a reference (rational affine weights and the action on them, the
 affine root action, the twist by norm preservation, the interval roots,
-the tableau expansion, orbit sizes and the Freudenthal mass) lives in the
+the tableau expansion, the Freudenthal recursion, orbit sizes, irreducible
+characters and the greedy decomposition of a full character) lives in the
 test suite.
 
 ``import minaff`` loads no submodule.  Each exported name, and each
@@ -44,7 +45,7 @@ _EXPORTS = {
             "LambdaSequence XiSequence character lambda_sequence multiplicity_table "
             "straighten xi_sequence",
         ),
-        ("decomp", "DecompositionTable compare_affinization decompose irr_character"),
+        ("decomp", "compare_affinization"),
         ("spbranch", "iota lr_coefficient partition_of sam_table sp_branch sp_dim_irr"),
         ("cli_extra", "DrinfeldSpec drinfeld"),
     )

@@ -89,7 +89,8 @@ def family_nodes(n):
 
 
 def resolve_family(n, s):
-    """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'."""
+    """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'.
+    A bool or a float is no label."""
     check_rank(n)
     if isinstance(s, str):
         key = s.strip().lower()
@@ -100,7 +101,7 @@ def resolve_family(n, s):
             s = int(key)
         except ValueError:
             raise InputError(f"unknown family label {s!r}")
-    if s in family_nodes(n):
+    if s.__class__ is int and s in family_nodes(n):
         return s
     raise InputError(f"family label must be one of 1, {n - 1}, {n} (or 1, n-1, n), got {s}")
 
@@ -142,7 +143,7 @@ def check_dominant(n, fw):
     check_rank(n)
     if len(fw) != n:
         raise InputError(f"weight {fw} has length {len(fw)}, expected {n}")
-    if not all(isinstance(v, int) for v in fw):
+    if not all(v.__class__ is int for v in fw):
         raise InputError(f"weight {fw} has non-integer coordinates")
     if not is_dominant_fw(fw):
         raise InputError(f"weight {fw} is not dominant")

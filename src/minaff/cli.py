@@ -2,14 +2,14 @@
 
 Subcommands: ``char`` and ``decomp`` (multiplicity tables through the
 Demazure pipeline, read off the nested polynomial before the longest-element
-pass by dot-action straightening; ``character`` and ``decompose`` remain
-the full-character API), ``sam`` (the independent symplectic pipeline,
+pass by dot-action straightening; ``character`` remains the
+full-character API), ``sam`` (the independent symplectic pipeline,
 restricting a Schur functor to the symplectic algebra by Littlewood's rule),
 ``xi`` (tensor-factor weight data), ``drinfeld`` (classifying polynomial
 offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
-the straightened tables against the greedy decomposition of the full
-character).  Reports go to standard output as JSON, CSV, or aligned text;
-diagnostics go to standard error.
+the straightened tables against the symplectic pipeline and their total
+dimension against the mass of the full character).  Reports go to standard
+output as JSON, CSV, or aligned text; diagnostics go to standard error.
 
 One table, ``_COMMANDS``, names each subcommand's handler, help line and
 options; :func:`_parse` reads the argument list against it, and
@@ -26,10 +26,9 @@ imports, in full.  Each handler imports the modules it runs, so a
 share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
 ``decomp`` process loads exactly ``cartan``, :mod:`minaff.weyl` and
 :mod:`minaff.affinization`, whose table path runs on plain maps from keys
-to coefficients, so neither the full-character ring
-(:mod:`minaff.polyring`) nor the greedy decomposition loads.  ``cartan``
-loads once the command line has parsed, ``csv`` only for a CSV report,
-and JSON is written here without ``json``.
+to coefficients, so the full-character ring (:mod:`minaff.polyring`)
+does not load.  ``cartan`` loads once the command line has parsed, ``csv``
+only for a CSV report, and JSON is written here without ``json``.
 ``--version`` loads nothing beyond this module and ``errors``.  The usage
 and help generator, the ``xi`` and ``drinfeld`` handlers and the
 classifying polynomial data live in :mod:`minaff.cli_extra`, which only

@@ -7,8 +7,10 @@ class InputError(ValueError):
 
 
 class CharacterError(RuntimeError):
-    """A claimed character failed to decompose: nonzero residual, negative
-    intermediate multiplicity, or broken Weyl invariance."""
+    """A character or multiplicity table broke its invariants: a leading
+    multiplicity other than 1, a negative multiplicity, a weight not below
+    the highest one, a symplectic total dimension that does not match, or,
+    in a decomposition, a nonzero residual or broken Weyl invariance."""
 
 
 class VerificationError(RuntimeError):

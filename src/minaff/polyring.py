@@ -13,9 +13,9 @@ string form, :func:`minaff.weyl.demazure_terms`, the kernel that the
 multiplicity tables also run on plain maps; never by polynomial division.
 Elements are immutable; all operations return new elements.
 
-:func:`minaff.affinization.character`, the ``verify`` suites and the
-greedy decomposition build elements; no table subcommand (``char``,
-``decomp``, ``sam``) loads this module.
+:func:`minaff.affinization.character` and the ``verify`` suites build
+elements; no table subcommand (``char``, ``decomp``, ``sam``) loads this
+module.
 """
 
 from operator import add

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 from minaff import InputError, VerificationError, weyl
 from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
-from minaff.decomp import positive_roots_eps2
 from minaff.weyl import (
     ExtendedWeylWord,
     compose,
@@ -33,6 +32,8 @@ from minaff.weyl import (
     simple,
     theta_coeffs,
 )
+
+from _decomp_oracle import positive_roots_eps2
 
 
 class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):

@@ -17,7 +17,8 @@ from minaff.cartan import varpi
 from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.spbranch import sam_table
-from minaff import affinization, decomp, weyl
+from minaff import affinization, weyl
+from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, seeded
 
 
@@ -128,8 +129,6 @@ def test_lambda_sequence_dominant_and_fork_rejected():
 
 
 def test_character_small_cases():
-    from minaff.decomp import irr_character
-
     n = 4
     assert character(n, (0,) * n, 1) == CharElem.one(n, affine=False)
     assert character(n, varpi(n, 1), 1) == irr_character(n, varpi(n, 1))
@@ -235,7 +234,7 @@ def test_multiplicity_table_cross_pipeline_sweep(case):
         assert table == {mu[: n - 2] + (mu[n - 1], mu[n - 2]): m for mu, m in base.items()}
     if n == 4 and s != 1:
         # the full character is cheap at rank 4; rank 5 is covered by criterion 11
-        assert table == decomp.decompose(character(n, lam, s)).mults
+        assert table == decompose(character(n, lam, s))
 
 
 def test_multiplicity_table_rejects_bad_input():

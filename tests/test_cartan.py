@@ -16,6 +16,7 @@ from minaff.weyl import (
     key_pairing,
     root_to_fw,
 )
+from _decomp_oracle import _dot, positive_roots_eps2
 from _helpers import minaff_imports, rand_key, seeded
 from _weyl_oracle import (
     AffineWeight,
@@ -102,6 +103,27 @@ def test_rank_below_four_rejected():
         positive_roots(3)
     with pytest.raises(InputError):
         varpi(3, 1)
+
+
+def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
+    # True == 1 and 4.0 == 4, but neither is an int: each is refused before
+    # any work, as the command line's exit 2 for invalid input
+    from minaff.affinization import multiplicity_table
+
+    for n in (True, 4.0):
+        with pytest.raises(InputError):
+            check_rank(n)
+    for s in (True, 1.0, 4.0):
+        with pytest.raises(InputError):
+            cartan.resolve_family(4, s)
+        with pytest.raises(InputError):
+            multiplicity_table(4, (1, 0, 0, 0), s)
+    for lam in ((True, 0, 0, 0), (1.0, 0, 0, 0)):
+        with pytest.raises(InputError):
+            cartan.check_dominant(4, lam)
+        with pytest.raises(InputError):
+            multiplicity_table(4, lam, 1)
+    assert cartan.resolve_family(4, 4) == cartan.resolve_family(4, "n") == 4
 
 
 def test_cartan_matrices():
@@ -276,8 +298,8 @@ MOVED_TO_WEYL = (
     "dominates _dominantize bilinear"
 ).split()
 # Root lists: the doubled one lives with its only reader, the Freudenthal
-# recursion; the simple-root-coordinate one and its family subsets only in
-# the test oracle.
+# recursion of the decomposition oracle; the simple-root-coordinate one and
+# its family subsets in the Weyl oracle.
 ROOT_LISTS = ("positive_roots_eps2", "positive_roots", "delta_plus_s")
 
 
@@ -286,11 +308,10 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     for name in MOVED_TO_WEYL:
         assert not hasattr(cartan, name), name
         assert getattr(weyl, name).__module__ == "minaff.weyl", name
-    for name in ROOT_LISTS:
-        assert not hasattr(cartan, name) and not hasattr(weyl, name), name
-    assert decomp.positive_roots_eps2.__module__ == "minaff.decomp"
+    for name in (*ROOT_LISTS, "_dot"):
+        assert not any(hasattr(m, name) for m in (cartan, weyl, decomp)), name
+    assert positive_roots_eps2.__module__ == _dot.__module__ == "_decomp_oracle"
     assert positive_roots.__module__ == delta_plus_s.__module__ == "_weyl_oracle"
-    assert not hasattr(cartan, "_dot") and decomp._dot.__module__ == "minaff.decomp"
     assert not hasattr(cartan, "in_root_cone") and not hasattr(weyl, "in_root_cone")
     # so the symplectic pipeline loads no code that knows a root
     assert minaff_imports(spbranch) == {"cartan", "errors"}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, spbranch, verify, weyl
+from minaff import CharElem, affinization, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
 from _helpers import break_longest_word, run_fresh
@@ -197,6 +197,43 @@ def test_failed_symplectic_dimension_check_exits_3_with_no_stdout(capsys, monkey
     assert code == 3
     assert out == ""
     assert "total dimension" in err
+
+
+def pipeline_report(capsys):
+    """Exit code and {check: status} of ``verify --n 4 --suite pipeline``."""
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "pipeline")
+    *lines, summary = out.splitlines()
+    return code, {line[5:]: line[:4].strip() for line in lines}, summary
+
+
+def test_pipeline_crown_fails_on_a_symplectic_table_that_differs(capsys, monkeypatch):
+    real = spbranch.sam_table
+
+    def one_more_copy_of_the_top(n, lam):
+        table = real(n, lam)
+        table[lam] += 1
+        return table
+
+    monkeypatch.setattr(spbranch, "sam_table", one_more_copy_of_the_top)
+    code, statuses, summary = pipeline_report(capsys)
+    assert code == 3
+    assert summary == "4 passed, 4 failed"
+    for name, status in statuses.items():
+        assert status == ("FAIL" if name.startswith("pipeline.crown_") else "ok"), name
+
+
+def test_pipeline_straighten_fails_on_a_character_of_another_mass(capsys, monkeypatch):
+    real = affinization.character
+
+    def one_more_weight(n, lam, s):
+        return real(n, lam, s) + CharElem.one(n, affine=False)
+
+    monkeypatch.setattr(affinization, "character", one_more_weight)
+    code, statuses, summary = pipeline_report(capsys)
+    assert code == 3
+    assert summary == "4 passed, 4 failed"
+    for name, status in statuses.items():
+        assert status == ("FAIL" if name.startswith("pipeline.straighten_") else "ok"), name
 
 
 def test_non_regular_message_names_the_exceptional_case(capsys):
@@ -474,6 +511,13 @@ def test_only_help_refusals_xi_and_drinfeld_load_the_extra_cli():
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_only_verify_loads_the_suites(argv):
     assert ("minaff.verify" in modules_after_run(*argv)) == (argv[0] == "verify")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_no_subcommand_loads_the_affinization_order(argv):
+    # verify checks the straightened tables against sam_table and the mass
+    # of the full character, with no greedy peel
+    assert "minaff.decomp" not in modules_after_run(*argv)
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

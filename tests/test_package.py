@@ -9,7 +9,6 @@ import minaff
 from minaff import InputError
 from minaff.affinization import XiSequence, lambda_sequence, xi_sequence
 from minaff.cli_extra import drinfeld
-from minaff.decomp import decompose, irr_character
 from minaff.weyl import ExtendedWeylWord, identity
 
 
@@ -18,9 +17,10 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 45
+    assert len(minaff.__all__) == 42
     assert not {"positive_roots", "delta_plus_s", "sam_mult"} & set(minaff.__all__)
     assert not {"AffineWeight", "lambda0", "pairing"} & set(minaff.__all__)
+    assert not {"DecompositionTable", "decompose", "irr_character"} & set(minaff.__all__)
     assert "character_mass" not in minaff.__all__
     assert "orbit_size" not in minaff.__all__
 
@@ -30,7 +30,7 @@ def test_each_export_is_the_attribute_of_its_defining_module():
         value = getattr(minaff, name)
         assert value.__module__.startswith("minaff."), name
         assert value is getattr(sys.modules[value.__module__], name), name
-    assert minaff.dim_irr is minaff.decomp.dim_irr
+    assert minaff.dim_irr is minaff.cartan.dim_irr
     assert minaff.resolve_family is minaff.affinization.resolve_family
 
 
@@ -52,7 +52,6 @@ def test_records_refuse_assignment():
         xi_sequence(n, lam, "n"),
         lambda_sequence(n, lam, "n"),
         drinfeld(n, lam, "n"),
-        decompose(irr_character(4, (0, 1, 0, 0))),
     )
     for record in records:
         with pytest.raises(AttributeError):

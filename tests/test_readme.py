@@ -51,9 +51,9 @@ def test_readme_library_example_runs():
             values[code] = eval(code, namespace)
         else:
             exec(code, namespace)
-    assert values["table.mults"] == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
+    assert values["table"] == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
     assert values["ch.coeff((0, 1, 0, 0, 0, 0))"] == 1
+    assert values["ch.mass()"] == 29
     (sam,) = [v for code, v in values.items() if code.startswith("sam_table(")]
     assert sam == 1
-    (straightened,) = [v for code, v in values.items() if code.startswith("multiplicity_table(")]
-    assert straightened == values["table.mults"]
+    assert values["compare_affinization(4, a, b)"] == "incomparable"
