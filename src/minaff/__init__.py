@@ -4,15 +4,16 @@ Two independent pipelines compute the same multiplicity tables: a nested
 Demazure-operator character formula over the affine weight lattice, and a
 symplectic branching construction through Schur functors and Littlewood's
 restriction rule.  Everything is exact integer arithmetic; an affine weight
-is one int tuple (a_1, ..., a_n, level, 2 delta).
+is one int tuple (a_1, ..., a_n, level, 2 delta), and a character is a
+plain map from keys or finite weights to integer coefficients.
 
 The names in ``__all__`` are the documented API and what the command line
 and the two pipelines are built from.  Machinery that only the test suite
 needs as a reference (rational affine weights and the action on them, the
 affine root action, the twist by norm preservation, the interval roots,
 the tableau expansion, the Freudenthal recursion, orbit sizes, irreducible
-characters and the greedy decomposition of a full character) lives in the
-test suite.
+characters, the greedy decomposition of a full character and the
+character ring with its operators as methods) lives in the test suite.
 
 ``import minaff`` loads no submodule.  Each exported name, and each
 submodule as an attribute (``minaff.weyl``), is imported on first use
@@ -39,11 +40,11 @@ _EXPORTS = {
             "is_dominant length longest_word reduce_word same_element sigma_word simple "
             "tau_01 tau_fork",
         ),
-        ("polyring", "CharElem"),
+        ("polyring", "character"),
         (
             "affinization",
-            "LambdaSequence XiSequence character lambda_sequence multiplicity_table "
-            "straighten xi_sequence",
+            "LambdaSequence XiSequence lambda_sequence multiplicity_table straighten "
+            "xi_sequence",
         ),
         ("decomp", "compare_affinization"),
         ("spbranch", "iota lr_coefficient partition_of sam_table sp_branch sp_dim_irr"),

@@ -1,26 +1,34 @@
-"""Highest-weight data and characters of regular minimal affinizations.
+"""Highest-weight data and multiplicity tables of regular minimal affinizations.
 
 For a dominant weight and a family label s (one of the three extreme nodes)
 this module builds the tensor-factor weights xi_j, their rotated dominant
-forms Lambda_j, the nested Demazure character of the associated module and
+forms Lambda_j, the nested Demazure polynomial of the associated module and
 its multiplicity table.  The s = n-1 family is obtained from s = n by the
 fork swap throughout.
 
-The table path runs on plain maps {key: coefficient}: each rotation pass
-shifts by a factor weight, applies the Demazure string of
-:func:`minaff.weyl.demazure_terms` at each letter of the rotation word and
-relabels by its diagram twist, and the table is read off the result before
-the longest-element pass by dot-action straightening, with no expansion at
-all.  Only :func:`character`, the full-character API, builds a
-:class:`minaff.polyring.CharElem`, and it imports that module in its body,
-so a ``char`` or ``decomp`` process never compiles it.
+Everything runs on plain maps {key: coefficient}: each rotation pass
+shifts by a factor weight and applies the rotation word's Demazure operator
+(:func:`minaff.weyl.demazure_word_terms`), and the table is read off the
+result before the longest-element pass by dot-action straightening, with no
+expansion at all.  The full character, which that pass builds, is
+:func:`minaff.polyring.character`; a ``char`` or ``decomp`` process never
+compiles it.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
-from .cartan import _rho2, check_dominant, eps2, fw_from_eps2, is_regular, resolve_family, varpi
+from .cartan import (
+    _rho2,
+    check_dominant,
+    check_rank,
+    eps2,
+    fw_from_eps2,
+    is_regular,
+    resolve_family,
+    varpi,
+)
 from .errors import CharacterError, InputError, VerificationError
 from .weyl import _dominantize, dominates
 from . import weyl
@@ -191,27 +199,32 @@ def _pre_w0(n, lam, s):
     as a map {key: coefficient} without zeros.
 
     Innermost factor first: shift by each tensor-factor weight, then run
-    the rotation pass (the Demazure string at each letter of the rotation
-    word, last letter first, then the rotation's diagram twist); the last
-    factor is shifted in unrotated.  Refuses with InputError once a pass
-    leaves more than MAX_TERMS terms.
+    the rotation pass (the rotation word's Demazure operator, its diagram
+    twist included); the last factor is shifted in unrotated.  Refuses with
+    InputError once a pass leaves more than MAX_TERMS terms.
     """
     _assert_nesting_legal(n)
     lams = lambda_sequence(n, lam, s).keys
     sig = weyl.sigma_word(n)
-    twist = weyl.key_twist(n, sig.tau)
     g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):
-        g = _shift(lams[j - 1], g)
-        for i in reversed(sig.word):
-            g = weyl.demazure_terms(n, i, g)
-        g = {twist(k): c for k, c in g.items()}
+        g = weyl.demazure_word_terms(sig, _shift(lams[j - 1], g))
         if len(g) > MAX_TERMS:
             raise InputError(
                 f"rank {n} weight {lam}: the nested polynomial passed the limit of "
                 f"{MAX_TERMS} terms, so the job is refused"
             )
     return _shift(lams[n - 1], g)
+
+
+def _finite_parts(n, terms):
+    """The map ``terms`` with level and delta killed: each key cut to its
+    finite part, coefficients of equal parts summed."""
+    out = {}
+    for k, c in terms.items():
+        mu = k[:n]
+        out[mu] = out.get(mu, 0) + c
+    return out
 
 
 def straighten(n, terms):
@@ -223,13 +236,18 @@ def straighten(n, terms):
     equal absolute coordinates lies on a wall and contributes nothing; any
     other is sorted into the dominant chamber with the sign of the sorting
     permutation (type D Weyl elements flip an even number of signs, so
-    that is their whole sign) and shifted back.
+    that is their whole sign) and shifted back.  Refuses with InputError
+    a weight that is not a tuple of n ints and a coefficient that is not
+    an int; a bool is not an int here.
     """
+    check_rank(n)
     rho = _rho2(n)
     out = {}
     for mu, c in terms.items():
-        if len(mu) != n:
-            raise InputError(f"straighten expects finite weights of length {n}, got {mu}")
+        if mu.__class__ is not tuple or len(mu) != n or any(v.__class__ is not int for v in mu):
+            raise InputError(f"straighten expects finite weights of {n} integers, got {mu!r}")
+        if c.__class__ is not int:
+            raise InputError(f"coefficient {c!r} at {mu} is not an integer")
         x = tuple(map(add, eps2(n, mu), rho))
         mags = [abs(v) for v in x]
         if len(set(mags)) < n:
@@ -240,28 +258,9 @@ def straighten(n, terms):
     return {nu: m for nu, m in out.items() if m}
 
 
-def character(n, lam, s):
-    """Finite character of the minimal affinization, exact.
-
-    The nested polynomial, finished with the longest-element operator, with
-    level and delta killed.  The fork twin is the fork swap of the s = n
-    character of the swapped weight.
-    """
-    from .polyring import CharElem
-
-    lam, s = _regular_input(n, lam, s)
-    if s == n - 1:
-        ch = character(n, _swap_fork(n, lam), n)
-        return ch.twist(weyl.tau_fork(n).tau)
-    g = CharElem._of(n, _pre_w0(n, lam, s)).demazure_word(weyl.longest_word(n))
-    ch = g.specialize()
-    if ch.coeff(lam + (0, 0)) != 1:
-        raise CharacterError(f"leading coefficient at {lam} must be 1")
-    return ch
-
-
 def multiplicity_table(n, lam, s):
-    """Multiplicities {mu: m} of the irreducibles in :func:`character`.
+    """Multiplicities {mu: m} of the irreducibles in the character of the
+    minimal affinization (:func:`minaff.polyring.character`).
 
     The longest-element operator takes e^mu to the Weyl character of mu
     straightened by the dot action, so the table is read off the nested
@@ -273,11 +272,7 @@ def multiplicity_table(n, lam, s):
     if s == n - 1:
         inner = multiplicity_table(n, _swap_fork(n, lam), n)
         return {_swap_fork(n, mu): m for mu, m in inner.items()}
-    finite = {}
-    for k, c in _pre_w0(n, lam, s).items():
-        mu = k[:n]
-        finite[mu] = finite.get(mu, 0) + c
-    mults = straighten(n, finite)
+    mults = straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
     for mu, m in mults.items():

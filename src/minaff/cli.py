@@ -2,8 +2,8 @@
 
 Subcommands: ``char`` and ``decomp`` (multiplicity tables through the
 Demazure pipeline, read off the nested polynomial before the longest-element
-pass by dot-action straightening; ``character`` remains the
-full-character API), ``sam`` (the independent symplectic pipeline,
+pass by dot-action straightening; :func:`minaff.polyring.character` remains
+the full-character API), ``sam`` (the independent symplectic pipeline,
 restricting a Schur functor to the symplectic algebra by Littlewood's rule),
 ``xi`` (tensor-factor weight data), ``drinfeld`` (classifying polynomial
 offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
@@ -26,9 +26,10 @@ imports, in full.  Each handler imports the modules it runs, so a
 share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
 ``decomp`` process loads exactly ``cartan``, :mod:`minaff.weyl` and
 :mod:`minaff.affinization`, whose table path runs on plain maps from keys
-to coefficients, so the full-character ring (:mod:`minaff.polyring`)
-does not load.  ``cartan`` loads once the command line has parsed, ``csv``
-only for a CSV report, and JSON is written here without ``json``.
+to coefficients and stops before the longest-element pass, so the full
+character (:mod:`minaff.polyring`) does not load.  ``cartan`` loads once
+the command line has parsed, ``csv`` only for a CSV report, and JSON is
+written here without ``json``.
 ``--version`` loads nothing beyond this module and ``errors``.  The usage
 and help generator, the ``xi`` and ``drinfeld`` handlers and the
 classifying polynomial data live in :mod:`minaff.cli_extra`, which only

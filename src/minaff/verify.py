@@ -2,20 +2,20 @@
 
 Three suites, each a list of named pass/fail checks: ``demazure`` (the
 defining identity, idempotency, the twist involution and reduced-word
-independence on random elements), ``weyl`` (the rotation table, length
-additivity of the nested composite and invariance of the form) and
-``pipeline`` (the straightened tables against the symplectic pipeline, and
-their total dimension against the mass of the full character, which the
-longest-element pass builds without straightening).  Only the
-``verify`` handler imports this module, so no other subcommand compiles it.
+independence on random maps {key: coefficient}), ``weyl`` (the rotation
+table, length additivity of the nested composite and invariance of the
+form) and ``pipeline`` (the straightened tables against the symplectic
+pipeline, and their total dimension against the mass of the full character
+of :mod:`minaff.polyring`, which the longest-element pass builds without
+straightening).  Only the ``verify`` handler imports this module, so no
+other subcommand compiles it.
 """
 
 import random
 
-from . import affinization, spbranch, weyl
+from . import affinization, polyring, spbranch, weyl
 from .cartan import dim_irr, varpi
 from .cli import _csv_text, _json_text, _meta
-from .polyring import CharElem
 from .weyl import affine_edges, bilinear
 
 
@@ -26,32 +26,52 @@ def _rand_key(rng, n, levels):
     return finite + (rng.randint(*levels), 2 * rng.randint(-1, 1))
 
 
+def _minus(a, b):
+    """The map a - b, without zero coefficients."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def _relabel(w, terms):
+    """The map ``terms`` with every key moved by the Weyl group element w."""
+    out = {}
+    for k, c in terms.items():
+        kk = weyl.act(w, k)
+        out[kk] = out.get(kk, 0) + c
+    return out
+
+
 def _suite_demazure(n, checks):
     rng = random.Random(20240 + n)
 
-    def rand_elem(maxterms=25):
+    def rand_terms(maxterms=25):
         terms = {}
         for _ in range(rng.randint(1, maxterms)):
             terms[_rand_key(rng, n, (0, 2))] = rng.choice([-3, -2, -1, 1, 2, 3])
-        return CharElem(n, terms)
+        return terms
 
     ok = True
     for _ in range(25):
-        f = rand_elem()
+        f = rand_terms()
         for i in range(n + 1):
-            D = f.demazure(i)
-            am = CharElem.monomial(n, tuple(-v for v in weyl.alpha_key(n, i)))
-            if D - am * D != f - am * f.relabel_weyl(weyl.simple(n, i)):
+            # D - e^{-alpha_i} D = f - e^{-alpha_i} s_i f, with D the Demazure step
+            D = weyl.demazure_terms(n, i, f)
+            minus_alpha = tuple(-v for v in weyl.alpha_key(n, i))
+            left = _minus(D, affinization._shift(minus_alpha, D))
+            s_f = _relabel(weyl.simple(n, i), f)
+            if left != _minus(f, affinization._shift(minus_alpha, s_f)):
                 ok = False
-            if D.demazure(i) != D:
+            if weyl.demazure_terms(n, i, D) != D:
                 ok = False
     checks.append(("demazure.defining_identity_and_idempotency", ok))
 
     ok = True
-    tau = weyl.compose(weyl.tau_01(n), weyl.tau_fork(n)).tau
+    twist = weyl.key_twist(n, weyl.compose(weyl.tau_01(n), weyl.tau_fork(n)).tau)
     for _ in range(10):
-        f = rand_elem(10)
-        if f.twist(tau).twist(tau) != f:
+        f = rand_terms(10)
+        if {twist(twist(k)): c for k, c in f.items()} != f:
             ok = False
     checks.append(("demazure.twist_involution", ok))
 
@@ -62,12 +82,14 @@ def _suite_demazure(n, checks):
         r = weyl.reduce_word(raw)
         if not weyl.same_element(raw, r) or not weyl.is_reduced(r):
             ok = False
-        f = rand_elem(10)
+        f = rand_terms(10)
         other = _other_reduced_word(n, r.word)
         if other is not None:
             compared += 1
             r2 = weyl.ExtendedWeylWord(n, r.tau, other)
-            if not weyl.same_element(r, r2) or f.demazure_word(r) != f.demazure_word(r2):
+            if not (weyl.same_element(r, r2) and weyl.is_reduced(r2)):
+                ok = False
+            elif weyl.demazure_word_terms(r, f) != weyl.demazure_word_terms(r2, f):
                 ok = False
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
 
@@ -144,9 +166,8 @@ def _suite_pipeline(n, checks):
         ok = straightened.get(lam) == 1 and straightened == spbranch.sam_table(n, lam)
         checks.append(("pipeline.crown_" + tag, ok))
         dimension = sum(m * dim_irr(n, mu) for mu, m in straightened.items())
-        checks.append(
-            ("pipeline.straighten_" + tag, dimension == affinization.character(n, lam, 1).mass())
-        )
+        mass = sum(polyring.character(n, lam, 1).values())
+        checks.append(("pipeline.straighten_" + tag, dimension == mass))
 
 
 def verify_report(opts):

@@ -15,9 +15,10 @@ of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; equality of group elements is decided by comparing actions on
-a basis.  The action is written once, on the keys that the character ring
-stores, and so is the Demazure string (:func:`demazure_terms`), on plain
-maps from keys to coefficients.
+a basis.  The action is written once, on the keys that the nested
+polynomial's maps hold, and so is the Demazure string (:func:`demazure_terms`, and along
+a word :func:`demazure_word_terms`), on plain maps from keys to
+coefficients.
 """
 
 from collections import namedtuple
@@ -312,8 +313,10 @@ def demazure_terms(n, i, terms):
     Per key with coroot pairing m: the coefficient times the descending
     string k, k - alpha_i, ..., k - m alpha_i when m >= 0, nothing when
     m = -1, and its negative times the ascending string k + alpha_i, ...,
-    k + (-m-1) alpha_i otherwise.  The one Demazure kernel: the table path
-    runs it on plain maps and :class:`minaff.polyring.CharElem` calls it.
+    k + (-m-1) alpha_i otherwise.  The one Demazure kernel, applied along
+    a word by :func:`demazure_word_terms`.  At a finite node it acts on
+    finite weights (length-n tuples) as well: the simple root has no level
+    or delta part, and the pairing reads one finite coordinate.
     """
     out = {}
     up = alpha_key(n, i)
@@ -329,6 +332,25 @@ def demazure_terms(n, i, terms):
             out[k] = out.get(k, 0) + sign
             k = tuple(map(add, k, step))
     return {k: c for k, c in out.items() if c}
+
+
+def demazure_word_terms(w, terms):
+    """The Demazure operator of the word ``w`` on a map {key: coefficient}:
+    :func:`demazure_terms` at each letter, last letter first, then the
+    relabelling by the automorphism prefix unless it is the identity.
+
+    It does not check that ``w`` is reduced; on a word that is not, the
+    result is not the operator of the group element.  Each caller proves
+    its words reduced once: the rotation word in the nesting check, the
+    longest word by its length, the ``verify`` words by ``is_reduced``.
+    """
+    n = w.n
+    for i in reversed(w.word):
+        terms = demazure_terms(n, i, terms)
+    if w.tau == _identity_tau(n):
+        return terms
+    twist = key_twist(n, w.tau)
+    return {twist(k): c for k, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from minaff import CharacterError, CharElem, InputError
+from minaff import CharacterError, InputError
 from minaff.cartan import _rho2, check_dominant, dim_irr, eps2, fw_from_eps2, is_dominant_fw
 from minaff.decomp import _maximal_keys
 from minaff.weyl import _dominantize
+from _ring_oracle import CharElem
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from minaff import CharElem, affinization, weyl
+from minaff import affinization, weyl
 from minaff.weyl import affine_edges
+from _ring_oracle import CharElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

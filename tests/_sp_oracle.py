@@ -9,14 +9,15 @@ formula root by root pins the closed product of
 :func:`minaff.spbranch.sp_dim_irr`.  The enumeration, the
 irreducible characters and the peel run on plain {finite weight: m} maps;
 ``schur_char``, ``sp_irr_character`` and ``decompose_sp`` convert them at
-the ``CharElem`` boundary.
+the ``CharElem`` boundary (the ring of ``_ring_oracle``).
 """
 
 from functools import lru_cache
 
-from minaff import CharElem, CharacterError, InputError
+from minaff import CharacterError, InputError
 from minaff.cartan import check_rank
 from minaff.spbranch import _sp_fund_from_eps, _sp_rho, _strip, partition_of
+from _ring_oracle import CharElem
 
 
 def schur_char(p, rank):

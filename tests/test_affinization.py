@@ -3,9 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, CharacterError, InputError, VerificationError
+from minaff import CharacterError, InputError, VerificationError
 from minaff.affinization import (
-    character,
     is_regular,
     lambda_sequence,
     multiplicity_table,
@@ -13,13 +12,15 @@ from minaff.affinization import (
     straighten,
     xi_sequence,
 )
-from minaff.cartan import varpi
+from minaff.cartan import branch_set, support, varpi
 from minaff.cli import run
 from minaff.cli_extra import drinfeld
+from minaff.polyring import character
 from minaff.spbranch import sam_table
-from minaff import affinization, weyl
+from minaff import affinization, polyring, weyl
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, seeded
+from _ring_oracle import CharElem, finite_char
 
 
 def fw_sum(n, *nodes):
@@ -130,17 +131,18 @@ def test_lambda_sequence_dominant_and_fork_rejected():
 
 def test_character_small_cases():
     n = 4
-    assert character(n, (0,) * n, 1) == CharElem.one(n, affine=False)
-    assert character(n, varpi(n, 1), 1) == irr_character(n, varpi(n, 1))
+    assert character(n, (0,) * n, 1) == {(0,) * n: 1}
+    assert finite_char(n, character(n, varpi(n, 1), 1)) == irr_character(n, varpi(n, 1))
     for s in (1, 3, 4):
         ch = character(n, varpi(n, 2), s)
-        assert ch.mass() == 29
-        assert ch.coeff(varpi(n, 2) + (0, 0)) == 1
+        assert sum(ch.values()) == 29
+        assert ch[varpi(n, 2)] == 1
+        assert 0 not in ch.values()
 
 
 def test_character_weyl_invariant():
     n = 4
-    ch = character(n, (1, 1, 0, 0), 4)
+    ch = finite_char(n, character(n, (1, 1, 0, 0), 4))
     for i in range(1, n + 1):
         assert ch.relabel_weyl(weyl.simple(n, i)) == ch
 
@@ -148,7 +150,7 @@ def test_character_weyl_invariant():
 def test_character_symmetric_weight_fork_symmetry():
     # equal spin coordinates give a fork-symmetric character for s = 1
     for lam in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)):
-        ch = character(4, lam, 1)
+        ch = finite_char(4, character(4, lam, 1))
         assert ch.twist(weyl.tau_fork(4)) == ch
 
 
@@ -161,16 +163,20 @@ def test_character_cross_family_collapse():
 def test_character_fork_twin_is_twist():
     lam = (1, 0, 1, 0)
     swapped = (1, 0, 0, 1)
-    a = character(4, lam, 3)
-    b = character(4, swapped, 4).twist(weyl.tau_fork(4))
+    a = finite_char(4, character(4, lam, 3))
+    b = finite_char(4, character(4, swapped, 4)).twist(weyl.tau_fork(4))
     assert a == b
 
 
-def test_character_rejects_bad_input():
+def test_character_rejects_bad_input(monkeypatch):
     with pytest.raises(InputError):
         character(4, (1, -1, 0, 0), 1)
     with pytest.raises(InputError):
         character(4, (1, 0, 1, 1), 1)  # zero fork coordinate, full spread
+    real = polyring._pre_w0
+    monkeypatch.setattr(polyring, "_pre_w0", lambda *a: {k: 2 * c for k, c in real(*a).items()})
+    with pytest.raises(CharacterError, match="leading coefficient"):
+        character(4, (0, 1, 0, 0), 1)
 
 
 def test_is_regular():
@@ -234,7 +240,39 @@ def test_multiplicity_table_cross_pipeline_sweep(case):
         assert table == {mu[: n - 2] + (mu[n - 1], mu[n - 2]): m for mu, m in base.items()}
     if n == 4 and s != 1:
         # the full character is cheap at rank 4; rank 5 is covered by criterion 11
-        assert table == decompose(character(n, lam, s))
+        assert table == decompose(finite_char(n, character(n, lam, s)))
+
+
+# every regular weight with coordinates <= 2 at ranks 4 and 5, <= 1 at rank 6
+COINCIDENCE_WEIGHTS = [
+    (n, lam)
+    for n, top in ((4, 2), (5, 2), (6, 1))
+    for lam in itertools.product(range(top + 1), repeat=n)
+    if is_regular(n, lam)
+]
+
+
+def test_family_tables_coincide_where_the_support_misses_a_branch():
+    # a measured invariant: a branch that the support misses makes the two
+    # families it does not label agree, which checks the s = n passes
+    # against s = 1 and, through it, against the symplectic pipeline
+    spread = 0
+    for n, lam in COINCIDENCE_WEIGHTS:
+        tables = {s: multiplicity_table(n, lam, s) for s in (1, n - 1, n)}
+        missed = {t for t in (1, n - 1, n) if not support(lam) & branch_set(n, t)}
+        if n - 1 in missed:
+            assert tables[1] == tables[n], (n, lam)
+        if n in missed:
+            assert tables[1] == tables[n - 1], (n, lam)
+        if 1 in missed:
+            assert tables[n] == tables[n - 1], (n, lam)
+        if len(missed) >= 2:
+            assert tables[1] == sam_table(n, lam), (n, lam)
+        if not missed:
+            spread += 1
+            for a, b in itertools.combinations((1, n - 1, n), 2):
+                assert tables[a] != tables[b], (n, lam, a, b)
+    assert spread > 0
 
 
 def test_multiplicity_table_rejects_bad_input():
@@ -291,7 +329,7 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
 
 def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
     # the table path checks the rotation word once per rank, with the
-    # error that the word operator gives
+    # error that the ring oracle's word operator gives
     real = weyl.sigma_word
 
     def doubled_first_letter(n):
@@ -343,6 +381,13 @@ def test_map_path_matches_the_element_route():
             if s == n - 1:
                 expected = {swap_fork(n, mu): m for mu, m in expected.items()}
             assert multiplicity_table(n, lam, s) == expected, (n, lam, s)
+            if n == 4:
+                # the full character: the oracle runs w0 on the affine
+                # element and specializes after; the program projects first
+                full = oracle.demazure_word(weyl.longest_word(n)).specialize()
+                if s == n - 1:
+                    full = full.twist(weyl.tau_fork(n))
+                assert finite_char(n, character(n, lam, s)) == full, (n, lam, s)
 
 
 def test_demazure_kernel_drops_cancelled_keys():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, affinization, spbranch, verify, weyl
+from minaff import polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
 from _helpers import break_longest_word, run_fresh
@@ -223,12 +223,15 @@ def test_pipeline_crown_fails_on_a_symplectic_table_that_differs(capsys, monkeyp
 
 
 def test_pipeline_straighten_fails_on_a_character_of_another_mass(capsys, monkeypatch):
-    real = affinization.character
+    real = polyring.character
 
     def one_more_weight(n, lam, s):
-        return real(n, lam, s) + CharElem.one(n, affine=False)
+        ch = real(n, lam, s)
+        zero = (0,) * n
+        ch[zero] = ch.get(zero, 0) + 1
+        return ch
 
-    monkeypatch.setattr(affinization, "character", one_more_weight)
+    monkeypatch.setattr(polyring, "character", one_more_weight)
     code, statuses, summary = pipeline_report(capsys)
     assert code == 3
     assert summary == "4 passed, 4 failed"
@@ -375,16 +378,33 @@ def test_delta_of_a_key_prints_as_the_fraction(d2):
 def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch):
     # scales by a position-weighted letter sum, which every commutation and
     # braid move changes
-    def order_sensitive(self, w):
-        return (1 + sum(i * a for i, a in enumerate(w.word, 1))) * self
+    def order_sensitive(w, terms):
+        scale = 1 + sum(i * a for i, a in enumerate(w.word, 1))
+        return {k: scale * c for k, c in terms.items()}
 
     checks = []
     verify._suite_demazure(4, checks)
     assert dict(checks)["demazure.reduced_word_application"]
-    monkeypatch.setattr(CharElem, "demazure_word", order_sensitive)
+    monkeypatch.setattr(weyl, "demazure_word_terms", order_sensitive)
     checks = []
     verify._suite_demazure(4, checks)
     assert not dict(checks)["demazure.reduced_word_application"]
+
+
+def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, monkeypatch):
+    # the word operator takes its words as reduced, so the check proves it:
+    # a cancelling pair in front keeps the element and breaks reducedness
+    real = verify._other_reduced_word
+
+    def cancelling_pair_in_front(n, word):
+        other = real(n, word)
+        return None if other is None else other[:1] * 2 + other
+
+    monkeypatch.setattr(verify, "_other_reduced_word", cancelling_pair_in_front)
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "demazure")
+    assert code == 3
+    assert "FAIL demazure.reduced_word_application" in out.splitlines()
+    assert out.endswith("2 passed, 1 failed\n")
 
 
 def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
@@ -484,8 +504,8 @@ def test_char_loads_no_symplectic_pipeline():
 @pytest.mark.parametrize("argv", SUBCOMMANDS[2:4], ids=lambda argv: argv[0])
 def test_table_subcommands_load_exactly_the_table_path(argv):
     # the straightened table needs neither the Freudenthal recursion nor
-    # the greedy peel, and the passes run on plain maps, so the
-    # full-character ring is not compiled either
+    # the greedy peel, and it stops before the longest-element pass, so the
+    # full character (polyring) is not compiled either
     modules = minaff_modules(modules_after_run(*argv))
     assert modules == CLI_BASE | {"minaff.cartan", "minaff.weyl", "minaff.affinization"}
 

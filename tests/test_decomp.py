@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, CharacterError, InputError
+from minaff import CharacterError, InputError
 from minaff.affinization import straighten
 from minaff.cartan import dim_irr, eps2, fw_from_eps2, varpi
 from minaff.decomp import compare_affinization
@@ -23,6 +23,7 @@ from _decomp_oracle import (
 )
 from _helpers import SRC, imported_names, seeded
 import _decomp_oracle
+from _ring_oracle import CharElem, finite_char
 
 
 def test_trivial_and_vector_characters():
@@ -175,11 +176,11 @@ def test_compare_affinization():
 
 
 def test_three_families_pairwise_incomparable():
-    from minaff.affinization import character
+    from minaff.polyring import character
 
     n = 4
     lam = (1, 1, 1, 1)
-    tables = [decompose(character(n, lam, s)) for s in (1, 3, 4)]
+    tables = [decompose(finite_char(n, character(n, lam, s))) for s in (1, 3, 4)]
     for a, b in itertools.combinations(tables, 2):
         assert a != b
         assert compare_affinization(n, a, b) == "incomparable"
@@ -226,14 +227,22 @@ GREEDY_ROUTE = (
 
 def test_the_greedy_route_is_defined_only_in_the_oracle():
     # the program reads its tables off by straightening; the Freudenthal
-    # recursion, the orbit expansion and the peel are the tests' slow path
-    defined = {
-        node.name
+    # recursion, the orbit expansion and the peel are the tests' slow path,
+    # and the character ring they run on is the tests' as well
+    nodes = [
+        node
         for path in (SRC / "minaff").glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defined = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {
+        alias.name
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
     }
     assert not defined & set(GREEDY_ROUTE)
+    assert "CharElem" not in defined | imported
     oracle = set(vars(_decomp_oracle))
     assert set(GREEDY_ROUTE) - oracle == {"DecompositionTable"}
 
@@ -279,3 +288,19 @@ def test_straighten_sums_and_cancels():
     # an affine key is no finite weight
     with pytest.raises(InputError):
         straighten(n, {mu + (0, 0): 1})
+
+
+def test_straighten_refuses_a_bad_rank_coefficient_or_coordinate():
+    with pytest.raises(InputError, match="rank"):
+        straighten(3, {(0, 0, 0): 1})
+    for terms in (
+        {(0, 0, 0, 0): 1.5},
+        {(0, 0, 0, 0): 2.0},
+        {(0, 0, 0, 0): True},
+        {(True, 0, 0, 0): 1},
+        {(0, 0, 0.0, 0): 1},
+        {(0, 0, 0, 0, 0, 0): 1},
+    ):
+        with pytest.raises(InputError):
+            straighten(4, terms)
+    assert straighten(4, {(0, 0, 0, 0): 3}) == {(0, 0, 0, 0): 3}

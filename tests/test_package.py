@@ -17,10 +17,11 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 42
+    assert len(minaff.__all__) == 41
     assert not {"positive_roots", "delta_plus_s", "sam_mult"} & set(minaff.__all__)
     assert not {"AffineWeight", "lambda0", "pairing"} & set(minaff.__all__)
     assert not {"DecompositionTable", "decompose", "irr_character"} & set(minaff.__all__)
+    assert "CharElem" not in minaff.__all__
     assert "character_mass" not in minaff.__all__
     assert "orbit_size" not in minaff.__all__
 
@@ -32,6 +33,7 @@ def test_each_export_is_the_attribute_of_its_defining_module():
         assert value is getattr(sys.modules[value.__module__], name), name
     assert minaff.dim_irr is minaff.cartan.dim_irr
     assert minaff.resolve_family is minaff.affinization.resolve_family
+    assert minaff.character is minaff.polyring.character
 
 
 def test_dir_submodules_and_unknown_names():

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, InputError
+from minaff import InputError
 from minaff.cartan import varpi
 from minaff import weyl
 from minaff.weyl import key_pairing
 from _helpers import braid_variant, rand_char, seeded
+from _ring_oracle import CharElem
 
 N = 4
 
@@ -111,6 +112,9 @@ def test_reduced_word_independence():
         distinct += r1.word != r2.word
         f = rand_char(N, rng, 15)
         assert f.demazure_word(r1) == f.demazure_word(r2)
+        # the program's word operator on plain maps, prefix twist included
+        w = weyl.compose(weyl.tau_01(N), r1)
+        assert weyl.demazure_word_terms(w, dict(f.items())) == dict(f.demazure_word(w).items())
     assert distinct >= 10
 
 

@@ -52,8 +52,8 @@ def test_readme_library_example_runs():
         else:
             exec(code, namespace)
     assert values["table"] == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
-    assert values["ch.coeff((0, 1, 0, 0, 0, 0))"] == 1
-    assert values["ch.mass()"] == 29
+    assert values["ch[(0, 1, 0, 0)]"] == 1
+    assert values["sum(ch.values())"] == 29
     (sam,) = [v for code, v in values.items() if code.startswith("sam_table(")]
     assert sam == 1
     assert values["compare_affinization(4, a, b)"] == "incomparable"

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharElem, CharacterError, InputError
+from minaff import CharacterError, InputError
 from minaff.spbranch import (
     iota,
     lr_coefficient,
@@ -22,6 +22,7 @@ from _sp_oracle import (
     sp_dim_by_roots,
     sp_irr_character,
 )
+from _ring_oracle import CharElem
 
 
 def hook_content_count(p, letters):

@@ -4,7 +4,7 @@ from operator import sub
 
 import pytest
 
-from minaff import CharElem, InputError, bilinear, weyl
+from minaff import InputError, bilinear, weyl
 from minaff.cartan import is_dominant_fw, varpi
 from minaff.weyl import (
     ExtendedWeylWord,
@@ -42,6 +42,7 @@ from _weyl_oracle import (
     tau_on_weight,
     tau_on_weight_oracle,
 )
+from _ring_oracle import CharElem
 
 
 def rand_extended(n, rng, L):
