@@ -43,12 +43,11 @@ _EXPORTS = {
         ("polyring", "character"),
         (
             "affinization",
-            "LambdaSequence XiSequence lambda_sequence multiplicity_table straighten "
-            "xi_sequence",
+            "XiSequence lambda_sequence multiplicity_table straighten xi_sequence",
         ),
         ("decomp", "compare_affinization"),
         ("spbranch", "iota lr_coefficient partition_of sam_table sp_branch sp_dim_irr"),
-        ("cli_extra", "DrinfeldSpec drinfeld"),
+        ("cli_extra", "drinfeld"),
     )
     for name in names.split()
 }

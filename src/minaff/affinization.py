@@ -3,15 +3,15 @@
 For a dominant weight and a family label s (one of the three extreme nodes)
 this module builds the tensor-factor weights xi_j, their rotated dominant
 forms Lambda_j, the nested Demazure polynomial of the associated module and
-its multiplicity table.  The s = n-1 family is obtained from s = n by the
-fork swap throughout.
+its multiplicity table.  The s = n-1 family is the fork twin of s = n;
+past :func:`xi_sequence`, only :func:`_pre_w0` knows it.
 
 Everything runs on plain maps {key: coefficient}: each rotation pass
 shifts by a factor weight and applies the rotation word's Demazure operator
-(:func:`minaff.weyl.demazure_word_terms`), and the table is read off the
-result before the longest-element pass by dot-action straightening, with no
-expansion at all.  The full character, which that pass builds, is
-:func:`minaff.polyring.character`; a ``char`` or ``decomp`` process never
+(:func:`minaff.weyl.demazure_word_terms`).  The table is read off the
+result by dot-action straightening, with no expansion at all; the full
+character, :func:`minaff.polyring.character`, finishes it with the
+longest-element pass instead, and a ``char`` or ``decomp`` process never
 compiles it.
 """
 
@@ -122,22 +122,18 @@ def xi_sequence(n, lam, s):
     return XiSequence(n, s, lam, keys, cut=inner.cut, lambda_bar=inner.lambda_bar)
 
 
-class LambdaSequence(namedtuple("LambdaSequence", ("n", "s", "lam", "keys"))):
-    __slots__ = ()
-
-
 def lambda_sequence(n, lam, s):
-    """Dominant affine weights feeding the nested character formula.
+    """Dominant affine weights feeding the nested character formula, as a
+    tuple of keys.
 
     Entry j < n is the j-th rotation preimage of xi_j; the last entry is
-    xi_n itself.  Only the families s = 1 and s = n are rotated directly;
-    the fork twin goes through the character-level twist instead.
+    xi_n itself.  Only the families s = 1 and s = n are rotated directly.
     """
     lam = tuple(lam)
     check_dominant(n, lam)
     s = resolve_family(n, s)
     if s == n - 1:
-        raise InputError("the fork twin family is handled by the character twist")
+        raise InputError("the fork twin family is handled by the fork relabelling")
     xi = xi_sequence(n, lam, s)
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
     keys = []
@@ -149,7 +145,7 @@ def lambda_sequence(n, lam, s):
     for k in keys:
         if not weyl.is_dominant(k):
             raise VerificationError(f"non-dominant factor weight {k}")
-    return LambdaSequence(n, s, lam, tuple(keys))
+    return tuple(keys)
 
 
 @lru_cache(maxsize=None)
@@ -180,41 +176,35 @@ def _regular_input(n, lam, s):
     return lam, s
 
 
-# The most terms the nested polynomial may reach after a rotation pass.
-# Measured on a 2-vCPU Xeon VM: no case of the tests, the README or the
-# benchmark passes 1,012 terms; rank 9 reaches 98,116 terms at
-# (1,1,0,1,1,1,1,1,1) and 148,692 at (1,...,1), in 2.8 s and 3.7 s.  A pass
-# multiplies the count by about n, so a refused job stops one pass beyond
-# the limit.
-MAX_TERMS = 200_000
-
-
 def _shift(k, terms):
     """The map ``terms`` times e^k: every key shifted by ``k``."""
     return {tuple(map(add, kk, k)): c for kk, c in terms.items()}
 
 
 def _pre_w0(n, lam, s):
-    """The nested polynomial before the longest-element pass, s in {1, n},
-    as a map {key: coefficient} without zeros.
+    """The nested polynomial before the longest-element pass, as a map
+    {key: coefficient} without zeros, for all three families.
 
     Innermost factor first: shift by each tensor-factor weight, then run
     the rotation pass (the rotation word's Demazure operator, its diagram
-    twist included); the last factor is shifted in unrotated.  Refuses with
-    InputError once a pass leaves more than MAX_TERMS terms.
+    twist included); the last factor is shifted in unrotated.  The fork
+    twin is the fork relabelling of the s = n map of the swapped weight;
+    rho is fork-invariant, so the relabelling commutes with both finishes.
     """
     _assert_nesting_legal(n)
-    lams = lambda_sequence(n, lam, s).keys
+    twin = s == n - 1
+    if twin:
+        lam, s = _swap_fork(n, lam), n
+    lams = lambda_sequence(n, lam, s)
     sig = weyl.sigma_word(n)
     g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):
         g = weyl.demazure_word_terms(sig, _shift(lams[j - 1], g))
-        if len(g) > MAX_TERMS:
-            raise InputError(
-                f"rank {n} weight {lam}: the nested polynomial passed the limit of "
-                f"{MAX_TERMS} terms, so the job is refused"
-            )
-    return _shift(lams[n - 1], g)
+    g = _shift(lams[n - 1], g)
+    if twin:
+        fork = weyl.key_twist(n, weyl.tau_fork(n).tau)
+        g = {fork(k): c for k, c in g.items()}
+    return g
 
 
 def _finite_parts(n, terms):
@@ -265,13 +255,9 @@ def multiplicity_table(n, lam, s):
     The longest-element operator takes e^mu to the Weyl character of mu
     straightened by the dot action, so the table is read off the nested
     polynomial before that pass (:func:`straighten`); the full
-    character is never expanded.  The fork twin is the fork swap of the
-    s = n table of the swapped weight.
+    character is never expanded.
     """
     lam, s = _regular_input(n, lam, s)
-    if s == n - 1:
-        inner = multiplicity_table(n, _swap_fork(n, lam), n)
-        return {_swap_fork(n, mu): m for mu, m in inner.items()}
     mults = straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")

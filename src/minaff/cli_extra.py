@@ -3,12 +3,10 @@
 The usage and help texts, generated from :data:`minaff.cli._COMMANDS`, the
 ``xi`` and ``drinfeld`` handlers with their report helpers, and the
 classifying polynomial data that only the ``drinfeld`` handler reads
-(:func:`drinfeld`).  Only ``--help``, a refused command line, ``xi`` and
+(:func:`drinfeld`, a plain tuple of factor triples).  Only ``--help``, a refused command line, ``xi`` and
 ``drinfeld`` import this module, so a ``char``, ``decomp`` or ``sam``
 process never compiles it.
 """
-
-from collections import namedtuple
 
 from . import cli
 from .cli import _csv_text, _json_text, _meta, _parse_weight
@@ -62,22 +60,10 @@ def _help(command=None):
 # the classifying polynomial data
 
 
-class DrinfeldSpec(namedtuple("DrinfeldSpec", ("n", "s", "lam", "epsilon", "factors"))):
-    """Classifying polynomial data: one factor per supported node, each a
-    (node, degree, power-offset) triple relative to a symbolic base point."""
-
-    __slots__ = ()
-
-    @property
-    def wt(self):
-        out = [0] * self.n
-        for i, m, _ in self.factors:
-            out[i - 1] += m
-        return tuple(out)
-
-
 def drinfeld(n, lam, s, epsilon=1):
-    """Offsets of the spectral parameters, instantiated exactly."""
+    """Classifying polynomial data, instantiated exactly: one factor per
+    supported node i, a (node, degree, power-offset) triple (i, lam_i, c)
+    relative to a symbolic base point."""
     from .cartan import check_dominant, resolve_family
 
     lam = tuple(lam)
@@ -98,8 +84,7 @@ def drinfeld(n, lam, s, epsilon=1):
             e = lam[0] + 2 * sum(lam[1 : n - 3]) - lam[i - 1] + n - 4
         return epsilon * e
 
-    factors = tuple((i, lam[i - 1], offset(i)) for i in range(1, n + 1) if lam[i - 1] > 0)
-    return DrinfeldSpec(n, s, lam, epsilon, factors)
+    return tuple((i, lam[i - 1], offset(i)) for i in range(1, n + 1) if lam[i - 1] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +130,7 @@ def xi_report(opts):
     xs = affinization.xi_sequence(n, lam, s)
     lams = None
     if s != n - 1:
-        lams = affinization.lambda_sequence(n, lam, s).keys
+        lams = affinization.lambda_sequence(n, lam, s)
     if opts["format"] == "json":
         report = {
             "n": n,
@@ -186,22 +171,22 @@ def drinfeld_report(opts):
     lam = _parse_weight(opts["lambda"], n)
     s = resolve_family(n, opts["s"])
     eps = _parse_epsilon(opts["epsilon"])
-    data = drinfeld(n, lam, s, eps)
+    factors = drinfeld(n, lam, s, eps)
     if opts["format"] == "json":
         report = {
             "n": n,
             "s": s,
             "epsilon": eps,
             "lambda": list(lam),
-            "factors": [{"i": i, "m": m, "c": c} for i, m, c in data.factors],
+            "factors": [{"i": i, "m": m, "c": c} for i, m, c in factors],
             "meta": _meta(),
         }
         return _json_text(report), 0
     if opts["format"] == "csv":
-        return _csv_text(("i", "m", "c"), list(data.factors)), 0
+        return _csv_text(("i", "m", "c"), list(factors)), 0
     lines = [f"n = {n}  s = {_family_str(n, s)}  epsilon = {'+' if eps > 0 else '-'}"]
-    for i, m, c in data.factors:
+    for i, m, c in factors:
         lines.append(f"node {i}: degree {m}, offset q^{c}")
-    if not data.factors:
+    if not factors:
         lines.append("trivial (zero weight)")
     return "\n".join(lines) + "\n", 0

@@ -9,7 +9,7 @@ tables skip by straightening.  No table subcommand (``char``, ``decomp``,
 ``sam``) loads this module.
 """
 
-from .affinization import _finite_parts, _pre_w0, _regular_input, _swap_fork
+from .affinization import _finite_parts, _pre_w0, _regular_input
 from .errors import CharacterError
 from . import weyl
 
@@ -19,13 +19,10 @@ def character(n, lam, s):
 
     The nested polynomial with level and delta killed, finished with the
     longest-element operator: a finite operator, which never reads level
-    or delta, so it runs after the projection.  The fork twin is the fork
-    swap of the s = n character of the swapped weight.
+    or delta, so it runs after the projection.  Each of its steps is
+    bounded by ``weyl.MAX_TERMS``, like the rotation passes before it.
     """
     lam, s = _regular_input(n, lam, s)
-    if s == n - 1:
-        inner = character(n, _swap_fork(n, lam), n)
-        return {_swap_fork(n, mu): c for mu, c in inner.items()}
     ch = weyl.demazure_word_terms(weyl.longest_word(n), _finite_parts(n, _pre_w0(n, lam, s)))
     if ch.get(lam) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")

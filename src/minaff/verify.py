@@ -2,7 +2,8 @@
 
 Three suites, each a list of named pass/fail checks: ``demazure`` (the
 defining identity, idempotency, the twist involution and reduced-word
-independence on random maps {key: coefficient}), ``weyl`` (the rotation
+independence on random maps {key: coefficient}, and one word worked by
+hand, which pins the order of its letters), ``weyl`` (the rotation
 table, length additivity of the nested composite and invariance of the
 form) and ``pipeline`` (the straightened tables against the symplectic
 pipeline, and their total dimension against the mass of the full character
@@ -91,6 +92,11 @@ def _suite_demazure(n, checks):
                 ok = False
             elif weyl.demazure_word_terms(r, f) != weyl.demazure_word_terms(r2, f):
                 ok = False
+    # a word by hand, as the random words cannot pin the order of letters:
+    # D_2 D_1 e^top has the keys top, top - alpha_1, top - alpha_1 - alpha_2
+    top = varpi(n, 1) + (1, 0)
+    chain = {weyl.act(weyl.from_word(n, w), top): 1 for w in ((), (1,), (2, 1))}
+    ok = ok and weyl.demazure_word_terms(weyl.from_word(n, (2, 1)), {top: 1}) == chain
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
 
 

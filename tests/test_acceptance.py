@@ -150,7 +150,7 @@ def test_criterion_04_xi_congruence_and_lambda_dominance():
             # covered by running the swapped weight through s = n
             swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
             for s, l in ((1, lam), (n, lam), (n, swapped)):
-                for x in lambda_sequence(n, l, s).keys:
+                for x in lambda_sequence(n, l, s):
                     if not weyl.is_dominant(x):
                         ok = False
     report(4, ok, "100 random weights per rank 4..7, all families", t0, 30)

@@ -81,10 +81,10 @@ def test_xi_rejects_non_dominant():
 
 def test_lambda_sequence_displays():
     # multiples of a single chain node stay at the affine vertex
-    L = lambda_sequence(4, (0, 3, 0, 0), 1).keys
+    L = lambda_sequence(4, (0, 3, 0, 0), 1)
     assert modqd(L[1]) == ((0, 0, 0, 0), 3)
     # the worked s = n case pins entry 2 at the spin node
-    L = lambda_sequence(5, (1, 1, 0, 2, 0), 5).keys
+    L = lambda_sequence(5, (1, 1, 0, 2, 0), 5)
     assert modqd(L[1]) == (varpi(5, 4), 1)
 
 
@@ -93,13 +93,13 @@ def test_lambda_sequence_display_random():
     for n in (4, 5, 6):
         for _ in range(12):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
-            L1 = lambda_sequence(n, lam, 1).keys
+            L1 = lambda_sequence(n, lam, 1)
             lmp = min(lam[n - 2], lam[n - 1])
             for j in range(1, n - 1):
                 assert modqd(L1[j - 1]) == ((0,) * n, lam[j - 1])
             assert modqd(L1[n - 2]) == ((0,) * n, lmp)
             xs = xi_sequence(n, lam, n)
-            Ln = lambda_sequence(n, lam, n).keys
+            Ln = lambda_sequence(n, lam, n)
             cut, lbar = xs.cut, xs.lambda_bar
             spin = varpi(n, n - 1)
             for j in range(1, n - 1):
@@ -123,7 +123,7 @@ def test_lambda_sequence_dominant_and_fork_rejected():
         for _ in range(10):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n):
-                for x in lambda_sequence(n, lam, s).keys:
+                for x in lambda_sequence(n, lam, s):
                     assert weyl.is_dominant(x)
     with pytest.raises(InputError):
         lambda_sequence(4, (1, 0, 0, 0), 3)
@@ -189,12 +189,13 @@ def test_is_regular():
 
 def test_drinfeld_examples():
     d = drinfeld(4, varpi(4, 1), 1, 1)
-    assert d.factors == ((1, 1, 0),)
+    assert d == ((1, 1, 0),)
     d = drinfeld(4, (1, 1, 0, 0), 1, 1)
-    assert dict((i, c) for i, m, c in d.factors)[2] == 3
+    assert dict((i, c) for i, m, c in d)[2] == 3
     dm = drinfeld(4, (1, 1, 0, 0), 1, -1)
-    assert dict((i, c) for i, m, c in dm.factors)[2] == -3
-    assert d.wt == (1, 1, 0, 0)
+    assert dict((i, c) for i, m, c in dm)[2] == -3
+    # each factor carries lambda_i at node i
+    assert {i: m for i, m, _ in d} == {1: 1, 2: 1}
     with pytest.raises(InputError):
         drinfeld(4, (1, 0, 0, 0), 1, 2)
 
@@ -204,7 +205,7 @@ def test_drinfeld_family_agreement_on_missed_spin_branch():
     for n in (4, 5):
         for _ in range(10):
             lam = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (0,)
-            assert drinfeld(n, lam, 1).factors == drinfeld(n, lam, n - 1).factors
+            assert drinfeld(n, lam, 1) == drinfeld(n, lam, n - 1)
 
 
 def test_multiplicity_table_small_cases():
@@ -307,10 +308,15 @@ def test_nesting_check_refuses_a_composite_that_cancels(monkeypatch):
 def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
     # a tiny limit stands in for a huge job, which is never launched
     lam = (0, 1, 1, 1, 1)
-    assert len(affinization._pre_w0(5, lam, 5)) == 52  # the largest pass
-    monkeypatch.setattr(affinization, "MAX_TERMS", 52)
+    assert len(affinization._pre_w0(5, lam, 5)) == 52  # the largest step
+    assert len(character(5, lam, "n")) == 6052
+    monkeypatch.setattr(weyl, "MAX_TERMS", 52)
     table = multiplicity_table(5, lam, "n")
-    monkeypatch.setattr(affinization, "MAX_TERMS", 51)
+    assert len(table) == 11
+    # the longest-element pass is bounded by the same check
+    with pytest.raises(InputError, match="limit of 52 terms"):
+        character(5, lam, "n")
+    monkeypatch.setattr(weyl, "MAX_TERMS", 51)
     with pytest.raises(InputError, match="limit of 51 terms"):
         multiplicity_table(5, lam, "n")
     with pytest.raises(InputError, match="limit of 51 terms"):
@@ -320,7 +326,7 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == "" and "limit of 51 terms" in out.err
     # the verify suites build their characters through the same passes
-    monkeypatch.setattr(affinization, "MAX_TERMS", 1)
+    monkeypatch.setattr(weyl, "MAX_TERMS", 1)
     assert run(["verify", "--n", "4", "--suite", "pipeline"]) == 2
     assert capsys.readouterr().out == ""
     monkeypatch.undo()
@@ -347,7 +353,7 @@ def pre_w0_oracle(n, lam, s):
     """The nested polynomial before the longest-element pass by the
     element route: CharElem products and the word operator of the
     rotation word, which checks the word on every pass."""
-    lams = lambda_sequence(n, lam, s).keys
+    lams = lambda_sequence(n, lam, s)
     sig = weyl.sigma_word(n)
     g = CharElem.one(n)
     for j in range(n - 1, 0, -1):
@@ -376,6 +382,12 @@ def test_map_path_matches_the_element_route():
             base, s0 = (swap_fork(n, lam), n) if s == n - 1 else (lam, s)
             oracle = pre_w0_oracle(n, base, s0)
             assert affinization._pre_w0(n, base, s0) == dict(oracle.items()), (n, lam, s)
+            if s == n - 1:
+                # the program relabels the polynomial; the oracle swaps the
+                # finished table and character below, so the two finishes
+                # are checked to commute with the fork relabelling
+                twin = oracle.twist(weyl.tau_fork(n))
+                assert affinization._pre_w0(n, lam, s) == dict(twin.items()), (n, lam, s)
             finite = {k[:n]: c for k, c in oracle.specialize().items()}
             expected = straighten(n, finite)
             if s == n - 1:

@@ -382,13 +382,24 @@ def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch
         scale = 1 + sum(i * a for i, a in enumerate(w.word, 1))
         return {k: scale * c for k, c in terms.items()}
 
-    checks = []
-    verify._suite_demazure(4, checks)
-    assert dict(checks)["demazure.reduced_word_application"]
-    monkeypatch.setattr(weyl, "demazure_word_terms", order_sensitive)
-    checks = []
-    verify._suite_demazure(4, checks)
-    assert not dict(checks)["demazure.reduced_word_application"]
+    # the letters in the wrong order: only the word worked by hand sees it,
+    # since reversing both reduced words gives the inverse element on both
+    # sides of the comparison
+    real = weyl.demazure_word_terms
+
+    def first_letter_first(w, terms):
+        return real(weyl.ExtendedWeylWord(w.n, w.tau, w.word[::-1]), terms)
+
+    for n in (4, 5, 6):
+        checks = []
+        verify._suite_demazure(n, checks)
+        assert dict(checks)["demazure.reduced_word_application"], n
+        for operator in (order_sensitive, first_letter_first):
+            monkeypatch.setattr(weyl, "demazure_word_terms", operator)
+            checks = []
+            verify._suite_demazure(n, checks)
+            assert not dict(checks)["demazure.reduced_word_application"], (n, operator)
+            monkeypatch.undo()
 
 
 def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, monkeypatch):

@@ -17,11 +17,12 @@ def test_star_import_binds_exactly_all():
     exec("from minaff import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(minaff.__all__)
-    assert len(minaff.__all__) == 41
+    assert len(minaff.__all__) == 39
     assert not {"positive_roots", "delta_plus_s", "sam_mult"} & set(minaff.__all__)
     assert not {"AffineWeight", "lambda0", "pairing"} & set(minaff.__all__)
     assert not {"DecompositionTable", "decompose", "irr_character"} & set(minaff.__all__)
     assert "CharElem" not in minaff.__all__
+    assert not {"LambdaSequence", "DrinfeldSpec"} & set(minaff.__all__)
     assert "character_mass" not in minaff.__all__
     assert "orbit_size" not in minaff.__all__
 
