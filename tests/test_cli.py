@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import json
+import re
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from minaff import polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
-from _helpers import break_longest_word, run_fresh
+from _helpers import break_longest_word, fresh_argv, fresh_env, run_fresh
 
 
 def invoke(capsys, *argv):
@@ -556,3 +558,68 @@ def test_table_subcommands_build_no_fraction(argv):
     # every weight is an integer key, and the xi report prints delta from
     # its doubled slot
     assert "fractions" not in modules_after_run(*argv)
+
+
+# How a process ends.  ``cli.main`` freezes the heap once the command is
+# done, so the interpreter's shutdown collections skip what start-up and the
+# run left behind; ``__main__`` and the console script both end through it.
+
+EXIT_PATH = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+if sys.argv[1] == "--break-longest-word":
+    del sys.argv[1]
+    from minaff import weyl
+    real = weyl.longest_word
+    def repeated_last_letter(n):
+        w = real(n)
+        return weyl.ExtendedWeylWord(n, w.tau, w.word + w.word[-1:])
+    weyl.longest_word = repeated_last_letter
+runpy.run_module("minaff", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "broken, argv, code",
+    [(False, CHAR, 0), (False, REFUSED, 2), (True, CHAR, 3)],
+    ids=["char", "refused", "verification failure"],
+)
+def test_a_process_freezes_its_heap_and_prints_what_run_prints(
+    capsys, monkeypatch, broken, argv, code
+):
+    if broken:
+        break_longest_word(monkeypatch)
+    in_process, out, err = invoke(capsys, *argv)
+    assert in_process == code
+    proc = run_fresh("-c", EXIT_PATH, *["--break-longest-word"] * broken, *argv)
+    assert proc.returncode == code
+    assert proc.stdout == out
+    # the atexit hook still ran, after everything the command wrote
+    hook = re.fullmatch(r"(.*)freeze count (\d+)\n", proc.stderr, re.DOTALL)
+    assert hook is not None, proc.stderr
+    assert hook[1] == err
+    assert int(hook[2]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, nbytes",
+    [
+        # a 449,402-byte report: the write in cli.run fails part-way
+        (("sam", "--n", "6", "--lambda", "3,3,3,3,3,3"), 10),
+        # a report that fits the stdout buffer: the flush in cli.main fails
+        (CHAR, 0),
+    ],
+    ids=["in the report", "at the flush"],
+)
+def test_a_reader_that_closes_the_pipe_early_ends_the_process_with_status_1(argv, nbytes):
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a short write to the pipe is no error
+    proc = subprocess.Popen(
+        fresh_argv("-m", "minaff", *argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.read(nbytes)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
