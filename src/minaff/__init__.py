@@ -15,17 +15,35 @@ the tableau expansion, the Freudenthal recursion, orbit sizes, irreducible
 characters, the greedy decomposition of a full character and the
 character ring with its operators as methods) lives in the test suite.
 
-``import minaff`` loads no submodule.  Each exported name, and each
-submodule as an attribute (``minaff.weyl``), is imported on first use
-(PEP 562), so a command-line process loads only the modules its
-subcommand runs.
+The three exception types are defined here, so every module raises them
+without loading another.  ``import minaff`` loads no submodule.  Each other
+exported name, and each submodule as an attribute (``minaff.weyl``), is
+imported on first use (PEP 562), so a command-line process loads only the
+modules its subcommand runs.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each exported name and the module that defines it.
+
+class InputError(ValueError):
+    """Invalid user-supplied data: bad rank, non-dominant weight, unknown
+    family label, non-regular highest weight, malformed CLI argument."""
+
+
+class CharacterError(RuntimeError):
+    """A character or multiplicity table broke its invariants: a leading
+    multiplicity other than 1, a negative multiplicity, a weight not below
+    the highest one, a symplectic total dimension that does not match, or,
+    in a decomposition, a nonzero residual or broken Weyl invariance."""
+
+
+class VerificationError(RuntimeError):
+    """An internal verification suite detected a mismatch."""
+
+
+# Each lazily exported name and the module that defines it.
 _EXPORTS = {
     name: module
     for module, names in (
@@ -33,7 +51,6 @@ _EXPORTS = {
             "cartan",
             "dim_irr is_regular resolve_family support varpi",
         ),
-        ("errors", "CharacterError InputError VerificationError"),
         (
             "weyl",
             "ExtendedWeylWord act bilinear compose dominates from_word identity inverse "
@@ -53,7 +70,7 @@ _EXPORTS = {
 }
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "verify"}
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "CharacterError", "InputError", "VerificationError"])
 
 
 def __getattr__(name):

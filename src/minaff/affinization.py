@@ -29,9 +29,8 @@ from .cartan import (
     resolve_family,
     varpi,
 )
-from .errors import CharacterError, InputError, VerificationError
+from . import CharacterError, InputError, VerificationError, weyl
 from .weyl import _dominantize, dominates
-from . import weyl
 
 
 class XiSequence(
@@ -101,8 +100,11 @@ def _xi_family_n(n, lam):
     return tuple(keys), cut, lbar
 
 
-def _swap_fork(n, lam):
-    return lam[: n - 2] + (lam[n - 1], lam[n - 2])
+def _swap_fork(n, k):
+    """The fork swap of a finite weight or a key: its two spin coordinates
+    exchanged.  On a key it is the relabelling by the fork automorphism,
+    which fixes node 0, so the level and 2 delta stay."""
+    return k[: n - 2] + (k[n - 1], k[n - 2]) + k[n:]
 
 
 def xi_sequence(n, lam, s):
@@ -118,7 +120,7 @@ def xi_sequence(n, lam, s):
         return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
     # fork twin: swap, build the s = n data, swap back
     inner = xi_sequence(n, _swap_fork(n, lam), n)
-    keys = tuple(map(weyl.key_twist(n, weyl.tau_fork(n).tau), inner.keys))
+    keys = tuple(_swap_fork(n, k) for k in inner.keys)
     return XiSequence(n, s, lam, keys, cut=inner.cut, lambda_bar=inner.lambda_bar)
 
 
@@ -136,12 +138,10 @@ def lambda_sequence(n, lam, s):
         raise InputError("the fork twin family is handled by the fork relabelling")
     xi = xi_sequence(n, lam, s)
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
-    keys = []
-    rot = weyl.identity(n)
+    keys = list(xi.keys)
     for j in range(1, n):
-        rot = weyl.compose(rot, sigma_inv)
-        keys.append(weyl.act(rot, xi.keys[j - 1]))
-    keys.append(xi.keys[n - 1])
+        for _ in range(j):
+            keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
     for k in keys:
         if not weyl.is_dominant(k):
             raise VerificationError(f"non-dominant factor weight {k}")
@@ -202,8 +202,7 @@ def _pre_w0(n, lam, s):
         g = weyl.demazure_word_terms(sig, _shift(lams[j - 1], g))
     g = _shift(lams[n - 1], g)
     if twin:
-        fork = weyl.key_twist(n, weyl.tau_fork(n).tau)
-        g = {fork(k): c for k, c in g.items()}
+        g = {_swap_fork(n, k): c for k, c in g.items()}
     return g
 
 

@@ -15,7 +15,7 @@ of the Demazure side.
 
 from functools import lru_cache
 
-from .errors import InputError, VerificationError
+from . import InputError, VerificationError
 
 MIN_RANK = 4
 

@@ -30,12 +30,12 @@ to coefficients and stops before the longest-element pass, so the full
 character (:mod:`minaff.polyring`) does not load.  ``cartan`` loads once
 the command line has parsed, ``csv`` only for a CSV report, and JSON is
 written here without ``json``.
-``--version`` loads nothing beyond this module and ``errors``.  The usage
-and help generator, the ``xi`` and ``drinfeld`` handlers and the
-classifying polynomial data live in :mod:`minaff.cli_extra`, which only
-``--help``, a refused command line, ``xi`` and ``drinfeld`` load; the
-``verify`` suites live in :mod:`minaff.verify`, which only ``verify``
-loads.
+``--version`` loads nothing beyond this module and the package root, which
+defines the exception types.  The usage and help generator, the ``xi`` and
+``drinfeld`` handlers and the classifying polynomial data live in
+:mod:`minaff.cli_extra`, which only ``--help``, a refused command line,
+``xi`` and ``drinfeld`` load; the ``verify`` suites live in
+:mod:`minaff.verify`, which only ``verify`` loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
 and 1 from :func:`main` when the reader of standard output closed the
@@ -56,8 +56,7 @@ import io
 import os
 import sys
 
-from . import __version__
-from .errors import CharacterError, InputError, VerificationError
+from . import CharacterError, InputError, VerificationError, __version__
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +376,15 @@ def main():
     """The console entry point: ``run`` the command line, then exit with its
     code.  A reader that closes the pipe early ends the process with status
     1 and no traceback (the SIGPIPE recipe of the ``signal`` docs: stdout is
-    pointed at devnull, so the interpreter's final flush cannot raise)."""
+    pointed at devnull, so the interpreter's final flush cannot raise).
+    Unbuffered (``python -u``), standard output writes straight to a raw
+    file, whose short write to a closed pipe the text layer ignores; a
+    buffered writer retries it and raises, so a buffer goes under first."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(raw), encoding=sys.stdout.encoding, errors=sys.stdout.errors
+        )
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

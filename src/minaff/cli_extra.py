@@ -8,9 +8,8 @@ classifying polynomial data that only the ``drinfeld`` handler reads
 process never compiles it.
 """
 
-from . import cli
+from . import InputError, cli
 from .cli import _csv_text, _json_text, _meta, _parse_weight
-from .errors import InputError
 
 
 # ---------------------------------------------------------------------------

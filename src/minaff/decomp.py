@@ -8,7 +8,7 @@ dominance order comes from :mod:`minaff.weyl`; nothing else of the root
 system is used here.
 """
 
-from .errors import InputError
+from . import InputError
 from .weyl import dominates
 
 

@@ -10,8 +10,7 @@ tables skip by straightening.  No table subcommand (``char``, ``decomp``,
 """
 
 from .affinization import _finite_parts, _pre_w0, _regular_input
-from .errors import CharacterError
-from . import weyl
+from . import CharacterError, weyl
 
 
 def character(n, lam, s):

@@ -17,7 +17,7 @@ for the symplectic lattice, so nothing is doubled here).
 from functools import lru_cache
 
 from .cartan import check_dominant, check_rank, is_regular
-from .errors import CharacterError, InputError
+from . import CharacterError, InputError
 
 
 def iota(n, mu):
@@ -57,7 +57,6 @@ def _check_partition(p):
 # Littlewood-Richardson coefficients
 
 
-@lru_cache(maxsize=None)
 def _skew_contents(p, mu):
     """{content: count} over the LR fillings of the skew shape p/mu.
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import add, itemgetter, mul
 
 from .cartan import check_rank, eps2, varpi
-from .errors import InputError, VerificationError
+from . import InputError, VerificationError
 
 
 # ---------------------------------------------------------------------------

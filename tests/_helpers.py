@@ -28,10 +28,6 @@ def rand_char(n, rng, maxterms=50):
     return CharElem(n, terms)
 
 
-def rand_dominant(n, rng, span=3):
-    return tuple(rng.randint(0, span) for _ in range(n))
-
-
 def seeded(seed):
     return random.Random(seed)
 
@@ -71,7 +67,10 @@ def break_longest_word(monkeypatch):
 
 
 def minaff_imports(module):
-    """Names of the minaff modules a module imports, anywhere in its body."""
+    """Names of the minaff modules a module imports, anywhere in its body.
+    ``from . import X`` counts X only when it is a submodule, not a name
+    defined in the package root such as an exception type."""
+    package = Path(module.__file__).parent
     out = set()
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -83,7 +82,7 @@ def minaff_imports(module):
             if name:
                 out.add(name.split(".")[0])
             else:
-                out.update(a.name for a in node.names)
+                out.update(a.name for a in node.names if (package / f"{a.name}.py").is_file())
         elif isinstance(node, ast.Import):
             out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("minaff."))
     return out

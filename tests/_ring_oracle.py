@@ -24,9 +24,8 @@ the greedy peel of ``_decomp_oracle`` as finite-tagged elements
 
 from operator import add
 
-from minaff import weyl
+from minaff import InputError, weyl
 from minaff.cartan import check_rank
-from minaff.errors import InputError
 
 
 def _checked_rank(n):

@@ -19,15 +19,8 @@ from minaff.polyring import character
 from minaff.spbranch import sam_table
 from minaff import affinization, polyring, weyl
 from _decomp_oracle import decompose, irr_character
-from _helpers import break_longest_word, rand_char, seeded
+from _helpers import break_longest_word, rand_char, rand_key, seeded
 from _ring_oracle import CharElem, finite_char
-
-
-def fw_sum(n, *nodes):
-    out = [0] * n
-    for i in nodes:
-        out[i - 1] += 1
-    return tuple(out)
 
 
 def modqd(k):
@@ -298,6 +291,30 @@ def coincidence_case(draw):
 @given(coincidence_case())
 def test_family_tables_coincide_past_the_grid(case):
     assert_family_coincidences(*case)
+
+
+def test_fork_swap_is_the_fork_relabelling():
+    rng = seeded(45)
+    for n in range(4, 9):
+        fork = weyl.key_twist(n, weyl.tau_fork(n).tau)
+        for _ in range(30):
+            k = rand_key(n, rng)
+            assert affinization._swap_fork(n, k) == fork(k), (n, k)
+            mu = k[:n]
+            assert affinization._swap_fork(n, mu) + k[n:] == fork(k), (n, mu)
+
+
+def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
+    for n, lam in COINCIDENCE_WEIGHTS:
+        sigma_inv = weyl.inverse(weyl.sigma_word(n))
+        for s in (1, n):
+            xi = xi_sequence(n, lam, s).keys
+            rot = weyl.identity(n)
+            expect = []
+            for j in range(1, n):
+                rot = weyl.compose(rot, sigma_inv)
+                expect.append(weyl.act(rot, xi[j - 1]))
+            assert lambda_sequence(n, lam, s) == (*expect, xi[n - 1]), (n, lam, s)
 
 
 def test_multiplicity_table_rejects_bad_input():

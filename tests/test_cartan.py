@@ -304,7 +304,7 @@ ROOT_LISTS = ("positive_roots_eps2", "positive_roots", "delta_plus_s")
 
 
 def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
-    assert minaff_imports(cartan) == {"errors"}
+    assert minaff_imports(cartan) == set()
     for name in MOVED_TO_WEYL:
         assert not hasattr(cartan, name), name
         assert getattr(weyl, name).__module__ == "minaff.weyl", name
@@ -314,4 +314,4 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     assert positive_roots.__module__ == delta_plus_s.__module__ == "_weyl_oracle"
     assert not hasattr(cartan, "in_root_cone") and not hasattr(weyl, "in_root_cone")
     # so the symplectic pipeline loads no code that knows a root
-    assert minaff_imports(spbranch) == {"cartan", "errors"}
+    assert minaff_imports(spbranch) == {"cartan"}

@@ -454,7 +454,7 @@ print(json.dumps(loaded))
 sys.exit(code)
 """
 
-CLI_BASE = {"minaff", "minaff.cli", "minaff.errors"}
+CLI_BASE = {"minaff", "minaff.cli"}
 SAM = ("sam", "--n", "5", "--lambda", "1,1,1,1,1")
 CHAR = ("char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1")
 SUBCOMMANDS = (
@@ -611,9 +611,17 @@ def test_a_process_freezes_its_heap_and_prints_what_run_prints(
     ],
     ids=["in the report", "at the flush"],
 )
-def test_a_reader_that_closes_the_pipe_early_ends_the_process_with_status_1(argv, nbytes):
+# unbuffered, standard output is a raw file whose short write to the pipe
+# the text layer would ignore; cli.main puts a buffered writer under it
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_early_ends_the_process_with_status_1(
+    argv, nbytes, unbuffered
+):
     env = fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a short write to the pipe is no error
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         fresh_argv("-m", "minaff", *argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
