@@ -108,25 +108,27 @@ def _swap_fork(n, k):
 
 
 def xi_sequence(n, lam, s):
-    """The n tensor-factor weights for the given dominant weight and family."""
+    """The n tensor-factor weights of a dominant weight and family, checked here."""
     lam = tuple(lam)
     check_dominant(n, lam)
-    s = resolve_family(n, s)
+    return _xi(n, lam, resolve_family(n, s))
+
+
+def _xi(n, lam, s):
+    """:func:`xi_sequence` of a checked dominant ``lam`` and family ``s``."""
     if s == 1:
         keys, m, mp = _xi_family_one(n, lam)
         return XiSequence(n, s, lam, keys, m=m, m_prime=mp)
-    if s == n:
-        keys, cut, lbar = _xi_family_n(n, lam)
-        return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
-    # fork twin: swap, build the s = n data, swap back
-    inner = xi_sequence(n, _swap_fork(n, lam), n)
-    keys = tuple(_swap_fork(n, k) for k in inner.keys)
-    return XiSequence(n, s, lam, keys, cut=inner.cut, lambda_bar=inner.lambda_bar)
+    twin = s == n - 1
+    keys, cut, lbar = _xi_family_n(n, _swap_fork(n, lam) if twin else lam)
+    if twin:  # the s = n data of the swapped weight, swapped back
+        keys = tuple(_swap_fork(n, k) for k in keys)
+    return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
 
 
 def lambda_sequence(n, lam, s):
     """Dominant affine weights feeding the nested character formula, as a
-    tuple of keys.
+    tuple of keys; checks (lam, s) here, once.
 
     Entry j < n is the j-th rotation preimage of xi_j; the last entry is
     xi_n itself.  Only the families s = 1 and s = n are rotated directly.
@@ -136,9 +138,13 @@ def lambda_sequence(n, lam, s):
     s = resolve_family(n, s)
     if s == n - 1:
         raise InputError("the fork twin family is handled by the fork relabelling")
-    xi = xi_sequence(n, lam, s)
+    return _lambda_keys(n, _xi(n, lam, s).keys)
+
+
+def _lambda_keys(n, xi_keys):
+    """:func:`lambda_sequence` from the tensor-factor weights of s = 1 or n."""
+    keys = list(xi_keys)
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
-    keys = list(xi.keys)
     for j in range(1, n):
         for _ in range(j):
             keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
@@ -166,9 +172,9 @@ def _regular_input(n, lam, s):
     """Checked (lam, s) for the character pipeline; refuses weights outside
     the regular classification."""
     lam = tuple(lam)
-    check_dominant(n, lam)
+    regular = is_regular(n, lam)
     s = resolve_family(n, s)
-    if not is_regular(n, lam):
+    if not regular:
         raise InputError(
             f"weight {lam} is outside the regular classification "
             "(full spread support with zero fork coordinate)"
@@ -183,7 +189,7 @@ def _shift(k, terms):
 
 def _pre_w0(n, lam, s):
     """The nested polynomial before the longest-element pass, as a map
-    {key: coefficient} without zeros, for all three families.
+    {key: coefficient} without zeros, for all three families, of checked (lam, s).
 
     Innermost factor first: shift by each tensor-factor weight, then run
     the rotation pass (the rotation word's Demazure operator, its diagram
@@ -195,7 +201,7 @@ def _pre_w0(n, lam, s):
     twin = s == n - 1
     if twin:
         lam, s = _swap_fork(n, lam), n
-    lams = lambda_sequence(n, lam, s)
+    lams = _lambda_keys(n, _xi(n, lam, s).keys)
     sig = weyl.sigma_word(n)
     g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):

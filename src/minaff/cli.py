@@ -148,7 +148,7 @@ def _csv_text(header, rows):
 
 
 def _table_report(opts, n, s, lam, mults):
-    from .cartan import check_dominant, dim_irr
+    from .cartan import dim_irr
 
     entries = [
         {"mu": list(mu), "m": m, "dim": dim_irr(n, mu)} for mu, m in _sorted_mults(n, mults)
@@ -156,9 +156,8 @@ def _table_report(opts, n, s, lam, mults):
     dimension = sum(e["m"] * e["dim"] for e in entries)
     if opts.get("mu") is not None:
         mu = _parse_weight(opts["mu"], n)
-        check_dominant(n, mu)
         entries = [e for e in entries if tuple(e["mu"]) == mu]
-        if not entries:
+        if not entries:  # a table holds only dominant weights; dim_irr refuses the rest
             entries = [{"mu": list(mu), "m": 0, "dim": dim_irr(n, mu)}]
     report = {
         "n": n,

@@ -127,9 +127,7 @@ def xi_report(opts):
     lam = _parse_weight(opts["lambda"], n)
     s = resolve_family(n, opts["s"])
     xs = affinization.xi_sequence(n, lam, s)
-    lams = None
-    if s != n - 1:
-        lams = affinization.lambda_sequence(n, lam, s)
+    lams = affinization._lambda_keys(n, xs.keys) if s != n - 1 else None
     if opts["format"] == "json":
         report = {
             "n": n,

@@ -25,6 +25,10 @@ def iota(n, mu):
     coordinates pass through, the spin pair contributes its minimum."""
     mu = tuple(mu)
     check_dominant(n, mu)
+    return _fold(n, mu)
+
+
+def _fold(n, mu):
     return mu[: n - 2] + (min(mu[n - 2], mu[n - 1]),)
 
 
@@ -205,14 +209,13 @@ def sam_table(n, lam):
     Restricts the Schur functor of the folded highest weight's partition
     by :func:`sp_branch`, checks the total dimension, and lifts each
     symplectic constituent back to the unique dominant weight with the same
-    spin difference as ``lam``.
+    spin difference as ``lam``, which it checks once, by ``is_regular``.
     """
     lam = tuple(lam)
-    check_dominant(n, lam)
     if not is_regular(n, lam):
         raise InputError(f"weight {lam} is outside the regular classification")
     rank = n - 1
-    p = partition_of(iota(n, lam))
+    p = partition_of(_fold(n, lam))
     table = sp_branch(p, rank)
     total = sum(m * sp_dim_irr(rank, nu) for nu, m in table.items())
     expected = schur_dim(p, 2 * rank)

@@ -14,9 +14,9 @@ of the affine nodes generated by the two diagram swaps) followed by a tuple
 of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
-per letter; equality of group elements is decided by comparing actions on
-a basis.  The action is written once, on the keys that the nested
-polynomial's maps hold, and so is the Demazure string (:func:`demazure_terms`, and along
+per letter; two words name the same group element exactly when their
+reduced words agree.  The action is written once, on the keys that the
+nested polynomial's maps hold, and so is the Demazure string (:func:`demazure_terms`, and along
 a word :func:`demazure_word_terms`), on plain maps from keys to
 coefficients.
 """
@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import check_rank, eps2, varpi
+from .cartan import check_rank, eps2
 from . import InputError, VerificationError
 
 
@@ -443,18 +443,6 @@ def nesting_composite(n):
     return comp, n * (n - 1) + (n - 1) ** 2
 
 
-@lru_cache(maxsize=None)
-def _basis(n):
-    """Keys of the fundamental weights, Lambda_0 and delta."""
-    zero = (0,) * n
-    return tuple(varpi(n, i) + (0, 0) for i in range(1, n + 1)) + (zero + (1, 0), zero + (0, 2))
-
-
-def element_images(w):
-    """Action on a basis of the affine weight space, as keys; canonical
-    fingerprint."""
-    return tuple(act(w, b) for b in _basis(w.n))
-
-
 def same_element(u, v):
-    return u.n == v.n and element_images(u) == element_images(v)
+    """Whether two words name one group element: the same rank and reduced word."""
+    return u.n == v.n and reduce_word(u) == reduce_word(v)

@@ -13,6 +13,9 @@ found by acting on the affine simple roots, so the two can be compared word
 for word.  ``weyl.key_twist`` permutes coroot pairings; this module keeps
 the expansion over the fundamental weights that it replaced, each mapped to
 its image with the delta correction that norm preservation forces.
+``weyl.same_element`` compares reduced words; this module keeps the
+fingerprint it replaced, the action on a basis of the affine weight space,
+which reads no reduced word.
 """
 
 from collections import namedtuple
@@ -207,6 +210,15 @@ def descent_oracle(w):
             return ExtendedWeylWord(n, g.tau, tuple(reversed(collected)))
         g = compose(g, simple(n, found))
         collected.append(found)
+
+
+def element_images(w):
+    """The images of the keys of the fundamental weights, Lambda_0 and delta
+    under ``w``: a fingerprint of the group element."""
+    n = w.n
+    zero = (0,) * n
+    basis = [varpi(n, i) + (0, 0) for i in range(1, n + 1)] + [zero + (1, 0), zero + (0, 2)]
+    return tuple(weyl.act(w, b) for b in basis)
 
 
 def tau_on_weight_oracle(tau, x):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 from fractions import Fraction
 from operator import mul, sub
 
@@ -124,6 +125,65 @@ def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
         with pytest.raises(InputError):
             multiplicity_table(4, lam, 1)
     assert cartan.resolve_family(4, 4) == cartan.resolve_family(4, "n") == 4
+
+
+def _input_checks(fn, *args):
+    """How often ``fn(*args)`` runs ``check_dominant`` and ``resolve_family``.
+    Counted by code object: the modules bind both names through ``from
+    .cartan import``, so patching ``cartan`` would miss their calls."""
+    names = {cartan.check_dominant.__code__: "check_dominant",
+             cartan.resolve_family.__code__: "resolve_family"}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_each_entry_point_checks_its_input_once():
+    from minaff.affinization import lambda_sequence, multiplicity_table, xi_sequence
+    from minaff.cli_extra import drinfeld
+    from minaff.polyring import character
+
+    lam6, lam5 = (1, 0, 0, 1, 1, 1), (1, 1, 0, 2, 0)
+    calls = [(multiplicity_table, 6, lam6, s) for s in (1, 5, 6)] + [
+        (character, 4, (1, 1, 1, 1), 4),
+        (xi_sequence, 5, lam5, 4),
+        (lambda_sequence, 5, lam5, 5),
+        (lambda_sequence, 5, lam5, 1),
+        (spbranch.sam_table, 6, lam6),
+        (drinfeld, 4, (1, 1, 0, 0), 1),
+    ]
+    for fn, *args in calls:
+        counts = _input_checks(fn, *args)
+        assert counts["check_dominant"] == 1, (fn.__name__, args, counts)
+        assert counts["resolve_family"] <= 1, (fn.__name__, args, counts)
+
+
+def test_a_weight_failing_two_checks_is_refused_for_the_first():
+    from minaff.affinization import lambda_sequence, multiplicity_table, xi_sequence
+    from minaff.cli_extra import drinfeld
+    from minaff.polyring import character
+
+    nondominant, irregular = (1, 0, -1, 0), (1, 0, 1, 1)
+    for fn in (multiplicity_table, character, xi_sequence, lambda_sequence, drinfeld):
+        with pytest.raises(InputError, match="is not dominant"):
+            fn(4, nondominant, "x")
+    for fn in (multiplicity_table, character):
+        with pytest.raises(InputError, match="unknown family label"):
+            fn(4, irregular, "x")
+        with pytest.raises(InputError, match="outside the regular classification"):
+            fn(4, irregular, 1)
+    with pytest.raises(InputError, match="is not dominant"):
+        spbranch.sam_table(4, nondominant)
 
 
 def test_cartan_matrices():

@@ -420,6 +420,25 @@ def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, mon
     assert out.endswith("2 passed, 1 failed\n")
 
 
+def test_word_independence_check_fails_on_a_reduction_to_another_element(monkeypatch):
+    # reduced words of another element whenever the length is even and
+    # nonzero: idempotent, so comparing reduced words would pass it; the
+    # prefix and the image of rho-hat do not
+    real = weyl.reduce_word
+
+    def parity_flipped(w):
+        r = real(w)
+        if r.word and len(r.word) % 2 == 0:
+            r = real(weyl.compose(r, weyl.simple(w.n, 0)))
+        return r
+
+    monkeypatch.setattr(weyl, "reduce_word", parity_flipped)
+    for n in (4, 5, 6):
+        checks = []
+        verify._suite_demazure(n, checks)
+        assert not dict(checks)["demazure.reduced_word_application"], n
+
+
 def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
     # commutation read off the diagram against the group: a and b commute
     # exactly when the words ab and ba give the same element

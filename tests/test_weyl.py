@@ -10,7 +10,6 @@ from minaff.weyl import (
     ExtendedWeylWord,
     act,
     compose,
-    element_images,
     from_word,
     identity,
     inverse,
@@ -32,6 +31,7 @@ from _weyl_oracle import (
     act_root,
     affine_simple_root,
     descent_oracle,
+    element_images,
     form,
     is_positive_root,
     key_of,
@@ -190,11 +190,31 @@ def test_reduce_is_canonical_and_idempotent():
         for _ in range(40):
             w = rand_extended(n, rng, rng.randint(0, 12))
             r = reduce_word(w)
-            assert same_element(w, r)
+            assert element_images(w) == element_images(r)
             assert reduce_word(r) == r
             # appending any generator moves the length by exactly one
             for i in range(0, n + 1):
                 assert abs(length(compose(r, simple(n, i))) - len(r.word)) == 1
+
+
+def test_same_element_agrees_with_basis_fingerprint():
+    rng = seeded(61)
+    equal = 0
+    for n in range(4, 8):
+        prefixes = set()
+        for _ in range(150):
+            u = rand_extended(n, rng, rng.randint(0, 12))
+            if rng.random() < 0.5:
+                v = ExtendedWeylWord(n, u.tau, braid_variant(u.word, n, rng))
+            else:
+                v = rand_extended(n, rng, rng.randint(0, 12))
+            expect = element_images(u) == element_images(v)
+            assert same_element(u, v) == same_element(v, u) == expect, (u, v)
+            equal += expect
+            prefixes.add(u.tau)
+        assert prefixes == weyl._allowed_taus(n)
+        assert not same_element(identity(n), identity(n + 1))
+    assert 200 <= equal <= 500, equal
 
 
 def test_length_against_bfs_oracle():
