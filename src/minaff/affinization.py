@@ -156,12 +156,15 @@ def _lambda_keys(n, xi_keys):
 
 @lru_cache(maxsize=None)
 def _assert_nesting_legal(n):
-    """The rotation word is reduced, and the lengths of the composite word
-    behind the nested formula add."""
+    """The rotation word is reduced, and the lengths of the composite w0
+    sigma^(n-1) behind the nested formula add (``verify`` runs it uncached)."""
     sig = weyl.sigma_word(n)
     if not weyl.is_reduced(sig):
         raise InputError(f"word {sig.word} is not reduced")
-    comp, expected = weyl.nesting_composite(n)
+    comp = weyl.longest_word(n)
+    for _ in range(n - 1):
+        comp = weyl.compose(comp, sig)
+    expected = n * (n - 1) + (n - 1) ** 2
     got = weyl.length(comp)
     if got != expected:
         raise VerificationError(f"length additivity failed at rank {n}: {got} != {expected}")

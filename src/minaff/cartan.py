@@ -83,8 +83,7 @@ def support(coords):
 
 
 def family_nodes(n):
-    """The three extreme nodes indexing affinization families."""
-    check_rank(n)
+    """The three extreme nodes indexing affinization families, at a checked rank."""
     return (1, n - 1, n)
 
 
@@ -175,7 +174,7 @@ def _rho_product(n):
 
 
 def dim_irr(n, mu):
-    """Weyl dimension formula, exact integer arithmetic.
+    """Weyl dimension formula, exact integer arithmetic; checks ``mu`` once.
 
     With x = mu + rho in orthogonal coordinates, the dimension is the
     product of x_i^2 - x_j^2 over i < j divided by the same product at
@@ -184,6 +183,11 @@ def dim_irr(n, mu):
     """
     mu = tuple(mu)
     check_dominant(n, mu)
+    return _dim_irr(n, mu)
+
+
+def _dim_irr(n, mu):
+    """:func:`dim_irr` of a checked dominant tuple ``mu``."""
     num = _root_product(eps2(n, tuple(v + 1 for v in mu)))
     q, r = divmod(num, _rho_product(n))
     if r:

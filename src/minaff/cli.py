@@ -148,10 +148,10 @@ def _csv_text(header, rows):
 
 
 def _table_report(opts, n, s, lam, mults):
-    from .cartan import dim_irr
+    from .cartan import _dim_irr, dim_irr
 
     entries = [
-        {"mu": list(mu), "m": m, "dim": dim_irr(n, mu)} for mu, m in _sorted_mults(n, mults)
+        {"mu": list(mu), "m": m, "dim": _dim_irr(n, mu)} for mu, m in _sorted_mults(n, mults)
     ]
     dimension = sum(e["m"] * e["dim"] for e in entries)
     if opts.get("mu") is not None:

@@ -62,13 +62,14 @@ def _help(command=None):
 def drinfeld(n, lam, s, epsilon=1):
     """Classifying polynomial data, instantiated exactly: one factor per
     supported node i, a (node, degree, power-offset) triple (i, lam_i, c)
-    relative to a symbolic base point."""
+    relative to a symbolic base point.  Checks (lam, s) once, and takes
+    as ``epsilon`` only the int 1 or -1 (a bool or a float is no sign)."""
     from .cartan import check_dominant, resolve_family
 
     lam = tuple(lam)
     check_dominant(n, lam)
     s = resolve_family(n, s)
-    if epsilon not in (1, -1):
+    if epsilon.__class__ is not int or epsilon not in (1, -1):
         raise InputError(f"epsilon must be +1 or -1, got {epsilon}")
     chain = lam[0] + 2 * sum(lam[1 : n - 2])
 

@@ -34,7 +34,10 @@ def _fold(n, mu):
 
 def partition_of(nu):
     """Tail sums of the coordinates; for a dominant symplectic weight these
-    are its orthogonal coordinates read as a partition."""
+    are its orthogonal coordinates read as a partition.  A coordinate that
+    is not an int (a bool or a float) or is negative is refused."""
+    if not all(v.__class__ is int for v in nu):
+        raise InputError(f"weight {nu} has non-integer coordinates")
     if any(v < 0 for v in nu):
         raise InputError(f"{nu} is not dominant")
     r = len(nu)
@@ -52,6 +55,8 @@ def _sp_fund_from_eps(x):
 
 def _check_partition(p):
     p = tuple(p)
+    if not all(v.__class__ is int for v in p):
+        raise InputError(f"{p} has non-integer parts")
     if any(v < 0 for v in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InputError(f"{p} is not a partition")
     return _strip(p)
@@ -167,8 +172,12 @@ def sp_dim_irr(rank, nu):
 def schur_dim(p, letters):
     """Dimension of the Schur functor S_p of a ``letters``-dimensional
     space: the product over cells of (letters + column - row) over hook
-    lengths."""
-    p = _check_partition(p)
+    lengths.  Checks once that ``p`` is a partition of ints."""
+    return _schur_dim(_check_partition(p), letters)
+
+
+def _schur_dim(p, letters):
+    """:func:`schur_dim` of a checked partition ``p`` without zero parts."""
     num = 1
     den = 1
     for r in range(len(p)):
@@ -185,12 +194,17 @@ def sp_branch(p, rank):
     Littlewood's rule: for at most ``rank`` parts, the multiplicity of the
     irreducible with partition nu is the sum of c^p_{beta,nu} over the
     partitions beta with even columns.  Refused for taller shapes, where
-    the rule needs modification.
+    the rule needs modification; checks the rank and the partition once.
     """
     check_rank(rank + 1)
     p = _check_partition(p)
     if len(p) > rank:
         raise InputError(f"partition {p} has more than {rank} parts")
+    return _sp_branch(p, rank)
+
+
+def _sp_branch(p, rank):
+    """:func:`sp_branch` of a checked partition of at most ``rank`` nonzero parts."""
     out = {}
     for beta in _even_column_partitions(p):
         for nu, c in _skew_contents(p, beta).items():
@@ -215,13 +229,13 @@ def sam_table(n, lam):
     if not is_regular(n, lam):
         raise InputError(f"weight {lam} is outside the regular classification")
     rank = n - 1
-    p = partition_of(_fold(n, lam))
-    table = sp_branch(p, rank)
+    p = _strip(partition_of(_fold(n, lam)))
+    table = _sp_branch(p, rank)
     total = sum(m * sp_dim_irr(rank, nu) for nu, m in table.items())
-    expected = schur_dim(p, 2 * rank)
+    expected = _schur_dim(p, 2 * rank)
     if total != expected:
         raise CharacterError(
-            f"symplectic constituents of {_strip(p)} have total dimension {total},"
+            f"symplectic constituents of {p} have total dimension {total},"
             f" expected {expected}"
         )
     diff = lam[n - 1] - lam[n - 2]

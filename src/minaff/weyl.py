@@ -44,8 +44,7 @@ def affine_edges(n):
 
 
 def theta_coeffs(n):
-    """Simple-root coefficients of the highest root."""
-    check_rank(n)
+    """Simple-root coefficients of the highest root, at a checked rank."""
     return (1,) + (2,) * (n - 3) + (1, 1)
 
 
@@ -158,8 +157,6 @@ def identity(n):
 
 def simple(n, i):
     check_rank(n)
-    if not 0 <= i <= n:
-        raise InputError(f"node {i} outside 0..{n}")
     return ExtendedWeylWord(n, _identity_tau(n), (i,))
 
 
@@ -268,12 +265,11 @@ def key_twist(n, tau):
     delta correction is forced by norm preservation, since delta pairs
     with the level: Lambda_0 has norm 0 and Lambda_1 norm 1, so swapping
     nodes 0 and 1 adds c_1 - c_0 to 2 delta for pairings c_i, while the two
-    spin weights swapped by the fork have equal norms and add nothing.  A
-    tau outside the four automorphisms generated by the two swaps is
-    refused: it would not preserve the invariant form.
+    spin weights swapped by the fork have equal norms and add nothing.
+    ``tau`` is taken unchecked as one of the four automorphisms generated
+    by the two swaps (any other would not preserve the invariant form):
+    it is the prefix of an :class:`ExtendedWeylWord`, which checked it.
     """
-    if tau not in _allowed_taus(n):
-        raise InputError(f"automorphism {tau} outside the two-swap subgroup")
     src = [0] * (n + 1)
     for i, j in enumerate(tau):
         src[j] = i
@@ -428,19 +424,8 @@ def longest_word(n):
 def sigma_word(n):
     """The rotation element: both diagram swaps, then the chain of
     reflections from node 1 out to node n-1.  Already reduced."""
-    check_rank(n)
     tau = compose(tau_01(n), tau_fork(n)).tau
     return ExtendedWeylWord(n, tau, tuple(range(1, n)))
-
-
-def nesting_composite(n):
-    """The composite w0 sigma^(n-1) behind the nested character formula,
-    and its length when the lengths of the factors add: n(n-1) + (n-1)^2."""
-    comp = longest_word(n)
-    sig = sigma_word(n)
-    for _ in range(n - 1):
-        comp = compose(comp, sig)
-    return comp, n * (n - 1) + (n - 1) ** 2
 
 
 def same_element(u, v):

@@ -198,7 +198,7 @@ class CharElem:
             if tau.word:
                 raise InputError("twist expects a pure automorphism")
             tau = tau.tau
-        twist = weyl.key_twist(self.n, tuple(tau))
+        twist = weyl.key_twist(self.n, weyl.from_word(self.n, (), tau).tau)
         return CharElem._of(self.n, {twist(k): v for k, v in self._terms.items()}, self.affine)
 
     def relabel_weyl(self, w):

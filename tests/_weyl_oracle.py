@@ -112,8 +112,9 @@ def act(w, x):
 
 def tau_on_weight(tau, x):
     """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
-    ``tau`` may be any sequence."""
-    return weight_of(weyl.key_twist(x.n, tuple(tau))(_delta_free(x)), x.delta)
+    ``tau`` may be any sequence, and the word it prefixes checks it."""
+    tau = weyl.from_word(x.n, (), tau).tau
+    return weight_of(weyl.key_twist(x.n, tau)(_delta_free(x)), x.delta)
 
 
 # Positive roots in simple-root coordinates, and the ones a family label

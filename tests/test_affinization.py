@@ -191,6 +191,10 @@ def test_drinfeld_examples():
     assert {i: m for i, m, _ in d} == {1: 1, 2: 1}
     with pytest.raises(InputError):
         drinfeld(4, (1, 0, 0, 0), 1, 2)
+    # the offsets are exact data: a float or a bool sign is refused, not multiplied in
+    for epsilon in (1.0, True, -1.0):
+        with pytest.raises(InputError, match="epsilon must be"):
+            drinfeld(4, (1, 1, 0, 0), 1, epsilon)
 
 
 def test_drinfeld_family_agreement_on_missed_spin_branch():

@@ -128,11 +128,13 @@ def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
 
 
 def _input_checks(fn, *args):
-    """How often ``fn(*args)`` runs ``check_dominant`` and ``resolve_family``.
-    Counted by code object: the modules bind both names through ``from
-    .cartan import``, so patching ``cartan`` would miss their calls."""
+    """What ``fn(*args)`` returns, and how often it runs ``check_dominant``,
+    ``resolve_family`` and ``spbranch._check_partition``.  Counted by code
+    object: the modules bind the names through ``from .cartan import``, so
+    patching ``cartan`` would miss their calls."""
     names = {cartan.check_dominant.__code__: "check_dominant",
-             cartan.resolve_family.__code__: "resolve_family"}
+             cartan.resolve_family.__code__: "resolve_family",
+             spbranch._check_partition.__code__: "_check_partition"}
     counts = dict.fromkeys(names.values(), 0)
 
     def profile(frame, event, arg):
@@ -142,10 +144,10 @@ def _input_checks(fn, *args):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         sys.setprofile(previous)
-    return counts
+    return result, counts
 
 
 def test_each_entry_point_checks_its_input_once():
@@ -163,9 +165,25 @@ def test_each_entry_point_checks_its_input_once():
         (drinfeld, 4, (1, 1, 0, 0), 1),
     ]
     for fn, *args in calls:
-        counts = _input_checks(fn, *args)
+        _, counts = _input_checks(fn, *args)
         assert counts["check_dominant"] == 1, (fn.__name__, args, counts)
         assert counts["resolve_family"] <= 1, (fn.__name__, args, counts)
+
+
+def test_a_table_report_checks_the_input_weight_once(capsys):
+    # the rows are weights the pipeline built: their dimensions and the
+    # partition behind a sam table are read without a second check
+    from minaff.cli import run
+
+    lam = "1,0,0,1,1,1"
+    for command in ("char", "decomp"):
+        for s in ("1", "n-1", "n"):
+            code, counts = _input_checks(run, [command, "--n", "6", "--lambda", lam, "--s", s])
+            assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
+    code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
+    assert code == 0, counts
+    assert counts["check_dominant"] == 1 and counts["_check_partition"] == 0, counts
+    assert capsys.readouterr().err == ""
 
 
 def test_a_weight_failing_two_checks_is_refused_for_the_first():

@@ -193,8 +193,31 @@ def test_failed_nesting_check_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "length additivity" in err
 
 
+def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, monkeypatch):
+    # verify reruns the table path's proof, past the cache where it passed
+    from minaff import affinization
+
+    assert affinization._assert_nesting_legal(4)
+    real_w0, real_sigma = weyl.longest_word, weyl.sigma_word
+    monkeypatch.setattr(weyl, "longest_word", lambda n: weyl.compose(real_w0(n), weyl.simple(n, 1)))
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
+    assert (code, out.splitlines()) == (3, [
+        "ok   weyl.rotation_table",
+        "FAIL weyl.length_additivity",  # a VerificationError
+        "ok   weyl.form_invariance",
+        "2 passed, 1 failed",
+    ])
+    monkeypatch.setattr(weyl, "longest_word", real_w0)
+    doubled = lambda n: weyl.ExtendedWeylWord(n, real_sigma(n).tau, (1,) + real_sigma(n).word)
+    monkeypatch.setattr(weyl, "sigma_word", doubled)
+    code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
+    assert code == 3 and "FAIL weyl.length_additivity" in out  # an InputError: not reduced
+    monkeypatch.undo()
+    assert invoke(capsys, "verify", "--n", "4", "--suite", "weyl")[0] == 0
+
+
 def test_failed_symplectic_dimension_check_exits_3_with_no_stdout(capsys, monkeypatch):
-    monkeypatch.setattr(spbranch, "sp_branch", lambda p, rank: {(0,) * rank: 1})
+    monkeypatch.setattr(spbranch, "_sp_branch", lambda p, rank: {(0,) * rank: 1})
     code, out, err = invoke(capsys, "sam", "--n", "4", "--lambda", "0,1,0,0")
     assert code == 3
     assert out == ""

@@ -138,6 +138,24 @@ def test_lr_coefficients_by_hand():
         lr_coefficient((1, 0, 1), (1,), (1,))
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (partition_of, ((1.0, 0),)),
+        (sp_dim_irr, (3, (0, 0, True))),
+        (sp_branch, ((True,), 3)),
+        (sp_branch, ((2.0,), 3)),
+        (lr_coefficient, ((2.0,), (1,), (1,))),
+        (schur_dim, ((2.0, 1), 4)),
+    ],
+    ids=["partition_of", "sp_dim_irr", "sp_branch_bool", "sp_branch_float", "lr_coefficient",
+         "schur_dim"],
+)
+def test_symplectic_functions_refuse_coordinates_that_are_not_ints(fn, args):
+    with pytest.raises(InputError, match="non-integer"):
+        fn(*args)
+
+
 def test_sp_branch_small_cases():
     assert sp_branch((1, 1), 3) == {(0, 1, 0): 1, (0, 0, 0): 1}
     assert sp_branch((), 3) == {(0, 0, 0): 1}
