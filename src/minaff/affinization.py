@@ -23,6 +23,7 @@ from .cartan import (
     _rho2,
     check_dominant,
     check_rank,
+    check_weight,
     eps2,
     fw_from_eps2,
     is_regular,
@@ -235,15 +236,16 @@ def straighten(n, terms):
     other is sorted into the dominant chamber with the sign of the sorting
     permutation (type D Weyl elements flip an even number of signs, so
     that is their whole sign) and shifted back.  Refuses with InputError
-    a weight that is not a tuple of n ints and a coefficient that is not
-    an int; a bool is not an int here.
+    a weight that is not a tuple of n ints (:func:`minaff.cartan.check_weight`)
+    and a coefficient that is not an int; a bool is not an int here.
     """
     check_rank(n)
     rho = _rho2(n)
     out = {}
     for mu, c in terms.items():
-        if mu.__class__ is not tuple or len(mu) != n or any(v.__class__ is not int for v in mu):
-            raise InputError(f"straighten expects finite weights of {n} integers, got {mu!r}")
+        if mu.__class__ is not tuple:
+            raise InputError(f"straighten expects finite weights as tuples, got {mu!r}")
+        check_weight(n, mu)
         if c.__class__ is not int:
             raise InputError(f"coefficient {c!r} at {mu} is not an integer")
         x = tuple(map(add, eps2(n, mu), rho))

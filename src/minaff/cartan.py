@@ -25,11 +25,29 @@ def check_rank(n):
         raise InputError(f"rank must be an integer >= {MIN_RANK}, got {n!r}")
 
 
+def check_weight(n, mu):
+    """The one weight rule: refuses ``mu`` unless it has n coordinates,
+    each of class int (a bool or a float is refused).  Keys are weights of
+    n + 2 coordinates; a symplectic weight or a partition passes its own
+    length.  Signs are the callers' business."""
+    if len(mu) != n:
+        raise InputError(f"rank mismatch: weight {mu} has length {len(mu)}, expected {n}")
+    if not all(v.__class__ is int for v in mu):
+        raise InputError(f"weight {mu} has non-integer coordinates")
+
+
+def check_node(n, i, first):
+    """The one node rule: refuses ``i`` unless it is an int (not a bool or
+    a float) in first..n, for a checked rank n.  ``lru_cache`` takes 1.0 and
+    True for 1, so a cached function reads a node only after this check."""
+    if i.__class__ is not int or not first <= i <= n:
+        raise InputError(f"node {i} outside {first}..{n}")
+
+
 def varpi(n, i):
     """The i-th fundamental weight as a finite coordinate tuple."""
     check_rank(n)
-    if not 1 <= i <= n:
-        raise InputError(f"node {i} outside 1..{n}")
+    check_node(n, i, 1)
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
@@ -140,10 +158,7 @@ def is_dominant_fw(fw):
 
 def check_dominant(n, fw):
     check_rank(n)
-    if len(fw) != n:
-        raise InputError(f"weight {fw} has length {len(fw)}, expected {n}")
-    if not all(v.__class__ is int for v in fw):
-        raise InputError(f"weight {fw} has non-integer coordinates")
+    check_weight(n, fw)
     if not is_dominant_fw(fw):
         raise InputError(f"weight {fw} is not dominant")
 

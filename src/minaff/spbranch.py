@@ -16,7 +16,7 @@ for the symplectic lattice, so nothing is doubled here).
 
 from functools import lru_cache
 
-from .cartan import check_dominant, check_rank, is_regular
+from .cartan import check_dominant, check_rank, check_weight, is_regular
 from . import CharacterError, InputError
 
 
@@ -36,8 +36,7 @@ def partition_of(nu):
     """Tail sums of the coordinates; for a dominant symplectic weight these
     are its orthogonal coordinates read as a partition.  A coordinate that
     is not an int (a bool or a float) or is negative is refused."""
-    if not all(v.__class__ is int for v in nu):
-        raise InputError(f"weight {nu} has non-integer coordinates")
+    check_weight(len(nu), nu)
     if any(v < 0 for v in nu):
         raise InputError(f"{nu} is not dominant")
     r = len(nu)
@@ -55,8 +54,7 @@ def _sp_fund_from_eps(x):
 
 def _check_partition(p):
     p = tuple(p)
-    if not all(v.__class__ is int for v in p):
-        raise InputError(f"{p} has non-integer parts")
+    check_weight(len(p), p)
     if any(v < 0 for v in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InputError(f"{p} is not a partition")
     return _strip(p)
@@ -158,8 +156,7 @@ def sp_dim_irr(rank, nu):
     product of x_i^2 - x_j^2 over i < j times the product of the x_i,
     divided by the same product at rho.
     """
-    if len(nu) != rank:
-        raise InputError(f"{nu} is not a rank-{rank} weight")
+    check_weight(rank, nu)
     top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), _sp_rho(rank)))
     num = _sp_root_product(top)
     den = _sp_rho_product(rank)

@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import check_rank, eps2
+from .cartan import check_node, check_rank, eps2
 from . import InputError, VerificationError
 
 
@@ -49,8 +49,7 @@ def theta_coeffs(n):
 
 
 def root_unit(n, i):
-    if not 1 <= i <= n:
-        raise InputError(f"node {i} outside 1..{n}")
+    check_node(n, i, 1)
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
@@ -135,8 +134,8 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
         check_rank(n)
         if not isinstance(tau, tuple) or tau not in _allowed_taus(n):
             raise InputError(f"automorphism prefix {tau} outside the two-swap subgroup")
-        if any(not 0 <= i <= n for i in word):
-            raise InputError(f"word {word} contains nodes outside 0..{n}")
+        for i in word:
+            check_node(n, i, 0)
         return super().__new__(cls, n, tau, word)
 
     @classmethod
@@ -226,12 +225,11 @@ def key_pairing(n, i):
     """The pairing of the i-th simple coroot (i in 0..n) with a key, as a
     function.  The node-0 coroot is the canonical central element minus the
     highest-root coroot: the level minus the mark-weighted finite part.
-    The 2-delta slot never contributes."""
+    The 2-delta slot never contributes.  A refused node is never cached."""
     check_rank(n)
-    if 1 <= i <= n:
+    check_node(n, i, 0)
+    if i:
         return itemgetter(i - 1)
-    if i != 0:
-        raise InputError(f"node {i} outside 0..{n}")
     marks = theta_coeffs(n)
     return lambda k: k[n] - sum(map(mul, marks, k))
 
