@@ -31,7 +31,7 @@ from .cartan import (
     varpi,
 )
 from . import CharacterError, InputError, VerificationError, weyl
-from .weyl import _dominantize, dominates
+from .weyl import _dominantize, _dominates
 
 
 class XiSequence(
@@ -150,7 +150,7 @@ def _lambda_keys(n, xi_keys):
         for _ in range(j):
             keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
     for k in keys:
-        if not weyl.is_dominant(k):
+        if not weyl._is_dominant(n, k):
             raise VerificationError(f"non-dominant factor weight {k}")
     return tuple(keys)
 
@@ -274,7 +274,7 @@ def multiplicity_table(n, lam, s):
     for mu, m in mults.items():
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {mu}")
-        if not dominates(n, lam, mu):
+        if not _dominates(n, lam, mu):
             raise CharacterError(f"{mu} is not below the highest weight {lam}")
     return mults
 

@@ -8,9 +8,10 @@ to it.  Ranks below 4 are rejected everywhere.
 
 This module knows no root: the root system, the diagrams and the invariant
 form live in :mod:`minaff.weyl`.  What is here is what the command line and
-both pipelines read (rank and weight checks, the family labels, regularity
-and the closed Weyl dimension formula), so a ``sam`` process loads nothing
-of the Demazure side.
+both pipelines read (the rank, weight and node rules, written once each
+and called by every function that takes such an input; the family labels,
+regularity and the closed Weyl dimension formula), so a ``sam`` process
+loads nothing of the Demazure side.
 """
 
 from functools import lru_cache
@@ -45,7 +46,8 @@ def check_node(n, i, first):
 
 
 def varpi(n, i):
-    """The i-th fundamental weight as a finite coordinate tuple."""
+    """The i-th fundamental weight as a finite coordinate tuple, for an int
+    node i in 1..n."""
     check_rank(n)
     check_node(n, i, 1)
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
@@ -93,8 +95,9 @@ def support(coords):
 
     Serves both dominant weights and positive roots (in simple-root
     coordinates); a negative coordinate means the input is neither and is
-    rejected.
+    rejected, and so is anything :func:`check_weight` refuses.
     """
+    check_weight(len(coords), coords)
     if any(v < 0 for v in coords):
         raise InputError(f"support undefined for {coords}: negative coordinate")
     return frozenset(i + 1 for i, v in enumerate(coords) if v > 0)
@@ -157,6 +160,8 @@ def is_dominant_fw(fw):
 
 
 def check_dominant(n, fw):
+    """A rank (:func:`check_rank`), a weight of it (:func:`check_weight`),
+    and no negative coordinate."""
     check_rank(n)
     check_weight(n, fw)
     if not is_dominant_fw(fw):

@@ -9,18 +9,23 @@ system is used here.
 """
 
 from . import InputError
-from .weyl import dominates
+from .cartan import check_rank, check_weight
+from .weyl import _dominates
 
 
 def _maximal_keys(n, keys):
     return [
-        a for a in keys if not any(b != a and dominates(n, b, a) for b in keys)
+        a for a in keys if not any(b != a and _dominates(n, b, a) for b in keys)
     ]
 
 
 def _top_weight(n, table):
-    if any(len(mu) != n for mu in table):
-        raise InputError("rank mismatch")
+    """The unique maximal weight of a table, checked here: every key a
+    rank-n weight, every multiplicity an int."""
+    for mu, m in table.items():
+        check_weight(n, mu)
+        if m.__class__ is not int:
+            raise InputError(f"multiplicity {m!r} at {mu} is not an integer")
     tops = _maximal_keys(n, list(table))
     if len(tops) != 1:
         raise InputError(f"table has no unique top weight: {tops}")
@@ -33,7 +38,10 @@ def compare_affinization(n, a, b):
     One table precedes another when, at every dominant weight, either its
     multiplicity is no larger or some strictly higher weight has strictly
     smaller multiplicity.  Returns 'equal', 'leq', 'geq', or 'incomparable'.
+    Refuses a rank below 4, and a key that is not n ints or a multiplicity
+    that is not an int in either table.
     """
+    check_rank(n)
     if _top_weight(n, a) != _top_weight(n, b):
         raise InputError("tables do not share a top weight")
     if a == b:
@@ -45,7 +53,7 @@ def compare_affinization(n, a, b):
             if x.get(mu, 0) <= y.get(mu, 0):
                 continue
             if any(
-                dominates(n, nu, mu) and nu != mu and x.get(nu, 0) < y.get(nu, 0)
+                _dominates(n, nu, mu) and nu != mu and x.get(nu, 0) < y.get(nu, 0)
                 for nu in keys
             ):
                 continue

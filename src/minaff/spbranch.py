@@ -154,15 +154,24 @@ def sp_dim_irr(rank, nu):
 
     With x = nu + rho in orthogonal coordinates, the dimension is the
     product of x_i^2 - x_j^2 over i < j times the product of the x_i,
-    divided by the same product at rho.
+    divided by the same product at rho.  Refuses a rank below 3 (the rule
+    of :func:`sp_branch`) and a ``nu`` that is not ``rank`` ints, none
+    negative.
     """
+    check_rank(rank + 1)
     check_weight(rank, nu)
-    top = tuple(a + b for a, b in zip(partition_of(tuple(nu)), _sp_rho(rank)))
-    num = _sp_root_product(top)
+    return _sp_dim_irr(partition_of(tuple(nu)))
+
+
+def _sp_dim_irr(x):
+    """:func:`sp_dim_irr` of the weight with orthogonal coordinates ``x``,
+    a partition padded to the rank."""
+    rank = len(x)
+    num = _sp_root_product(tuple(a + b for a, b in zip(x, _sp_rho(rank))))
     den = _sp_rho_product(rank)
     q, r = divmod(num, den)
     if r:
-        raise CharacterError(f"dimension formula not integral at {nu}: {num}/{den}")
+        raise CharacterError(f"dimension formula not integral at {x}: {num}/{den}")
     return q
 
 
@@ -197,15 +206,17 @@ def sp_branch(p, rank):
     p = _check_partition(p)
     if len(p) > rank:
         raise InputError(f"partition {p} has more than {rank} parts")
-    return _sp_branch(p, rank)
+    return {_sp_fund_from_eps(x): m for x, m in _sp_branch(p, rank).items()}
 
 
 def _sp_branch(p, rank):
-    """:func:`sp_branch` of a checked partition of at most ``rank`` nonzero parts."""
+    """:func:`sp_branch` of a checked partition of at most ``rank`` nonzero
+    parts, keyed by the constituents' partitions padded to ``rank`` parts
+    (their orthogonal coordinates)."""
     out = {}
     for beta in _even_column_partitions(p):
         for nu, c in _skew_contents(p, beta).items():
-            key = _sp_fund_from_eps(nu + (0,) * (rank - len(nu)))
+            key = nu + (0,) * (rank - len(nu))
             out[key] = out.get(key, 0) + c
     return out
 
@@ -228,7 +239,7 @@ def sam_table(n, lam):
     rank = n - 1
     p = _strip(partition_of(_fold(n, lam)))
     table = _sp_branch(p, rank)
-    total = sum(m * sp_dim_irr(rank, nu) for nu, m in table.items())
+    total = sum(m * _sp_dim_irr(x) for x, m in table.items())
     expected = _schur_dim(p, 2 * rank)
     if total != expected:
         raise CharacterError(
@@ -237,7 +248,8 @@ def sam_table(n, lam):
         )
     diff = lam[n - 1] - lam[n - 2]
     out = {}
-    for nu, m in table.items():
+    for x, m in table.items():
+        nu = _sp_fund_from_eps(x)
         spin_min = nu[rank - 1]
         if diff >= 0:
             mu = nu[: rank - 1] + (spin_min, spin_min + diff)

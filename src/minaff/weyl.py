@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import check_node, check_rank, eps2
+from .cartan import check_node, check_rank, check_weight, eps2
 from . import InputError, VerificationError
 
 
@@ -84,7 +84,16 @@ def fw_to_root(n, fw):
 
 def dominates(n, lam, mu):
     """Dominance order: lam - mu is a sum of positive roots, that is, its
-    root coordinates exist and none is negative."""
+    root coordinates exist and none is negative.  Refuses a rank below 4
+    and a weight that is not n ints."""
+    check_rank(n)
+    check_weight(n, lam)
+    check_weight(n, mu)
+    return _dominates(n, lam, mu)
+
+
+def _dominates(n, lam, mu):
+    """:func:`dominates` of two checked rank-n weights."""
     diff = tuple(a - b for a, b in zip(lam, mu))
     try:
         c = fw_to_root(n, diff)
@@ -109,10 +118,13 @@ def bilinear(x, y):
 
     Finite parts pair through the orthogonal coordinates, delta pairs with
     the level, and both delta and the level-one generator are isotropic.
+    Refuses keys of a rank below 4, of two ranks, or with a coordinate
+    that is not an int.
     """
     n = len(x) - 2
-    if len(y) != n + 2:
-        raise InputError("rank mismatch in bilinear form")
+    check_rank(n)
+    check_weight(n + 2, x)
+    check_weight(n + 2, y)
     dot = sum(a * b for a, b in zip(eps2(n, x[:n]), eps2(n, y[:n])))
     return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
 
@@ -125,7 +137,8 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
     """Automorphism prefix plus reflection word over the affine node set.
 
     ``tau`` is a diagram automorphism of 0..n, ``tau[i]`` the image of node
-    i; it must be one of the four generated by the two swaps.
+    i; it must be one of the four generated by the two swaps.  Every entry
+    of ``tau`` and ``word`` is a node (:func:`minaff.cartan.check_node`).
     """
 
     __slots__ = ()
@@ -134,7 +147,7 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
         check_rank(n)
         if not isinstance(tau, tuple) or tau not in _allowed_taus(n):
             raise InputError(f"automorphism prefix {tau} outside the two-swap subgroup")
-        for i in word:
+        for i in (*tau, *word):
             check_node(n, i, 0)
         return super().__new__(cls, n, tau, word)
 
@@ -150,16 +163,17 @@ def _identity_tau(n):
 
 
 def identity(n):
-    check_rank(n)
-    return ExtendedWeylWord(n, _identity_tau(n), ())
+    return from_word(n, ())
 
 
 def simple(n, i):
-    check_rank(n)
-    return ExtendedWeylWord(n, _identity_tau(n), (i,))
+    return from_word(n, (i,))
 
 
 def from_word(n, word, tau=None):
+    """The word ``word`` after the prefix ``tau``, the identity by default;
+    the rank is checked before the default prefix is built from it."""
+    check_rank(n)
     return ExtendedWeylWord(n, tuple(tau) if tau else _identity_tau(n), tuple(word))
 
 
@@ -284,9 +298,9 @@ def key_twist(n, tau):
 
 
 def act(w, k):
-    """Apply an extended word to a key, word first, prefix last."""
-    if len(k) != w.n + 2:
-        raise InputError("rank mismatch in action")
+    """Apply an extended word to a key, word first, prefix last; refuses a
+    key that is not w.n + 2 ints."""
+    check_weight(w.n + 2, k)
     for i in reversed(w.word):
         k = reflect_key(i, k)
     if w.tau == _identity_tau(w.n):
@@ -295,8 +309,16 @@ def act(w, k):
 
 
 def is_dominant(k):
-    """Nonnegative coroot pairings over the affine node set 0..n."""
+    """Nonnegative coroot pairings over the affine node set 0..n; refuses a
+    key of a rank below 4 or with a coordinate that is not an int."""
     n = len(k) - 2
+    check_rank(n)
+    check_weight(n + 2, k)
+    return _is_dominant(n, k)
+
+
+def _is_dominant(n, k):
+    """:func:`is_dominant` of a checked rank-n key."""
     return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
 
 
@@ -310,8 +332,17 @@ def demazure_terms(n, i, terms):
     k + (-m-1) alpha_i otherwise.  The one Demazure kernel, applied along
     a word by :func:`demazure_word_terms`.  At a finite node it acts on
     finite weights (length-n tuples) as well: the simple root has no level
-    or delta part, and the pairing reads one finite coordinate.
+    or delta part, and the pairing reads one finite coordinate.  Checks the
+    rank and the node before any cached lookup, which would take 1.0 or
+    True for node 1.
     """
+    check_rank(n)
+    check_node(n, i, 0)
+    return _demazure_terms(n, i, terms)
+
+
+def _demazure_terms(n, i, terms):
+    """:func:`demazure_terms` at a checked rank and node."""
     out = {}
     up = alpha_key(n, i)
     down = tuple(-a for a in up)
@@ -348,7 +379,7 @@ def demazure_word_terms(w, terms):
     """
     n = w.n
     for i in reversed(w.word):
-        terms = demazure_terms(n, i, terms)
+        terms = _demazure_terms(n, i, terms)
         if len(terms) > MAX_TERMS:
             raise InputError(
                 f"rank {n}: a Demazure step passed the limit of {MAX_TERMS} terms, "

@@ -128,13 +128,15 @@ def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
 
 
 def _input_checks(fn, *args):
-    """What ``fn(*args)`` returns, and how often it runs ``check_dominant``,
-    ``resolve_family`` and ``spbranch._check_partition``.  Counted by code
-    object: the modules bind the names through ``from .cartan import``, so
-    patching ``cartan`` would miss their calls."""
-    names = {cartan.check_dominant.__code__: "check_dominant",
-             cartan.resolve_family.__code__: "resolve_family",
-             spbranch._check_partition.__code__: "_check_partition"}
+    """What ``fn(*args)`` returns, and how often it runs each input check:
+    the rank, weight, node and dominance rules, ``resolve_family``, and the
+    symplectic ``_check_partition``, ``partition_of`` and ``sp_dim_irr``.
+    Counted by code object: the modules bind the names through ``from
+    .cartan import``, so patching ``cartan`` would miss their calls."""
+    checks = (cartan.check_rank, cartan.check_weight, cartan.check_node,
+              cartan.check_dominant, cartan.resolve_family, spbranch._check_partition,
+              spbranch.partition_of, spbranch.sp_dim_irr)
+    names = {fn.__code__: fn.__name__ for fn in checks}
     counts = dict.fromkeys(names.values(), 0)
 
     def profile(frame, event, arg):
@@ -171,8 +173,10 @@ def test_each_entry_point_checks_its_input_once():
 
 
 def test_a_table_report_checks_the_input_weight_once(capsys):
-    # the rows are weights the pipeline built: their dimensions and the
-    # partition behind a sam table are read without a second check
+    # the rows are weights the pipeline built: their dimensions, the
+    # partition behind a sam table and its constituents are read without a
+    # second check.  The rank checks stay at 37 (char) and 3 (sam): each is
+    # a public function's own check or sits in a per-rank cache.
     from minaff.cli import run
 
     lam = "1,0,0,1,1,1"
@@ -180,9 +184,13 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
         for s in ("1", "n-1", "n"):
             code, counts = _input_checks(run, [command, "--n", "6", "--lambda", lam, "--s", s])
             assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
+            if s == "1":
+                assert counts["check_rank"] <= 37, (command, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
     assert code == 0, counts
     assert counts["check_dominant"] == 1 and counts["_check_partition"] == 0, counts
+    assert counts["check_rank"] <= 3, counts
+    assert counts["partition_of"] == 1 and counts["sp_dim_irr"] == 0, counts
     assert capsys.readouterr().err == ""
 
 

@@ -178,7 +178,7 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     # a runtime invariant, not an assert: it still fires under python -O
-    monkeypatch.setattr(weyl, "is_dominant", lambda k: False)
+    monkeypatch.setattr(weyl, "_is_dominant", lambda n, k: False)
     code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
     assert code == 3
     assert out == ""

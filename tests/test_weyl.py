@@ -297,6 +297,35 @@ def test_is_dominant():
     assert not is_dominant_fw(root_to_fw(n, (-1, 0, 0, 0)))
 
 
+def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
+    # lru_cache takes 1.0 and True for the node 1, so both orders run from
+    # cleared caches: refused calls first, then with the node-1 entries cached
+    key = (1, 0, 0, 0, 1, 0)
+    reflected = (-1, 1, 0, 0, 1, 0)  # s_1 of the key, which pairs 1 with node 1
+    string = {key: 1, reflected: 1}
+
+    def refused(bad):
+        for call in (
+            lambda: act(from_word(4, (bad,)), key),
+            lambda: simple(4, bad),
+            lambda: weyl.demazure_terms(4, bad, {key: 1}),
+            lambda: varpi(4, bad),
+        ):
+            with pytest.raises(InputError):
+                call()
+
+    cached = (weyl.key_pairing, weyl.alpha_key)
+    for bad in (1.0, True):
+        for fn in cached:
+            fn.cache_clear()
+        refused(bad)
+        assert all(fn.cache_info().currsize == 0 for fn in cached)  # nothing refused is stored
+        assert act(simple(4, 1), key) == reflected
+        assert weyl.demazure_terms(4, 1, {key: 1}) == string
+        refused(bad)
+        assert act(simple(4, 1), key) == reflected
+
+
 def test_action_preserves_form():
     rng = seeded(31)
     for n in (4, 5):
