@@ -21,6 +21,7 @@ from operator import add
 
 from .cartan import (
     _rho2,
+    _unit,
     check_dominant,
     check_rank,
     check_weight,
@@ -28,7 +29,6 @@ from .cartan import (
     fw_from_eps2,
     is_regular,
     resolve_family,
-    varpi,
 )
 from . import CharacterError, InputError, VerificationError, weyl
 from .weyl import _dominantize, _dominates
@@ -51,7 +51,7 @@ class XiSequence(
 
 def _level_one(n, j):
     """Key of the level-one weight varpi_j + Lambda_0."""
-    return varpi(n, j) + (1, 0)
+    return _unit(n, j) + (1, 0)
 
 
 def _scaled(c, k):
@@ -67,7 +67,7 @@ def _xi_family_one(n, lam):
     m = n - 1 if lam[n - 2] >= lam[n - 1] else n
     mp = n + (n - 1) - m
     keys = [_scaled(lam[j - 1], _level_one(n, j)) for j in range(1, n - 1)]
-    keys.append(_scaled(lmp, _plus(_level_one(n, n - 1), varpi(n, n) + (0, 0))))
+    keys.append(_scaled(lmp, _plus(_level_one(n, n - 1), _unit(n, n) + (0, 0))))
     keys.append(_scaled(lm - lmp, _level_one(n, m)))
     return tuple(keys), m, mp
 
@@ -83,7 +83,7 @@ def _cut_index(n, lam):
 def _xi_family_n(n, lam):
     cut = _cut_index(n, lam)
     lbar = lam[n - 2] - sum(lam[cut : n - 3])
-    spin = varpi(n, n - 1) + (0, 0)
+    spin = _unit(n, n - 1) + (0, 0)
     lambda0 = (0,) * n + (1, 0)
     keys = []
     for j in range(1, n + 1):
@@ -148,7 +148,7 @@ def _lambda_keys(n, xi_keys):
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
     for j in range(1, n):
         for _ in range(j):
-            keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
+            keys[j - 1] = weyl._act(sigma_inv, keys[j - 1])
     for k in keys:
         if not weyl._is_dominant(n, k):
             raise VerificationError(f"non-dominant factor weight {k}")
@@ -240,14 +240,21 @@ def straighten(n, terms):
     and a coefficient that is not an int; a bool is not an int here.
     """
     check_rank(n)
-    rho = _rho2(n)
-    out = {}
     for mu, c in terms.items():
         if mu.__class__ is not tuple:
             raise InputError(f"straighten expects finite weights as tuples, got {mu!r}")
         check_weight(n, mu)
         if c.__class__ is not int:
             raise InputError(f"coefficient {c!r} at {mu} is not an integer")
+    return _straighten(n, terms)
+
+
+def _straighten(n, terms):
+    """:func:`straighten` of checked terms: rank-n int tuples with int
+    coefficients."""
+    rho = _rho2(n)
+    out = {}
+    for mu, c in terms.items():
         x = tuple(map(add, eps2(n, mu), rho))
         mags = [abs(v) for v in x]
         if len(set(mags)) < n:
@@ -268,7 +275,7 @@ def multiplicity_table(n, lam, s):
     character is never expanded.
     """
     lam, s = _regular_input(n, lam, s)
-    mults = straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
+    mults = _straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
     for mu, m in mults.items():

@@ -50,6 +50,13 @@ def varpi(n, i):
     node i in 1..n."""
     check_rank(n)
     check_node(n, i, 1)
+    return _unit(n, i)
+
+
+def _unit(n, i):
+    """The n-tuple with 1 at node i and 0 elsewhere, for a checked rank and
+    node: :func:`varpi` in fundamental coordinates, ``weyl.root_unit`` in
+    root coordinates."""
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 

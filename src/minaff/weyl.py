@@ -15,17 +15,28 @@ of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  Reduction
 walks a regular weight up into the dominant chamber, one simple reflection
 per letter; two words name the same group element exactly when their
-reduced words agree.  The action is written once, on the keys that the
-nested polynomial's maps hold, and so is the Demazure string (:func:`demazure_terms`, and along
-a word :func:`demazure_word_terms`), on plain maps from keys to
-coefficients.
+reduced words agree.
+
+A word is checked once, where it is made from outside data:
+:class:`ExtendedWeylWord`, and with it :func:`from_word`, :func:`identity`,
+:func:`simple`, ``_make`` and ``_replace``, checks the rank, the prefix and
+every letter.  The operations on words (:func:`compose`, :func:`inverse`,
+:func:`reduce_word`) and the distinguished words (:func:`longest_word`,
+:func:`sigma_word`, :func:`tau_01`, :func:`tau_fork`) take checked words, or
+a rank they check themselves, and build their results unchecked
+(:func:`_unchecked_word`): the two-swap subgroup is closed under products
+and inverses, and every letter they write is a node.
+
+The action is written once, on the keys that the nested polynomial's maps
+hold, and so is the Demazure string (:func:`demazure_terms`, and along a
+word :func:`demazure_word_terms`), on plain maps from keys to coefficients.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import check_node, check_rank, check_weight, eps2
+from .cartan import _unit, check_node, check_rank, check_weight, eps2
 from . import InputError, VerificationError
 
 
@@ -49,8 +60,9 @@ def theta_coeffs(n):
 
 
 def root_unit(n, i):
+    """The simple root at node i in root coordinates, for a checked rank."""
     check_node(n, i, 1)
-    return tuple(1 if j == i else 0 for j in range(1, n + 1))
+    return _unit(n, i)
 
 
 def root_to_fw(n, c):
@@ -139,6 +151,8 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
     ``tau`` is a diagram automorphism of 0..n, ``tau[i]`` the image of node
     i; it must be one of the four generated by the two swaps.  Every entry
     of ``tau`` and ``word`` is a node (:func:`minaff.cartan.check_node`).
+    The word is stored as a tuple, so a list passed in and changed later
+    changes nothing.
     """
 
     __slots__ = ()
@@ -147,6 +161,9 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
         check_rank(n)
         if not isinstance(tau, tuple) or tau not in _allowed_taus(n):
             raise InputError(f"automorphism prefix {tau} outside the two-swap subgroup")
+        word = tuple(word)
+        # the prefix entries too: (0.0, 1, 2, 3, 4) and (False, True, 2, 3, 4)
+        # are equal to the identity and hash like it, so membership passes them
         for i in (*tau, *word):
             check_node(n, i, 0)
         return super().__new__(cls, n, tau, word)
@@ -156,6 +173,12 @@ class ExtendedWeylWord(namedtuple("ExtendedWeylWord", ("n", "tau", "word"))):
         # namedtuple's _make and _replace bypass __new__; route them through
         # it so that no word escapes the checks
         return cls(*iterable)
+
+
+def _unchecked_word(n, tau, word):
+    """An :class:`ExtendedWeylWord` built without its checks, from a checked
+    rank, a prefix of the two-swap subgroup and a tuple of nodes."""
+    return tuple.__new__(ExtendedWeylWord, (n, tau, word))
 
 
 def _identity_tau(n):
@@ -174,7 +197,7 @@ def from_word(n, word, tau=None):
     """The word ``word`` after the prefix ``tau``, the identity by default;
     the rank is checked before the default prefix is built from it."""
     check_rank(n)
-    return ExtendedWeylWord(n, tuple(tau) if tau else _identity_tau(n), tuple(word))
+    return ExtendedWeylWord(n, tuple(tau) if tau else _identity_tau(n), word)
 
 
 def _swap_tau(n, a, b):
@@ -186,13 +209,13 @@ def _swap_tau(n, a, b):
 def tau_01(n):
     """Diagram swap of nodes 0 and 1."""
     check_rank(n)
-    return ExtendedWeylWord(n, _swap_tau(n, 0, 1), ())
+    return _unchecked_word(n, _swap_tau(n, 0, 1), ())
 
 
 def tau_fork(n):
     """Diagram swap of the two fork nodes n-1 and n."""
     check_rank(n)
-    return ExtendedWeylWord(n, _swap_tau(n, n - 1, n), ())
+    return _unchecked_word(n, _swap_tau(n, n - 1, n), ())
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +236,7 @@ def compose(u, v):
         vinv[j] = i
     word = tuple(vinv[i] for i in u.word) + v.word
     tau = tuple(u.tau[v.tau[i]] for i in range(n + 1))
-    return ExtendedWeylWord(n, tau, word)
+    return _unchecked_word(n, tau, word)
 
 
 def inverse(u):
@@ -222,7 +245,7 @@ def inverse(u):
     for i, j in enumerate(u.tau):
         tinv[j] = i
     word = tuple(u.tau[i] for i in reversed(u.word))
-    return ExtendedWeylWord(n, tuple(tinv), word)
+    return _unchecked_word(n, tuple(tinv), word)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +273,11 @@ def key_pairing(n, i):
 
 @lru_cache(maxsize=None)
 def alpha_key(n, i):
-    """Simple root i as a key; alpha_0 = delta - theta has 2 in the 2-delta slot."""
+    """Simple root i as a key, at a checked rank and node; alpha_0 = delta -
+    theta has 2 in the 2-delta slot."""
     if i == 0:
         return tuple(-v for v in root_to_fw(n, theta_coeffs(n))) + (0, 2)
-    return root_to_fw(n, root_unit(n, i)) + (0, 0)
+    return root_to_fw(n, _unit(n, i)) + (0, 0)
 
 
 def reflect_key(i, k):
@@ -301,6 +325,11 @@ def act(w, k):
     """Apply an extended word to a key, word first, prefix last; refuses a
     key that is not w.n + 2 ints."""
     check_weight(w.n + 2, k)
+    return _act(w, k)
+
+
+def _act(w, k):
+    """:func:`act` on a checked key."""
     for i in reversed(w.word):
         k = reflect_key(i, k)
     if w.tau == _identity_tau(w.n):
@@ -421,8 +450,8 @@ def reduce_word(w):
     """
     n = w.n
     rho = (1,) * n + (2 * n - 2, 0)
-    steps = _walk_up(act(inverse(w), rho), range(n + 1))
-    return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))
+    steps = _walk_up(_act(inverse(w), rho), range(n + 1))
+    return _unchecked_word(n, w.tau, tuple(reversed(steps)))
 
 
 def length(w):
@@ -443,7 +472,7 @@ def longest_word(n):
     """
     check_rank(n)
     steps = _walk_up((-1,) * n + (0, 0), range(1, n + 1))
-    w = ExtendedWeylWord(n, _identity_tau(n), tuple(reversed(steps)))
+    w = _unchecked_word(n, _identity_tau(n), tuple(reversed(steps)))
     if len(w.word) != n * (n - 1):
         raise VerificationError(f"longest word has length {len(w.word)}, expected {n * (n - 1)}")
     return w
@@ -454,7 +483,7 @@ def sigma_word(n):
     """The rotation element: both diagram swaps, then the chain of
     reflections from node 1 out to node n-1.  Already reduced."""
     tau = compose(tau_01(n), tau_fork(n)).tau
-    return ExtendedWeylWord(n, tau, tuple(range(1, n)))
+    return _unchecked_word(n, tau, tuple(range(1, n)))
 
 
 def same_element(u, v):

@@ -339,7 +339,7 @@ def test_multiplicity_table_rejects_bad_input():
     ],
 )
 def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
-    monkeypatch.setattr(affinization, "straighten", lambda n, terms: dict(table))
+    monkeypatch.setattr(affinization, "_straighten", lambda n, terms: dict(table))
     with pytest.raises(CharacterError, match=message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
 

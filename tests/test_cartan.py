@@ -175,8 +175,13 @@ def test_each_entry_point_checks_its_input_once():
 def test_a_table_report_checks_the_input_weight_once(capsys):
     # the rows are weights the pipeline built: their dimensions, the
     # partition behind a sam table and its constituents are read without a
-    # second check.  The rank checks stay at 37 (char) and 3 (sam): each is
-    # a public function's own check or sits in a per-rank cache.
+    # second check.  The words, keys and finite weights of the table path
+    # are built from checked data and not checked again.  What remains is
+    # each public function's own check (the rank in ``run``,
+    # ``check_dominant`` and both ``resolve_family`` calls; the weight in
+    # ``check_dominant`` and ``support``) and per-rank cache misses (the
+    # rank and node in ``key_pairing`` at each of the n + 1 nodes, the rank
+    # in ``tau_01``, ``tau_fork`` and ``longest_word``).
     from minaff.cli import run
 
     lam = "1,0,0,1,1,1"
@@ -184,8 +189,9 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
         for s in ("1", "n-1", "n"):
             code, counts = _input_checks(run, [command, "--n", "6", "--lambda", lam, "--s", s])
             assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
-            if s == "1":
-                assert counts["check_rank"] <= 37, (command, counts)
+            assert counts["check_weight"] == 2, (command, s, counts)
+            assert 4 <= counts["check_rank"] <= 4 + 7 + 3, (command, s, counts)
+            assert counts["check_node"] <= 7, (command, s, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
     assert code == 0, counts
     assert counts["check_dominant"] == 1 and counts["_check_partition"] == 0, counts

@@ -149,6 +149,41 @@ def test_word_refuses_prefix_outside_two_swap_subgroup():
         assert from_word(4, (1, 2), tau=tau).tau == tau
 
 
+def test_a_prefix_equal_to_an_allowed_one_still_needs_int_entries():
+    # these equal an allowed prefix and hash like it, so the membership test
+    # passes them and the node check refuses them
+    for tau in ((0.0, 1, 2, 3, 4), (False, True, 2, 3, 4), (1, 0, 2, 3, 4.0)):
+        assert tau in weyl._allowed_taus(4)
+        with pytest.raises(InputError, match="node .* outside 0..4"):
+            ExtendedWeylWord(4, tau, ())
+
+
+def test_a_list_word_is_stored_as_a_tuple():
+    letters = [1, 2]
+    w = ExtendedWeylWord(4, tuple(range(5)), letters)
+    assert w == from_word(4, (1, 2)) and hash(w) == hash(from_word(4, (1, 2)))
+    letters.append(1.0)
+    assert w.word == (1, 2) and length(w) == 2
+
+
+def test_word_operations_build_only_words_the_checks_accept():
+    # compose, inverse, reduce_word and the distinguished words build their
+    # results without the checks; each equals its checked construction
+    rng = seeded(24)
+    for n in range(4, 9):
+        made = [longest_word(n), sigma_word(n), tau_01(n), tau_fork(n)]
+        for tau in sorted(weyl._allowed_taus(n)):
+            for _ in range(6):
+                letters = [rng.randint(0, n) for _ in range(rng.randint(0, 10))]
+                u = from_word(n, letters, tau=tau)
+                v = rand_extended(n, rng, rng.randint(0, 10))
+                uv = compose(u, v)
+                made += [uv, compose(v, u), inverse(u), inverse(uv), reduce_word(u),
+                         reduce_word(uv), reduce_word(compose(u, sigma_word(n)))]
+        for w in made:  # the checked constructor refuses a bad entry, and a list word is unequal
+            assert type(w) is ExtendedWeylWord and w == ExtendedWeylWord(*w), w
+
+
 def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
     n = 4
     bad = (0, 2, 1, 3, 4)
