@@ -274,7 +274,11 @@ def multiplicity_table(n, lam, s):
     polynomial before that pass (:func:`straighten`); the full
     character is never expanded.
     """
-    lam, s = _regular_input(n, lam, s)
+    return _table(n, *_regular_input(n, lam, s))
+
+
+def _table(n, lam, s):
+    """:func:`multiplicity_table` of a checked regular ``lam`` and family ``s``."""
     mults = _straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
@@ -284,4 +288,3 @@ def multiplicity_table(n, lam, s):
         if not _dominates(n, lam, mu):
             raise CharacterError(f"{mu} is not below the highest weight {lam}")
     return mults
-

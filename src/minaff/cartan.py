@@ -55,8 +55,8 @@ def varpi(n, i):
 
 def _unit(n, i):
     """The n-tuple with 1 at node i and 0 elsewhere, for a checked rank and
-    node: :func:`varpi` in fundamental coordinates, ``weyl.root_unit`` in
-    root coordinates."""
+    node: :func:`varpi` in fundamental coordinates, a simple root in root
+    coordinates."""
     return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 

@@ -11,16 +11,23 @@ the straightened tables against the symplectic pipeline and their total
 dimension against the mass of the full character).  Reports go to standard
 output as JSON, CSV, or aligned text; diagnostics go to standard error.
 
-One table, ``_COMMANDS``, names each subcommand's handler, help line and
-options; :func:`_parse` reads the argument list against it, and
-:mod:`minaff.cli_extra` generates the usage and help texts from it.  The
+One table, ``_COMMANDS``, names each subcommand's handler (by module, as
+``"module:function"``), help line and options; :func:`_parse` reads the
+argument list against it, and :mod:`minaff.cli_extra` generates the usage
+and help texts from it.  :func:`run` checks the rank and converts the
+``--lambda`` and ``--mu`` weights, refusing a ``--mu`` that is not
+dominant, before it imports the handler, so no table is built for a bad
+``--mu``; each handler hands the raw family label to the library entry
+point, so input is refused in the library's order (``sam`` checks its
+optional ``--s`` first, as ``sam_table`` takes no label).  The
 parser takes ``--opt value``, ``--opt=value`` and unique prefixes of option
 names (an exact name first); a repeated option keeps its last value.
 Anything else is invalid input.
 
 This module holds only what a table process (``char``, ``decomp``, ``sam``)
 runs: a process run without cached bytecode compiles every module it
-imports, in full.  Each handler imports the modules it runs, so a
+imports, in full.  ``run`` imports only the handler's module, and each
+handler imports the modules it runs, so a
 ``sam`` process never loads the Demazure side: it reads only
 :mod:`minaff.cartan`, the weight lattice and labels that both pipelines
 share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
@@ -55,6 +62,7 @@ import gc
 import io
 import os
 import sys
+from importlib import import_module
 
 from . import CharacterError, InputError, VerificationError, __version__
 
@@ -148,17 +156,17 @@ def _csv_text(header, rows):
 
 
 def _table_report(opts, n, s, lam, mults):
-    from .cartan import _dim_irr, dim_irr
+    from .cartan import _dim_irr
 
     entries = [
         {"mu": list(mu), "m": m, "dim": _dim_irr(n, mu)} for mu, m in _sorted_mults(n, mults)
     ]
     dimension = sum(e["m"] * e["dim"] for e in entries)
-    if opts.get("mu") is not None:
-        mu = _parse_weight(opts["mu"], n)
-        entries = [e for e in entries if tuple(e["mu"]) == mu]
-        if not entries:  # a table holds only dominant weights; dim_irr refuses the rest
-            entries = [{"mu": list(mu), "m": 0, "dim": dim_irr(n, mu)}]
+    mu = opts.get("mu")
+    if mu is not None:  # checked dominant by ``run``; a table holds only dominant weights
+        entries = [e for e in entries if tuple(e["mu"]) == mu] or [
+            {"mu": list(mu), "m": 0, "dim": _dim_irr(n, mu)}
+        ]
     report = {
         "n": n,
         "s": s,
@@ -184,49 +192,31 @@ def _table_report(opts, n, s, lam, mults):
 
 
 def _cmd_char(opts):
-    from .affinization import multiplicity_table
-    from .cartan import resolve_family
+    from .affinization import _regular_input, _table
 
     n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"])
-    return _table_report(opts, n, s, lam, multiplicity_table(n, lam, s)), 0
+    lam, s = _regular_input(n, opts["lambda"], opts["s"])
+    return _table_report(opts, n, s, lam, _table(n, lam, s)), 0
 
 
 def _cmd_sam(opts):
-    from .cartan import resolve_family
     from .spbranch import sam_table
 
-    n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"] if opts["s"] is not None else 1)
-    if s != 1:
-        raise InputError("the symplectic pipeline covers the s = 1 family only")
+    n, lam = opts["n"], opts["lambda"]
+    if opts["s"] is not None:  # sam_table takes no label, so the label is checked first
+        from .cartan import resolve_family
+
+        if resolve_family(n, opts["s"]) != 1:
+            raise InputError("the symplectic pipeline covers the s = 1 family only")
     return _table_report(opts, n, 1, lam, sam_table(n, lam)), 0
-
-
-def _cmd_xi(opts):
-    from .cli_extra import xi_report
-
-    return xi_report(opts)
-
-
-def _cmd_drinfeld(opts):
-    from .cli_extra import drinfeld_report
-
-    return drinfeld_report(opts)
-
-
-def _cmd_verify(opts):
-    from .verify import verify_report
-
-    return verify_report(opts)
 
 
 # ---------------------------------------------------------------------------
 # the command table and its parser
 
-# An option is (name, value, default, help line).  The value is ``int``,
+# A subcommand is (handler, help line, options); the handler is named
+# "module:function" within the package and imported when it runs.  An
+# option is (name, value, default, help line).  The value is ``int``,
 # ``str`` or a tuple of the accepted choices; a _REQUIRED default marks an
 # option that must be given.  A report reads each value under the name
 # without its dashes.
@@ -239,17 +229,17 @@ _FORMAT = ("--format", _FORMATS, "json", "report format")
 _MU = ("--mu", str, None, "restrict the report to one dominant weight")
 
 _COMMANDS = {
-    "char": (_cmd_char, "multiplicity table via the Demazure character",
+    "char": ("cli:_cmd_char", "multiplicity table via the Demazure character",
              (_N, _LAMBDA, _S, _FORMAT, _MU)),
-    "decomp": (_cmd_char, "same table, filterable to a single weight",
+    "decomp": ("cli:_cmd_char", "same table, filterable to a single weight",
                (_N, _LAMBDA, _S, _FORMAT, _MU)),
-    "sam": (_cmd_sam, "multiplicity table via the symplectic pipeline",
+    "sam": ("cli:_cmd_sam", "multiplicity table via the symplectic pipeline",
             (_N, _LAMBDA, ("--s", str, None, "must resolve to 1 if given"), _MU, _FORMAT)),
-    "xi": (_cmd_xi, "tensor-factor weights and their rotated forms",
+    "xi": ("cli_extra:xi_report", "tensor-factor weights and their rotated forms",
            (_N, _LAMBDA, _S, _FORMAT)),
-    "drinfeld": (_cmd_drinfeld, "classifying polynomial offsets",
+    "drinfeld": ("cli_extra:drinfeld_report", "classifying polynomial offsets",
                  (_N, _LAMBDA, _S, _FORMAT, ("--epsilon", str, "+", "sign: + or -"))),
-    "verify": (_cmd_verify, "run internal consistency suites",
+    "verify": ("verify:verify_report", "run internal consistency suites",
                (_N, ("--suite", ("demazure", "weyl", "pipeline", "all"), "all", "suite to run"),
                 ("--format", _FORMATS, "pretty", "report format"))),
 }
@@ -289,47 +279,35 @@ def _parse(argv):
     """The subcommand and its options {name: value} for ``argv``, or the
     help or version text to print.  Raises InputError for an argument
     list that argparse refused."""
-    unknown = []
-    for i, token in enumerate(argv):
-        opt = _option(token, (*_HELP, "--version"))
-        if opt is None:
-            command, rest = token, argv[i + 1 :]
-            break
-        name, inline = opt
+    command, names, table, unknown, opts = None, (*_HELP, "--version"), {}, [], {}
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        opt = _option(token, names, command)
+        if opt is None and command is None:
+            if token not in _COMMANDS:
+                raise _refuse(f"unknown subcommand {token!r}")
+            command = token
+            table = {name: (value, default) for name, value, default, _ in _COMMANDS[command][2]}
+            names = (*_HELP, *table)
+            continue
+        name, raw = opt or (None, None)
         if name is None:
             unknown.append(token)
             continue
-        if inline is not None:
-            raise _refuse(f"{name} takes no value")
-        if name in _HELP:
-            from .cli_extra import _help
-
-            return _help()
-        return f"minaff {__version__}\n"
-    else:
-        raise _refuse("a subcommand is required")
-    if command not in _COMMANDS:
-        raise _refuse(f"unknown subcommand {command!r}")
-    table = {name: (value, default) for name, value, default, _ in _COMMANDS[command][2]}
-    names = (*_HELP, *table)
-    opts = {}
-    i = 0
-    while i < len(rest):
-        name, raw = _option(rest[i], names, command) or (None, None)
-        i += 1
-        if name is None:
-            unknown.append(rest[i - 1])
-            continue
-        if name in _HELP:
+        if name in _HELP or name == "--version":
             if raw is not None:
                 raise _refuse(f"{name} takes no value", command)
+            if name == "--version":
+                return f"minaff {__version__}\n"
             from .cli_extra import _help
 
             return _help(command)
         if raw is None:
-            if i == len(rest) or _option(rest[i], names, command) is not None:
+            if i == len(argv) or _option(argv[i], names, command) is not None:
                 raise _refuse(f"{name} expects a value", command)
-            raw, i = rest[i], i + 1
+            raw, i = argv[i], i + 1
         kind = table[name][0]
         if kind is int:
             try:
@@ -339,6 +317,8 @@ def _parse(argv):
         elif kind is not str and raw not in kind:
             raise _refuse(f"{name} must be one of {', '.join(kind)}, got {raw!r}", command)
         opts[name[2:]] = raw
+    if command is None:
+        raise _refuse("a subcommand is required")
     for name, (_, default) in table.items():
         opts.setdefault(name[2:], default)
     missing = [name for name in table if opts[name[2:]] is _REQUIRED]
@@ -350,17 +330,25 @@ def _parse(argv):
 
 
 def run(argv):
-    """Parse arguments, execute, print the report; returns the exit code."""
+    """Parse arguments, check the rank and convert the weights, execute,
+    print the report; returns the exit code."""
     try:
         parsed = _parse(argv)
         if isinstance(parsed, str):  # help or version
             text, code = parsed, 0
         else:
-            from .cartan import check_rank
+            from .cartan import check_dominant, check_rank
 
             command, opts = parsed
-            check_rank(opts["n"])
-            text, code = _COMMANDS[command][0](opts)
+            n = opts["n"]
+            check_rank(n)
+            for name in ("lambda", "mu"):
+                if opts.get(name) is not None:
+                    opts[name] = _parse_weight(opts[name], n)
+            if opts.get("mu") is not None:
+                check_dominant(n, opts["mu"])
+            module, _, handler = _COMMANDS[command][0].partition(":")
+            text, code = getattr(import_module("." + module, __package__), handler)(opts)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

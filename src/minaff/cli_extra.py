@@ -9,7 +9,7 @@ process never compiles it.
 """
 
 from . import InputError, cli
-from .cli import _csv_text, _json_text, _meta, _parse_weight
+from .cli import _csv_text, _json_text, _meta
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +121,12 @@ def _family_str(n, s):
 
 
 def xi_report(opts):
-    from . import affinization
-    from .cartan import resolve_family
+    from .affinization import _lambda_keys, xi_sequence
 
     n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"])
-    xs = affinization.xi_sequence(n, lam, s)
-    lams = affinization._lambda_keys(n, xs.keys) if s != n - 1 else None
+    xs = xi_sequence(n, opts["lambda"], opts["s"])
+    lam, s = xs.lam, xs.s
+    lams = _lambda_keys(n, xs.keys) if s != n - 1 else None
     if opts["format"] == "json":
         report = {
             "n": n,
@@ -165,11 +163,10 @@ def xi_report(opts):
 def drinfeld_report(opts):
     from .cartan import resolve_family
 
-    n = opts["n"]
-    lam = _parse_weight(opts["lambda"], n)
-    s = resolve_family(n, opts["s"])
+    n, lam = opts["n"], opts["lambda"]
     eps = _parse_epsilon(opts["epsilon"])
-    factors = drinfeld(n, lam, s, eps)
+    factors = drinfeld(n, lam, opts["s"], eps)
+    s = resolve_family(n, opts["s"])  # for the report: drinfeld returns only the factors
     if opts["format"] == "json":
         report = {
             "n": n,

@@ -174,17 +174,14 @@ def _suite_pipeline(n, checks):
         checks.append(("pipeline.straighten_" + tag, dimension == mass))
 
 
+_SUITES = {"demazure": _suite_demazure, "weyl": _suite_weyl, "pipeline": _suite_pipeline}
+
+
 def verify_report(opts):
     n = opts["n"]
-    suites = [opts["suite"]] if opts["suite"] != "all" else ["demazure", "weyl", "pipeline"]
     checks = []
-    for suite in suites:
-        if suite == "demazure":
-            _suite_demazure(n, checks)
-        elif suite == "weyl":
-            _suite_weyl(n, checks)
-        elif suite == "pipeline":
-            _suite_pipeline(n, checks)
+    for suite in _SUITES if opts["suite"] == "all" else (opts["suite"],):
+        _SUITES[suite](n, checks)
     passed = sum(1 for _, ok in checks if ok)
     failed = len(checks) - passed
     if opts["format"] == "json":

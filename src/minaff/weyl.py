@@ -59,12 +59,6 @@ def theta_coeffs(n):
     return (1,) + (2,) * (n - 3) + (1, 1)
 
 
-def root_unit(n, i):
-    """The simple root at node i in root coordinates, for a checked rank."""
-    check_node(n, i, 1)
-    return _unit(n, i)
-
-
 def root_to_fw(n, c):
     """Fundamental coordinates of a root-coordinate vector (Cartan matrix action)."""
     fw = [2 * v for v in c]

@@ -31,7 +31,6 @@ from minaff.weyl import (
     identity,
     inverse,
     root_to_fw,
-    root_unit,
     simple,
     theta_coeffs,
 )
@@ -164,7 +163,7 @@ def _root_from_weight(x):
 def affine_simple_root(n, i):
     if i == 0:
         return tuple(-v for v in theta_coeffs(n)), 1
-    return root_unit(n, i), 0
+    return tuple(int(j == i) for j in range(1, n + 1)), 0
 
 
 def act_root(w, root):

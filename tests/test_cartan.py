@@ -178,10 +178,11 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
     # second check.  The words, keys and finite weights of the table path
     # are built from checked data and not checked again.  What remains is
     # each public function's own check (the rank in ``run``,
-    # ``check_dominant`` and both ``resolve_family`` calls; the weight in
-    # ``check_dominant`` and ``support``) and per-rank cache misses (the
-    # rank and node in ``key_pairing`` at each of the n + 1 nodes, the rank
-    # in ``tau_01``, ``tau_fork`` and ``longest_word``).
+    # ``check_dominant`` and the one ``resolve_family`` call, in
+    # ``_regular_input``; the weight in ``check_dominant`` and ``support``)
+    # and per-rank cache misses (the rank and node in ``key_pairing`` at
+    # each of the n + 1 nodes, the rank in ``tau_01``, ``tau_fork`` and
+    # ``longest_word``).
     from minaff.cli import run
 
     lam = "1,0,0,1,1,1"
@@ -189,19 +190,23 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
         for s in ("1", "n-1", "n"):
             code, counts = _input_checks(run, [command, "--n", "6", "--lambda", lam, "--s", s])
             assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
+            assert counts["resolve_family"] == 1, (command, s, counts)
             assert counts["check_weight"] == 2, (command, s, counts)
-            assert 4 <= counts["check_rank"] <= 4 + 7 + 3, (command, s, counts)
+            assert 3 <= counts["check_rank"] <= 3 + 7 + 3, (command, s, counts)
             assert counts["check_node"] <= 7, (command, s, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
     assert code == 0, counts
     assert counts["check_dominant"] == 1 and counts["_check_partition"] == 0, counts
-    assert counts["check_rank"] <= 3, counts
+    assert counts["resolve_family"] == 0 and counts["check_rank"] <= 3, counts
     assert counts["partition_of"] == 1 and counts["sp_dim_irr"] == 0, counts
+    code, counts = _input_checks(run, ["xi", "--n", "5", "--lambda", "1,1,0,2,0", "--s", "n"])
+    assert code == 0 and counts["resolve_family"] == 1, counts
     assert capsys.readouterr().err == ""
 
 
-def test_a_weight_failing_two_checks_is_refused_for_the_first():
+def test_a_weight_failing_two_checks_is_refused_for_the_first(capsys):
     from minaff.affinization import lambda_sequence, multiplicity_table, xi_sequence
+    from minaff.cli import run
     from minaff.cli_extra import drinfeld
     from minaff.polyring import character
 
@@ -216,6 +221,22 @@ def test_a_weight_failing_two_checks_is_refused_for_the_first():
             fn(4, irregular, 1)
     with pytest.raises(InputError, match="is not dominant"):
         spbranch.sam_table(4, nondominant)
+    # the command line hands the raw label to each entry point, so it
+    # refuses in the same order; sam_table takes no label, so sam checks
+    # its --s first
+    lam = ["--n", "4", "--lambda", "1,0,-1,0"]
+    for command in ("char", "decomp", "xi", "drinfeld"):
+        assert run([command, *lam, "--s", "x"]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == "" and "is not dominant" in out.err, (command, out.err)
+    for s, message in (("x", "unknown family label"), ("1", "outside the regular")):
+        assert run(["char", "--n", "4", "--lambda", "1,0,1,1", "--s", s]) == 2
+        assert message in capsys.readouterr().err
+    assert run(["sam", *lam, "--s", "n"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "covers the s = 1 family only" in out.err, out.err
+    assert run(["sam", *lam]) == 2
+    assert "is not dominant" in capsys.readouterr().err
 
 
 def test_cartan_matrices():
@@ -386,7 +407,7 @@ def test_dominates_matches_sums_of_positive_roots():
 
 # The root-system names: weyl defines them and cartan must not.
 MOVED_TO_WEYL = (
-    "finite_edges affine_edges theta_coeffs root_unit root_to_fw fw_to_root "
+    "finite_edges affine_edges theta_coeffs root_to_fw fw_to_root "
     "dominates _dominantize bilinear"
 ).split()
 # Root lists: the doubled one lives with its only reader, the Freudenthal

@@ -288,6 +288,33 @@ def test_decomp_mu_filter(capsys):
     assert json.loads(out)["multiplicities"][0]["m"] == 0
 
 
+@pytest.mark.parametrize(
+    "mu, message",
+    [("x", "is not a comma-separated"), ("1,2", "has 2 entries"), ("1,0,-1,0", "is not dominant")],
+    ids=["malformed", "short", "non-dominant"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1"),
+        ("decomp", "--n", "4", "--lambda", "1,1,1,1", "--s", "n"),
+        ("sam", "--n", "4", "--lambda", "2,1,1,1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_bad_mu_is_refused_before_any_table_is_built(capsys, monkeypatch, argv, mu, message):
+    from minaff import affinization
+
+    def build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(affinization, "_pre_w0", build)
+    monkeypatch.setattr(spbranch, "_sp_branch", build)
+    code, out, err = invoke(capsys, *argv, "--mu", mu)
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_sam_agrees_with_char(capsys):
     for lam in ("0,1,0,0", "0,0,1,1"):
         _, out1, _ = invoke(capsys, "char", "--n", "4", "--lambda", lam, "--s", "1")

@@ -81,12 +81,13 @@ def test_orbit_size_against_expansion():
 def test_dominant_enumeration_complete():
     # oracle: walk the full weight diagram by simple-root steps and collect
     # the dominant points
-    from minaff.weyl import root_to_fw, root_unit
+    from minaff.weyl import root_to_fw
 
     n = 4
     lam = (1, 1, 0, 0)
     top = eps2(n, lam)
-    simple_roots = [eps2(n, root_to_fw(n, root_unit(n, i))) for i in range(1, n + 1)]
+    units = [tuple(int(j == i) for j in range(1, n + 1)) for i in range(1, n + 1)]
+    simple_roots = [eps2(n, root_to_fw(n, u)) for u in units]
     seen = {top}
     frontier = [top]
     while frontier:
