@@ -53,17 +53,13 @@ _EXPORTS = {
         ),
         (
             "weyl",
-            "ExtendedWeylWord act bilinear compose dominates from_word identity inverse "
-            "is_dominant length longest_word reduce_word same_element sigma_word simple "
-            "tau_01 tau_fork",
+            "ExtendedWeylWord act bilinear compose from_word inverse length longest_word "
+            "reduce_word same_element sigma_word simple tau_01 tau_fork",
         ),
         ("polyring", "character"),
-        (
-            "affinization",
-            "XiSequence lambda_sequence multiplicity_table straighten xi_sequence",
-        ),
+        ("affinization", "XiSequence multiplicity_table xi_sequence"),
         ("decomp", "compare_affinization"),
-        ("spbranch", "iota lr_coefficient partition_of sam_table sp_branch sp_dim_irr"),
+        ("spbranch", "partition_of sam_table"),
         ("cli_extra", "drinfeld"),
     )
     for name in names.split()

@@ -23,8 +23,6 @@ from .cartan import (
     _rho2,
     _unit,
     check_dominant,
-    check_rank,
-    check_weight,
     eps2,
     fw_from_eps2,
     is_regular,
@@ -127,23 +125,14 @@ def _xi(n, lam, s):
     return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
 
 
-def lambda_sequence(n, lam, s):
+def _lambda_keys(n, xi_keys):
     """Dominant affine weights feeding the nested character formula, as a
-    tuple of keys; checks (lam, s) here, once.
+    tuple of keys, from the tensor-factor weights of s = 1 or n (the fork
+    twin is handled by the fork relabelling).
 
     Entry j < n is the j-th rotation preimage of xi_j; the last entry is
-    xi_n itself.  Only the families s = 1 and s = n are rotated directly.
+    xi_n itself.
     """
-    lam = tuple(lam)
-    check_dominant(n, lam)
-    s = resolve_family(n, s)
-    if s == n - 1:
-        raise InputError("the fork twin family is handled by the fork relabelling")
-    return _lambda_keys(n, _xi(n, lam, s).keys)
-
-
-def _lambda_keys(n, xi_keys):
-    """:func:`lambda_sequence` from the tensor-factor weights of s = 1 or n."""
     keys = list(xi_keys)
     sigma_inv = weyl.inverse(weyl.sigma_word(n))
     for j in range(1, n):
@@ -226,32 +215,18 @@ def _finite_parts(n, terms):
     return out
 
 
-def straighten(n, terms):
+def _straighten(n, terms):
     """Irreducible multiplicities {mu: m} of the longest-element Demazure
-    operator applied to the finite weights {mu: c} of ``terms``.
+    operator applied to the finite weights {mu: c} of ``terms``, rank-n
+    int tuples with int coefficients.
 
     That operator takes e^mu to the Weyl character of mu straightened by
     the dot action.  In rho-shifted doubled coordinates a weight with two
     equal absolute coordinates lies on a wall and contributes nothing; any
     other is sorted into the dominant chamber with the sign of the sorting
     permutation (type D Weyl elements flip an even number of signs, so
-    that is their whole sign) and shifted back.  Refuses with InputError
-    a weight that is not a tuple of n ints (:func:`minaff.cartan.check_weight`)
-    and a coefficient that is not an int; a bool is not an int here.
+    that is their whole sign) and shifted back.
     """
-    check_rank(n)
-    for mu, c in terms.items():
-        if mu.__class__ is not tuple:
-            raise InputError(f"straighten expects finite weights as tuples, got {mu!r}")
-        check_weight(n, mu)
-        if c.__class__ is not int:
-            raise InputError(f"coefficient {c!r} at {mu} is not an integer")
-    return _straighten(n, terms)
-
-
-def _straighten(n, terms):
-    """:func:`straighten` of checked terms: rank-n int tuples with int
-    coefficients."""
     rho = _rho2(n)
     out = {}
     for mu, c in terms.items():
@@ -271,7 +246,7 @@ def multiplicity_table(n, lam, s):
 
     The longest-element operator takes e^mu to the Weyl character of mu
     straightened by the dot action, so the table is read off the nested
-    polynomial before that pass (:func:`straighten`); the full
+    polynomial before that pass (:func:`_straighten`); the full
     character is never expanded.
     """
     return _table(n, *_regular_input(n, lam, s))

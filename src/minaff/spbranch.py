@@ -1,10 +1,10 @@
 """Independent multiplicity pipeline through the rank n-1 symplectic algebra.
 
-The map ``iota`` folds the two spin coordinates into the last symplectic
+The fold ``_fold`` takes the two spin coordinates to the last symplectic
 node; the Schur functor of the standard symplectic module with the folded
 weight's partition restricts to symplectic irreducibles by Littlewood's
 rule (a sum of Littlewood-Richardson coefficients over partitions with
-even columns; Koike-Terada 1987); lifting back along ``iota`` gives the
+even columns; Koike-Terada 1987); lifting back along the fold gives the
 multiplicity table of the s = 1 family.  The table is checked against the
 hook-content dimension of the Schur functor.
 
@@ -16,19 +16,13 @@ for the symplectic lattice, so nothing is doubled here).
 
 from functools import lru_cache
 
-from .cartan import check_dominant, check_rank, check_weight, is_regular
+from .cartan import check_weight, is_regular
 from . import CharacterError, InputError
 
 
-def iota(n, mu):
-    """Fold a dominant weight onto the symplectic dominant cone: chain
-    coordinates pass through, the spin pair contributes its minimum."""
-    mu = tuple(mu)
-    check_dominant(n, mu)
-    return _fold(n, mu)
-
-
 def _fold(n, mu):
+    """Fold a checked dominant weight onto the symplectic dominant cone:
+    chain coordinates pass through, the spin pair contributes its minimum."""
     return mu[: n - 2] + (min(mu[n - 2], mu[n - 1]),)
 
 
@@ -52,20 +46,13 @@ def _sp_fund_from_eps(x):
     return tuple(x[i] - x[i + 1] for i in range(r - 1)) + (x[r - 1],)
 
 
-def _check_partition(p):
-    p = tuple(p)
-    check_weight(len(p), p)
-    if any(v < 0 for v in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise InputError(f"{p} is not a partition")
-    return _strip(p)
-
-
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
 
 
 def _skew_contents(p, mu):
-    """{content: count} over the LR fillings of the skew shape p/mu.
+    """{content: count} over the LR fillings of the skew shape p/mu, for a
+    partition mu inside p.
 
     Cells are filled in reverse reading order (rows top to bottom, each
     right to left); a filling is kept when its rows weakly increase, its
@@ -96,15 +83,6 @@ def _skew_contents(p, mu):
 
     fill(0)
     return out
-
-
-def lr_coefficient(p, mu, nu):
-    """Littlewood-Richardson coefficient c^p_{mu,nu}: the number of LR
-    fillings of p/mu with content nu."""
-    p, mu, nu = _check_partition(p), _check_partition(mu), _check_partition(nu)
-    if len(mu) > len(p) or any(a > b for a, b in zip(mu, p)):
-        return 0
-    return _skew_contents(p, mu).get(nu, 0)
 
 
 def _even_column_partitions(p):
@@ -148,24 +126,13 @@ def _sp_rho_product(r):
     return _sp_root_product(_sp_rho(r))
 
 
-def sp_dim_irr(rank, nu):
-    """Weyl dimension formula for the symplectic irreducible of highest
-    weight ``nu`` (fundamental coordinates).
-
-    With x = nu + rho in orthogonal coordinates, the dimension is the
-    product of x_i^2 - x_j^2 over i < j times the product of the x_i,
-    divided by the same product at rho.  Refuses a rank below 3 (the rule
-    of :func:`sp_branch`) and a ``nu`` that is not ``rank`` ints, none
-    negative.
-    """
-    check_rank(rank + 1)
-    check_weight(rank, nu)
-    return _sp_dim_irr(partition_of(tuple(nu)))
-
-
 def _sp_dim_irr(x):
-    """:func:`sp_dim_irr` of the weight with orthogonal coordinates ``x``,
-    a partition padded to the rank."""
+    """Weyl dimension formula for the symplectic irreducible whose highest
+    weight has orthogonal coordinates ``x``, a partition padded to the rank.
+
+    With y = x + rho, the dimension is the product of y_i^2 - y_j^2 over
+    i < j times the product of the y_i, divided by the same product at rho.
+    """
     rank = len(x)
     num = _sp_root_product(tuple(a + b for a, b in zip(x, _sp_rho(rank))))
     den = _sp_rho_product(rank)
@@ -175,15 +142,10 @@ def _sp_dim_irr(x):
     return q
 
 
-def schur_dim(p, letters):
-    """Dimension of the Schur functor S_p of a ``letters``-dimensional
-    space: the product over cells of (letters + column - row) over hook
-    lengths.  Checks once that ``p`` is a partition of ints."""
-    return _schur_dim(_check_partition(p), letters)
-
-
 def _schur_dim(p, letters):
-    """:func:`schur_dim` of a checked partition ``p`` without zero parts."""
+    """Dimension of the Schur functor S_p of a ``letters``-dimensional
+    space, for a partition ``p`` without zero parts: the product over cells
+    of (letters + column - row) over hook lengths."""
     num = 1
     den = 1
     for r in range(len(p)):
@@ -193,26 +155,16 @@ def _schur_dim(p, letters):
     return num // den
 
 
-def sp_branch(p, rank):
-    """Restriction of the Schur functor S_p(C^{2 rank}) to the symplectic
-    algebra of rank ``rank``, as {nu in fundamental coordinates: m}.
-
-    Littlewood's rule: for at most ``rank`` parts, the multiplicity of the
-    irreducible with partition nu is the sum of c^p_{beta,nu} over the
-    partitions beta with even columns.  Refused for taller shapes, where
-    the rule needs modification; checks the rank and the partition once.
-    """
-    check_rank(rank + 1)
-    p = _check_partition(p)
-    if len(p) > rank:
-        raise InputError(f"partition {p} has more than {rank} parts")
-    return {_sp_fund_from_eps(x): m for x, m in _sp_branch(p, rank).items()}
-
-
 def _sp_branch(p, rank):
-    """:func:`sp_branch` of a checked partition of at most ``rank`` nonzero
-    parts, keyed by the constituents' partitions padded to ``rank`` parts
-    (their orthogonal coordinates)."""
+    """Restriction of the Schur functor S_p(C^{2 rank}) to the symplectic
+    algebra of rank ``rank``, for a partition ``p`` of at most ``rank``
+    nonzero parts, keyed by the constituents' partitions padded to ``rank``
+    parts (their orthogonal coordinates).
+
+    Littlewood's rule: the multiplicity of the irreducible with partition
+    nu is the sum of c^p_{beta,nu} over the partitions beta with even
+    columns.  Taller shapes need a modified rule.
+    """
     out = {}
     for beta in _even_column_partitions(p):
         for nu, c in _skew_contents(p, beta).items():
@@ -229,7 +181,7 @@ def sam_table(n, lam):
     """Multiplicity table of the s = 1 family from the symplectic side.
 
     Restricts the Schur functor of the folded highest weight's partition
-    by :func:`sp_branch`, checks the total dimension, and lifts each
+    by :func:`_sp_branch`, checks the total dimension, and lifts each
     symplectic constituent back to the unique dominant weight with the same
     spin difference as ``lam``, which it checks once, by ``is_regular``.
     """

@@ -18,9 +18,9 @@ per letter; two words name the same group element exactly when their
 reduced words agree.
 
 A word is checked once, where it is made from outside data:
-:class:`ExtendedWeylWord`, and with it :func:`from_word`, :func:`identity`,
-:func:`simple`, ``_make`` and ``_replace``, checks the rank, the prefix and
-every letter.  The operations on words (:func:`compose`, :func:`inverse`,
+:class:`ExtendedWeylWord`, and with it :func:`from_word`, :func:`simple`,
+``_make`` and ``_replace``, checks the rank, the prefix and every letter.
+The operations on words (:func:`compose`, :func:`inverse`,
 :func:`reduce_word`) and the distinguished words (:func:`longest_word`,
 :func:`sigma_word`, :func:`tau_01`, :func:`tau_fork`) take checked words, or
 a rank they check themselves, and build their results unchecked
@@ -88,18 +88,10 @@ def fw_to_root(n, fw):
     return tuple(c)
 
 
-def dominates(n, lam, mu):
-    """Dominance order: lam - mu is a sum of positive roots, that is, its
-    root coordinates exist and none is negative.  Refuses a rank below 4
-    and a weight that is not n ints."""
-    check_rank(n)
-    check_weight(n, lam)
-    check_weight(n, mu)
-    return _dominates(n, lam, mu)
-
-
 def _dominates(n, lam, mu):
-    """:func:`dominates` of two checked rank-n weights."""
+    """Dominance order on two checked rank-n weights: lam - mu is a sum of
+    positive roots, that is, its root coordinates exist and none is
+    negative."""
     diff = tuple(a - b for a, b in zip(lam, mu))
     try:
         c = fw_to_root(n, diff)
@@ -179,19 +171,22 @@ def _identity_tau(n):
     return tuple(range(n + 1))
 
 
-def identity(n):
-    return from_word(n, ())
-
-
 def simple(n, i):
     return from_word(n, (i,))
 
 
 def from_word(n, word, tau=None):
-    """The word ``word`` after the prefix ``tau``, the identity by default;
-    the rank is checked before the default prefix is built from it."""
+    """The word ``word`` after the prefix ``tau``, the identity when ``tau``
+    is None; the rank is checked before the default prefix is built from
+    it.  A list prefix is read as a tuple; every prefix but None goes
+    through :class:`ExtendedWeylWord`'s check, so an empty or falsy one is
+    refused, not taken for the identity."""
     check_rank(n)
-    return ExtendedWeylWord(n, tuple(tau) if tau else _identity_tau(n), word)
+    if tau is None:
+        tau = _identity_tau(n)
+    elif isinstance(tau, list):
+        tau = tuple(tau)
+    return ExtendedWeylWord(n, tau, word)
 
 
 def _swap_tau(n, a, b):
@@ -331,17 +326,9 @@ def _act(w, k):
     return key_twist(w.n, w.tau)(k)
 
 
-def is_dominant(k):
-    """Nonnegative coroot pairings over the affine node set 0..n; refuses a
-    key of a rank below 4 or with a coordinate that is not an int."""
-    n = len(k) - 2
-    check_rank(n)
-    check_weight(n + 2, k)
-    return _is_dominant(n, k)
-
-
 def _is_dominant(n, k):
-    """:func:`is_dominant` of a checked rank-n key."""
+    """Nonnegative coroot pairings of a checked rank-n key over the affine
+    node set 0..n."""
     return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
 
 

@@ -6,7 +6,7 @@ Dominant-chamber multiplicities come from the Freudenthal recursion; full
 characters are Weyl-orbit expansions of those, and :func:`decompose` peels
 irreducible characters off a full character from the top.  The program
 reads its tables off the nested polynomial by dot-action straightening
-(:func:`minaff.affinization.straighten`), which shares none of this code.
+(:func:`minaff.affinization._straighten`), which shares none of this code.
 
 The rest is reference data for the recursion itself: the dominant-chamber
 multiplicities handed out as a fresh map, orbit sizes counted from the
@@ -235,5 +235,6 @@ def dim_by_roots(n, mu):
         num *= _dot(top, a)
         den *= _dot(rho, a)
     q, r = divmod(num, den)
-    assert r == 0, f"dimension formula not integral at {mu}"
+    if r:
+        raise CharacterError(f"dimension formula not integral at {mu}")
     return q

@@ -4,9 +4,9 @@ The character of the Schur functor of the standard symplectic module by
 semistandard tableaux, symplectic irreducible characters by Freudenthal's
 recursion, and a greedy peel over the symplectic dominance order.  It is
 exponential in the partition size, so it serves only to pin
-:func:`minaff.spbranch.sp_branch` on small shapes.  The Weyl dimension
+:func:`minaff.spbranch._sp_branch` on small shapes.  The Weyl dimension
 formula root by root pins the closed product of
-:func:`minaff.spbranch.sp_dim_irr`.  The enumeration, the
+:func:`minaff.spbranch._sp_dim_irr`.  The enumeration, the
 irreducible characters and the peel run on plain {finite weight: m} maps;
 ``schur_char``, ``sp_irr_character`` and ``decompose_sp`` convert them at
 the ``CharElem`` boundary (the ring of ``_ring_oracle``).
@@ -109,7 +109,8 @@ def sp_dim_by_roots(rank, nu):
         num *= _dot(top, a)
         den *= _dot(rho, a)
     q, r = divmod(num, den)
-    assert r == 0, f"dimension formula not integral at {nu}"
+    if r:
+        raise CharacterError(f"dimension formula not integral at {nu}")
     return q
 
 
@@ -163,7 +164,8 @@ def _sp_dominant_mults(r, top):
         d_rho = tuple(a + b for a, b in zip(d, rho))
         den = top_norm - _dot(d_rho, d_rho)
         q, rem = divmod(2 * num, den)
-        assert rem == 0 and q > 0, f"symplectic recursion failed at {d}"
+        if rem or q <= 0:
+            raise CharacterError(f"symplectic recursion failed at {d}")
         mults[d] = q
     return mults
 

@@ -27,8 +27,8 @@ from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_ep
 from minaff.weyl import (
     ExtendedWeylWord,
     compose,
+    from_word,
     fw_to_root,
-    identity,
     inverse,
     root_to_fw,
     simple,
@@ -111,7 +111,7 @@ def act(w, x):
 
 def tau_on_weight(tau, x):
     """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
-    ``tau`` may be any sequence, and the word it prefixes checks it."""
+    ``tau`` may be a tuple or a list, and the word it prefixes checks it."""
     tau = weyl.from_word(x.n, (), tau).tau
     return weight_of(weyl.key_twist(x.n, tau)(_delta_free(x)), x.delta)
 
@@ -185,7 +185,7 @@ def is_positive_root(n, root):
 def power(u, k):
     if k < 0:
         return power(inverse(u), -k)
-    out = identity(u.n)
+    out = from_word(u.n, ())
     for _ in range(k):
         out = compose(out, u)
     return out

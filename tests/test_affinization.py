@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from minaff import CharacterError, InputError, VerificationError
 from minaff.affinization import (
+    _lambda_keys,
+    _straighten,
+    _xi,
     is_regular,
-    lambda_sequence,
     multiplicity_table,
     resolve_family,
-    straighten,
     xi_sequence,
 )
 from minaff.cartan import branch_set, support, varpi
@@ -74,10 +75,10 @@ def test_xi_rejects_non_dominant():
 
 def test_lambda_sequence_displays():
     # multiples of a single chain node stay at the affine vertex
-    L = lambda_sequence(4, (0, 3, 0, 0), 1)
+    L = _lambda_keys(4, _xi(4, (0, 3, 0, 0), 1).keys)
     assert modqd(L[1]) == ((0, 0, 0, 0), 3)
     # the worked s = n case pins entry 2 at the spin node
-    L = lambda_sequence(5, (1, 1, 0, 2, 0), 5)
+    L = _lambda_keys(5, _xi(5, (1, 1, 0, 2, 0), 5).keys)
     assert modqd(L[1]) == (varpi(5, 4), 1)
 
 
@@ -86,13 +87,13 @@ def test_lambda_sequence_display_random():
     for n in (4, 5, 6):
         for _ in range(12):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
-            L1 = lambda_sequence(n, lam, 1)
+            L1 = _lambda_keys(n, _xi(n, lam, 1).keys)
             lmp = min(lam[n - 2], lam[n - 1])
             for j in range(1, n - 1):
                 assert modqd(L1[j - 1]) == ((0,) * n, lam[j - 1])
             assert modqd(L1[n - 2]) == ((0,) * n, lmp)
             xs = xi_sequence(n, lam, n)
-            Ln = lambda_sequence(n, lam, n)
+            Ln = _lambda_keys(n, xs.keys)
             cut, lbar = xs.cut, xs.lambda_bar
             spin = varpi(n, n - 1)
             for j in range(1, n - 1):
@@ -110,16 +111,14 @@ def test_lambda_sequence_display_random():
                 assert modqd(Ln[j - 1]) == expect, (n, lam, j)
 
 
-def test_lambda_sequence_dominant_and_fork_rejected():
+def test_lambda_sequence_dominant():
     rng = seeded(44)
     for n in (4, 5):
         for _ in range(10):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n):
-                for x in lambda_sequence(n, lam, s):
-                    assert weyl.is_dominant(x)
-    with pytest.raises(InputError):
-        lambda_sequence(4, (1, 0, 0, 0), 3)
+                for x in _lambda_keys(n, _xi(n, lam, s).keys):
+                    assert weyl._is_dominant(n, x)
 
 
 def test_character_small_cases():
@@ -313,12 +312,12 @@ def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
         sigma_inv = weyl.inverse(weyl.sigma_word(n))
         for s in (1, n):
             xi = xi_sequence(n, lam, s).keys
-            rot = weyl.identity(n)
+            rot = weyl.from_word(n, ())
             expect = []
             for j in range(1, n):
                 rot = weyl.compose(rot, sigma_inv)
                 expect.append(weyl.act(rot, xi[j - 1]))
-            assert lambda_sequence(n, lam, s) == (*expect, xi[n - 1]), (n, lam, s)
+            assert _lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
 
 
 def test_multiplicity_table_rejects_bad_input():
@@ -398,7 +397,7 @@ def pre_w0_oracle(n, lam, s):
     """The nested polynomial before the longest-element pass by the
     element route: CharElem products and the word operator of the
     rotation word, which checks the word on every pass."""
-    lams = lambda_sequence(n, lam, s)
+    lams = _lambda_keys(n, _xi(n, lam, s).keys)
     sig = weyl.sigma_word(n)
     g = CharElem.one(n)
     for j in range(n - 1, 0, -1):
@@ -434,7 +433,7 @@ def test_map_path_matches_the_element_route():
                 twin = oracle.twist(weyl.tau_fork(n))
                 assert affinization._pre_w0(n, lam, s) == dict(twin.items()), (n, lam, s)
             finite = {k[:n]: c for k, c in oracle.specialize().items()}
-            expected = straighten(n, finite)
+            expected = _straighten(n, finite)
             if s == n - 1:
                 expected = {swap_fork(n, mu): m for mu, m in expected.items()}
             assert multiplicity_table(n, lam, s) == expected, (n, lam, s)

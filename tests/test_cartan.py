@@ -9,9 +9,9 @@ import pytest
 from minaff import InputError, cartan, decomp, spbranch, weyl
 from minaff.cartan import _rho2, check_rank, eps2, fw_from_eps2, support, varpi
 from minaff.weyl import (
+    _dominates,
     affine_edges,
     bilinear,
-    dominates,
     finite_edges,
     fw_to_root,
     key_pairing,
@@ -130,12 +130,11 @@ def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
 def _input_checks(fn, *args):
     """What ``fn(*args)`` returns, and how often it runs each input check:
     the rank, weight, node and dominance rules, ``resolve_family``, and the
-    symplectic ``_check_partition``, ``partition_of`` and ``sp_dim_irr``.
+    symplectic ``partition_of``.
     Counted by code object: the modules bind the names through ``from
     .cartan import``, so patching ``cartan`` would miss their calls."""
     checks = (cartan.check_rank, cartan.check_weight, cartan.check_node,
-              cartan.check_dominant, cartan.resolve_family, spbranch._check_partition,
-              spbranch.partition_of, spbranch.sp_dim_irr)
+              cartan.check_dominant, cartan.resolve_family, spbranch.partition_of)
     names = {fn.__code__: fn.__name__ for fn in checks}
     counts = dict.fromkeys(names.values(), 0)
 
@@ -153,7 +152,7 @@ def _input_checks(fn, *args):
 
 
 def test_each_entry_point_checks_its_input_once():
-    from minaff.affinization import lambda_sequence, multiplicity_table, xi_sequence
+    from minaff.affinization import multiplicity_table, xi_sequence
     from minaff.cli_extra import drinfeld
     from minaff.polyring import character
 
@@ -161,8 +160,6 @@ def test_each_entry_point_checks_its_input_once():
     calls = [(multiplicity_table, 6, lam6, s) for s in (1, 5, 6)] + [
         (character, 4, (1, 1, 1, 1), 4),
         (xi_sequence, 5, lam5, 4),
-        (lambda_sequence, 5, lam5, 5),
-        (lambda_sequence, 5, lam5, 1),
         (spbranch.sam_table, 6, lam6),
         (drinfeld, 4, (1, 1, 0, 0), 1),
     ]
@@ -196,22 +193,21 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
             assert counts["check_node"] <= 7, (command, s, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
     assert code == 0, counts
-    assert counts["check_dominant"] == 1 and counts["_check_partition"] == 0, counts
+    assert counts["check_dominant"] == 1 and counts["partition_of"] == 1, counts
     assert counts["resolve_family"] == 0 and counts["check_rank"] <= 3, counts
-    assert counts["partition_of"] == 1 and counts["sp_dim_irr"] == 0, counts
     code, counts = _input_checks(run, ["xi", "--n", "5", "--lambda", "1,1,0,2,0", "--s", "n"])
     assert code == 0 and counts["resolve_family"] == 1, counts
     assert capsys.readouterr().err == ""
 
 
 def test_a_weight_failing_two_checks_is_refused_for_the_first(capsys):
-    from minaff.affinization import lambda_sequence, multiplicity_table, xi_sequence
+    from minaff.affinization import multiplicity_table, xi_sequence
     from minaff.cli import run
     from minaff.cli_extra import drinfeld
     from minaff.polyring import character
 
     nondominant, irregular = (1, 0, -1, 0), (1, 0, 1, 1)
-    for fn in (multiplicity_table, character, xi_sequence, lambda_sequence, drinfeld):
+    for fn in (multiplicity_table, character, xi_sequence, drinfeld):
         with pytest.raises(InputError, match="is not dominant"):
             fn(4, nondominant, "x")
     for fn in (multiplicity_table, character):
@@ -370,10 +366,10 @@ def test_dominance_order():
     n = 4
     lam = (1, 1, 0, 0)
     a2 = root_to_fw(n, (0, 1, 0, 0))
-    assert dominates(n, lam, tuple(l - a for l, a in zip(lam, a2)))
-    assert not dominates(n, (0, 0, 0, 1), (0, 0, 1, 0))  # different coset
-    assert not dominates(n, (0, 0, 0, 0), (0, 1, 0, 0))
-    assert dominates(n, root_to_fw(n, (1, 2, 1, 1)), (0, 0, 0, 0))
+    assert _dominates(n, lam, tuple(l - a for l, a in zip(lam, a2)))
+    assert not _dominates(n, (0, 0, 0, 1), (0, 0, 1, 0))  # different coset
+    assert not _dominates(n, (0, 0, 0, 0), (0, 1, 0, 0))
+    assert _dominates(n, root_to_fw(n, (1, 2, 1, 1)), (0, 0, 0, 0))
 
 
 def test_dominates_matches_sums_of_positive_roots():
@@ -400,7 +396,7 @@ def test_dominates_matches_sums_of_positive_roots():
         for lam in weights:
             for mu in weights:
                 expected = is_sum(tuple(map(sub, lam, mu)))
-                assert dominates(n, lam, mu) == expected, (lam, mu)
+                assert _dominates(n, lam, mu) == expected, (lam, mu)
                 below += expected
         assert len(weights) < below < len(weights) ** 2
 
@@ -408,7 +404,7 @@ def test_dominates_matches_sums_of_positive_roots():
 # The root-system names: weyl defines them and cartan must not.
 MOVED_TO_WEYL = (
     "finite_edges affine_edges theta_coeffs root_to_fw fw_to_root "
-    "dominates _dominantize bilinear"
+    "_dominates _dominantize bilinear"
 ).split()
 # Root lists: the doubled one lives with its only reader, the Freudenthal
 # recursion of the decomposition oracle; the simple-root-coordinate one and

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharacterError, InputError
-from minaff.affinization import straighten
+from minaff.affinization import _straighten
 from minaff.cartan import dim_irr, eps2, fw_from_eps2, varpi
 from minaff.decomp import compare_affinization
 from minaff import decomp, weyl
@@ -268,7 +268,7 @@ def test_straighten_matches_longest_element_operator():
     seen = set()
     for _ in range(60):
         mu = tuple(rng.randint(-3, 2) for _ in range(n))
-        got = straighten(n, {mu: 1})
+        got = _straighten(n, {mu: 1})
         full = CharElem.monomial(n, mu + (0, 0)).demazure_word(w0).specialize()
         if not got:
             assert not full
@@ -286,23 +286,5 @@ def test_straighten_sums_and_cancels():
     # e^{s_1 . mu} straightens to -ch V(mu) and cancels one copy of e^mu
     mu = (1, 0, 0, 0)
     dot = (-3, 2, 0, 0)  # s_1(mu + rho) - rho
-    assert straighten(n, {mu: 2, dot: 1}) == {mu: 1}
-    # an affine key is no finite weight
-    with pytest.raises(InputError):
-        straighten(n, {mu + (0, 0): 1})
-
-
-def test_straighten_refuses_a_bad_rank_coefficient_or_coordinate():
-    with pytest.raises(InputError, match="rank"):
-        straighten(3, {(0, 0, 0): 1})
-    for terms in (
-        {(0, 0, 0, 0): 1.5},
-        {(0, 0, 0, 0): 2.0},
-        {(0, 0, 0, 0): True},
-        {(True, 0, 0, 0): 1},
-        {(0, 0, 0.0, 0): 1},
-        {(0, 0, 0, 0, 0, 0): 1},
-    ):
-        with pytest.raises(InputError):
-            straighten(4, terms)
-    assert straighten(4, {(0, 0, 0, 0): 3}) == {(0, 0, 0, 0): 3}
+    assert _straighten(n, {mu: 2, dot: 1}) == {mu: 1}
+    assert _straighten(n, {(0, 0, 0, 0): 3}) == {(0, 0, 0, 0): 3}

@@ -83,7 +83,7 @@ def test_projection_formula():
 def test_demazure_word():
     rng = seeded(14)
     f = rand_char(N, rng, 10)
-    assert f.demazure_word(weyl.identity(N)) == f
+    assert f.demazure_word(weyl.from_word(N, ())) == f
     L0 = lambda0(N)
     g = CharElem.monomial(N, L0).demazure_word(weyl.simple(N, 0))
     assert g == CharElem.monomial(N, L0) + CharElem.monomial(N, plus(L0, times(-1, alpha(N, 0))))
