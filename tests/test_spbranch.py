@@ -134,9 +134,19 @@ def test_lr_coefficients_by_hand():
     assert _skew_contents((2, 1), (2, 1)).get((), 0) == 1
 
 
-def test_partition_of_refuses_coordinates_that_are_not_ints():
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (partition_of, ((1.0, 0),)),
+        (partition_of, ((0, 0, True),)),
+        (sam_table, (4, (0, 0, 1, 1.0))),
+        (sam_table, (4, (0, 0, True, 1))),
+    ],
+    ids=["partition_of", "partition_of_bool", "sam_table", "sam_table_bool"],
+)
+def test_symplectic_functions_refuse_coordinates_that_are_not_ints(fn, args):
     with pytest.raises(InputError, match="non-integer"):
-        partition_of((1.0, 0))
+        fn(*args)
 
 
 def test_sp_branch_small_cases():
