@@ -16,7 +16,6 @@ compiles it.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import add
 
 from .cartan import (
@@ -144,23 +143,6 @@ def _lambda_keys(n, xi_keys):
     return tuple(keys)
 
 
-@lru_cache(maxsize=None)
-def _assert_nesting_legal(n):
-    """The rotation word is reduced, and the lengths of the composite w0
-    sigma^(n-1) behind the nested formula add (``verify`` runs it uncached)."""
-    sig = weyl.sigma_word(n)
-    if not weyl.is_reduced(sig):
-        raise InputError(f"word {sig.word} is not reduced")
-    comp = weyl.longest_word(n)
-    for _ in range(n - 1):
-        comp = weyl.compose(comp, sig)
-    expected = n * (n - 1) + (n - 1) ** 2
-    got = weyl.length(comp)
-    if got != expected:
-        raise VerificationError(f"length additivity failed at rank {n}: {got} != {expected}")
-    return True
-
-
 def _regular_input(n, lam, s):
     """Checked (lam, s) for the character pipeline; refuses weights outside
     the regular classification."""
@@ -190,7 +172,6 @@ def _pre_w0(n, lam, s):
     twin is the fork relabelling of the s = n map of the swapped weight;
     rho is fork-invariant, so the relabelling commutes with both finishes.
     """
-    _assert_nesting_legal(n)
     twin = s == n - 1
     if twin:
         lam, s = _swap_fork(n, lam), n

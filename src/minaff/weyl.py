@@ -383,9 +383,12 @@ def demazure_word_terms(w, terms):
 
     Refuses with InputError once a step leaves more than MAX_TERMS terms.
     It does not check that ``w`` is reduced; on a word that is not, the
-    result is not the operator of the group element.  Each caller proves
-    its words reduced once: the rotation word in the nesting check, the
-    longest word by its length, the ``verify`` words by ``is_reduced``.
+    result is not the operator of the group element.  The rotation word's
+    letters 1..n-1 are distinct, so it is reduced by construction; the
+    longest word is proved by its length, the ``verify`` words by
+    ``is_reduced``.  That the lengths of the nested composite w0
+    sigma^(n-1) add is proved by ``verify --suite weyl`` and the tests,
+    not on the table path.
     """
     n = w.n
     for i in reversed(w.word):
@@ -462,9 +465,11 @@ def longest_word(n):
 @lru_cache(maxsize=None)
 def sigma_word(n):
     """The rotation element: both diagram swaps, then the chain of
-    reflections from node 1 out to node n-1.  Already reduced."""
-    tau = compose(tau_01(n), tau_fork(n)).tau
-    return _unchecked_word(n, tau, tuple(range(1, n)))
+    reflections from node 1 out to node n-1.  Its letters are distinct, so
+    the word is reduced by construction."""
+    check_rank(n)
+    fork = _swap_tau(n, n - 1, n)
+    return _unchecked_word(n, (1, 0) + fork[2:], tuple(range(1, n)))
 
 
 def same_element(u, v):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from minaff import affinization, weyl
+from minaff import weyl
 from minaff.weyl import affine_edges
 from _ring_oracle import CharElem
 
@@ -54,8 +54,8 @@ def braid_variant(word, n, rng):
 
 def break_longest_word(monkeypatch):
     """Make ``weyl.longest_word`` repeat the last letter of w0's word, so
-    the composite behind the nested formula cancels and comes out short;
-    clears the cached nesting check so it runs again."""
+    the composite behind the nested formula cancels and comes out short,
+    which ``verify --suite weyl`` reports as a failed length additivity."""
     real = weyl.longest_word
 
     def repeated_last_letter(n):
@@ -63,7 +63,6 @@ def break_longest_word(monkeypatch):
         return weyl.ExtendedWeylWord(n, w.tau, w.word + w.word[-1:])
 
     monkeypatch.setattr(weyl, "longest_word", repeated_last_letter)
-    affinization._assert_nesting_legal.cache_clear()
 
 
 def minaff_imports(module):

@@ -9,8 +9,6 @@ import itertools
 import json
 import time
 
-import pytest
-
 from minaff.affinization import _lambda_keys, _xi, multiplicity_table, xi_sequence
 from minaff.cartan import dim_irr, fw_from_eps2, varpi
 from minaff.cli import run

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharacterError, InputError, VerificationError
+from minaff import CharacterError, InputError
 from minaff.affinization import (
     _lambda_keys,
     _straighten,
@@ -18,7 +18,7 @@ from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
 from minaff.spbranch import sam_table
-from minaff import affinization, polyring, weyl
+from minaff import affinization, polyring, verify, weyl
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, rand_key, seeded
 from _ring_oracle import CharElem, finite_char
@@ -343,10 +343,17 @@ def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
 
 
+def length_additivity_holds(n):
+    """Whether ``verify``'s nesting proof passes at rank n."""
+    checks = []
+    verify._suite_weyl(n, checks)
+    return dict(checks)["weyl.length_additivity"]
+
+
 def test_nesting_check_refuses_a_composite_that_cancels(monkeypatch):
+    assert length_additivity_holds(4)
     break_longest_word(monkeypatch)
-    with pytest.raises(VerificationError, match="length additivity"):
-        affinization._assert_nesting_legal.__wrapped__(4)
+    assert not length_additivity_holds(4)
 
 
 def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
@@ -378,8 +385,8 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
 
 
 def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
-    # the table path checks the rotation word once per rank, with the
-    # error that the ring oracle's word operator gives
+    # verify fails the rotation word, which the ring oracle's word
+    # operator refuses on every pass
     real = weyl.sigma_word
 
     def doubled_first_letter(n):
@@ -387,8 +394,7 @@ def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
         return weyl.ExtendedWeylWord(n, w.tau, w.word[:1] + w.word)
 
     monkeypatch.setattr(weyl, "sigma_word", doubled_first_letter)
-    with pytest.raises(InputError, match="is not reduced"):
-        affinization._assert_nesting_legal.__wrapped__(4)
+    assert not length_additivity_holds(4)
     with pytest.raises(InputError, match="is not reduced"):
         CharElem.one(4).demazure_word(doubled_first_letter(4))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from minaff import polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
-from _helpers import break_longest_word, fresh_argv, fresh_env, run_fresh
+from _helpers import fresh_argv, fresh_env, run_fresh
 
 
 def invoke(capsys, *argv):
@@ -185,25 +185,47 @@ def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "non-dominant factor weight" in err
 
 
-def test_failed_nesting_check_exits_3_with_no_stdout(capsys, monkeypatch):
-    break_longest_word(monkeypatch)
-    code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
-    assert code == 3
-    assert out == ""
-    assert "length additivity" in err
+# A fresh process with the word operations that only verify and the tests
+# run made to raise, so no cache of an earlier call can hide one.
+WORD_OPERATIONS_OFF = """
+import contextlib, io, json, sys
+from minaff import cli, weyl
+def off(*args):
+    raise RuntimeError("a table process called a word operation")
+for name in ("reduce_word", "length", "longest_word", "compose"):
+    setattr(weyl, name, off)
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_char_and_decomp_reduce_no_word(capsys):
+    # the nesting proof lives in verify and the tests: a table process
+    # reduces no word, builds no w0 and composes no words, in every family
+    cases = [
+        [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
+        for command in ("char", "decomp")
+        for s in ("1", "n", "n-1")
+    ]
+    expected = [list(invoke(capsys, *argv)) for argv in cases]
+    assert all(code == 0 and out for code, out, _ in expected)
+    proc = run_fresh("-c", WORD_OPERATIONS_OFF, json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
 
 
 def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, monkeypatch):
-    # verify reruns the table path's proof, past the cache where it passed
-    from minaff import affinization
-
-    assert affinization._assert_nesting_legal(4)
     real_w0, real_sigma = weyl.longest_word, weyl.sigma_word
     monkeypatch.setattr(weyl, "longest_word", lambda n: weyl.compose(real_w0(n), weyl.simple(n, 1)))
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
     assert (code, out.splitlines()) == (3, [
         "ok   weyl.rotation_table",
-        "FAIL weyl.length_additivity",  # a VerificationError
+        "FAIL weyl.length_additivity",  # the composite comes out short
         "ok   weyl.form_invariance",
         "2 passed, 1 failed",
     ])
@@ -211,7 +233,7 @@ def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, mon
     doubled = lambda n: weyl.ExtendedWeylWord(n, real_sigma(n).tau, (1,) + real_sigma(n).word)
     monkeypatch.setattr(weyl, "sigma_word", doubled)
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
-    assert code == 3 and "FAIL weyl.length_additivity" in out  # an InputError: not reduced
+    assert code == 3 and "FAIL weyl.length_additivity" in out  # the rotation word is not reduced
     monkeypatch.undo()
     assert invoke(capsys, "verify", "--n", "4", "--suite", "weyl")[0] == 0
 
@@ -636,14 +658,10 @@ def test_table_subcommands_build_no_fraction(argv):
 EXIT_PATH = """
 import atexit, gc, runpy, sys
 atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
-if sys.argv[1] == "--break-longest-word":
+if sys.argv[1] == "--break-dominance":
     del sys.argv[1]
     from minaff import weyl
-    real = weyl.longest_word
-    def repeated_last_letter(n):
-        w = real(n)
-        return weyl.ExtendedWeylWord(n, w.tau, w.word + w.word[-1:])
-    weyl.longest_word = repeated_last_letter
+    weyl._is_dominant = lambda n, k: False
 runpy.run_module("minaff", run_name="__main__", alter_sys=True)
 """
 
@@ -657,10 +675,10 @@ def test_a_process_freezes_its_heap_and_prints_what_run_prints(
     capsys, monkeypatch, broken, argv, code
 ):
     if broken:
-        break_longest_word(monkeypatch)
+        monkeypatch.setattr(weyl, "_is_dominant", lambda n, k: False)
     in_process, out, err = invoke(capsys, *argv)
     assert in_process == code
-    proc = run_fresh("-c", EXIT_PATH, *["--break-longest-word"] * broken, *argv)
+    proc = run_fresh("-c", EXIT_PATH, *["--break-dominance"] * broken, *argv)
     assert proc.returncode == code
     assert proc.stdout == out
     # the atexit hook still ran, after everything the command wrote

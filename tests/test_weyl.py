@@ -284,7 +284,8 @@ def test_lengths():
 
 
 def test_length_additivity():
-    for n in (4, 5, 6):
+    # the proof behind the nested formula, for every rank the tests reach
+    for n in range(4, 17):
         comp = longest_word(n)
         sig = sigma_word(n)
         for _ in range(n - 1):
