@@ -117,10 +117,10 @@ def _xi(n, lam, s):
     if s == 1:
         keys, m, mp = _xi_family_one(n, lam)
         return XiSequence(n, s, lam, keys, m=m, m_prime=mp)
-    twin = s == n - 1
-    keys, cut, lbar = _xi_family_n(n, _swap_fork(n, lam) if twin else lam)
-    if twin:  # the s = n data of the swapped weight, swapped back
-        keys = tuple(_swap_fork(n, k) for k in keys)
+    if s == n - 1:  # the s = n data of the swapped weight, swapped back
+        swapped = _xi(n, _swap_fork(n, lam), n)
+        return swapped._replace(s=s, lam=lam, keys=tuple(_swap_fork(n, k) for k in swapped.keys))
+    keys, cut, lbar = _xi_family_n(n, lam)
     return XiSequence(n, s, lam, keys, cut=cut, lambda_bar=lbar)
 
 
@@ -172,18 +172,14 @@ def _pre_w0(n, lam, s):
     twin is the fork relabelling of the s = n map of the swapped weight;
     rho is fork-invariant, so the relabelling commutes with both finishes.
     """
-    twin = s == n - 1
-    if twin:
-        lam, s = _swap_fork(n, lam), n
+    if s == n - 1:
+        return {_swap_fork(n, k): c for k, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
     sig = weyl.sigma_word(n)
     g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):
         g = weyl.demazure_word_terms(sig, _shift(lams[j - 1], g))
-    g = _shift(lams[n - 1], g)
-    if twin:
-        g = {_swap_fork(n, k): c for k, c in g.items()}
-    return g
+    return _shift(lams[n - 1], g)
 
 
 def _finite_parts(n, terms):

@@ -9,7 +9,7 @@ system is used here.
 """
 
 from . import InputError
-from .cartan import check_rank, check_weight
+from .cartan import check_dominant, check_rank
 from .weyl import _dominates
 
 
@@ -21,11 +21,11 @@ def _maximal_keys(n, keys):
 
 def _top_weight(n, table):
     """The unique maximal weight of a table, checked here: every key a
-    rank-n weight, every multiplicity an int."""
+    dominant rank-n weight, every multiplicity a nonnegative int."""
     for mu, m in table.items():
-        check_weight(n, mu)
-        if m.__class__ is not int:
-            raise InputError(f"multiplicity {m!r} at {mu} is not an integer")
+        check_dominant(n, mu)
+        if m.__class__ is not int or m < 0:
+            raise InputError(f"multiplicity {m!r} at {mu} is not a nonnegative integer")
     tops = _maximal_keys(n, list(table))
     if len(tops) != 1:
         raise InputError(f"table has no unique top weight: {tops}")
@@ -38,8 +38,8 @@ def compare_affinization(n, a, b):
     One table precedes another when, at every dominant weight, either its
     multiplicity is no larger or some strictly higher weight has strictly
     smaller multiplicity.  Returns 'equal', 'leq', 'geq', or 'incomparable'.
-    Refuses a rank below 4, and a key that is not n ints or a multiplicity
-    that is not an int in either table.
+    Refuses a rank below 4, and in either table a key that is not n
+    nonnegative ints or a multiplicity that is not a nonnegative int.
     """
     check_rank(n)
     if _top_weight(n, a) != _top_weight(n, b):

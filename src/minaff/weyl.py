@@ -12,10 +12,12 @@ of 1/2.
 Group elements are carried as words: an automorphism prefix (a permutation
 of the affine nodes generated by the two diagram swaps) followed by a tuple
 of reflection indices.  The represented element is the prefix composed with
-the reflections read left to right, rightmost applied first.  Reduction
-walks a regular weight up into the dominant chamber, one simple reflection
-per letter; two words name the same group element exactly when their
-reduced words agree.
+the reflections read left to right, rightmost applied first.  The two swaps
+are disjoint transpositions, so each of the four prefixes is its own
+inverse, and no operation here inverts a permutation.  Reduction walks a
+regular weight up into the dominant chamber, one simple reflection per
+letter; two words name the same group element exactly when their reduced
+words agree.
 
 A word is checked once, where it is made from outside data:
 :class:`ExtendedWeylWord`, and with it :func:`from_word`, :func:`simple`,
@@ -209,32 +211,25 @@ def tau_fork(n):
 
 @lru_cache(maxsize=None)
 def _allowed_taus(n):
-    """The four automorphism prefixes generated by the two swaps."""
+    """The four automorphism prefixes generated by the two swaps.  These
+    are disjoint transpositions (n >= 4), so every prefix is its own inverse."""
     a = _swap_tau(n, 0, 1)
     b = _swap_tau(n, n - 1, n)
-    return frozenset((_identity_tau(n), a, b, tuple(a[b[i]] for i in range(n + 1))))
+    return frozenset((_identity_tau(n), a, b, tuple(a[j] for j in b)))
 
 
 def compose(u, v):
-    """Product u*v, rightmost factor applied first."""
+    """Product u*v, rightmost factor applied first; u's letters pass v's
+    prefix, its own inverse, relabelled by it."""
     if u.n != v.n:
         raise InputError("rank mismatch in composition")
-    n = u.n
-    vinv = [0] * (n + 1)
-    for i, j in enumerate(v.tau):
-        vinv[j] = i
-    word = tuple(vinv[i] for i in u.word) + v.word
-    tau = tuple(u.tau[v.tau[i]] for i in range(n + 1))
-    return _unchecked_word(n, tau, word)
+    word = tuple(v.tau[i] for i in u.word) + v.word
+    return _unchecked_word(u.n, tuple(u.tau[j] for j in v.tau), word)
 
 
 def inverse(u):
-    n = u.n
-    tinv = [0] * (n + 1)
-    for i, j in enumerate(u.tau):
-        tinv[j] = i
-    word = tuple(u.tau[i] for i in reversed(u.word))
-    return _unchecked_word(n, tuple(tinv), word)
+    """The inverse word, after the same prefix, as every prefix is its own inverse."""
+    return _unchecked_word(u.n, u.tau, tuple(u.tau[i] for i in reversed(u.word)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,8 @@ def key_twist(n, tau):
     An automorphism sends the node-i fundamental weight Lambda_i to
     Lambda_tau(i) plus a delta correction, so the image pairs with the
     coroot at node tau(i) as the key does at node i: its finite coordinates
-    are the permuted pairings.  The level is the mark-weighted sum of the
+    are the permuted pairings, the one at node j read from node tau(j), as
+    ``tau`` is its own inverse.  The level is the mark-weighted sum of the
     pairings and the marks are tau-invariant, so it is unchanged.  The
     delta correction is forced by norm preservation, since delta pairs
     with the level: Lambda_0 has norm 0 and Lambda_1 norm 1, so swapping
@@ -295,10 +291,7 @@ def key_twist(n, tau):
     by the two swaps (any other would not preserve the invariant form):
     it is the prefix of an :class:`ExtendedWeylWord`, which checked it.
     """
-    src = [0] * (n + 1)
-    for i, j in enumerate(tau):
-        src[j] = i
-    pick = itemgetter(*src[1:])
+    pick = itemgetter(*tau[1:])
     pair0 = key_pairing(n, 0)
     if tau[0] == 0:
         return lambda k: pick((pair0(k),) + k) + k[n:]

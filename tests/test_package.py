@@ -131,8 +131,8 @@ def test_extended_weyl_word_checks_every_construction():
 # Bad data for every exported function that takes a rank, a weight, a node,
 # a family label, a prefix or a multiplicity, plus ExtendedWeylWord and
 # weyl.demazure_terms: a bool, a float, a short or long tuple, rank 3, a node
-# or a prefix out of range, a multiplicity that is not an int, a weight that
-# is not dominant, a label that names no family.  Each is refused with
+# or a prefix out of range, a multiplicity that is not an int or is negative,
+# a weight that is not dominant, a label that names no family.  Each is refused with
 # InputError, not a TypeError or IndexError from deeper down, and not run.
 # The exports that reach the cores of the removed wrappers (``act`` and
 # ``dim_irr`` for the dominance order, ``compare_affinization`` for
@@ -157,7 +157,9 @@ BAD_INPUT = {
                              (4, {(True, 0, 0, 0): 1}, {(0, 0, 0, 0): 1}),
                              (4, {(0, 0, 0, 0): 1}, {(0, 0, 0.0, 0): 1}),
                              (4, {(0, 0, 0, 0, 0, 0): 1}, {(0, 0, 0, 0): 1}),
-                             (4, {(1, 0, 0): 1}, {(1, 0, 0, 0): 1})],
+                             (4, {(1, 0, 0): 1}, {(1, 0, 0, 0): 1}),
+                             (4, {(0, 1, 0, 0): 1, (0, 0, 0, 0): -1}, {(0, 1, 0, 0): 1}),
+                             (4, {(1, 0, 0, 0): 1, (-1, 0, 0, 0): 1}, {(1, 0, 0, 0): 1})],
     "compose": [(E4, from_word(5, ()))],
     "demazure_terms": [(4, 1.0, {KEY: 1}), (4, True, {KEY: 1}), (4, 5, {KEY: 1}),
                        (3, 1, {KEY[1:]: 1})],

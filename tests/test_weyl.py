@@ -396,3 +396,15 @@ def test_compose_matches_action():
             x = rand_key(n, rng)
             assert act(compose(u, v), x) == act(u, act(v, x))
             assert act(compose(u, inverse(u)), x) == x
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_every_prefix_is_its_own_inverse(n):
+    # compose, inverse and key_twist read each prefix as its own inverse
+    rng = seeded(28 + n)
+    for tau in sorted(weyl._allowed_taus(n)):
+        assert tuple(tau[j] for j in tau) == tuple(range(n + 1)), tau
+        twist = weyl.key_twist(n, tau)
+        for _ in range(25):
+            k = rand_key(n, rng)
+            assert twist(twist(k)) == k, (tau, k)
