@@ -125,22 +125,22 @@ def _xi(n, lam, s):
 
 
 def _lambda_keys(n, xi_keys):
-    """Dominant affine weights feeding the nested character formula, as a
-    tuple of keys, from the tensor-factor weights of s = 1 or n (the fork
-    twin is handled by the fork relabelling).
-
-    Entry j < n is the j-th rotation preimage of xi_j; the last entry is
-    xi_n itself.
-    """
-    keys = list(xi_keys)
-    sigma_inv = weyl.inverse(weyl.sigma_word(n))
-    for j in range(1, n):
-        for _ in range(j):
-            keys[j - 1] = weyl._act(sigma_inv, keys[j - 1])
-    for k in keys:
-        if not weyl._is_dominant(n, k):
-            raise VerificationError(f"non-dominant factor weight {k}")
-    return tuple(keys)
+    """The dominant keys Lambda_j = sigma^-j xi_j (j < n), then xi_n, from
+    the tensor-factor weights of s = 1 or n.  A weight of positive level
+    has one dominant point in its affine Weyl orbit (V. G. Kac,
+    Infinite-dimensional Lie algebras, Prop. 3.12), and sigma^-j is tau^j,
+    tau the rotation word's prefix (an involution), times an affine Weyl
+    element: Lambda_j is where the chamber walk of xi_j stops, relabelled by
+    tau when j is odd.  A factor with no dominant point (negative level, or
+    level 0 and a finite part) is refused, as its walk would never end."""
+    tau = weyl.key_twist(n, weyl.sigma_word(n).tau)
+    keys = []
+    for j, xi in enumerate(xi_keys[: n - 1], 1):
+        if xi[n] < 0 or xi[n] == 0 and any(xi[:n]):
+            raise VerificationError(f"factor weight {xi} of level {xi[n]} has no dominant point")
+        top = weyl._walk_up(xi, range(n + 1))[1]
+        keys.append(tau(top) if j % 2 else top)
+    return (*keys, xi_keys[n - 1])
 
 
 def _regular_input(n, lam, s):

@@ -14,9 +14,10 @@ of the affine nodes generated by the two diagram swaps) followed by a tuple
 of reflection indices.  The represented element is the prefix composed with
 the reflections read left to right, rightmost applied first.  The two swaps
 are disjoint transpositions, so each of the four prefixes is its own
-inverse, and no operation here inverts a permutation.  Reduction walks a
-regular weight up into the dominant chamber, one simple reflection per
-letter; two words name the same group element exactly when their reduced
+inverse, and no operation here inverts a permutation.  One chamber walk
+serves three callers: reduction and the longest word read its steps, one
+simple reflection per letter, and the rotated factor weights are where it
+stops.  Two words name the same group element exactly when their reduced
 words agree.
 
 A word is checked once, where it is made from outside data:
@@ -319,12 +320,6 @@ def _act(w, k):
     return key_twist(w.n, w.tau)(k)
 
 
-def _is_dominant(n, k):
-    """Nonnegative coroot pairings of a checked rank-n key over the affine
-    node set 0..n."""
-    return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
-
-
 def demazure_terms(n, i, terms):
     """One Demazure step at node i on a map {key: coefficient}, as a fresh
     map without zero coefficients.
@@ -403,14 +398,16 @@ def demazure_word_terms(w, terms):
 
 def _walk_up(k, nodes):
     """Reflect the key ``k`` at the smallest node of ``nodes`` with a
-    negative pairing until there is none; returns the nodes used, in order."""
+    negative pairing until there is none; returns the nodes used, in order,
+    and the key where it stops.  The one chamber walk, for :func:`reduce_word`,
+    :func:`longest_word` and ``affinization._lambda_keys``."""
     n = len(k) - 2
     pairings = [(i, key_pairing(n, i)) for i in nodes]
     steps = []
     while True:
         i = next((i for i, pair in pairings if pair(k) < 0), None)
         if i is None:
-            return steps
+            return steps, k
         k = reflect_key(i, k)
         steps.append(i)
 
@@ -427,7 +424,7 @@ def reduce_word(w):
     """
     n = w.n
     rho = (1,) * n + (2 * n - 2, 0)
-    steps = _walk_up(_act(inverse(w), rho), range(n + 1))
+    steps, _ = _walk_up(_act(inverse(w), rho), range(n + 1))
     return _unchecked_word(n, w.tau, tuple(reversed(steps)))
 
 
@@ -448,7 +445,7 @@ def longest_word(n):
     reversed.
     """
     check_rank(n)
-    steps = _walk_up((-1,) * n + (0, 0), range(1, n + 1))
+    steps, _ = _walk_up((-1,) * n + (0, 0), range(1, n + 1))
     w = _unchecked_word(n, _identity_tau(n), tuple(reversed(steps)))
     if len(w.word) != n * (n - 1):
         raise VerificationError(f"longest word has length {len(w.word)}, expected {n * (n - 1)}")

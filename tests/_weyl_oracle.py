@@ -15,7 +15,10 @@ the expansion over the fundamental weights that it replaced, each mapped to
 its image with the delta correction that norm preservation forces.
 ``weyl.same_element`` compares reduced words; this module keeps the
 fingerprint it replaced, the action on a basis of the affine weight space,
-which reads no reduced word.
+which reads no reduced word.  ``affinization._lambda_keys`` reads each
+rotated factor weight off the end of a chamber walk; this module keeps the
+route it replaced, which applies the inverse rotation word j times to the
+j-th factor, and the affine dominance test that route was checked by.
 """
 
 from collections import namedtuple
@@ -236,3 +239,23 @@ def tau_on_weight_oracle(tau, x):
         d = (form(li, li) - form(lt, lt)) / (2 * marks[tau[i]])
         out = out + pairing(i, x) * AffineWeight(lt.finite, lt.level, d)
     return out
+
+
+def is_dominant(n, k):
+    """Nonnegative coroot pairings of a rank-n key over the affine node set 0..n."""
+    return all(weyl.key_pairing(n, i)(k) >= 0 for i in range(n + 1))
+
+
+def lambda_keys_by_rotation(n, xi_keys):
+    """The rotated factor weights by the reflection route: sigma^-1 applied
+    j times to the j-th factor (j < n), the last factor as it is.  Raises
+    VerificationError where an entry is not affine-dominant."""
+    sigma_inv = inverse(weyl.sigma_word(n))
+    keys = list(xi_keys)
+    for j in range(1, n):
+        for _ in range(j):
+            keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
+    for k in keys:
+        if not is_dominant(n, k):
+            raise VerificationError(f"non-dominant factor weight {k}")
+    return tuple(keys)

@@ -24,6 +24,7 @@ from _decomp_oracle import (
 )
 from _helpers import braid_variant, rand_char, seeded
 from _ring_oracle import CharElem, finite_char
+from _weyl_oracle import is_dominant
 
 
 def report(number, ok, detail, t0, budget):
@@ -149,7 +150,7 @@ def test_criterion_04_xi_congruence_and_lambda_dominance():
             swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
             for s, l in ((1, lam), (n, lam), (n, swapped)):
                 for x in _lambda_keys(n, _xi(n, l, s).keys):
-                    if not weyl._is_dominant(n, x):
+                    if not is_dominant(n, x):
                         ok = False
     report(4, ok, "100 random weights per rank 4..7, all families", t0, 30)
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import CharacterError, InputError
+from minaff import CharacterError, InputError, VerificationError
 from minaff.affinization import (
     _lambda_keys,
     _straighten,
@@ -22,6 +22,7 @@ from minaff import affinization, polyring, verify, weyl
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, rand_key, seeded
 from _ring_oracle import CharElem, finite_char
+from _weyl_oracle import is_dominant, lambda_keys_by_rotation
 
 
 def modqd(k):
@@ -118,7 +119,7 @@ def test_lambda_sequence_dominant():
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n):
                 for x in _lambda_keys(n, _xi(n, lam, s).keys):
-                    assert weyl._is_dominant(n, x)
+                    assert is_dominant(n, x)
 
 
 def test_character_small_cases():
@@ -318,6 +319,34 @@ def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
                 rot = weyl.compose(rot, sigma_inv)
                 expect.append(weyl.act(rot, xi[j - 1]))
             assert _lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
+
+
+def test_lambda_keys_walk_equals_the_rotation_route():
+    # the end of the chamber walk, relabelled at odd j, against sigma^-1
+    # applied j times: the zero weight, every fundamental weight and random
+    # regular weights with coordinates <= 2, at ranks 4 to 12
+    rng = seeded(46)
+    for n in range(4, 13):
+        weights = [(0,) * n] + [varpi(n, i) for i in range(1, n + 1)]
+        while len(weights) < 2 * n + 13:
+            lam = tuple(rng.randint(0, 2) for _ in range(n))
+            if is_regular(n, lam):
+                weights.append(lam)
+        for lam in weights:
+            for s in (1, n):
+                xi = _xi(n, lam, s).keys
+                assert _lambda_keys(n, xi) == lambda_keys_by_rotation(n, xi), (n, lam, s)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_lambda_keys_refuses_a_factor_with_no_dominant_point(level):
+    # a runtime invariant, not an assert: the walk on such a factor never ends
+    xi = _xi(4, (0, 1, 0, 0), 1).keys
+    bad = (varpi(4, 1) + (level, 0),) + xi[1:]
+    with pytest.raises(VerificationError, match="no dominant point"):
+        _lambda_keys(4, bad)
+    # a multiple of delta has level 0 and is dominant as it stands
+    assert _lambda_keys(4, ((0, 0, 0, 0, 0, 2),) + xi[1:])[0] == (0, 0, 0, 0, 0, 2)
 
 
 def test_multiplicity_table_rejects_bad_input():

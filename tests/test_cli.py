@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import polyring, spbranch, verify, weyl
+from minaff import affinization, polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
 from _helpers import fresh_argv, fresh_env, run_fresh
@@ -176,13 +176,19 @@ def test_unknown_flag_exits_2(capsys):
     assert out == ""
 
 
+def level_zero(n, j):
+    """``affinization._level_one`` broken: the weight at level 0, so every
+    nonzero factor weight built from it has no dominant point."""
+    return affinization._unit(n, j) + (0, 0)
+
+
 def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     # a runtime invariant, not an assert: it still fires under python -O
-    monkeypatch.setattr(weyl, "_is_dominant", lambda n, k: False)
+    monkeypatch.setattr(affinization, "_level_one", level_zero)
     code, out, err = invoke(capsys, "char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1")
     assert code == 3
     assert out == ""
-    assert "non-dominant factor weight" in err
+    assert "has no dominant point" in err
 
 
 # A fresh process with the word operations that only verify and the tests
@@ -192,7 +198,7 @@ import contextlib, io, json, sys
 from minaff import cli, weyl
 def off(*args):
     raise RuntimeError("a table process called a word operation")
-for name in ("reduce_word", "length", "longest_word", "compose"):
+for name in ("reduce_word", "length", "longest_word", "compose", "inverse", "act", "_act"):
     setattr(weyl, name, off)
 results = []
 for argv in json.loads(sys.argv[1]):
@@ -206,7 +212,8 @@ print(json.dumps(results))
 
 def test_char_and_decomp_reduce_no_word(capsys):
     # the nesting proof lives in verify and the tests: a table process
-    # reduces no word, builds no w0 and composes no words, in every family
+    # reduces no word, builds no w0 and composes no words, in every family;
+    # the rotated factor weights are chamber walks, so no word acts on a key
     cases = [
         [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
         for command in ("char", "decomp")
@@ -658,10 +665,10 @@ def test_table_subcommands_build_no_fraction(argv):
 EXIT_PATH = """
 import atexit, gc, runpy, sys
 atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
-if sys.argv[1] == "--break-dominance":
+if sys.argv[1] == "--break-level":
     del sys.argv[1]
-    from minaff import weyl
-    weyl._is_dominant = lambda n, k: False
+    from minaff import affinization
+    affinization._level_one = lambda n, j: affinization._unit(n, j) + (0, 0)
 runpy.run_module("minaff", run_name="__main__", alter_sys=True)
 """
 
@@ -675,10 +682,10 @@ def test_a_process_freezes_its_heap_and_prints_what_run_prints(
     capsys, monkeypatch, broken, argv, code
 ):
     if broken:
-        monkeypatch.setattr(weyl, "_is_dominant", lambda n, k: False)
+        monkeypatch.setattr(affinization, "_level_one", level_zero)
     in_process, out, err = invoke(capsys, *argv)
     assert in_process == code
-    proc = run_fresh("-c", EXIT_PATH, *["--break-dominance"] * broken, *argv)
+    proc = run_fresh("-c", EXIT_PATH, *["--break-level"] * broken, *argv)
     assert proc.returncode == code
     assert proc.stdout == out
     # the atexit hook still ran, after everything the command wrote

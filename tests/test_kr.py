@@ -3,14 +3,16 @@
 
 At lambda = m varpi_i the minimal affinization of every family is the
 Kirillov-Reshetikhin module, so all three families, s = n included, must
-give its closed-form table; the symplectic pipeline covers s = 1.
+give its closed-form table; the symplectic pipeline covers s = 1.  The
+nested polynomial's 2 delta slot carries the grading, which no plain table
+reads: sliced by it, each constituent must sit at twice its domino count.
 """
 
 import pytest
 
-from minaff.affinization import multiplicity_table
+from minaff.affinization import _finite_parts, _pre_w0, _straighten, multiplicity_table
 from minaff.spbranch import sam_table
-from _kr_oracle import kr_table, kr_weight
+from _kr_oracle import kr_graded_table, kr_table, kr_weight
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -31,3 +33,30 @@ def test_a_two_node_weight_matches_no_domino_rule(n, lam):
     rules = [kr_table(n, i, m) for i in range(1, n + 1) for m in range(1, 4)]
     for s in (1, n - 1, n):
         assert multiplicity_table(n, lam, s) not in rules, s
+
+
+def graded_table(n, lam, s):
+    """{(mu, 2 delta): m} of the nested polynomial before the longest-element
+    pass, each 2 delta slice straightened on its own."""
+    slices = {}
+    for k, c in _pre_w0(n, lam, s).items():
+        slices.setdefault(k[n + 1], {})[k] = c
+    return {
+        (mu, d2): m
+        for d2, terms in slices.items()
+        for mu, m in _straighten(n, _finite_parts(n, terms)).items()
+    }
+
+
+def test_kr_constituents_sit_at_their_domino_count():
+    # nodes below the spin pair, n = 4 to 8, m <= 3, all three families
+    seen = 0
+    for n in range(4, 9):
+        for i in range(1, n - 1):
+            for m in range(1, 4):
+                expected = {(mu, 2 * d): c for (mu, d), c in kr_graded_table(n, i, m).items()}
+                for s in (1, n - 1, n):
+                    assert graded_table(n, kr_weight(n, i, m), s) == expected, (n, i, m, s)
+                    seen += len(expected)
+    # 225 constituents per family: an oracle that yields nothing cannot pass
+    assert seen == 675

