@@ -52,7 +52,7 @@ _EXPORTS = {
             "dim_irr is_regular resolve_family support varpi",
         ),
         (
-            "weyl",
+            "words",
             "ExtendedWeylWord act bilinear compose from_word inverse length longest_word "
             "reduce_word same_element sigma_word simple tau_01 tau_fork",
         ),
@@ -64,7 +64,7 @@ _EXPORTS = {
     )
     for name in names.split()
 }
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "verify"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "verify", "weyl"}
 
 __all__ = sorted([*_EXPORTS, "CharacterError", "InputError", "VerificationError"])
 

@@ -6,9 +6,12 @@ forms Lambda_j, the nested Demazure polynomial of the associated module and
 its multiplicity table.  The s = n-1 family is the fork twin of s = n;
 past :func:`xi_sequence`, only :func:`_pre_w0` knows it.
 
-Everything runs on plain maps {key: coefficient}: each rotation pass
-shifts by a factor weight and applies the rotation word's Demazure operator
-(:func:`minaff.weyl.demazure_word_terms`).  The table is read off the
+Everything runs on plain maps {key: coefficient} and on the key kernel of
+:mod:`minaff.weyl`: each rotation pass shifts by a factor weight and
+applies the rotation element's Demazure operator, on its (prefix, letters)
+pair (:func:`minaff.weyl.sigma_pair`,
+:func:`minaff.weyl.demazure_pair_terms`), so a table process builds no
+word of :mod:`minaff.words`.  The table is read off the
 result by dot-action straightening, with no expansion at all; the full
 character, :func:`minaff.polyring.character`, finishes it with the
 longest-element pass instead, and a ``char`` or ``decomp`` process never
@@ -133,7 +136,7 @@ def _lambda_keys(n, xi_keys):
     element: Lambda_j is where the chamber walk of xi_j stops, relabelled by
     tau when j is odd.  A factor with no dominant point (negative level, or
     level 0 and a finite part) is refused, as its walk would never end."""
-    tau = weyl.key_twist(n, weyl.sigma_word(n).tau)
+    tau = weyl.key_twist(n, weyl.sigma_pair(n)[0])
     keys = []
     for j, xi in enumerate(xi_keys[: n - 1], 1):
         if xi[n] < 0 or xi[n] == 0 and any(xi[:n]):
@@ -175,10 +178,10 @@ def _pre_w0(n, lam, s):
     if s == n - 1:
         return {_swap_fork(n, k): c for k, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
-    sig = weyl.sigma_word(n)
+    tau, letters = weyl.sigma_pair(n)
     g = {(0,) * (n + 2): 1}
     for j in range(n - 1, 0, -1):
-        g = weyl.demazure_word_terms(sig, _shift(lams[j - 1], g))
+        g = weyl.demazure_pair_terms(n, tau, letters, _shift(lams[j - 1], g))
     return _shift(lams[n - 1], g)
 
 

@@ -34,7 +34,9 @@ share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
 ``decomp`` process loads exactly ``cartan``, :mod:`minaff.weyl` and
 :mod:`minaff.affinization`, whose table path runs on plain maps from keys
 to coefficients and stops before the longest-element pass, so the full
-character (:mod:`minaff.polyring`) does not load.  ``cartan`` loads once
+character (:mod:`minaff.polyring`) does not load.  ``weyl`` holds only the
+integer key kernel that path runs; the Weyl group as words
+(:mod:`minaff.words`) loads only with ``verify``.  ``cartan`` loads once
 the command line has parsed, ``csv`` only for a CSV report, and JSON is
 written here without ``json``.
 ``--version`` loads nothing beyond this module and the package root, which

@@ -14,10 +14,10 @@ other subcommand compiles it.
 
 import random
 
-from . import affinization, polyring, spbranch, weyl
+from . import affinization, polyring, spbranch, weyl, words
 from .cartan import dim_irr, varpi
 from .cli import _csv_text, _json_text, _meta
-from .weyl import affine_edges, bilinear
+from .words import affine_edges, bilinear
 
 
 def _rand_key(rng, n, levels):
@@ -49,18 +49,18 @@ def _suite_demazure(n, checks):
         f = rand_terms()
         for i in range(n + 1):
             # D - e^{-alpha_i} D = f - e^{-alpha_i} s_i f, with D the Demazure step
-            D = weyl.demazure_terms(n, i, f)
+            D = words.demazure_terms(n, i, f)
             minus_alpha = tuple(-v for v in weyl.alpha_key(n, i))
             left = _minus(D, affinization._shift(minus_alpha, D))
-            s_f = {weyl.act(weyl.simple(n, i), k): c for k, c in f.items()}
+            s_f = {words.act(words.simple(n, i), k): c for k, c in f.items()}
             if left != _minus(f, affinization._shift(minus_alpha, s_f)):
                 ok = False
-            if weyl.demazure_terms(n, i, D) != D:
+            if words.demazure_terms(n, i, D) != D:
                 ok = False
     checks.append(("demazure.defining_identity_and_idempotency", ok))
 
     ok = True
-    twist = weyl.key_twist(n, weyl.compose(weyl.tau_01(n), weyl.tau_fork(n)).tau)
+    twist = weyl.key_twist(n, words.compose(words.tau_01(n), words.tau_fork(n)).tau)
     for _ in range(10):
         f = rand_terms(10)
         if {twist(twist(k)): c for k, c in f.items()} != f:
@@ -71,24 +71,24 @@ def _suite_demazure(n, checks):
     compared = 0
     rho = (1,) * n + (2 * n - 2, 0)  # regular: with the prefix, its image determines an element
     for _ in range(10):
-        raw = weyl.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
-        r = weyl.reduce_word(raw)
-        if (raw.tau, weyl.act(raw, rho)) != (r.tau, weyl.act(r, rho)) or not weyl.is_reduced(r):
+        raw = words.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
+        r = words.reduce_word(raw)
+        if (raw.tau, words.act(raw, rho)) != (r.tau, words.act(r, rho)) or not words.is_reduced(r):
             ok = False
         f = rand_terms(10)
         other = _other_reduced_word(n, r.word)
         if other is not None:
             compared += 1
-            r2 = weyl.ExtendedWeylWord(n, r.tau, other)
-            if not (weyl.same_element(r, r2) and weyl.is_reduced(r2)):
+            r2 = words.ExtendedWeylWord(n, r.tau, other)
+            if not (words.same_element(r, r2) and words.is_reduced(r2)):
                 ok = False
-            elif weyl.demazure_word_terms(r, f) != weyl.demazure_word_terms(r2, f):
+            elif words.demazure_word_terms(r, f) != words.demazure_word_terms(r2, f):
                 ok = False
     # a word by hand, as the random words cannot pin the order of letters:
     # D_2 D_1 e^top has the keys top, top - alpha_1, top - alpha_1 - alpha_2
     top = varpi(n, 1) + (1, 0)
-    chain = {weyl.act(weyl.from_word(n, w), top): 1 for w in ((), (1,), (2, 1))}
-    ok = ok and weyl.demazure_word_terms(weyl.from_word(n, (2, 1)), {top: 1}) == chain
+    chain = {words.act(words.from_word(n, w), top): 1 for w in ((), (1,), (2, 1))}
+    ok = ok and words.demazure_word_terms(words.from_word(n, (2, 1)), {top: 1}) == chain
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
 
 
@@ -107,7 +107,7 @@ def _other_reduced_word(n, word):
 
 
 def _suite_weyl(n, checks):
-    sig = weyl.sigma_word(n)
+    sig = words.sigma_word(n)
 
     def modqd(k):
         return (k[:n], k[n])
@@ -115,7 +115,7 @@ def _suite_weyl(n, checks):
     table = {}
     for j in range(n + 1):
         fin = varpi(n, j) if j else (0,) * n
-        table[j] = modqd(weyl.act(sig, fin + (1, 0)))
+        table[j] = modqd(words.act(sig, fin + (1, 0)))
     expect = {}
     for j in range(n + 1):
         if j <= n - 3:
@@ -127,23 +127,23 @@ def _suite_weyl(n, checks):
         else:
             expect[j] = (varpi(n, n - 1), 1)
     ok = table == expect
-    ok = ok and modqd(weyl.act(sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
+    ok = ok and modqd(words.act(sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
     checks.append(("weyl.rotation_table", ok))
 
     # The nested formula is legal because the lengths of w0 sigma^(n-1) add;
     # this check and the tests prove it, so the table path does not.
-    comp = weyl.longest_word(n)
+    comp = words.longest_word(n)
     for _ in range(n - 1):
-        comp = weyl.compose(comp, sig)
-    ok = weyl.is_reduced(sig) and weyl.length(comp) == n * (n - 1) + (n - 1) ** 2
+        comp = words.compose(comp, sig)
+    ok = words.is_reduced(sig) and words.length(comp) == n * (n - 1) + (n - 1) ** 2
     checks.append(("weyl.length_additivity", ok))
 
     rng = random.Random(777 + n)
     ok = True
     for _ in range(10):
-        w = weyl.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
+        w = words.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
         x, y = _rand_key(rng, n, (-1, 1)), _rand_key(rng, n, (-1, 1))
-        if bilinear(weyl.act(w, x), weyl.act(w, y)) != bilinear(x, y):
+        if bilinear(words.act(w, x), words.act(w, y)) != bilinear(x, y):
             ok = False
     checks.append(("weyl.form_invariance", ok))
 

@@ -7,13 +7,13 @@ minaff carries an affine weight as one int key (a_1, ..., a_n, level,
 denominator, and acts on it through the key kernel plus a delta shift, so
 the kernel is pinned on deltas the keys cannot hold.
 
-``weyl.reduce_word`` walks a regular weight into the dominant chamber; this
+``words.reduce_word`` walks a regular weight into the dominant chamber; this
 module keeps the older construction it replaced, which strips right descents
 found by acting on the affine simple roots, so the two can be compared word
 for word.  ``weyl.key_twist`` permutes coroot pairings; this module keeps
 the expansion over the fundamental weights that it replaced, each mapped to
 its image with the delta correction that norm preservation forces.
-``weyl.same_element`` compares reduced words; this module keeps the
+``words.same_element`` compares reduced words; this module keeps the
 fingerprint it replaced, the action on a basis of the affine weight space,
 which reads no reduced word.  ``affinization._lambda_keys`` reads each
 rotated factor weight off the end of a chamber walk; this module keeps the
@@ -25,18 +25,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from minaff import InputError, VerificationError, weyl
+from minaff import InputError, VerificationError, weyl, words
 from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
-from minaff.weyl import (
-    ExtendedWeylWord,
-    compose,
-    from_word,
-    fw_to_root,
-    inverse,
-    root_to_fw,
-    simple,
-    theta_coeffs,
-)
+from minaff.weyl import fw_to_root, root_to_fw, theta_coeffs
+from minaff.words import ExtendedWeylWord, compose, from_word, inverse, simple
 
 from _decomp_oracle import positive_roots_eps2
 
@@ -109,13 +101,13 @@ def form(x, y):
 def act(w, x):
     """An extended word on a weight: the key kernel on the delta-free part,
     plus the delta of ``x``."""
-    return weight_of(weyl.act(w, _delta_free(x)), x.delta)
+    return weight_of(words.act(w, _delta_free(x)), x.delta)
 
 
 def tau_on_weight(tau, x):
     """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
     ``tau`` may be a tuple or a list, and the word it prefixes checks it."""
-    tau = weyl.from_word(x.n, (), tau).tau
+    tau = words.from_word(x.n, (), tau).tau
     return weight_of(weyl.key_twist(x.n, tau)(_delta_free(x)), x.delta)
 
 
@@ -221,7 +213,7 @@ def element_images(w):
     n = w.n
     zero = (0,) * n
     basis = [varpi(n, i) + (0, 0) for i in range(1, n + 1)] + [zero + (1, 0), zero + (0, 2)]
-    return tuple(weyl.act(w, b) for b in basis)
+    return tuple(words.act(w, b) for b in basis)
 
 
 def tau_on_weight_oracle(tau, x):
@@ -250,11 +242,11 @@ def lambda_keys_by_rotation(n, xi_keys):
     """The rotated factor weights by the reflection route: sigma^-1 applied
     j times to the j-th factor (j < n), the last factor as it is.  Raises
     VerificationError where an entry is not affine-dominant."""
-    sigma_inv = inverse(weyl.sigma_word(n))
+    sigma_inv = inverse(words.sigma_word(n))
     keys = list(xi_keys)
     for j in range(1, n):
         for _ in range(j):
-            keys[j - 1] = weyl.act(sigma_inv, keys[j - 1])
+            keys[j - 1] = words.act(sigma_inv, keys[j - 1])
     for k in keys:
         if not is_dominant(n, k):
             raise VerificationError(f"non-dominant factor weight {k}")

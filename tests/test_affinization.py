@@ -18,7 +18,7 @@ from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
 from minaff.spbranch import sam_table
-from minaff import affinization, polyring, verify, weyl
+from minaff import affinization, polyring, verify, weyl, words
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, rand_key, seeded
 from _ring_oracle import CharElem, finite_char
@@ -137,14 +137,14 @@ def test_character_weyl_invariant():
     n = 4
     ch = finite_char(n, character(n, (1, 1, 0, 0), 4))
     for i in range(1, n + 1):
-        assert ch.relabel_weyl(weyl.simple(n, i)) == ch
+        assert ch.relabel_weyl(words.simple(n, i)) == ch
 
 
 def test_character_symmetric_weight_fork_symmetry():
     # equal spin coordinates give a fork-symmetric character for s = 1
     for lam in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)):
         ch = finite_char(4, character(4, lam, 1))
-        assert ch.twist(weyl.tau_fork(4)) == ch
+        assert ch.twist(words.tau_fork(4)) == ch
 
 
 def test_character_cross_family_collapse():
@@ -157,7 +157,7 @@ def test_character_fork_twin_is_twist():
     lam = (1, 0, 1, 0)
     swapped = (1, 0, 0, 1)
     a = finite_char(4, character(4, lam, 3))
-    b = finite_char(4, character(4, swapped, 4)).twist(weyl.tau_fork(4))
+    b = finite_char(4, character(4, swapped, 4)).twist(words.tau_fork(4))
     assert a == b
 
 
@@ -300,7 +300,7 @@ def test_family_tables_coincide_past_the_grid(case):
 def test_fork_swap_is_the_fork_relabelling():
     rng = seeded(45)
     for n in range(4, 9):
-        fork = weyl.key_twist(n, weyl.tau_fork(n).tau)
+        fork = weyl.key_twist(n, words.tau_fork(n).tau)
         for _ in range(30):
             k = rand_key(n, rng)
             assert affinization._swap_fork(n, k) == fork(k), (n, k)
@@ -310,14 +310,14 @@ def test_fork_swap_is_the_fork_relabelling():
 
 def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
     for n, lam in COINCIDENCE_WEIGHTS:
-        sigma_inv = weyl.inverse(weyl.sigma_word(n))
+        sigma_inv = words.inverse(words.sigma_word(n))
         for s in (1, n):
             xi = xi_sequence(n, lam, s).keys
-            rot = weyl.from_word(n, ())
+            rot = words.from_word(n, ())
             expect = []
             for j in range(1, n):
-                rot = weyl.compose(rot, sigma_inv)
-                expect.append(weyl.act(rot, xi[j - 1]))
+                rot = words.compose(rot, sigma_inv)
+                expect.append(words.act(rot, xi[j - 1]))
             assert _lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
 
 
@@ -416,13 +416,13 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
 def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
     # verify fails the rotation word, which the ring oracle's word
     # operator refuses on every pass
-    real = weyl.sigma_word
+    real = words.sigma_word
 
     def doubled_first_letter(n):
         w = real(n)
-        return weyl.ExtendedWeylWord(n, w.tau, w.word[:1] + w.word)
+        return words.ExtendedWeylWord(n, w.tau, w.word[:1] + w.word)
 
-    monkeypatch.setattr(weyl, "sigma_word", doubled_first_letter)
+    monkeypatch.setattr(words, "sigma_word", doubled_first_letter)
     assert not length_additivity_holds(4)
     with pytest.raises(InputError, match="is not reduced"):
         CharElem.one(4).demazure_word(doubled_first_letter(4))
@@ -433,7 +433,7 @@ def pre_w0_oracle(n, lam, s):
     element route: CharElem products and the word operator of the
     rotation word, which checks the word on every pass."""
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
-    sig = weyl.sigma_word(n)
+    sig = words.sigma_word(n)
     g = CharElem.one(n)
     for j in range(n - 1, 0, -1):
         g = (CharElem.monomial(n, lams[j - 1]) * g).demazure_word(sig)
@@ -465,7 +465,7 @@ def test_map_path_matches_the_element_route():
                 # the program relabels the polynomial; the oracle swaps the
                 # finished table and character below, so the two finishes
                 # are checked to commute with the fork relabelling
-                twin = oracle.twist(weyl.tau_fork(n))
+                twin = oracle.twist(words.tau_fork(n))
                 assert affinization._pre_w0(n, lam, s) == dict(twin.items()), (n, lam, s)
             finite = {k[:n]: c for k, c in oracle.specialize().items()}
             expected = _straighten(n, finite)
@@ -475,9 +475,9 @@ def test_map_path_matches_the_element_route():
             if n == 4:
                 # the full character: the oracle runs w0 on the affine
                 # element and specializes after; the program projects first
-                full = oracle.demazure_word(weyl.longest_word(n)).specialize()
+                full = oracle.demazure_word(words.longest_word(n)).specialize()
                 if s == n - 1:
-                    full = full.twist(weyl.tau_fork(n))
+                    full = full.twist(words.tau_fork(n))
                 assert finite_char(n, character(n, lam, s)) == full, (n, lam, s)
 
 
@@ -487,8 +487,8 @@ def test_demazure_kernel_drops_cancelled_keys():
         for _ in range(20):
             terms = dict(rand_char(n, rng).items())
             for i in range(n + 1):
-                assert all(weyl.demazure_terms(n, i, terms).values())
+                assert all(words.demazure_terms(n, i, terms).values())
     # at node 1, D e^0 = e^0 and D e^{-alpha_1} = -e^0, so their sum maps to 0
     alpha = weyl.alpha_key(4, 1)
     terms = {(0,) * 6: 1, tuple(-a for a in alpha): 1}
-    assert weyl.demazure_terms(4, 1, terms) == {}
+    assert words.demazure_terms(4, 1, terms) == {}

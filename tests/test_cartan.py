@@ -6,17 +6,10 @@ from operator import mul, sub
 
 import pytest
 
-from minaff import InputError, cartan, decomp, spbranch, weyl
+from minaff import InputError, cartan, decomp, spbranch, weyl, words
 from minaff.cartan import _rho2, check_rank, eps2, fw_from_eps2, support, varpi
-from minaff.weyl import (
-    _dominates,
-    affine_edges,
-    bilinear,
-    finite_edges,
-    fw_to_root,
-    key_pairing,
-    root_to_fw,
-)
+from minaff.weyl import _dominates, finite_edges, fw_to_root, key_pairing, root_to_fw
+from minaff.words import affine_edges, bilinear
 from _decomp_oracle import _dot, positive_roots_eps2
 from _helpers import minaff_imports, rand_key, seeded
 from _weyl_oracle import (
@@ -401,11 +394,10 @@ def test_dominates_matches_sums_of_positive_roots():
         assert len(weights) < below < len(weights) ** 2
 
 
-# The root-system names: weyl defines them and cartan must not.
-MOVED_TO_WEYL = (
-    "finite_edges affine_edges theta_coeffs root_to_fw fw_to_root "
-    "_dominates _dominantize bilinear"
-).split()
+# The root-system names: weyl defines what the table path runs, words the
+# affine diagram and the form, and cartan none of them.
+MOVED_TO_WEYL = "finite_edges theta_coeffs root_to_fw fw_to_root _dominates _dominantize".split()
+MOVED_TO_WORDS = ("affine_edges", "bilinear")
 # Root lists: the doubled one lives with its only reader, the Freudenthal
 # recursion of the decomposition oracle; the simple-root-coordinate one and
 # its family subsets in the Weyl oracle.
@@ -417,10 +409,13 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     for name in MOVED_TO_WEYL:
         assert not hasattr(cartan, name), name
         assert getattr(weyl, name).__module__ == "minaff.weyl", name
+    for name in MOVED_TO_WORDS:
+        assert not hasattr(cartan, name) and not hasattr(weyl, name), name
+        assert getattr(words, name).__module__ == "minaff.words", name
     for name in (*ROOT_LISTS, "_dot"):
-        assert not any(hasattr(m, name) for m in (cartan, weyl, decomp)), name
+        assert not any(hasattr(m, name) for m in (cartan, weyl, words, decomp)), name
     assert positive_roots_eps2.__module__ == _dot.__module__ == "_decomp_oracle"
     assert positive_roots.__module__ == delta_plus_s.__module__ == "_weyl_oracle"
-    assert not hasattr(cartan, "in_root_cone") and not hasattr(weyl, "in_root_cone")
+    assert not any(hasattr(m, "in_root_cone") for m in (cartan, weyl, words))
     # so the symplectic pipeline loads no code that knows a root
     assert minaff_imports(spbranch) == {"cartan"}

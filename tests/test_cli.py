@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import affinization, polyring, spbranch, verify, weyl
+from minaff import affinization, polyring, spbranch, verify, words
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
 from _helpers import fresh_argv, fresh_env, run_fresh
@@ -191,29 +191,42 @@ def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "has no dominant point" in err
 
 
-# A fresh process with the word operations that only verify and the tests
-# run made to raise, so no cache of an earlier call can hide one.
+# A fresh process that runs the table commands twice: once as they come,
+# reporting whether the word API (minaff.words) was ever loaded, then with
+# every function and class of minaff.words made to raise, so no cache of an
+# earlier call can hide a word operation.
 WORD_OPERATIONS_OFF = """
 import contextlib, io, json, sys
-from minaff import cli, weyl
-def off(*args):
+from minaff import cli
+
+def run_all():
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+
+first = run_all()
+loaded = "minaff.words" in sys.modules
+from minaff import words
+def off(*args, **kwargs):
     raise RuntimeError("a table process called a word operation")
-for name in ("reduce_word", "length", "longest_word", "compose", "inverse", "act", "_act"):
-    setattr(weyl, name, off)
-results = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results))
+stubbed = []
+for name, value in list(vars(words).items()):
+    if getattr(value, "__module__", None) == "minaff.words" and callable(value):
+        setattr(words, name, off)
+        stubbed.append(name)
+print(json.dumps({"loaded": loaded, "first": first, "off": run_all(), "stubbed": stubbed}))
 """
 
 
 def test_char_and_decomp_reduce_no_word(capsys):
     # the nesting proof lives in verify and the tests: a table process
     # reduces no word, builds no w0 and composes no words, in every family;
-    # the rotated factor weights are chamber walks, so no word acts on a key
+    # the rotated factor weights are chamber walks and the rotation passes
+    # run on the kernel's (prefix, letters) pair, so the word API never loads
     cases = [
         [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
         for command in ("char", "decomp")
@@ -223,12 +236,16 @@ def test_char_and_decomp_reduce_no_word(capsys):
     assert all(code == 0 and out for code, out, _ in expected)
     proc = run_fresh("-c", WORD_OPERATIONS_OFF, json.dumps(cases))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    report = json.loads(proc.stdout)
+    assert report["loaded"] is False
+    assert report["first"] == report["off"] == expected
+    word_operations = {"reduce_word", "length", "longest_word", "compose", "inverse", "act", "_act"}
+    assert word_operations | {"sigma_word", "demazure_word_terms"} <= set(report["stubbed"])
 
 
 def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, monkeypatch):
-    real_w0, real_sigma = weyl.longest_word, weyl.sigma_word
-    monkeypatch.setattr(weyl, "longest_word", lambda n: weyl.compose(real_w0(n), weyl.simple(n, 1)))
+    real_w0, real_sigma = words.longest_word, words.sigma_word
+    monkeypatch.setattr(words, "longest_word", lambda n: words.compose(real_w0(n), words.simple(n, 1)))
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
     assert (code, out.splitlines()) == (3, [
         "ok   weyl.rotation_table",
@@ -236,9 +253,9 @@ def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, mon
         "ok   weyl.form_invariance",
         "2 passed, 1 failed",
     ])
-    monkeypatch.setattr(weyl, "longest_word", real_w0)
-    doubled = lambda n: weyl.ExtendedWeylWord(n, real_sigma(n).tau, (1,) + real_sigma(n).word)
-    monkeypatch.setattr(weyl, "sigma_word", doubled)
+    monkeypatch.setattr(words, "longest_word", real_w0)
+    doubled = lambda n: words.ExtendedWeylWord(n, real_sigma(n).tau, (1,) + real_sigma(n).word)
+    monkeypatch.setattr(words, "sigma_word", doubled)
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
     assert code == 3 and "FAIL weyl.length_additivity" in out  # the rotation word is not reduced
     monkeypatch.undo()
@@ -466,17 +483,17 @@ def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch
     # the letters in the wrong order: only the word worked by hand sees it,
     # since reversing both reduced words gives the inverse element on both
     # sides of the comparison
-    real = weyl.demazure_word_terms
+    real = words.demazure_word_terms
 
     def first_letter_first(w, terms):
-        return real(weyl.ExtendedWeylWord(w.n, w.tau, w.word[::-1]), terms)
+        return real(words.ExtendedWeylWord(w.n, w.tau, w.word[::-1]), terms)
 
     for n in (4, 5, 6):
         checks = []
         verify._suite_demazure(n, checks)
         assert dict(checks)["demazure.reduced_word_application"], n
         for operator in (order_sensitive, first_letter_first):
-            monkeypatch.setattr(weyl, "demazure_word_terms", operator)
+            monkeypatch.setattr(words, "demazure_word_terms", operator)
             checks = []
             verify._suite_demazure(n, checks)
             assert not dict(checks)["demazure.reduced_word_application"], (n, operator)
@@ -503,15 +520,15 @@ def test_word_independence_check_fails_on_a_reduction_to_another_element(monkeyp
     # reduced words of another element whenever the length is even and
     # nonzero: idempotent, so comparing reduced words would pass it; the
     # prefix and the image of rho-hat do not
-    real = weyl.reduce_word
+    real = words.reduce_word
 
     def parity_flipped(w):
         r = real(w)
         if r.word and len(r.word) % 2 == 0:
-            r = real(weyl.compose(r, weyl.simple(w.n, 0)))
+            r = real(words.compose(r, words.simple(w.n, 0)))
         return r
 
-    monkeypatch.setattr(weyl, "reduce_word", parity_flipped)
+    monkeypatch.setattr(words, "reduce_word", parity_flipped)
     for n in (4, 5, 6):
         checks = []
         verify._suite_demazure(n, checks)
@@ -527,15 +544,15 @@ def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
             for b in range(n + 1):
                 if a == b:
                     continue
-                ab, ba = weyl.from_word(n, (a, b)), weyl.from_word(n, (b, a))
+                ab, ba = words.from_word(n, (a, b)), words.from_word(n, (b, a))
                 other = verify._other_reduced_word(n, (a, b))
-                if weyl.same_element(ab, ba):
+                if words.same_element(ab, ba):
                     assert other == (b, a), (n, a, b)
                 else:
                     assert other is None, (n, a, b)
                     braid = verify._other_reduced_word(n, (a, b, a))
                     assert braid == (b, a, b)
-                    assert weyl.same_element(weyl.from_word(n, (a, b, a)), weyl.from_word(n, braid))
+                    assert words.same_element(words.from_word(n, (a, b, a)), words.from_word(n, braid))
 
 
 # Which modules a fresh process loads.  The ast scan of ``minaff_imports``
@@ -602,7 +619,9 @@ def test_sam_adds_only_the_symplectic_pipeline():
     base = minaff_modules(modules_after_run("--version"))
     modules = minaff_modules(modules_after_run(*SAM))
     assert modules - base == {"minaff.cartan", "minaff.spbranch"}
-    demazure_side = {"minaff.weyl", "minaff.polyring", "minaff.affinization", "minaff.decomp"}
+    demazure_side = {
+        "minaff.weyl", "minaff.words", "minaff.polyring", "minaff.affinization", "minaff.decomp"
+    }
     assert not modules & demazure_side
 
 
@@ -619,6 +638,21 @@ def test_table_subcommands_load_exactly_the_table_path(argv):
     # full character (polyring) is not compiled either
     modules = minaff_modules(modules_after_run(*argv))
     assert modules == CLI_BASE | {"minaff.cartan", "minaff.weyl", "minaff.affinization"}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_only_verify_loads_the_word_api(argv):
+    # the table path runs the key kernel of weyl alone; the Weyl group as
+    # words serves verify's suites and the full character behind them
+    assert ("minaff.words" in modules_after_run(*argv)) == (argv[0] == "verify")
+
+
+def test_verify_loads_both_pipelines_and_the_word_api():
+    modules = minaff_modules(modules_after_run(*SUBCOMMANDS[-1]))
+    assert modules == CLI_BASE | {
+        "minaff.cartan", "minaff.weyl", "minaff.words", "minaff.affinization",
+        "minaff.polyring", "minaff.spbranch", "minaff.verify",
+    }
 
 
 def test_import_minaff_loads_no_submodule():

@@ -8,7 +8,7 @@ from minaff import CharacterError, InputError
 from minaff.affinization import _straighten
 from minaff.cartan import dim_irr, eps2, fw_from_eps2, varpi
 from minaff.decomp import compare_affinization
-from minaff import decomp, weyl
+from minaff import decomp, words
 from minaff.weyl import _dominantize
 from _decomp_oracle import (
     _orbit,
@@ -263,7 +263,7 @@ def test_straighten_matches_longest_element_operator():
     # oracle: D_{w0} e^mu expanded in full and peeled greedily, monomial by
     # monomial; straightening must give 0 or +-1 copy of one irreducible
     n = 4
-    w0 = weyl.longest_word(n)
+    w0 = words.longest_word(n)
     rng = seeded(61)
     seen = set()
     for _ in range(60):

@@ -11,7 +11,7 @@ import minaff
 from minaff import InputError
 from minaff.affinization import XiSequence, _lambda_keys, xi_sequence
 from minaff.cli_extra import drinfeld
-from minaff.weyl import ExtendedWeylWord, from_word
+from minaff.words import ExtendedWeylWord, from_word
 
 # The documented surface: the README's library example, what the command
 # line prints from, the three exceptions and what ``verify`` needs.
@@ -91,6 +91,10 @@ def test_dir_submodules_and_unknown_names():
     assert set(dir(minaff)) >= set(minaff.__all__)
     assert isinstance(minaff.weyl, types.ModuleType)
     assert minaff.weyl is sys.modules["minaff.weyl"]
+    # no export comes from the key kernel, so it is listed as a submodule
+    assert "weyl" in minaff._SUBMODULES and "weyl" not in minaff._EXPORTS.values()
+    assert isinstance(minaff.words, types.ModuleType)
+    assert minaff.words is sys.modules["minaff.words"]
     assert minaff.cli is sys.modules["minaff.cli"]
     with pytest.raises(AttributeError):
         minaff.nope
@@ -130,7 +134,7 @@ def test_extended_weyl_word_checks_every_construction():
 
 # Bad data for every exported function that takes a rank, a weight, a node,
 # a family label, a prefix or a multiplicity, plus ExtendedWeylWord and
-# weyl.demazure_terms: a bool, a float, a short or long tuple, rank 3, a node
+# words.demazure_terms: a bool, a float, a short or long tuple, rank 3, a node
 # or a prefix out of range, a multiplicity that is not an int or is negative,
 # a weight that is not dominant, a label that names no family.  Each is refused with
 # InputError, not a TypeError or IndexError from deeper down, and not run.
@@ -205,6 +209,6 @@ def test_the_boundary_cases_cover_every_export():
     ],
 )
 def test_every_export_refuses_bad_input(name, args):
-    fn = minaff.weyl.demazure_terms if name == "demazure_terms" else getattr(minaff, name)
+    fn = minaff.words.demazure_terms if name == "demazure_terms" else getattr(minaff, name)
     with pytest.raises(InputError):
         fn(*args)

@@ -1,12 +1,15 @@
+import json
+import types
 from collections import deque
 from fractions import Fraction
 from operator import sub
 
 import pytest
 
-from minaff import InputError, bilinear, weyl
+from minaff import InputError, bilinear, weyl, words
 from minaff.cartan import is_dominant_fw, varpi
-from minaff.weyl import (
+from minaff.weyl import root_to_fw
+from minaff.words import (
     ExtendedWeylWord,
     act,
     compose,
@@ -16,14 +19,13 @@ from minaff.weyl import (
     length,
     longest_word,
     reduce_word,
-    root_to_fw,
     same_element,
     sigma_word,
     simple,
     tau_01,
     tau_fork,
 )
-from _helpers import braid_variant, rand_key, seeded
+from _helpers import braid_variant, rand_key, run_fresh, seeded
 from _weyl_oracle import (
     AffineWeight,
     act_root,
@@ -121,7 +123,7 @@ def test_reduce_matches_descent_oracle_on_random_words():
             w = rand_extended(n, rng, rng.randint(0, 25))
             assert reduce_word(w) == descent_oracle(w), w
             prefixes.add(w.tau)
-        assert prefixes == weyl._allowed_taus(n)
+        assert prefixes == words._allowed_taus(n)
 
 
 def test_reduce_matches_descent_oracle_on_nesting_composite():
@@ -135,8 +137,8 @@ def test_reduce_matches_descent_oracle_on_nesting_composite():
 def test_reduce_refuses_prefix_outside_two_swap_subgroup():
     with pytest.raises(InputError):
         reduce_word(ExtendedWeylWord(4, (0, 2, 1, 3, 4), (1, 2)))
-    assert isinstance(weyl._allowed_taus(4), frozenset)
-    assert len(weyl._allowed_taus(4)) == 4
+    assert isinstance(words._allowed_taus(4), frozenset)
+    assert len(words._allowed_taus(4)) == 4
 
 
 def test_word_refuses_prefix_outside_two_swap_subgroup():
@@ -144,7 +146,7 @@ def test_word_refuses_prefix_outside_two_swap_subgroup():
         from_word(4, (1, 2), tau=(0, 2, 1, 3, 4))
     with pytest.raises(InputError):
         ExtendedWeylWord(4, [1, 0, 2, 3, 4], ())
-    for tau in weyl._allowed_taus(4):
+    for tau in words._allowed_taus(4):
         assert from_word(4, (1, 2), tau=tau).tau == tau
 
 
@@ -152,7 +154,7 @@ def test_a_prefix_equal_to_an_allowed_one_still_needs_int_entries():
     # these equal an allowed prefix and hash like it, so the membership test
     # passes them and the node check refuses them
     for tau in ((0.0, 1, 2, 3, 4), (False, True, 2, 3, 4), (1, 0, 2, 3, 4.0)):
-        assert tau in weyl._allowed_taus(4)
+        assert tau in words._allowed_taus(4)
         with pytest.raises(InputError, match="node .* outside 0..4"):
             ExtendedWeylWord(4, tau, ())
 
@@ -171,7 +173,7 @@ def test_word_operations_build_only_words_the_checks_accept():
     rng = seeded(24)
     for n in range(4, 9):
         made = [longest_word(n), sigma_word(n), tau_01(n), tau_fork(n)]
-        for tau in sorted(weyl._allowed_taus(n)):
+        for tau in sorted(words._allowed_taus(n)):
             for _ in range(6):
                 letters = [rng.randint(0, n) for _ in range(rng.randint(0, 10))]
                 u = from_word(n, letters, tau=tau)
@@ -193,7 +195,7 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
         CharElem.monomial(n, key_of(x)).twist(bad)
     # the four allowed prefixes keep the invariant form
     y = lambda0(n)
-    for tau in weyl._allowed_taus(n):
+    for tau in words._allowed_taus(n):
         assert form(tau_on_weight(tau, x), tau_on_weight(tau, y)) == form(x, y)
         twisted = CharElem.monomial(n, key_of(tau_on_weight(tau, x)))
         assert CharElem.monomial(n, key_of(x)).twist(tau) == twisted
@@ -202,7 +204,7 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
 def test_tau_on_weight_matches_norm_preserving_expansion():
     rng = seeded(31)
     for n in range(4, 9):
-        for tau in sorted(weyl._allowed_taus(n)):
+        for tau in sorted(words._allowed_taus(n)):
             for _ in range(60):
                 x = AffineWeight(
                     tuple(rng.randint(-3, 3) for _ in range(n)),
@@ -246,7 +248,7 @@ def test_same_element_agrees_with_basis_fingerprint():
             assert same_element(u, v) == same_element(v, u) == expect, (u, v)
             equal += expect
             prefixes.add(u.tau)
-        assert prefixes == weyl._allowed_taus(n)
+        assert prefixes == words._allowed_taus(n)
         assert not same_element(from_word(n, ()), from_word(n + 1, ()))
     assert 200 <= equal <= 500, equal
 
@@ -343,7 +345,7 @@ def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
         for call in (
             lambda: act(from_word(4, (bad,)), key),
             lambda: simple(4, bad),
-            lambda: weyl.demazure_terms(4, bad, {key: 1}),
+            lambda: words.demazure_terms(4, bad, {key: 1}),
             lambda: varpi(4, bad),
         ):
             with pytest.raises(InputError):
@@ -356,7 +358,7 @@ def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
         refused(bad)
         assert all(fn.cache_info().currsize == 0 for fn in cached)  # nothing refused is stored
         assert act(simple(4, 1), key) == reflected
-        assert weyl.demazure_terms(4, 1, {key: 1}) == string
+        assert words.demazure_terms(4, 1, {key: 1}) == string
         refused(bad)
         assert act(simple(4, 1), key) == reflected
 
@@ -402,9 +404,65 @@ def test_compose_matches_action():
 def test_every_prefix_is_its_own_inverse(n):
     # compose, inverse and key_twist read each prefix as its own inverse
     rng = seeded(28 + n)
-    for tau in sorted(weyl._allowed_taus(n)):
+    for tau in sorted(words._allowed_taus(n)):
         assert tuple(tau[j] for j in tau) == tuple(range(n + 1)), tau
         twist = weyl.key_twist(n, tau)
         for _ in range(25):
             k = rand_key(n, rng)
             assert twist(twist(k)) == k, (tau, k)
+
+
+# weyl holds only the key kernel that the table path runs: a fresh process
+# runs char and decomp in every family under a profiler, and every function
+# the module defines, nested ones and comprehensions included, must run.
+CODE_CALLED = """
+import contextlib, io, json, sys
+from minaff import cli
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.run(argv) != 0:
+            sys.exit(1)
+sys.setprofile(None)
+from minaff import weyl
+print(json.dumps(sorted([line, name] for path, line, name in called if path == weyl.__file__)))
+"""
+# Code of weyl that a table process never runs, by qualified name.
+KERNEL_UNCALLED = {
+    # the relabelling by a prefix that fixes node 0 (the fork swap alone):
+    # the table path relabels only by the rotation prefix, which moves
+    # node 0, while checked words of minaff.words reach every prefix
+    "key_twist.<locals>.<lambda>",
+}
+
+
+def code_objects(code, qualname=""):
+    """Every code object nested in ``code``, with its qualified name."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            name = f"{qualname}.<locals>.{const.co_name}" if qualname else const.co_name
+            yield name, const
+            yield from code_objects(const, name)
+
+
+def test_a_table_process_runs_every_function_of_the_kernel():
+    cases = [
+        [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s]
+        for command in ("char", "decomp")
+        for s in ("1", "n-1", "n")
+    ]
+    proc = run_fresh("-c", CODE_CALLED, json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    called = {tuple(entry) for entry in json.loads(proc.stdout)}
+    with open(weyl.__file__) as f:
+        module = compile(f.read(), weyl.__file__, "exec")
+    defined = {
+        name: (code.co_firstlineno, code.co_name) for name, code in code_objects(module)
+    }
+    assert KERNEL_UNCALLED <= set(defined)
+    uncalled = {name for name, key in defined.items() if key not in called}
+    assert uncalled == KERNEL_UNCALLED
