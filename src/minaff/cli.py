@@ -47,20 +47,25 @@ defines the exception types.  The usage and help generator, the ``xi`` and
 :mod:`minaff.verify`, which only ``verify`` loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
-and 1 from :func:`main` when the reader of standard output closed the
-pipe before the report was written (no traceback is printed).
+and 1 from :func:`main` when the report could not be written: the reader
+of standard output closed the pipe before it was written (silently, no
+traceback is printed), or any other write error, such as a full device
+(one line, ``error: cannot write the report: ...``, on standard error).
 Output is byte-stable for a fixed invocation: the elapsed-time field in
 JSON metadata always reports 0.
 
-The process ends by freezing the heap (``gc.freeze``) once the command is
-done: the process is about to exit, so a collection would reclaim nothing
-worth the time, and frozen objects are skipped by the collections the
-interpreter runs at shutdown, which would otherwise traverse everything
-start-up and the run left behind.  :func:`run`, which
-the tests and the benchmark's traced worker call in-process, does not freeze.
+The process ends with a hard exit once the command is done: :func:`main`
+runs the atexit handlers, flushes standard output and standard error, as
+the interpreter's own shutdown does, and then calls ``os._exit``, which
+skips tearing down every object that start-up and the run left behind.
+A process that something watches (a profiler, a tracer, a
+``sys.monitoring`` tool or ``python -i``) exits the normal way, so its
+watcher still sees the end.  :func:`run`, which the tests and the
+benchmark's traced worker call in-process, returns its code and does not
+exit.
 """
 
-import gc
+import atexit
 import io
 import os
 import sys
@@ -361,14 +366,29 @@ def run(argv):
     return code
 
 
+def _watched():
+    """Whether a profiler, a tracer, a ``sys.monitoring`` tool (how
+    ``python -m cProfile`` profiles on 3.12 and later) or ``python -i``
+    expects the process to end the normal way."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(
+        sys.getprofile()
+        or sys.gettrace()
+        or sys.flags.inspect
+        or (monitoring and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+    )
+
+
 def main():
     """The console entry point: ``run`` the command line, then exit with its
-    code.  A reader that closes the pipe early ends the process with status
-    1 and no traceback (the SIGPIPE recipe of the ``signal`` docs: stdout is
-    pointed at devnull, so the interpreter's final flush cannot raise).
-    Unbuffered (``python -u``), standard output writes straight to a raw
-    file, whose short write to a closed pipe the text layer ignores; a
-    buffered writer retries it and raises, so a buffer goes under first."""
+    code.  A report that cannot be written ends the process with status 1
+    and no traceback: silently when the reader closed the pipe early,
+    with one line on standard error for any other write error.  Standard
+    output is then pointed at devnull (the SIGPIPE recipe of the ``signal``
+    docs), so the rest of the buffer is never written again.  Unbuffered
+    (``python -u``), standard output writes straight to a raw file, whose
+    short write to a closed pipe the text layer ignores; a buffered writer
+    retries it and raises, so a buffer goes under first."""
     raw = getattr(sys.stdout, "buffer", None)
     if isinstance(raw, io.RawIOBase):
         sys.stdout = io.TextIOWrapper(
@@ -377,16 +397,23 @@ def main():
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as e:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write the report: {e.strerror}", file=sys.stderr)
         code = 1
-    # `python -c pass` took 69.9 ms, and 62.4 ms with a final gc.freeze()
-    # (CPU-time medians of 60 processes on Python 3.11.7, whose site .pth
-    # files leave about 11,200 tracked objects); on clean interpreters the
-    # freeze saves 1-2 ms.  Freezing at entry came out slower on a rank-8
-    # run, and os._exit would skip atexit handlers and the flush.
-    gc.freeze()
-    sys.exit(code)
+    if _watched():
+        sys.exit(code)
+    # The interpreter's own shutdown would run the atexit handlers, flush
+    # stdout and stderr, and then tear down every object that site's .pth
+    # files and the run left behind.  The hard exit keeps the first two and
+    # skips the teardown: `python -c pass` took 38.6 ms, 33.8 ms ending in
+    # gc.freeze() and 32.9 ms in os._exit (CPU-time medians of 40 processes
+    # on Python 3.11.7, whose site leaves about 11,200 tracked objects).
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
+import errno
 import functools
 import hashlib
 import json
-import re
+import os
 import subprocess
 from fractions import Fraction
 from pathlib import Path
@@ -692,48 +693,112 @@ def test_table_subcommands_build_no_fraction(argv):
     assert "fractions" not in modules_after_run(*argv)
 
 
-# How a process ends.  ``cli.main`` freezes the heap once the command is
-# done, so the interpreter's shutdown collections skip what start-up and the
-# run left behind; ``__main__`` and the console script both end through it.
+# How a process ends.  ``cli.main`` runs the atexit handlers, flushes
+# standard output and standard error, and exits hard, skipping the teardown
+# of what start-up and the run left behind; ``__main__`` and the console
+# script both end through it.  A process that a profiler or a tracer watches
+# exits the normal way.  The runner registers an atexit hook on each stream
+# and keeps an object in its globals whose finalizer reports the teardown.
 
 EXIT_PATH = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+import atexit, functools, os, runpy, sys
+
+class Sentinel:
+    # a partial, not a function of this module, so no reference cycle
+    # holds these globals and the sentinel goes as soon as they do
+    __del__ = staticmethod(functools.partial(os.write, 2, b"teardown\\n"))
+
+_sentinel = Sentinel()
+# no newline, so only the final flush of each stream writes the hook's text
+atexit.register(print, "atexit hook", end="")
+atexit.register(print, "atexit hook", end="", file=sys.stderr)
+if sys.argv[1] == "--trace":
+    del sys.argv[1]
+    sys.settrace(lambda frame, event, arg: None)
 if sys.argv[1] == "--break-level":
     del sys.argv[1]
     from minaff import affinization
     affinization._level_one = lambda n, j: affinization._unit(n, j) + (0, 0)
 runpy.run_module("minaff", run_name="__main__", alter_sys=True)
 """
+# a 449,402-byte report, past any stdout buffer
+BIG_SAM = ("sam", "--n", "6", "--lambda", "3,3,3,3,3,3")
+
+
+def stdout_env(unbuffered):
+    """``fresh_env()``, with ``PYTHONUNBUFFERED`` set or not."""
+    env = fresh_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_fresh_env(args, unbuffered, **kwargs):
+    return subprocess.run(fresh_argv(*args), env=stdout_env(unbuffered), timeout=300, **kwargs)
 
 
 @pytest.mark.parametrize(
-    "broken, argv, code",
-    [(False, CHAR, 0), (False, REFUSED, 2), (True, CHAR, 3)],
-    ids=["char", "refused", "verification failure"],
+    "broken, argv, code, unbuffered",
+    [
+        (False, CHAR, 0, False),
+        (False, REFUSED, 2, False),
+        (True, CHAR, 3, False),
+        (False, BIG_SAM, 0, False),
+        (False, BIG_SAM, 0, True),
+    ],
+    ids=["char", "refused", "verification failure", "large report", "large report unbuffered"],
 )
-def test_a_process_freezes_its_heap_and_prints_what_run_prints(
-    capsys, monkeypatch, broken, argv, code
+def test_a_process_exits_hard_after_its_atexit_hooks_and_prints_what_run_prints(
+    capsys, monkeypatch, broken, argv, code, unbuffered
 ):
     if broken:
         monkeypatch.setattr(affinization, "_level_one", level_zero)
     in_process, out, err = invoke(capsys, *argv)
     assert in_process == code
-    proc = run_fresh("-c", EXIT_PATH, *["--break-level"] * broken, *argv)
+    args = ("-c", EXIT_PATH, *["--break-level"] * broken, *argv)
+    proc = run_fresh_env(args, unbuffered, capture_output=True, text=True)
     assert proc.returncode == code
-    assert proc.stdout == out
-    # the atexit hook still ran, after everything the command wrote
-    hook = re.fullmatch(r"(.*)freeze count (\d+)\n", proc.stderr, re.DOTALL)
-    assert hook is not None, proc.stderr
-    assert hook[1] == err
-    assert int(hook[2]) > 0
+    # the atexit hooks still ran, after everything the command wrote, the
+    # streams were flushed, and no object was torn down
+    assert proc.stdout == out + "atexit hook"
+    assert proc.stderr == err + "atexit hook"
+
+
+def test_a_traced_process_exits_the_normal_way():
+    proc = run_fresh("-c", EXIT_PATH, "--trace", *CHAR)
+    assert proc.returncode == 0
+    assert proc.stderr == "atexit hookteardown\n"
+
+
+def test_a_profiled_process_prints_its_report_and_then_the_profile(capsys):
+    # on 3.12 and later cProfile profiles through sys.monitoring, with no
+    # profile function set
+    _, out, _ = invoke(capsys, *CHAR)
+    proc = run_fresh("-m", "cProfile", "-m", "minaff", *CHAR)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(out)
+    assert "function calls" in proc.stdout[len(out) :]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [BIG_SAM, CHAR], ids=["in the report", "at the flush"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_device_ends_the_process_with_status_1_and_one_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_fresh_env(
+            ("-m", "minaff", *argv), unbuffered, stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(
     "argv, nbytes",
     [
-        # a 449,402-byte report: the write in cli.run fails part-way
-        (("sam", "--n", "6", "--lambda", "3,3,3,3,3,3"), 10),
+        # the write in cli.run fails part-way
+        (BIG_SAM, 10),
         # a report that fits the stdout buffer: the flush in cli.main fails
         (CHAR, 0),
     ],
@@ -745,13 +810,11 @@ def test_a_process_freezes_its_heap_and_prints_what_run_prints(
 def test_a_reader_that_closes_the_pipe_early_ends_the_process_with_status_1(
     argv, nbytes, unbuffered
 ):
-    env = fresh_env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    else:
-        env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        fresh_argv("-m", "minaff", *argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        fresh_argv("-m", "minaff", *argv),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=stdout_env(unbuffered),
     )
     proc.stdout.read(nbytes)
     proc.stdout.close()
