@@ -12,8 +12,9 @@ and the two pipelines are built from.  Machinery that only the test suite
 needs as a reference (rational affine weights and the action on them, the
 affine root action, the twist by norm preservation, the interval roots,
 the tableau expansion, the Freudenthal recursion, orbit sizes, irreducible
-characters, the greedy decomposition of a full character and the
-character ring with its operators as methods) lives in the test suite.
+characters, the greedy decomposition of a full character, the character
+ring with its operators as methods, and the extended affine Weyl group as
+words with their products and reduction) lives in the test suite.
 
 The three exception types are defined here, so every module raises them
 without loading another.  ``import minaff`` loads no submodule.  Each other
@@ -47,15 +48,7 @@ class VerificationError(RuntimeError):
 _EXPORTS = {
     name: module
     for module, names in (
-        (
-            "cartan",
-            "dim_irr is_regular resolve_family support varpi",
-        ),
-        (
-            "words",
-            "ExtendedWeylWord act bilinear compose from_word inverse length longest_word "
-            "reduce_word same_element sigma_word simple tau_01 tau_fork",
-        ),
+        ("cartan", "dim_irr is_regular resolve_family support varpi"),
         ("polyring", "character"),
         ("affinization", "XiSequence multiplicity_table xi_sequence"),
         ("decomp", "compare_affinization"),

@@ -10,8 +10,9 @@ Everything runs on plain maps {key: coefficient} and on the key kernel of
 :mod:`minaff.weyl`: each rotation pass shifts by a factor weight and
 applies the rotation element's Demazure operator, on its (prefix, letters)
 pair (:func:`minaff.weyl.sigma_pair`,
-:func:`minaff.weyl.demazure_pair_terms`), so a table process builds no
-word of :mod:`minaff.words`.  The table is read off the
+:func:`minaff.weyl.demazure_pair_terms`), and each rotated factor weight
+is a closed form (:func:`minaff.weyl._dominant_key`), so a table process
+builds no word and walks no chamber.  The table is read off the
 result by dot-action straightening, with no expansion at all; the full
 character, :func:`minaff.polyring.character`, finishes it with the
 longest-element pass instead, and a ``char`` or ``decomp`` process never
@@ -133,15 +134,17 @@ def _lambda_keys(n, xi_keys):
     has one dominant point in its affine Weyl orbit (V. G. Kac,
     Infinite-dimensional Lie algebras, Prop. 3.12), and sigma^-j is tau^j,
     tau the rotation word's prefix (an involution), times an affine Weyl
-    element: Lambda_j is where the chamber walk of xi_j stops, relabelled by
-    tau when j is odd.  A factor with no dominant point (negative level, or
-    level 0 and a finite part) is refused, as its walk would never end."""
+    element: Lambda_j is the dominant point of the orbit of xi_j
+    (:func:`minaff.weyl._dominant_key`), relabelled by tau when j is odd.
+    A factor with no dominant point (negative level, or level 0 and a
+    finite part) is refused; one of level 0 and no finite part, a multiple
+    of delta, is dominant as it stands."""
     tau = weyl.key_twist(n, weyl.sigma_pair(n)[0])
     keys = []
     for j, xi in enumerate(xi_keys[: n - 1], 1):
         if xi[n] < 0 or xi[n] == 0 and any(xi[:n]):
             raise VerificationError(f"factor weight {xi} of level {xi[n]} has no dominant point")
-        top = weyl._walk_up(xi, range(n + 1))[1]
+        top = weyl._dominant_key(n, xi) if xi[n] else xi
         keys.append(tau(top) if j % 2 else top)
     return (*keys, xi_keys[n - 1])
 

@@ -39,8 +39,8 @@ def check_weight(n, mu):
 
 def check_node(n, i, first):
     """The one node rule: refuses ``i`` unless it is an int (not a bool or
-    a float) in first..n, for a checked rank n.  ``lru_cache`` takes 1.0 and
-    True for 1, so a cached function reads a node only after this check."""
+    a float) in first..n, for a checked rank n.  A cached caller keys its
+    cache by type, since an untyped ``lru_cache`` takes 1.0 and True for 1."""
     if i.__class__ is not int or not first <= i <= n:
         raise InputError(f"node {i} outside {first}..{n}")
 

@@ -35,8 +35,7 @@ share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
 :mod:`minaff.affinization`, whose table path runs on plain maps from keys
 to coefficients and stops before the longest-element pass, so the full
 character (:mod:`minaff.polyring`) does not load.  ``weyl`` holds only the
-integer key kernel that path runs; the Weyl group as words
-(:mod:`minaff.words`) loads only with ``verify``.  ``cartan`` loads once
+integer key kernel that path runs.  ``cartan`` loads once
 the command line has parsed, ``csv`` only for a CSV report, and JSON is
 written here without ``json``.
 ``--version`` loads nothing beyond this module and the package root, which
@@ -50,7 +49,8 @@ Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
 and 1 from :func:`main` when the report could not be written: the reader
 of standard output closed the pipe before it was written (silently, no
 traceback is printed), or any other write error, such as a full device
-(one line, ``error: cannot write the report: ...``, on standard error).
+or standard output closed at start (one line, ``error: cannot write the
+report: ...``, on standard error).
 Output is byte-stable for a fixed invocation: the elapsed-time field in
 JSON metadata always reports 0.
 
@@ -388,7 +388,14 @@ def main():
     docs), so the rest of the buffer is never written again.  Unbuffered
     (``python -u``), standard output writes straight to a raw file, whose
     short write to a closed pipe the text layer ignores; a buffered writer
-    retries it and raises, so a buffer goes under first."""
+    retries it and raises, so a buffer goes under first.  A process
+    started with standard output closed, where ``sys.stdout`` is None,
+    gets the one line before any work starts."""
+    if sys.stdout is None:
+        import errno
+
+        print(f"error: cannot write the report: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        sys.exit(1)
     raw = getattr(sys.stdout, "buffer", None)
     if isinstance(raw, io.RawIOBase):
         sys.stdout = io.TextIOWrapper(

@@ -8,16 +8,72 @@ table, length additivity of the nested composite and invariance of the
 form) and ``pipeline`` (the straightened tables against the symplectic
 pipeline, and their total dimension against the mass of the full character
 of :mod:`minaff.polyring`, which the longest-element pass builds without
-straightening).  Only the ``verify`` handler imports this module, so no
-other subcommand compiles it.
+straightening).  The suites run on the key kernel of :mod:`minaff.weyl`
+and on its (prefix, letters) pairs: a length is a count of hyperplanes
+(:func:`_length`), so no word is ever reduced.  Only the ``verify``
+handler imports this module, so no other subcommand compiles it.
 """
 
 import random
+from operator import mul
 
-from . import affinization, polyring, spbranch, weyl, words
-from .cartan import dim_irr, varpi
+from . import affinization, polyring, spbranch, weyl
+from .cartan import dim_irr, eps2, varpi
 from .cli import _csv_text, _json_text, _meta
-from .words import affine_edges, bilinear
+
+
+def affine_edges(n):
+    """Finite edges plus the affine attachment (0, 2)."""
+    return ((0, 2),) + weyl.finite_edges(n)
+
+
+def bilinear(x, y):
+    """Four times the invariant symmetric form of two keys, an integer.
+
+    Finite parts pair through the orthogonal coordinates, delta pairs with
+    the level, and both delta and the level-one generator are isotropic.
+    """
+    n = len(x) - 2
+    dot = sum(map(mul, eps2(n, x[:n]), eps2(n, y[:n])))
+    return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
+
+
+# A word is a (prefix, letters) pair, as in weyl: the prefix one of the
+# four automorphisms generated by the two diagram swaps (each its own
+# inverse), the letters read left to right, rightmost applied first.
+
+
+def _act(n, w, k):
+    """The word ``w`` on the key ``k``: letters first, prefix last."""
+    tau, letters = w
+    for i in reversed(letters):
+        k = polyring.reflect_key(i, k)
+    return weyl.key_twist(n, tau)(k)
+
+
+def _compose(u, v):
+    """The product u*v, rightmost factor applied first; u's letters pass
+    v's prefix, relabelled by it."""
+    return tuple(u[0][j] for j in v[0]), tuple(v[0][i] for i in u[1]) + v[1]
+
+
+def _length(n, w):
+    """The length of the affine Weyl part of ``w``: the number of root
+    hyperplanes <x, alpha> = m h that separate rho-hat = rho + h Lambda_0,
+    h = 2n - 2, which lies inside the fundamental alcove, from its image x
+    (N. Iwahori and H. Matsumoto, 1965; J. E. Humphreys, Reflection Groups
+    and Coxeter Groups, ch. 4).  In doubled coordinates d the positive
+    root alpha = e_i -+ e_j adds |floor((d_i -+ d_j) / 2h)|.  A prefix maps
+    the fundamental alcove to itself and adds nothing."""
+    h2 = 4 * n - 4
+    d = eps2(n, _act(n, w, (1,) * n + (2 * n - 2, 0))[:n])
+    return sum(
+        abs((a - b) // h2) + abs((a + b) // h2) for i, a in enumerate(d) for b in d[i + 1 :]
+    )
+
+
+def _is_reduced(n, w):
+    return _length(n, w) == len(w[1])
 
 
 def _rand_key(rng, n, levels):
@@ -25,6 +81,17 @@ def _rand_key(rng, n, levels):
     a delta in -1..1."""
     finite = tuple(rng.randint(-2, 2) for _ in range(n))
     return finite + (rng.randint(*levels), 2 * rng.randint(-1, 1))
+
+
+def _rand_reduced(rng, n, size):
+    """A reduced word after the identity prefix: ``size`` random letters,
+    each kept when it makes the word longer."""
+    tau, letters = weyl._identity_tau(n), ()
+    for _ in range(size):
+        i = rng.randint(0, n)
+        if _length(n, (tau, letters + (i,))) > len(letters):
+            letters += (i,)
+    return tau, letters
 
 
 def _minus(a, b):
@@ -49,18 +116,18 @@ def _suite_demazure(n, checks):
         f = rand_terms()
         for i in range(n + 1):
             # D - e^{-alpha_i} D = f - e^{-alpha_i} s_i f, with D the Demazure step
-            D = words.demazure_terms(n, i, f)
+            D = weyl._demazure_terms(n, i, f)
             minus_alpha = tuple(-v for v in weyl.alpha_key(n, i))
             left = _minus(D, affinization._shift(minus_alpha, D))
-            s_f = {words.act(words.simple(n, i), k): c for k, c in f.items()}
+            s_f = {polyring.reflect_key(i, k): c for k, c in f.items()}
             if left != _minus(f, affinization._shift(minus_alpha, s_f)):
                 ok = False
-            if words.demazure_terms(n, i, D) != D:
+            if weyl._demazure_terms(n, i, D) != D:
                 ok = False
     checks.append(("demazure.defining_identity_and_idempotency", ok))
 
     ok = True
-    twist = weyl.key_twist(n, words.compose(words.tau_01(n), words.tau_fork(n)).tau)
+    twist = weyl.key_twist(n, weyl.sigma_pair(n)[0])  # both diagram swaps
     for _ in range(10):
         f = rand_terms(10)
         if {twist(twist(k)): c for k, c in f.items()} != f:
@@ -71,24 +138,24 @@ def _suite_demazure(n, checks):
     compared = 0
     rho = (1,) * n + (2 * n - 2, 0)  # regular: with the prefix, its image determines an element
     for _ in range(10):
-        raw = words.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
-        r = words.reduce_word(raw)
-        if (raw.tau, words.act(raw, rho)) != (r.tau, words.act(r, rho)) or not words.is_reduced(r):
-            ok = False
+        tau, word = _rand_reduced(rng, n, 8)
         f = rand_terms(10)
-        other = _other_reduced_word(n, r.word)
+        other = _other_reduced_word(n, word)
         if other is not None:
             compared += 1
-            r2 = words.ExtendedWeylWord(n, r.tau, other)
-            if not (words.same_element(r, r2) and words.is_reduced(r2)):
+            same = _act(n, (tau, word), rho) == _act(n, (tau, other), rho)
+            if not (same and _is_reduced(n, (tau, other))):
                 ok = False
-            elif words.demazure_word_terms(r, f) != words.demazure_word_terms(r2, f):
+            elif weyl.demazure_pair_terms(n, tau, word, f) != weyl.demazure_pair_terms(
+                n, tau, other, f
+            ):
                 ok = False
     # a word by hand, as the random words cannot pin the order of letters:
     # D_2 D_1 e^top has the keys top, top - alpha_1, top - alpha_1 - alpha_2
+    tau = weyl._identity_tau(n)
     top = varpi(n, 1) + (1, 0)
-    chain = {words.act(words.from_word(n, w), top): 1 for w in ((), (1,), (2, 1))}
-    ok = ok and words.demazure_word_terms(words.from_word(n, (2, 1)), {top: 1}) == chain
+    chain = {_act(n, (tau, w), top): 1 for w in ((), (1,), (2, 1))}
+    ok = ok and weyl.demazure_pair_terms(n, tau, (2, 1), {top: 1}) == chain
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
 
 
@@ -107,7 +174,7 @@ def _other_reduced_word(n, word):
 
 
 def _suite_weyl(n, checks):
-    sig = words.sigma_word(n)
+    sig = weyl.sigma_pair(n)
 
     def modqd(k):
         return (k[:n], k[n])
@@ -115,7 +182,7 @@ def _suite_weyl(n, checks):
     table = {}
     for j in range(n + 1):
         fin = varpi(n, j) if j else (0,) * n
-        table[j] = modqd(words.act(sig, fin + (1, 0)))
+        table[j] = modqd(_act(n, sig, fin + (1, 0)))
     expect = {}
     for j in range(n + 1):
         if j <= n - 3:
@@ -127,23 +194,23 @@ def _suite_weyl(n, checks):
         else:
             expect[j] = (varpi(n, n - 1), 1)
     ok = table == expect
-    ok = ok and modqd(words.act(sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
+    ok = ok and modqd(_act(n, sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
     checks.append(("weyl.rotation_table", ok))
 
     # The nested formula is legal because the lengths of w0 sigma^(n-1) add;
     # this check and the tests prove it, so the table path does not.
-    comp = words.longest_word(n)
+    comp = (weyl._identity_tau(n), polyring._w0_letters(n))
     for _ in range(n - 1):
-        comp = words.compose(comp, sig)
-    ok = words.is_reduced(sig) and words.length(comp) == n * (n - 1) + (n - 1) ** 2
+        comp = _compose(comp, sig)
+    ok = _is_reduced(n, sig) and _length(n, comp) == n * (n - 1) + (n - 1) ** 2
     checks.append(("weyl.length_additivity", ok))
 
     rng = random.Random(777 + n)
     ok = True
     for _ in range(10):
-        w = words.from_word(n, tuple(rng.randint(0, n) for _ in range(8)))
+        w = (weyl._identity_tau(n), tuple(rng.randint(0, n) for _ in range(8)))
         x, y = _rand_key(rng, n, (-1, 1)), _rand_key(rng, n, (-1, 1))
-        if bilinear(words.act(w, x), words.act(w, y)) != bilinear(x, y):
+        if bilinear(_act(n, w, x), _act(n, w, y)) != bilinear(x, y):
             ok = False
     checks.append(("weyl.form_invariance", ok))
 

@@ -10,24 +10,25 @@ null root delta, which every weight the library meets has as a multiple
 of 1/2.
 
 This module holds what the table path runs, on keys and plain pairs: the
-coroot pairings, the simple reflections and the relabelling by a diagram
+coroot pairings, the simple roots and the relabelling by a diagram
 automorphism, the one Demazure kernel (:func:`_demazure_terms`, applied
 along a word by :func:`demazure_pair_terms`, with the one term limit
-:data:`MAX_TERMS`), the one chamber walk (:func:`_walk_up`) and the
-rotation element as a pair (:func:`sigma_pair`).  A word here is a plain
-pair: an automorphism prefix (a permutation of the affine nodes generated
-by the two diagram swaps, each its own inverse) and a tuple of reflection
-indices, read left to right, rightmost applied first.  The group as
-checked words, with their products, inverses, reduction and the longest
-element, is :mod:`minaff.words`, which only ``verify``, the full
-character and the library load.
+:data:`MAX_TERMS`), the dominant point of an affine Weyl orbit in closed
+form (:func:`_dominant_key`) and the rotation element as a pair
+(:func:`sigma_pair`).  A word is a plain pair: an automorphism prefix (a
+permutation of the affine nodes generated by the two diagram swaps, each
+its own inverse) and a tuple of reflection indices, read left to right,
+rightmost applied first.  Nothing here reflects a key, walks a chamber
+or reduces a word: :mod:`minaff.polyring` holds the simple reflection and
+the walk that gives the full character the longest word's letters, and
+``verify`` counts lengths by hyperplanes.
 """
 
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import _unit, check_node, check_rank, eps2
-from . import InputError
+from .cartan import _unit, check_node, check_rank, eps2, fw_from_eps2
+from . import InputError, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,31 @@ def _dominantize(d):
     return tuple(mags)
 
 
+def _dominant_key(n, k):
+    """The dominant point of the affine Weyl orbit of a key of positive level.
+
+    At level l the group acts on the finite part as W(D_n) times the
+    translations by l Q^v, Q^v the integer vectors of even coordinate sum
+    (V. G. Kac, Infinite-dimensional Lie algebras, 6.5), and the dominant
+    point is the one point of the orbit in the scaled fundamental alcove
+    x_1 >= ... >= x_(n-1) >= |x_n|, x_1 + x_2 <= l (Prop. 3.12).  In
+    doubled coordinates: translate each coordinate into [-l, l), sort into
+    the finite chamber, and if the translations summed to an odd number,
+    reflect in the affine wall (one more translation and one more sign
+    flip).  The 2 delta slot follows from norm preservation and must come
+    out an integer; if it does not, VerificationError.
+    """
+    d, lev = eps2(n, k[:n]), k[n]
+    q = [(v + lev) // (2 * lev) for v in d]
+    r = list(_dominantize([v - 2 * lev * t for v, t in zip(d, q)]))
+    if sum(q) % 2:
+        r[0], r[-1] = 2 * lev - r[0], -r[-1]
+    delta, rem = divmod(sum(v * v for v in d) - sum(v * v for v in r), 4 * lev)
+    if rem:
+        raise VerificationError(f"the dominant point of {k} has a 2 delta off the integers")
+    return fw_from_eps2(n, tuple(r)) + (lev, k[n + 1] + delta)
+
+
 # ---------------------------------------------------------------------------
 # Diagram automorphisms
 
@@ -123,16 +149,19 @@ def sigma_pair(n):
 #
 # An affine weight is one flat int tuple (a_1, ..., a_n, level, 2 delta):
 # every delta the library meets has denominator 1 or 2, so doubling keeps
-# the key exact.  The affine Weyl action is written once, below, on these
-# keys.
+# the key exact.  The pairings, the simple roots and the relabelling are
+# written once, below, on these keys; the simple reflection, which no table
+# runs, is minaff.polyring.reflect_key, on the pairing and root of its
+# string in _demazure_terms, so a change of the key format touches both.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def key_pairing(n, i):
     """The pairing of the i-th simple coroot (i in 0..n) with a key, as a
     function.  The node-0 coroot is the canonical central element minus the
     highest-root coroot: the level minus the mark-weighted finite part.
-    The 2-delta slot never contributes.  A refused node is never cached."""
+    The 2-delta slot never contributes.  The cache is typed, so 1.0 or True
+    misses the node-1 entry and is refused like any other bad node."""
     check_rank(n)
     check_node(n, i, 0)
     if i:
@@ -144,18 +173,10 @@ def key_pairing(n, i):
 @lru_cache(maxsize=None)
 def alpha_key(n, i):
     """Simple root i as a key, at a checked rank and node; alpha_0 = delta -
-    theta has 2 in the 2-delta slot."""
+    theta, 2 in the 2-delta slot, as theta = e_1 + e_2 is varpi_2."""
     if i == 0:
-        return tuple(-v for v in root_to_fw(n, theta_coeffs(n))) + (0, 2)
+        return (0, -1) + (0,) * (n - 2) + (0, 2)
     return root_to_fw(n, _unit(n, i)) + (0, 0)
-
-
-def reflect_key(i, k):
-    """Simple reflection at node i: subtract the pairing times alpha_i."""
-    n = len(k) - 2
-    alpha = alpha_key(n, i)
-    m = key_pairing(n, i)(k)
-    return tuple(a - m * b for a, b in zip(k, alpha))
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +196,7 @@ def key_twist(n, tau):
     spin weights swapped by the fork have equal norms and add nothing.
     ``tau`` is taken unchecked as one of the four automorphisms generated
     by the two swaps (any other would not preserve the invariant form):
-    the rotation element's prefix, or that of a checked word.
+    the rotation element's prefix, or that of a ``verify`` word.
     """
     pick = itemgetter(*tau[1:])
     pair0 = key_pairing(n, 0)
@@ -234,8 +255,8 @@ def demazure_pair_terms(n, tau, word, terms):
     It does not check that the word is reduced; on a word that is not, the
     result is not the operator of the group element.  The rotation word's
     letters 1..n-1 are distinct, so it is reduced by construction; the
-    longest word is proved by its length, the ``verify`` words by
-    ``is_reduced``.  That the lengths of the nested composite w0
+    longest word is proved by its length, the ``verify`` words by their
+    hyperplane count.  That the lengths of the nested composite w0
     sigma^(n-1) add is proved by ``verify --suite weyl`` and the tests,
     not on the table path.
     """
@@ -250,19 +271,3 @@ def demazure_pair_terms(n, tau, word, terms):
         return terms
     twist = key_twist(n, tau)
     return {twist(k): c for k, c in terms.items()}
-
-
-def _walk_up(k, nodes):
-    """Reflect the key ``k`` at the smallest node of ``nodes`` with a
-    negative pairing until there is none; returns the nodes used, in order,
-    and the key where it stops.  The one chamber walk, for reduction and
-    the longest word (:mod:`minaff.words`) and ``affinization._lambda_keys``."""
-    n = len(k) - 2
-    pairings = [(i, key_pairing(n, i)) for i in nodes]
-    steps = []
-    while True:
-        i = next((i for i, pair in pairings if pair(k) < 0), None)
-        if i is None:
-            return steps, k
-        k = reflect_key(i, k)
-        steps.append(i)

@@ -7,8 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from minaff import words
-from minaff.words import affine_edges
+from minaff import polyring
+from minaff.verify import affine_edges
 from _ring_oracle import CharElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -53,16 +53,11 @@ def braid_variant(word, n, rng):
 
 
 def break_longest_word(monkeypatch):
-    """Make ``words.longest_word`` repeat the last letter of w0's word, so
+    """Make ``polyring._w0_letters`` repeat the last letter of w0's word, so
     the composite behind the nested formula cancels and comes out short,
     which ``verify --suite weyl`` reports as a failed length additivity."""
-    real = words.longest_word
-
-    def repeated_last_letter(n):
-        w = real(n)
-        return words.ExtendedWeylWord(n, w.tau, w.word + w.word[-1:])
-
-    monkeypatch.setattr(words, "longest_word", repeated_last_letter)
+    real = polyring._w0_letters
+    monkeypatch.setattr(polyring, "_w0_letters", lambda n: real(n) + real(n)[-1:])
 
 
 def minaff_imports(module):

@@ -9,11 +9,11 @@ one place an element drops zero coefficients: every operation sums into a
 plain map, cancelled keys included, and hands it over.
 
 The Demazure operator is applied monomial by monomial through its integer
-string form, :func:`minaff.words.demazure_terms`, the kernel that the
+string form, :func:`minaff.weyl._demazure_terms`, the kernel that the
 program runs on plain maps; never by polynomial division.  The word
-operator, :meth:`CharElem.demazure_word`, is written here on its own and
-checks that the word is reduced, so it is a reference for
-:func:`minaff.words.demazure_word_terms`.  Elements are immutable; all
+operator, :meth:`CharElem.demazure_word`, is written here on its own, on
+the words of ``_weyl_oracle``, and checks that the word is reduced, so it
+is a reference for :func:`minaff.weyl.demazure_pair_terms`.  Elements are immutable; all
 operations return new elements.
 
 The tests check the ring laws and the Demazure identities on elements,
@@ -24,8 +24,9 @@ the greedy peel of ``_decomp_oracle`` as finite-tagged elements
 
 from operator import add
 
-from minaff import InputError, weyl, words
-from minaff.cartan import check_rank
+from minaff import InputError, weyl
+from minaff.cartan import check_node, check_rank
+from _weyl_oracle import act, checked_tau, is_reduced
 
 
 def _checked_rank(n):
@@ -171,19 +172,20 @@ class CharElem:
 
     def demazure(self, i):
         """One divided-difference step at node i, through the string form
-        of :func:`minaff.words.demazure_terms`.  The defining rational
+        of :func:`minaff.weyl._demazure_terms`.  The defining rational
         identity is pinned by the test suite.
         """
         if not self.affine:
             raise InputError("Demazure operators act on affine-tagged elements")
         check_rank(self.n)
-        return CharElem._of(self.n, words.demazure_terms(self.n, i, self._terms))
+        check_node(self.n, i, 0)
+        return CharElem._of(self.n, weyl._demazure_terms(self.n, i, self._terms))
 
     def demazure_word(self, w):
         """Composite operator along a reduced word, then the prefix twist."""
         if w.n != self.n:
             raise InputError("rank mismatch")
-        if not words.is_reduced(w):
+        if not is_reduced(w):
             raise InputError(f"word {w.word} is not reduced")
         f = self
         for i in reversed(w.word):
@@ -198,14 +200,14 @@ class CharElem:
             if tau.word:
                 raise InputError("twist expects a pure automorphism")
             tau = tau.tau
-        twist = weyl.key_twist(self.n, words.from_word(self.n, (), tau).tau)
+        twist = weyl.key_twist(self.n, checked_tau(self.n, tau))
         return CharElem._of(self.n, {twist(k): v for k, v in self._terms.items()}, self.affine)
 
     def relabel_weyl(self, w):
         """Relabel keys by a Weyl group element (exact orbit map)."""
         out = {}
         for k, v in self._terms.items():
-            kk = words.act(w, k)
+            kk = act(w, k)
             out[kk] = out.get(kk, 0) + v
         return CharElem._of(self.n, out, self.affine)
 

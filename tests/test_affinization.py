@@ -18,11 +18,24 @@ from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
 from minaff.spbranch import sam_table
-from minaff import affinization, polyring, verify, weyl, words
+from minaff import affinization, polyring, verify, weyl
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, rand_key, seeded
 from _ring_oracle import CharElem, finite_char
-from _weyl_oracle import is_dominant, lambda_keys_by_rotation
+from _weyl_oracle import (
+    ExtendedWeylWord,
+    act,
+    compose,
+    from_word,
+    inverse,
+    is_dominant,
+    lambda_keys_by_rotation,
+    lambda_keys_by_walk,
+    longest_word,
+    sigma_word,
+    simple,
+    tau_fork,
+)
 
 
 def modqd(k):
@@ -137,14 +150,14 @@ def test_character_weyl_invariant():
     n = 4
     ch = finite_char(n, character(n, (1, 1, 0, 0), 4))
     for i in range(1, n + 1):
-        assert ch.relabel_weyl(words.simple(n, i)) == ch
+        assert ch.relabel_weyl(simple(n, i)) == ch
 
 
 def test_character_symmetric_weight_fork_symmetry():
     # equal spin coordinates give a fork-symmetric character for s = 1
     for lam in ((0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)):
         ch = finite_char(4, character(4, lam, 1))
-        assert ch.twist(words.tau_fork(4)) == ch
+        assert ch.twist(tau_fork(4)) == ch
 
 
 def test_character_cross_family_collapse():
@@ -157,7 +170,7 @@ def test_character_fork_twin_is_twist():
     lam = (1, 0, 1, 0)
     swapped = (1, 0, 0, 1)
     a = finite_char(4, character(4, lam, 3))
-    b = finite_char(4, character(4, swapped, 4)).twist(words.tau_fork(4))
+    b = finite_char(4, character(4, swapped, 4)).twist(tau_fork(4))
     assert a == b
 
 
@@ -300,7 +313,7 @@ def test_family_tables_coincide_past_the_grid(case):
 def test_fork_swap_is_the_fork_relabelling():
     rng = seeded(45)
     for n in range(4, 9):
-        fork = weyl.key_twist(n, words.tau_fork(n).tau)
+        fork = weyl.key_twist(n, tau_fork(n).tau)
         for _ in range(30):
             k = rand_key(n, rng)
             assert affinization._swap_fork(n, k) == fork(k), (n, k)
@@ -310,37 +323,40 @@ def test_fork_swap_is_the_fork_relabelling():
 
 def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
     for n, lam in COINCIDENCE_WEIGHTS:
-        sigma_inv = words.inverse(words.sigma_word(n))
+        sigma_inv = inverse(sigma_word(n))
         for s in (1, n):
             xi = xi_sequence(n, lam, s).keys
-            rot = words.from_word(n, ())
+            rot = from_word(n, ())
             expect = []
             for j in range(1, n):
-                rot = words.compose(rot, sigma_inv)
-                expect.append(words.act(rot, xi[j - 1]))
+                rot = compose(rot, sigma_inv)
+                expect.append(act(rot, xi[j - 1]))
             assert _lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
 
 
-def test_lambda_keys_walk_equals_the_rotation_route():
-    # the end of the chamber walk, relabelled at odd j, against sigma^-1
-    # applied j times: the zero weight, every fundamental weight and random
-    # regular weights with coordinates <= 2, at ranks 4 to 12
-    rng = seeded(46)
-    for n in range(4, 13):
-        weights = [(0,) * n] + [varpi(n, i) for i in range(1, n + 1)]
-        while len(weights) < 2 * n + 13:
-            lam = tuple(rng.randint(0, 2) for _ in range(n))
-            if is_regular(n, lam):
-                weights.append(lam)
-        for lam in weights:
-            for s in (1, n):
-                xi = _xi(n, lam, s).keys
-                assert _lambda_keys(n, xi) == lambda_keys_by_rotation(n, xi), (n, lam, s)
+@pytest.mark.parametrize("n", range(4, 13))
+def test_lambda_keys_walk_equals_the_rotation_route(n):
+    # three routes: the closed form of the program, the end of the chamber
+    # walk relabelled at odd j, and sigma^-1 applied j times; on the zero
+    # weight, every fundamental weight and random regular weights with
+    # coordinates <= 2, at ranks 4 to 12
+    rng = seeded(46 + n)
+    weights = [(0,) * n] + [varpi(n, i) for i in range(1, n + 1)]
+    while len(weights) < 2 * n + 13:
+        lam = tuple(rng.randint(0, 2) for _ in range(n))
+        if is_regular(n, lam):
+            weights.append(lam)
+    for lam in weights:
+        for s in (1, n):
+            xi = _xi(n, lam, s).keys
+            expect = lambda_keys_by_rotation(n, xi)
+            assert _lambda_keys(n, xi) == lambda_keys_by_walk(n, xi) == expect, (n, lam, s)
 
 
 @pytest.mark.parametrize("level", [0, -1])
 def test_lambda_keys_refuses_a_factor_with_no_dominant_point(level):
-    # a runtime invariant, not an assert: the walk on such a factor never ends
+    # a runtime invariant, not an assert: such a factor has no orbit point
+    # in the alcove, and the closed form would divide by its level
     xi = _xi(4, (0, 1, 0, 0), 1).keys
     bad = (varpi(4, 1) + (level, 0),) + xi[1:]
     with pytest.raises(VerificationError, match="no dominant point"):
@@ -416,16 +432,16 @@ def test_pre_w0_refuses_a_polynomial_past_the_term_limit(monkeypatch, capsys):
 def test_nesting_check_refuses_a_rotation_word_that_is_not_reduced(monkeypatch):
     # verify fails the rotation word, which the ring oracle's word
     # operator refuses on every pass
-    real = words.sigma_word
+    real = weyl.sigma_pair
 
     def doubled_first_letter(n):
-        w = real(n)
-        return words.ExtendedWeylWord(n, w.tau, w.word[:1] + w.word)
+        tau, letters = real(n)
+        return tau, letters[:1] + letters
 
-    monkeypatch.setattr(words, "sigma_word", doubled_first_letter)
+    monkeypatch.setattr(weyl, "sigma_pair", doubled_first_letter)
     assert not length_additivity_holds(4)
     with pytest.raises(InputError, match="is not reduced"):
-        CharElem.one(4).demazure_word(doubled_first_letter(4))
+        CharElem.one(4).demazure_word(ExtendedWeylWord(4, *doubled_first_letter(4)))
 
 
 def pre_w0_oracle(n, lam, s):
@@ -433,7 +449,7 @@ def pre_w0_oracle(n, lam, s):
     element route: CharElem products and the word operator of the
     rotation word, which checks the word on every pass."""
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
-    sig = words.sigma_word(n)
+    sig = sigma_word(n)
     g = CharElem.one(n)
     for j in range(n - 1, 0, -1):
         g = (CharElem.monomial(n, lams[j - 1]) * g).demazure_word(sig)
@@ -465,7 +481,7 @@ def test_map_path_matches_the_element_route():
                 # the program relabels the polynomial; the oracle swaps the
                 # finished table and character below, so the two finishes
                 # are checked to commute with the fork relabelling
-                twin = oracle.twist(words.tau_fork(n))
+                twin = oracle.twist(tau_fork(n))
                 assert affinization._pre_w0(n, lam, s) == dict(twin.items()), (n, lam, s)
             finite = {k[:n]: c for k, c in oracle.specialize().items()}
             expected = _straighten(n, finite)
@@ -475,9 +491,9 @@ def test_map_path_matches_the_element_route():
             if n == 4:
                 # the full character: the oracle runs w0 on the affine
                 # element and specializes after; the program projects first
-                full = oracle.demazure_word(words.longest_word(n)).specialize()
+                full = oracle.demazure_word(longest_word(n)).specialize()
                 if s == n - 1:
-                    full = full.twist(words.tau_fork(n))
+                    full = full.twist(tau_fork(n))
                 assert finite_char(n, character(n, lam, s)) == full, (n, lam, s)
 
 
@@ -487,8 +503,8 @@ def test_demazure_kernel_drops_cancelled_keys():
         for _ in range(20):
             terms = dict(rand_char(n, rng).items())
             for i in range(n + 1):
-                assert all(words.demazure_terms(n, i, terms).values())
+                assert all(weyl._demazure_terms(n, i, terms).values())
     # at node 1, D e^0 = e^0 and D e^{-alpha_1} = -e^0, so their sum maps to 0
     alpha = weyl.alpha_key(4, 1)
     terms = {(0,) * 6: 1, tuple(-a for a in alpha): 1}
-    assert words.demazure_terms(4, 1, terms) == {}
+    assert weyl._demazure_terms(4, 1, terms) == {}

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import affinization, polyring, spbranch, verify, words
+from minaff import affinization, polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
 from _helpers import fresh_argv, fresh_env, run_fresh
+from _weyl_oracle import from_word, same_element
 
 
 def invoke(capsys, *argv):
@@ -192,10 +193,28 @@ def test_failed_invariant_exits_3_with_no_stdout(capsys, monkeypatch):
     assert "has no dominant point" in err
 
 
+def test_a_fold_that_breaks_the_norm_exits_3_with_no_stdout(capsys, monkeypatch):
+    # the finite fold moved off the orbit: one doubled coordinate raised by
+    # one changes the norm by an odd amount, so 2 delta comes out a
+    # fraction, a runtime invariant that python -O keeps
+    real = weyl._dominantize
+
+    def off_by_one(d):
+        r = real(d)
+        return (r[0] + 1,) + r[1:]
+
+    monkeypatch.setattr(weyl, "_dominantize", off_by_one)
+    for s in ("1", "n"):
+        code, out, err = invoke(capsys, "char", "--n", "5", "--lambda", "0,1,1,1,1", "--s", s)
+        assert (code, out) == (3, "")
+        assert "2 delta off the integers" in err
+
+
 # A fresh process that runs the table commands twice: once as they come,
-# reporting whether the word API (minaff.words) was ever loaded, then with
-# every function and class of minaff.words made to raise, so no cache of an
-# earlier call can hide a word operation.
+# reporting whether the full character or the suites (minaff.polyring,
+# minaff.verify) were ever loaded, then with every function of both made
+# to raise, so no cache of an earlier call can hide a walk, a reflection,
+# the longest word or a word operation.
 WORD_OPERATIONS_OFF = """
 import contextlib, io, json, sys
 from minaff import cli
@@ -210,24 +229,25 @@ def run_all():
     return results
 
 first = run_all()
-loaded = "minaff.words" in sys.modules
-from minaff import words
+loaded = {"minaff.polyring", "minaff.verify"} & set(sys.modules)
+from minaff import polyring, verify
 def off(*args, **kwargs):
     raise RuntimeError("a table process called a word operation")
 stubbed = []
-for name, value in list(vars(words).items()):
-    if getattr(value, "__module__", None) == "minaff.words" and callable(value):
-        setattr(words, name, off)
-        stubbed.append(name)
-print(json.dumps({"loaded": loaded, "first": first, "off": run_all(), "stubbed": stubbed}))
+for module in (polyring, verify):
+    for name, value in list(vars(module).items()):
+        if getattr(value, "__module__", None) == module.__name__ and callable(value):
+            setattr(module, name, off)
+            stubbed.append(name)
+print(json.dumps({"loaded": sorted(loaded), "first": first, "off": run_all(), "stubbed": stubbed}))
 """
 
 
 def test_char_and_decomp_reduce_no_word(capsys):
     # the nesting proof lives in verify and the tests: a table process
-    # reduces no word, builds no w0 and composes no words, in every family;
-    # the rotated factor weights are chamber walks and the rotation passes
-    # run on the kernel's (prefix, letters) pair, so the word API never loads
+    # reflects no key, builds no w0, counts no length and composes no
+    # words, in every family; the rotated factor weights are closed forms
+    # and the rotation passes run on the kernel's (prefix, letters) pair
     cases = [
         [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
         for command in ("char", "decomp")
@@ -238,15 +258,16 @@ def test_char_and_decomp_reduce_no_word(capsys):
     proc = run_fresh("-c", WORD_OPERATIONS_OFF, json.dumps(cases))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["loaded"] is False
+    assert report["loaded"] == []
     assert report["first"] == report["off"] == expected
-    word_operations = {"reduce_word", "length", "longest_word", "compose", "inverse", "act", "_act"}
-    assert word_operations | {"sigma_word", "demazure_word_terms"} <= set(report["stubbed"])
+    word_operations = {"reflect_key", "_w0_letters", "_length", "_compose", "_act", "character"}
+    assert word_operations <= set(report["stubbed"])
+    assert not hasattr(weyl, "_walk_up") and not hasattr(weyl, "reflect_key")
 
 
 def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, monkeypatch):
-    real_w0, real_sigma = words.longest_word, words.sigma_word
-    monkeypatch.setattr(words, "longest_word", lambda n: words.compose(real_w0(n), words.simple(n, 1)))
+    real_w0, real_sigma = polyring._w0_letters, weyl.sigma_pair
+    monkeypatch.setattr(polyring, "_w0_letters", lambda n: real_w0(n) + (1,))
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
     assert (code, out.splitlines()) == (3, [
         "ok   weyl.rotation_table",
@@ -254,9 +275,8 @@ def test_verify_fails_length_additivity_when_the_nesting_proof_fails(capsys, mon
         "ok   weyl.form_invariance",
         "2 passed, 1 failed",
     ])
-    monkeypatch.setattr(words, "longest_word", real_w0)
-    doubled = lambda n: words.ExtendedWeylWord(n, real_sigma(n).tau, (1,) + real_sigma(n).word)
-    monkeypatch.setattr(words, "sigma_word", doubled)
+    monkeypatch.setattr(polyring, "_w0_letters", real_w0)
+    monkeypatch.setattr(weyl, "sigma_pair", lambda n: (real_sigma(n)[0], (1,) + real_sigma(n)[1]))
     code, out, _ = invoke(capsys, "verify", "--n", "4", "--suite", "weyl")
     assert code == 3 and "FAIL weyl.length_additivity" in out  # the rotation word is not reduced
     monkeypatch.undo()
@@ -477,24 +497,24 @@ def test_delta_of_a_key_prints_as_the_fraction(d2):
 def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch):
     # scales by a position-weighted letter sum, which every commutation and
     # braid move changes
-    def order_sensitive(w, terms):
-        scale = 1 + sum(i * a for i, a in enumerate(w.word, 1))
+    def order_sensitive(n, tau, word, terms):
+        scale = 1 + sum(i * a for i, a in enumerate(word, 1))
         return {k: scale * c for k, c in terms.items()}
 
     # the letters in the wrong order: only the word worked by hand sees it,
     # since reversing both reduced words gives the inverse element on both
     # sides of the comparison
-    real = words.demazure_word_terms
+    real = weyl.demazure_pair_terms
 
-    def first_letter_first(w, terms):
-        return real(words.ExtendedWeylWord(w.n, w.tau, w.word[::-1]), terms)
+    def first_letter_first(n, tau, word, terms):
+        return real(n, tau, word[::-1], terms)
 
     for n in (4, 5, 6):
         checks = []
         verify._suite_demazure(n, checks)
         assert dict(checks)["demazure.reduced_word_application"], n
         for operator in (order_sensitive, first_letter_first):
-            monkeypatch.setattr(words, "demazure_word_terms", operator)
+            monkeypatch.setattr(weyl, "demazure_pair_terms", operator)
             checks = []
             verify._suite_demazure(n, checks)
             assert not dict(checks)["demazure.reduced_word_application"], (n, operator)
@@ -518,18 +538,23 @@ def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, mon
 
 
 def test_word_independence_check_fails_on_a_reduction_to_another_element(monkeypatch):
-    # reduced words of another element whenever the length is even and
-    # nonzero: idempotent, so comparing reduced words would pass it; the
-    # prefix and the image of rho-hat do not
-    real = words.reduce_word
+    # a reduced word of the same length but another element: its last
+    # letter changed to one that keeps it reduced.  Comparing lengths or
+    # reducedness would pass it; the image of rho-hat does not
+    real = verify._other_reduced_word
 
-    def parity_flipped(w):
-        r = real(w)
-        if r.word and len(r.word) % 2 == 0:
-            r = real(words.compose(r, words.simple(w.n, 0)))
-        return r
+    def another_element(n, word):
+        other = real(n, word)
+        if other is None:
+            return None
+        tau = weyl._identity_tau(n)
+        for c in range(n + 1):
+            moved = other[:-1] + (c,)
+            if c != other[-1] and verify._is_reduced(n, (tau, moved)):
+                return moved
+        return other
 
-    monkeypatch.setattr(words, "reduce_word", parity_flipped)
+    monkeypatch.setattr(verify, "_other_reduced_word", another_element)
     for n in (4, 5, 6):
         checks = []
         verify._suite_demazure(n, checks)
@@ -545,15 +570,15 @@ def test_other_reduced_word_commutes_exactly_the_commuting_nodes():
             for b in range(n + 1):
                 if a == b:
                     continue
-                ab, ba = words.from_word(n, (a, b)), words.from_word(n, (b, a))
+                ab, ba = from_word(n, (a, b)), from_word(n, (b, a))
                 other = verify._other_reduced_word(n, (a, b))
-                if words.same_element(ab, ba):
+                if same_element(ab, ba):
                     assert other == (b, a), (n, a, b)
                 else:
                     assert other is None, (n, a, b)
                     braid = verify._other_reduced_word(n, (a, b, a))
                     assert braid == (b, a, b)
-                    assert words.same_element(words.from_word(n, (a, b, a)), words.from_word(n, braid))
+                    assert same_element(from_word(n, (a, b, a)), from_word(n, braid))
 
 
 # Which modules a fresh process loads.  The ast scan of ``minaff_imports``
@@ -620,9 +645,7 @@ def test_sam_adds_only_the_symplectic_pipeline():
     base = minaff_modules(modules_after_run("--version"))
     modules = minaff_modules(modules_after_run(*SAM))
     assert modules - base == {"minaff.cartan", "minaff.spbranch"}
-    demazure_side = {
-        "minaff.weyl", "minaff.words", "minaff.polyring", "minaff.affinization", "minaff.decomp"
-    }
+    demazure_side = {"minaff.weyl", "minaff.polyring", "minaff.affinization", "minaff.decomp"}
     assert not modules & demazure_side
 
 
@@ -642,16 +665,19 @@ def test_table_subcommands_load_exactly_the_table_path(argv):
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
-def test_only_verify_loads_the_word_api(argv):
-    # the table path runs the key kernel of weyl alone; the Weyl group as
-    # words serves verify's suites and the full character behind them
-    assert ("minaff.words" in modules_after_run(*argv)) == (argv[0] == "verify")
+def test_only_verify_loads_the_reflection_and_the_walk(argv):
+    # the table path runs the key kernel of weyl alone; the simple
+    # reflection and the longest word's walk live with the full character,
+    # which only verify's suites load
+    assert ("minaff.polyring" in modules_after_run(*argv)) == (argv[0] == "verify")
 
 
-def test_verify_loads_both_pipelines_and_the_word_api():
+def test_verify_loads_both_pipelines_and_the_full_character():
+    # verify runs on the key kernel of weyl and its (prefix, letters) pairs;
+    # the longest word's letters come with the full character
     modules = minaff_modules(modules_after_run(*SUBCOMMANDS[-1]))
     assert modules == CLI_BASE | {
-        "minaff.cartan", "minaff.weyl", "minaff.words", "minaff.affinization",
+        "minaff.cartan", "minaff.weyl", "minaff.affinization",
         "minaff.polyring", "minaff.spbranch", "minaff.verify",
     }
 
@@ -792,6 +818,19 @@ def test_a_full_device_ends_the_process_with_status_1_and_one_line(argv, unbuffe
         )
     assert proc.returncode == 1
     assert proc.stderr == f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("argv", [CHAR, REFUSED], ids=["char", "refused"])
+def test_a_closed_standard_output_ends_the_process_with_status_1_and_one_line(argv):
+    # started with file descriptor 1 closed, sys.stdout is None; the line
+    # comes before any work, so a refused command line exits 1, not 2
+    script = 'exec "$@" >&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, "sh", *fresh_argv("-m", "minaff", *argv)],
+        capture_output=True, text=True, env=fresh_env(), timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write the report: {os.strerror(errno.EBADF)}\n"
 
 
 @pytest.mark.parametrize(

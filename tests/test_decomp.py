@@ -8,7 +8,7 @@ from minaff import CharacterError, InputError
 from minaff.affinization import _straighten
 from minaff.cartan import dim_irr, eps2, fw_from_eps2, varpi
 from minaff.decomp import compare_affinization
-from minaff import decomp, words
+from minaff import decomp
 from minaff.weyl import _dominantize
 from _decomp_oracle import (
     _orbit,
@@ -24,6 +24,7 @@ from _decomp_oracle import (
 from _helpers import SRC, imported_names, seeded
 import _decomp_oracle
 from _ring_oracle import CharElem, finite_char
+from _weyl_oracle import longest_word
 
 
 def test_trivial_and_vector_characters():
@@ -263,7 +264,7 @@ def test_straighten_matches_longest_element_operator():
     # oracle: D_{w0} e^mu expanded in full and peeled greedily, monomial by
     # monomial; straightening must give 0 or +-1 copy of one irreducible
     n = 4
-    w0 = words.longest_word(n)
+    w0 = longest_word(n)
     rng = seeded(61)
     seen = set()
     for _ in range(60):

@@ -223,10 +223,10 @@ def test_sam_table_result_is_the_callers_own():
 
 
 def test_spbranch_shares_no_code_with_the_demazure_stack():
-    from minaff import affinization, decomp, polyring, spbranch, weyl, words
+    from minaff import affinization, decomp, polyring, spbranch, weyl
 
     assert minaff_imports(spbranch) == {"cartan"}
-    for module in (weyl, words, polyring, decomp, affinization):
+    for module in (weyl, polyring, decomp, affinization):
         assert "spbranch" not in minaff_imports(module), module.__name__
     # the scan sees "from . import weyl", and not the exception types
     assert minaff_imports(affinization) == {"cartan", "weyl"}

@@ -6,42 +6,43 @@ from operator import sub
 
 import pytest
 
-from minaff import InputError, bilinear, weyl, words
+from minaff import InputError, polyring, verify, weyl
 from minaff.cartan import is_dominant_fw, varpi
+from minaff.verify import bilinear
 from minaff.weyl import root_to_fw
-from minaff.words import (
+from _helpers import braid_variant, rand_key, run_fresh, seeded
+from _weyl_oracle import (
+    AffineWeight,
     ExtendedWeylWord,
     act,
+    act_root,
+    affine_simple_root,
+    allowed_taus,
     compose,
+    descent_oracle,
+    element_images,
+    form,
     from_word,
     inverse,
+    is_dominant,
+    is_positive_root,
     is_reduced,
+    key_of,
+    lambda0,
     length,
     longest_word,
+    pairing,
+    positive_roots,
+    power,
     reduce_word,
     same_element,
     sigma_word,
     simple,
     tau_01,
     tau_fork,
-)
-from _helpers import braid_variant, rand_key, run_fresh, seeded
-from _weyl_oracle import (
-    AffineWeight,
-    act_root,
-    affine_simple_root,
-    descent_oracle,
-    element_images,
-    form,
-    is_dominant,
-    is_positive_root,
-    key_of,
-    lambda0,
-    pairing,
-    positive_roots,
-    power,
     tau_on_weight,
     tau_on_weight_oracle,
+    walk_up,
 )
 from _ring_oracle import CharElem
 
@@ -65,8 +66,6 @@ def test_simple_reflection_on_fundamental():
     w1 = varpi(n, 1) + (0, 0)
     a1 = root_to_fw(n, (1, 0, 0, 0)) + (0, 0)
     assert act(simple(n, 1), w1) == tuple(map(sub, w1, a1))
-    with pytest.raises(InputError):
-        act(simple(n, 1), varpi(5, 1) + (0, 0))
 
 
 def test_rotation_table():
@@ -123,7 +122,7 @@ def test_reduce_matches_descent_oracle_on_random_words():
             w = rand_extended(n, rng, rng.randint(0, 25))
             assert reduce_word(w) == descent_oracle(w), w
             prefixes.add(w.tau)
-        assert prefixes == words._allowed_taus(n)
+        assert prefixes == allowed_taus(n)
 
 
 def test_reduce_matches_descent_oracle_on_nesting_composite():
@@ -132,57 +131,6 @@ def test_reduce_matches_descent_oracle_on_nesting_composite():
         r = reduce_word(comp)
         assert r == descent_oracle(comp)
         assert len(r.word) == n * (n - 1) + (n - 1) ** 2
-
-
-def test_reduce_refuses_prefix_outside_two_swap_subgroup():
-    with pytest.raises(InputError):
-        reduce_word(ExtendedWeylWord(4, (0, 2, 1, 3, 4), (1, 2)))
-    assert isinstance(words._allowed_taus(4), frozenset)
-    assert len(words._allowed_taus(4)) == 4
-
-
-def test_word_refuses_prefix_outside_two_swap_subgroup():
-    with pytest.raises(InputError):
-        from_word(4, (1, 2), tau=(0, 2, 1, 3, 4))
-    with pytest.raises(InputError):
-        ExtendedWeylWord(4, [1, 0, 2, 3, 4], ())
-    for tau in words._allowed_taus(4):
-        assert from_word(4, (1, 2), tau=tau).tau == tau
-
-
-def test_a_prefix_equal_to_an_allowed_one_still_needs_int_entries():
-    # these equal an allowed prefix and hash like it, so the membership test
-    # passes them and the node check refuses them
-    for tau in ((0.0, 1, 2, 3, 4), (False, True, 2, 3, 4), (1, 0, 2, 3, 4.0)):
-        assert tau in words._allowed_taus(4)
-        with pytest.raises(InputError, match="node .* outside 0..4"):
-            ExtendedWeylWord(4, tau, ())
-
-
-def test_a_list_word_is_stored_as_a_tuple():
-    letters = [1, 2]
-    w = ExtendedWeylWord(4, tuple(range(5)), letters)
-    assert w == from_word(4, (1, 2)) and hash(w) == hash(from_word(4, (1, 2)))
-    letters.append(1.0)
-    assert w.word == (1, 2) and length(w) == 2
-
-
-def test_word_operations_build_only_words_the_checks_accept():
-    # compose, inverse, reduce_word and the distinguished words build their
-    # results without the checks; each equals its checked construction
-    rng = seeded(24)
-    for n in range(4, 9):
-        made = [longest_word(n), sigma_word(n), tau_01(n), tau_fork(n)]
-        for tau in sorted(words._allowed_taus(n)):
-            for _ in range(6):
-                letters = [rng.randint(0, n) for _ in range(rng.randint(0, 10))]
-                u = from_word(n, letters, tau=tau)
-                v = rand_extended(n, rng, rng.randint(0, 10))
-                uv = compose(u, v)
-                made += [uv, compose(v, u), inverse(u), inverse(uv), reduce_word(u),
-                         reduce_word(uv), reduce_word(compose(u, sigma_word(n)))]
-        for w in made:  # the checked constructor refuses a bad entry, and a list word is unequal
-            assert type(w) is ExtendedWeylWord and w == ExtendedWeylWord(*w), w
 
 
 def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
@@ -195,7 +143,7 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
         CharElem.monomial(n, key_of(x)).twist(bad)
     # the four allowed prefixes keep the invariant form
     y = lambda0(n)
-    for tau in words._allowed_taus(n):
+    for tau in allowed_taus(n):
         assert form(tau_on_weight(tau, x), tau_on_weight(tau, y)) == form(x, y)
         twisted = CharElem.monomial(n, key_of(tau_on_weight(tau, x)))
         assert CharElem.monomial(n, key_of(x)).twist(tau) == twisted
@@ -204,7 +152,7 @@ def test_tau_on_weight_refuses_automorphism_outside_two_swap_subgroup():
 def test_tau_on_weight_matches_norm_preserving_expansion():
     rng = seeded(31)
     for n in range(4, 9):
-        for tau in sorted(words._allowed_taus(n)):
+        for tau in sorted(allowed_taus(n)):
             for _ in range(60):
                 x = AffineWeight(
                     tuple(rng.randint(-3, 3) for _ in range(n)),
@@ -248,7 +196,7 @@ def test_same_element_agrees_with_basis_fingerprint():
             assert same_element(u, v) == same_element(v, u) == expect, (u, v)
             equal += expect
             prefixes.add(u.tau)
-        assert prefixes == words._allowed_taus(n)
+        assert prefixes == allowed_taus(n)
         assert not same_element(from_word(n, ()), from_word(n + 1, ()))
     assert 200 <= equal <= 500, equal
 
@@ -272,7 +220,35 @@ def test_length_against_bfs_oracle():
                 queue.append(v)
     assert len(elems) > 200
     for v in elems:
-        assert length(v) == depth[element_images(v)]
+        assert length(v) == verify._length(n, v[1:]) == depth[element_images(v)]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_hyperplane_length_matches_the_walk_reduction(n):
+    # verify counts separating hyperplanes; the oracle reduces the word
+    rng = seeded(505 + n)
+    prefixes = set()
+    for _ in range(60):
+        w = rand_extended(n, rng, rng.randint(0, 25))
+        assert verify._length(n, w[1:]) == length(w), w
+        assert verify._is_reduced(n, w[1:]) == is_reduced(w), w
+        prefixes.add(w.tau)
+    assert prefixes == allowed_taus(n)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_random_reduced_words_are_reduced(n):
+    # verify's random words grow only while the hyperplane count grows; the
+    # oracle's reduction keeps every letter of them
+    rng = seeded(606 + n)
+    sizes = set()
+    for _ in range(30):
+        tau, letters = verify._rand_reduced(rng, n, 12)
+        w = ExtendedWeylWord(n, tau, letters)
+        assert tau == weyl._identity_tau(n)
+        assert is_reduced(w) and len(reduce_word(w).word) == len(letters), w
+        sizes.add(len(letters))
+    assert max(sizes) >= 8, sizes
 
 
 def test_lengths():
@@ -285,14 +261,48 @@ def test_lengths():
         assert length(w) == length(from_word(n, (1, 2, 0)))
 
 
-def test_length_additivity():
-    # the proof behind the nested formula, for every rank the tests reach
-    for n in range(4, 17):
-        comp = longest_word(n)
-        sig = sigma_word(n)
-        for _ in range(n - 1):
-            comp = compose(comp, sig)
-        assert length(comp) == n * (n - 1) + (n - 1) ** 2
+@pytest.mark.parametrize("n", range(4, 17))
+def test_length_additivity(n):
+    # the proof behind the nested formula, for every rank the tests reach,
+    # by verify's hyperplane count on its pairs; the composite is the
+    # oracle's (so w0's letters are the oracle's walk), whose reduction
+    # agrees
+    sig = weyl.sigma_pair(n)
+    comp = (weyl._identity_tau(n), polyring._w0_letters(n))
+    for _ in range(n - 1):
+        comp = verify._compose(comp, sig)
+    assert verify._length(n, comp) == n * (n - 1) + (n - 1) ** 2
+    assert comp == compose(longest_word(n), power(sigma_word(n), n - 1))[1:]
+    if n <= 10:
+        assert length(ExtendedWeylWord(n, *comp)) == n * (n - 1) + (n - 1) ** 2
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_dominant_key_is_where_the_chamber_walk_stops(n):
+    # the closed form against the walk, at levels 1 to 6 with spin parts
+    # (odd doubled coordinates) and any 2 delta
+    rng = seeded(19 + n)
+    spins = 0
+    for _ in range(250):
+        k = tuple(rng.randint(-8, 8) for _ in range(n)) + (rng.randint(1, 6), rng.randint(-9, 9))
+        top = walk_up(k, range(n + 1))[1]
+        assert weyl._dominant_key(n, k) == top, k
+        assert is_dominant(n, top)
+        spins += (k[n - 2] + k[n - 1]) % 2
+    assert spins > 90
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_dominant_key_keeps_the_form_and_fixes_dominant_keys(level):
+    # the closed form stays in the orbit's norm class, lands in the
+    # alcove, and leaves a dominant key (its own output) as it is
+    rng = seeded(70 + level)
+    for _ in range(200):
+        n = rng.randint(4, 12)
+        k = tuple(rng.randint(-8, 8) for _ in range(n)) + (level, rng.randint(-9, 9))
+        top = weyl._dominant_key(n, k)
+        assert top[n] == level and bilinear(top, top) == bilinear(k, k), k
+        assert is_dominant(n, top) and weyl._dominant_key(n, top) == top, k
 
 
 def test_composite_reduction_example():
@@ -335,32 +345,34 @@ def test_is_dominant():
 
 
 def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
-    # lru_cache takes 1.0 and True for the node 1, so both orders run from
-    # cleared caches: refused calls first, then with the node-1 entries cached
+    # an untyped lru_cache would take 1.0 and True for the node 1, so both
+    # orders run from a cleared cache: refused calls first, then with the
+    # node-1 entry cached, where only the typed cache keeps them refused
     key = (1, 0, 0, 0, 1, 0)
     reflected = (-1, 1, 0, 0, 1, 0)  # s_1 of the key, which pairs 1 with node 1
-    string = {key: 1, reflected: 1}
 
     def refused(bad):
-        for call in (
-            lambda: act(from_word(4, (bad,)), key),
-            lambda: simple(4, bad),
-            lambda: words.demazure_terms(4, bad, {key: 1}),
-            lambda: varpi(4, bad),
-        ):
+        for call in (lambda: weyl.key_pairing(4, bad), lambda: varpi(4, bad)):
             with pytest.raises(InputError):
                 call()
 
-    cached = (weyl.key_pairing, weyl.alpha_key)
     for bad in (1.0, True):
-        for fn in cached:
-            fn.cache_clear()
+        weyl.key_pairing.cache_clear()
         refused(bad)
-        assert all(fn.cache_info().currsize == 0 for fn in cached)  # nothing refused is stored
-        assert act(simple(4, 1), key) == reflected
-        assert words.demazure_terms(4, 1, {key: 1}) == string
+        assert weyl.key_pairing.cache_info().currsize == 0  # nothing refused is stored
+        assert weyl.key_pairing(4, 1)(key) == 1
+        assert polyring.reflect_key(1, key) == reflected
         refused(bad)
-        assert act(simple(4, 1), key) == reflected
+        assert polyring.reflect_key(1, key) == reflected
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_alpha_zero_is_delta_minus_the_highest_root(n):
+    # alpha_key's closed form for node 0 against the highest root's marks
+    # through the Cartan matrix
+    minus_theta = root_to_fw(n, tuple(-v for v in weyl.theta_coeffs(n)))
+    assert weyl.alpha_key(n, 0) == minus_theta + (0, 2)
+    assert weyl.key_pairing(n, 0)(weyl.alpha_key(n, 0)) == 2
 
 
 def test_action_preserves_form():
@@ -404,7 +416,7 @@ def test_compose_matches_action():
 def test_every_prefix_is_its_own_inverse(n):
     # compose, inverse and key_twist read each prefix as its own inverse
     rng = seeded(28 + n)
-    for tau in sorted(words._allowed_taus(n)):
+    for tau in sorted(allowed_taus(n)):
         assert tuple(tau[j] for j in tau) == tuple(range(n + 1)), tau
         twist = weyl.key_twist(n, tau)
         for _ in range(25):
@@ -433,9 +445,9 @@ print(json.dumps(sorted([line, name] for path, line, name in called if path == w
 """
 # Code of weyl that a table process never runs, by qualified name.
 KERNEL_UNCALLED = {
-    # the relabelling by a prefix that fixes node 0 (the fork swap alone):
-    # the table path relabels only by the rotation prefix, which moves
-    # node 0, while checked words of minaff.words reach every prefix
+    # the relabelling by a prefix that fixes node 0 (the fork swap alone or
+    # the identity): the table path relabels only by the rotation prefix,
+    # which moves node 0, while verify's words reach every prefix
     "key_twist.<locals>.<lambda>",
 }
 
