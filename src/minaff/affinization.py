@@ -6,15 +6,15 @@ forms Lambda_j, the nested Demazure polynomial of the associated module and
 its multiplicity table.  The s = n-1 family is the fork twin of s = n;
 past :func:`xi_sequence`, only :func:`_pre_w0` knows it.
 
-Everything runs on plain maps {key: coefficient} and on the key kernel of
-:mod:`minaff.weyl`: each rotation pass shifts by a factor weight and
-applies the rotation element's Demazure operator, on its (prefix, letters)
-pair (:func:`minaff.weyl.sigma_pair`,
-:func:`minaff.weyl.demazure_pair_terms`), and each rotated factor weight
-is a closed form (:func:`minaff.weyl._dominant_key`), so a table process
-builds no word and walks no chamber.  The table is read off the
-result by dot-action straightening, with no expansion at all; the full
-character, :func:`minaff.polyring.character`, finishes it with the
+Everything runs on plain maps and on the kernel of :mod:`minaff.weyl`.
+The rotated factor weights are keys, each a closed form
+(:func:`minaff.weyl._dominant_key`), so a table process builds no word and
+walks no chamber.  The nested polynomial is a map {mu: coefficient} of
+finite weights at one shared level: each rotation pass runs the rotation's
+letters (:func:`minaff.weyl.demazure_letters`) and relabels by its prefix
+at that level (:func:`minaff.weyl.finite_twist`).  The table is read off
+the result by dot-action straightening, with no expansion at all; the
+full character, :func:`minaff.polyring.character`, finishes it with the
 longest-element pass instead, and a ``char`` or ``decomp`` process never
 compiles it.
 """
@@ -170,32 +170,27 @@ def _shift(k, terms):
 
 def _pre_w0(n, lam, s):
     """The nested polynomial before the longest-element pass, as a map
-    {key: coefficient} without zeros, for all three families, of checked (lam, s).
+    {mu: coefficient} of finite weights without zeros, for all three
+    families, of checked (lam, s).
 
-    Innermost factor first: shift by each tensor-factor weight, then run
-    the rotation pass (the rotation word's Demazure operator, its diagram
-    twist included); the last factor is shifted in unrotated.  The fork
-    twin is the fork relabelling of the s = n map of the swapped weight;
-    rho is fork-invariant, so the relabelling commutes with both finishes.
+    Innermost factor first: shift by each tensor-factor weight's finite
+    part and add its level, then run the rotation's letters (finite nodes,
+    which read no delta) and relabel by its prefix at that level; the last
+    factor is shifted in unrotated.  The fork twin is the fork relabelling
+    of the s = n map of the swapped weight; rho is fork-invariant, so the
+    relabelling commutes with both finishes.
     """
     if s == n - 1:
-        return {_swap_fork(n, k): c for k, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
+        return {_swap_fork(n, mu): c for mu, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
     tau, letters = weyl.sigma_pair(n)
-    g = {(0,) * (n + 2): 1}
+    twist = weyl.finite_twist(n, tau)
+    g, level = {(0,) * n: 1}, 0
     for j in range(n - 1, 0, -1):
-        g = weyl.demazure_pair_terms(n, tau, letters, _shift(lams[j - 1], g))
-    return _shift(lams[n - 1], g)
-
-
-def _finite_parts(n, terms):
-    """The map ``terms`` with level and delta killed: each key cut to its
-    finite part, coefficients of equal parts summed."""
-    out = {}
-    for k, c in terms.items():
-        mu = k[:n]
-        out[mu] = out.get(mu, 0) + c
-    return out
+        level += lams[j - 1][n]
+        g = weyl.demazure_letters(n, letters, _shift(lams[j - 1][:n], g))
+        g = {twist(mu, level): c for mu, c in g.items()}
+    return _shift(lams[n - 1][:n], g)
 
 
 def _straighten(n, terms):
@@ -237,7 +232,7 @@ def multiplicity_table(n, lam, s):
 
 def _table(n, lam, s):
     """:func:`multiplicity_table` of a checked regular ``lam`` and family ``s``."""
-    mults = _straighten(n, _finite_parts(n, _pre_w0(n, lam, s)))
+    mults = _straighten(n, _pre_w0(n, lam, s))
     if mults.get(lam) != 1:
         raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
     for mu, m in mults.items():

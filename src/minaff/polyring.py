@@ -4,13 +4,13 @@ A character is a plain map {mu: c} from finite weights (int tuples of
 length n) to nonzero integers, like every other character of the
 library.  It is built from the nested polynomial of
 :mod:`minaff.affinization` by the longest-element Demazure operator
-(:func:`minaff.weyl.demazure_pair_terms` on the letters of
+(:func:`minaff.weyl.demazure_letters` on the letters of
 :func:`_w0_letters`), the pass that the multiplicity tables skip by
 straightening.  No table subcommand (``char``, ``decomp``, ``sam``) loads
 this module.
 """
 
-from .affinization import _finite_parts, _pre_w0, _regular_input
+from .affinization import _pre_w0, _regular_input
 from . import CharacterError, VerificationError, weyl
 
 
@@ -45,14 +45,13 @@ def _w0_letters(n):
 def character(n, lam, s):
     """Finite character {mu: c} of the minimal affinization.
 
-    The nested polynomial with level and delta killed, finished with the
+    The nested polynomial, a map of finite weights, finished with the
     longest-element operator: a finite operator, which never reads level
-    or delta, so it runs after the projection.  Each of its steps is
+    or delta, so it runs on that map as it stands.  Each of its steps is
     bounded by ``weyl.MAX_TERMS``, like the rotation passes before it.
     """
     lam, s = _regular_input(n, lam, s)
-    terms = _finite_parts(n, _pre_w0(n, lam, s))
-    ch = weyl.demazure_pair_terms(n, weyl._identity_tau(n), _w0_letters(n), terms)
+    ch = weyl.demazure_letters(n, _w0_letters(n), _pre_w0(n, lam, s))
     if ch.get(lam) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")
     return ch

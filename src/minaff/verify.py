@@ -43,6 +43,10 @@ def bilinear(x, y):
 # inverse), the letters read left to right, rightmost applied first.
 
 
+def _identity_tau(n):
+    return tuple(range(n + 1))
+
+
 def _act(n, w, k):
     """The word ``w`` on the key ``k``: letters first, prefix last."""
     tau, letters = w
@@ -86,7 +90,7 @@ def _rand_key(rng, n, levels):
 def _rand_reduced(rng, n, size):
     """A reduced word after the identity prefix: ``size`` random letters,
     each kept when it makes the word longer."""
-    tau, letters = weyl._identity_tau(n), ()
+    tau, letters = _identity_tau(n), ()
     for _ in range(size):
         i = rng.randint(0, n)
         if _length(n, (tau, letters + (i,))) > len(letters):
@@ -146,16 +150,14 @@ def _suite_demazure(n, checks):
             same = _act(n, (tau, word), rho) == _act(n, (tau, other), rho)
             if not (same and _is_reduced(n, (tau, other))):
                 ok = False
-            elif weyl.demazure_pair_terms(n, tau, word, f) != weyl.demazure_pair_terms(
-                n, tau, other, f
-            ):
+            elif weyl.demazure_letters(n, word, f) != weyl.demazure_letters(n, other, f):
                 ok = False
     # a word by hand, as the random words cannot pin the order of letters:
     # D_2 D_1 e^top has the keys top, top - alpha_1, top - alpha_1 - alpha_2
-    tau = weyl._identity_tau(n)
+    tau = _identity_tau(n)
     top = varpi(n, 1) + (1, 0)
     chain = {_act(n, (tau, w), top): 1 for w in ((), (1,), (2, 1))}
-    ok = ok and weyl.demazure_pair_terms(n, tau, (2, 1), {top: 1}) == chain
+    ok = ok and weyl.demazure_letters(n, (2, 1), {top: 1}) == chain
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
 
 
@@ -199,7 +201,7 @@ def _suite_weyl(n, checks):
 
     # The nested formula is legal because the lengths of w0 sigma^(n-1) add;
     # this check and the tests prove it, so the table path does not.
-    comp = (weyl._identity_tau(n), polyring._w0_letters(n))
+    comp = (_identity_tau(n), polyring._w0_letters(n))
     for _ in range(n - 1):
         comp = _compose(comp, sig)
     ok = _is_reduced(n, sig) and _length(n, comp) == n * (n - 1) + (n - 1) ** 2
@@ -208,7 +210,7 @@ def _suite_weyl(n, checks):
     rng = random.Random(777 + n)
     ok = True
     for _ in range(10):
-        w = (weyl._identity_tau(n), tuple(rng.randint(0, n) for _ in range(8)))
+        w = (_identity_tau(n), tuple(rng.randint(0, n) for _ in range(8)))
         x, y = _rand_key(rng, n, (-1, 1)), _rand_key(rng, n, (-1, 1))
         if bilinear(_act(n, w, x), _act(n, w, y)) != bilinear(x, y):
             ok = False

@@ -9,19 +9,20 @@ level-one fundamental weight at node 0, and twice the coefficient of the
 null root delta, which every weight the library meets has as a multiple
 of 1/2.
 
-This module holds what the table path runs, on keys and plain pairs: the
-coroot pairings, the simple roots and the relabelling by a diagram
-automorphism, the one Demazure kernel (:func:`_demazure_terms`, applied
-along a word by :func:`demazure_pair_terms`, with the one term limit
+This module holds what the table path runs: the coroot pairings, the
+simple roots, the relabelling of a finite weight at a level by a diagram
+automorphism (:func:`finite_twist`) and of a key (:func:`key_twist`), the
+one Demazure kernel (:func:`_demazure_terms`, applied along a tuple of
+letters by :func:`demazure_letters`, with the one term limit
 :data:`MAX_TERMS`), the dominant point of an affine Weyl orbit in closed
-form (:func:`_dominant_key`) and the rotation element as a pair
-(:func:`sigma_pair`).  A word is a plain pair: an automorphism prefix (a
-permutation of the affine nodes generated by the two diagram swaps, each
-its own inverse) and a tuple of reflection indices, read left to right,
-rightmost applied first.  Nothing here reflects a key, walks a chamber
-or reduces a word: :mod:`minaff.polyring` holds the simple reflection and
-the walk that gives the full character the longest word's letters, and
-``verify`` counts lengths by hyperplanes.
+form (:func:`_dominant_key`) and the rotation element as a plain pair
+(:func:`sigma_pair`): an automorphism prefix (a permutation of the affine
+nodes generated by the two diagram swaps, each its own inverse) and a
+tuple of reflection indices, read left to right, rightmost applied first.
+Nothing here reflects a key, walks a chamber or reduces a word:
+:mod:`minaff.polyring` holds the simple reflection and the walk that gives
+the full character the longest word's letters, and ``verify`` counts
+lengths by hyperplanes.
 """
 
 from functools import lru_cache
@@ -126,10 +127,6 @@ def _dominant_key(n, k):
 # Diagram automorphisms
 
 
-def _identity_tau(n):
-    return tuple(range(n + 1))
-
-
 def _swap_tau(n, a, b):
     t = list(range(n + 1))
     t[a], t[b] = t[b], t[a]
@@ -180,32 +177,42 @@ def alpha_key(n, i):
 
 
 @lru_cache(maxsize=None)
-def key_twist(n, tau):
-    """The relabelling of keys by a diagram automorphism ``tau`` (a tuple),
-    as a function.
+def finite_twist(n, tau):
+    """The relabelling by a diagram automorphism ``tau`` (a tuple) of a
+    finite weight at a level, as a function (mu, level) -> mu'.
 
     An automorphism sends the node-i fundamental weight Lambda_i to
     Lambda_tau(i) plus a delta correction, so the image pairs with the
-    coroot at node tau(i) as the key does at node i: its finite coordinates
+    coroot at node tau(i) as the weight does at node i: its coordinates
     are the permuted pairings, the one at node j read from node tau(j), as
-    ``tau`` is its own inverse.  The level is the mark-weighted sum of the
-    pairings and the marks are tau-invariant, so it is unchanged.  The
-    delta correction is forced by norm preservation, since delta pairs
-    with the level: Lambda_0 has norm 0 and Lambda_1 norm 1, so swapping
-    nodes 0 and 1 adds c_1 - c_0 to 2 delta for pairings c_i, while the two
-    spin weights swapped by the fork have equal norms and add nothing.
+    ``tau`` is its own inverse.  The pairing at node 0 reads the level.
     ``tau`` is taken unchecked as one of the four automorphisms generated
     by the two swaps (any other would not preserve the invariant form):
     the rotation element's prefix, or that of a ``verify`` word.
     """
     pick = itemgetter(*tau[1:])
     pair0 = key_pairing(n, 0)
-    if tau[0] == 0:
-        return lambda k: pick((pair0(k),) + k) + k[n:]
+    return lambda mu, level: pick((pair0(mu + (level,)),) + mu)
+
+
+@lru_cache(maxsize=None)
+def key_twist(n, tau):
+    """The relabelling of keys by a diagram automorphism ``tau``, as a
+    function: the finite part by :func:`finite_twist` at the key's level.
+
+    The level is the mark-weighted sum of the pairings and the marks are
+    tau-invariant, so it is unchanged.  The delta correction is forced by
+    norm preservation, since delta pairs with the level: Lambda_0 has norm
+    0 and Lambda_1 norm 1, so swapping nodes 0 and 1 adds c_1 - c_0 to
+    2 delta for pairings c_i, while the two spin weights swapped by the
+    fork have equal norms and add nothing: the image's first coordinate is
+    c_tau(1), so the correction is c_1 minus it.
+    """
+    relabel = finite_twist(n, tau)
 
     def twist(k):
-        c0 = pair0(k)
-        return pick((c0,) + k) + (k[n], k[n + 1] + k[0] - c0)
+        mu = relabel(k[:n], k[n])
+        return mu + (k[n], k[n + 1] + k[0] - mu[0])
 
     return twist
 
@@ -218,7 +225,7 @@ def _demazure_terms(n, i, terms):
     string k, k - alpha_i, ..., k - m alpha_i when m >= 0, nothing when
     m = -1, and its negative times the ascending string k + alpha_i, ...,
     k + (-m-1) alpha_i otherwise.  The one Demazure kernel, applied along
-    a word by :func:`demazure_pair_terms`.  At a finite node it acts on
+    letters by :func:`demazure_letters`.  At a finite node it acts on
     finite weights (length-n tuples) as well: the simple root has no level
     or delta part, and the pairing reads one finite coordinate.
     """
@@ -245,11 +252,10 @@ def _demazure_terms(n, i, terms):
 MAX_TERMS = 200_000
 
 
-def demazure_pair_terms(n, tau, word, terms):
-    """The Demazure operator of the word ``word`` after the prefix ``tau``,
-    at a checked rank, on a map {key: coefficient}: :func:`_demazure_terms`
-    at each letter, last letter first, then the relabelling by the prefix
-    unless it is the identity.
+def demazure_letters(n, letters, terms):
+    """The Demazure operator of the reflection word ``letters``, at a
+    checked rank, on a map {key: coefficient}: :func:`_demazure_terms` at
+    each letter, last letter first.
 
     Refuses with InputError once a step leaves more than MAX_TERMS terms.
     It does not check that the word is reduced; on a word that is not, the
@@ -260,14 +266,11 @@ def demazure_pair_terms(n, tau, word, terms):
     sigma^(n-1) add is proved by ``verify --suite weyl`` and the tests,
     not on the table path.
     """
-    for i in reversed(word):
+    for i in reversed(letters):
         terms = _demazure_terms(n, i, terms)
         if len(terms) > MAX_TERMS:
             raise InputError(
                 f"rank {n}: a Demazure step passed the limit of {MAX_TERMS} terms, "
                 "so the job is refused"
             )
-    if tau == _identity_tau(n):
-        return terms
-    twist = key_twist(n, tau)
-    return {twist(k): c for k, c in terms.items()}
+    return terms

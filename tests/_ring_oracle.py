@@ -13,20 +13,25 @@ string form, :func:`minaff.weyl._demazure_terms`, the kernel that the
 program runs on plain maps; never by polynomial division.  The word
 operator, :meth:`CharElem.demazure_word`, is written here on its own, on
 the words of ``_weyl_oracle``, and checks that the word is reduced, so it
-is a reference for :func:`minaff.weyl.demazure_pair_terms`.  Elements are immutable; all
-operations return new elements.
+is a reference for :func:`minaff.weyl.demazure_letters` followed by
+:func:`minaff.weyl.key_twist`.  Elements are immutable; all operations
+return new elements.
 
 The tests check the ring laws and the Demazure identities on elements,
-build the nested polynomial by the element route, and hand characters to
-the greedy peel of ``_decomp_oracle`` as finite-tagged elements
-(:func:`finite_char`).
+build the nested polynomial by the element route (:func:`pre_w0_oracle`),
+and hand characters to the greedy peel of ``_decomp_oracle`` as
+finite-tagged elements (:func:`finite_char`).  The element route keeps
+the level and the 2 delta slot of every key, which the program's nested
+polynomial does not carry: the graded Kirillov-Reshetikhin check reads
+its 2 delta slices, and the map-path test merges it by finite part.
 """
 
 from operator import add
 
 from minaff import InputError, weyl
+from minaff.affinization import _lambda_keys, _xi
 from minaff.cartan import check_node, check_rank
-from _weyl_oracle import act, checked_tau, is_reduced
+from _weyl_oracle import act, checked_tau, is_reduced, sigma_word
 
 
 def _checked_rank(n):
@@ -223,7 +228,24 @@ class CharElem:
         return CharElem._of(n, out, affine=False)
 
 
-
 def finite_char(n, ch):
     """The character map {mu: c} of finite weights as a finite-tagged element."""
     return CharElem(n, {mu + (0, 0): c for mu, c in ch.items()}, affine=False)
+
+
+def swap_fork(n, mu):
+    """The finite weight ``mu`` with its two spin coordinates exchanged."""
+    return mu[: n - 2] + (mu[n - 1], mu[n - 2])
+
+
+def pre_w0_oracle(n, lam, s):
+    """The nested polynomial before the longest-element pass by the
+    element route, for s = 1 or n: CharElem products and the word operator
+    of the rotation word, which checks the word on every pass, on keys
+    that keep the level and 2 delta."""
+    lams = _lambda_keys(n, _xi(n, lam, s).keys)
+    sig = sigma_word(n)
+    g = CharElem.one(n)
+    for j in range(n - 1, 0, -1):
+        g = (CharElem.monomial(n, lams[j - 1]) * g).demazure_word(sig)
+    return CharElem.monomial(n, lams[n - 1]) * g

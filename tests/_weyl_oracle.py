@@ -35,7 +35,8 @@ from functools import lru_cache
 
 from minaff import InputError, VerificationError, polyring, weyl
 from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
-from minaff.weyl import _identity_tau, _swap_tau, fw_to_root, root_to_fw, theta_coeffs
+from minaff.verify import _identity_tau
+from minaff.weyl import _swap_tau, fw_to_root, root_to_fw, theta_coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_03_rotation_table_and_length_additivity():
         fix = verify._act(n, sig, varpi(n, n - 1) + (0, 0))
         if (fix[:n], fix[n]) != (varpi(n, n - 1), 0):
             ok = False
-        comp = (weyl._identity_tau(n), polyring._w0_letters(n))
+        comp = (verify._identity_tau(n), polyring._w0_letters(n))
         for _ in range(n - 1):
             comp = verify._compose(comp, sig)
         if verify._length(n, comp) != n * (n - 1) + (n - 1) ** 2:

@@ -247,7 +247,7 @@ def test_char_and_decomp_reduce_no_word(capsys):
     # the nesting proof lives in verify and the tests: a table process
     # reflects no key, builds no w0, counts no length and composes no
     # words, in every family; the rotated factor weights are closed forms
-    # and the rotation passes run on the kernel's (prefix, letters) pair
+    # and the rotation passes run the kernel on the rotation's letters
     cases = [
         [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
         for command in ("char", "decomp")
@@ -497,24 +497,24 @@ def test_delta_of_a_key_prints_as_the_fraction(d2):
 def test_word_independence_check_catches_an_order_sensitive_operator(monkeypatch):
     # scales by a position-weighted letter sum, which every commutation and
     # braid move changes
-    def order_sensitive(n, tau, word, terms):
-        scale = 1 + sum(i * a for i, a in enumerate(word, 1))
+    def order_sensitive(n, letters, terms):
+        scale = 1 + sum(i * a for i, a in enumerate(letters, 1))
         return {k: scale * c for k, c in terms.items()}
 
     # the letters in the wrong order: only the word worked by hand sees it,
     # since reversing both reduced words gives the inverse element on both
     # sides of the comparison
-    real = weyl.demazure_pair_terms
+    real = weyl.demazure_letters
 
-    def first_letter_first(n, tau, word, terms):
-        return real(n, tau, word[::-1], terms)
+    def first_letter_first(n, letters, terms):
+        return real(n, letters[::-1], terms)
 
     for n in (4, 5, 6):
         checks = []
         verify._suite_demazure(n, checks)
         assert dict(checks)["demazure.reduced_word_application"], n
         for operator in (order_sensitive, first_letter_first):
-            monkeypatch.setattr(weyl, "demazure_pair_terms", operator)
+            monkeypatch.setattr(weyl, "demazure_letters", operator)
             checks = []
             verify._suite_demazure(n, checks)
             assert not dict(checks)["demazure.reduced_word_application"], (n, operator)
@@ -547,7 +547,7 @@ def test_word_independence_check_fails_on_a_reduction_to_another_element(monkeyp
         other = real(n, word)
         if other is None:
             return None
-        tau = weyl._identity_tau(n)
+        tau = verify._identity_tau(n)
         for c in range(n + 1):
             moved = other[:-1] + (c,)
             if c != other[-1] and verify._is_reduced(n, (tau, moved)):

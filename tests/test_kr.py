@@ -4,15 +4,19 @@
 At lambda = m varpi_i the minimal affinization of every family is the
 Kirillov-Reshetikhin module, so all three families, s = n included, must
 give its closed-form table; the symplectic pipeline covers s = 1.  The
-nested polynomial's 2 delta slot carries the grading, which no plain table
-reads: sliced by it, each constituent must sit at twice its domino count.
+2 delta slot of the nested polynomial carries the grading, which no plain
+table reads, so the program does not carry it; the element route of
+:func:`_ring_oracle.pre_w0_oracle` does: sliced by it, each constituent
+must sit at twice its domino count.
 """
 
 import pytest
 
-from minaff.affinization import _finite_parts, _pre_w0, _straighten, multiplicity_table
+from minaff.affinization import _straighten, multiplicity_table
 from minaff.spbranch import sam_table
 from _kr_oracle import kr_graded_table, kr_table, kr_weight
+from _ring_oracle import pre_w0_oracle, swap_fork
+from _weyl_oracle import tau_fork
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -37,14 +41,19 @@ def test_a_two_node_weight_matches_no_domino_rule(n, lam):
 
 def graded_table(n, lam, s):
     """{(mu, 2 delta): m} of the nested polynomial before the longest-element
-    pass, each 2 delta slice straightened on its own."""
+    pass by the element route, each 2 delta slice straightened on its own;
+    the fork twin is the fork twist of the s = n polynomial of the swapped
+    weight."""
+    if s == n - 1:
+        g = pre_w0_oracle(n, swap_fork(n, lam), n).twist(tau_fork(n))
+    else:
+        g = pre_w0_oracle(n, lam, s)
     slices = {}
-    for k, c in _pre_w0(n, lam, s).items():
-        slices.setdefault(k[n + 1], {})[k] = c
+    for k, c in g.items():
+        terms = slices.setdefault(k[n + 1], {})
+        terms[k[:n]] = terms.get(k[:n], 0) + c
     return {
-        (mu, d2): m
-        for d2, terms in slices.items()
-        for mu, m in _straighten(n, _finite_parts(n, terms)).items()
+        (mu, d2): m for d2, terms in slices.items() for mu, m in _straighten(n, terms).items()
     }
 
 

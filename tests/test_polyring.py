@@ -126,11 +126,11 @@ def test_reduced_word_independence():
         distinct += r1.word != r2.word
         f = rand_char(N, rng, 15)
         assert f.demazure_word(r1) == f.demazure_word(r2)
-        # the program's word operator on plain maps, prefix twist included
+        # the program's letters operator on plain maps, then the key twist
         w = compose(tau_01(N), r1)
-        assert weyl.demazure_pair_terms(N, w.tau, w.word, dict(f.items())) == dict(
-            f.demazure_word(w).items()
-        )
+        twist = weyl.key_twist(N, w.tau)
+        terms = weyl.demazure_letters(N, w.word, dict(f.items()))
+        assert {twist(k): c for k, c in terms.items()} == dict(f.demazure_word(w).items())
     assert distinct >= 10
 
 

@@ -245,7 +245,7 @@ def test_random_reduced_words_are_reduced(n):
     for _ in range(30):
         tau, letters = verify._rand_reduced(rng, n, 12)
         w = ExtendedWeylWord(n, tau, letters)
-        assert tau == weyl._identity_tau(n)
+        assert tau == verify._identity_tau(n)
         assert is_reduced(w) and len(reduce_word(w).word) == len(letters), w
         sizes.add(len(letters))
     assert max(sizes) >= 8, sizes
@@ -268,7 +268,7 @@ def test_length_additivity(n):
     # oracle's (so w0's letters are the oracle's walk), whose reduction
     # agrees
     sig = weyl.sigma_pair(n)
-    comp = (weyl._identity_tau(n), polyring._w0_letters(n))
+    comp = (verify._identity_tau(n), polyring._w0_letters(n))
     for _ in range(n - 1):
         comp = verify._compose(comp, sig)
     assert verify._length(n, comp) == n * (n - 1) + (n - 1) ** 2
@@ -424,6 +424,25 @@ def test_every_prefix_is_its_own_inverse(n):
             assert twist(twist(k)) == k, (tau, k)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_finite_twist_is_the_finite_part_of_the_key_twist(n):
+    # the table path relabels finite weights at one level; the key twist
+    # adds 2 delta = c_1 - c_0, which moves only when the prefix swaps
+    # nodes 0 and 1
+    rng = seeded(71 + n)
+    for tau in sorted(allowed_taus(n)):
+        relabel = weyl.finite_twist(n, tau)
+        twist = weyl.key_twist(n, tau)
+        moved = False
+        for _ in range(40):
+            k = rand_key(n, rng)
+            image = twist(k)
+            assert relabel(k[:n], k[n]) == image[:n], (tau, k)
+            assert image[n] == k[n], (tau, k)
+            moved |= image[n + 1] != k[n + 1]
+        assert moved == (tau[0] == 1), tau
+
+
 # weyl holds only the key kernel that the table path runs: a fresh process
 # runs char and decomp in every family under a profiler, and every function
 # the module defines, nested ones and comprehensions included, must run.
@@ -444,12 +463,7 @@ from minaff import weyl
 print(json.dumps(sorted([line, name] for path, line, name in called if path == weyl.__file__)))
 """
 # Code of weyl that a table process never runs, by qualified name.
-KERNEL_UNCALLED = {
-    # the relabelling by a prefix that fixes node 0 (the fork swap alone or
-    # the identity): the table path relabels only by the rotation prefix,
-    # which moves node 0, while verify's words reach every prefix
-    "key_twist.<locals>.<lambda>",
-}
+KERNEL_UNCALLED = set()
 
 
 def code_objects(code, qualname=""):
