@@ -27,12 +27,11 @@ from .cartan import (
     _unit,
     check_dominant,
     eps2,
-    fw_from_eps2,
     is_regular,
     resolve_family,
 )
 from . import CharacterError, InputError, VerificationError, weyl
-from .weyl import _dominantize, _dominates
+from .weyl import _dominantize, _dominates, fw_from_eps2
 
 
 class XiSequence(

@@ -11,7 +11,8 @@ form live in :mod:`minaff.weyl`.  What is here is what the command line and
 both pipelines read (the rank, weight and node rules, written once each
 and called by every function that takes such an input; the family labels,
 regularity and the closed Weyl dimension formula), so a ``sam`` process
-loads nothing of the Demazure side.
+loads nothing of the Demazure side.  The inverse of :func:`eps2`, which
+only the Demazure side reads, is :func:`minaff.weyl.fw_from_eps2`.
 """
 
 from functools import lru_cache
@@ -79,22 +80,6 @@ def eps2(n, fw):
         acc += 2 * fw[j]
         out[j] = acc
     return tuple(out)
-
-
-def fw_from_eps2(n, d):
-    """Inverse of :func:`eps2`; raises if ``d`` is not on the weight lattice."""
-    fw = []
-    for j in range(n - 2):
-        q, r = divmod(d[j] - d[j + 1], 2)
-        if r:
-            raise InputError(f"{d} is not a doubled weight-lattice point")
-        fw.append(q)
-    a, ra = divmod(d[n - 2] - d[n - 1], 2)
-    b, rb = divmod(d[n - 2] + d[n - 1], 2)
-    if ra or rb:
-        raise InputError(f"{d} is not a doubled weight-lattice point")
-    fw.extend([a, b])
-    return tuple(fw)
 
 
 def support(coords):

@@ -12,22 +12,27 @@ dimension against the mass of the full character).  Reports go to standard
 output as JSON, CSV, or aligned text; diagnostics go to standard error.
 
 One table, ``_COMMANDS``, names each subcommand's handler (by module, as
-``"module:function"``), help line and options; :func:`_parse` reads the
+``"module:function"``), help line and options; both parsers read the
 argument list against it, and :mod:`minaff.cli_extra` generates the usage
 and help texts from it.  :func:`run` checks the rank and converts the
 ``--lambda`` and ``--mu`` weights, refusing a ``--mu`` that is not
 dominant, before it imports the handler, so no table is built for a bad
 ``--mu``; each handler hands the raw family label to the library entry
 point, so input is refused in the library's order (``sam`` checks its
-optional ``--s`` first, as ``sam_table`` takes no label).  The
-parser takes ``--opt value``, ``--opt=value`` and unique prefixes of option
+optional ``--s`` first, as ``sam_table`` takes no label).  The command
+line takes ``--opt value``, ``--opt=value`` and unique prefixes of option
 names (an exact name first); a repeated option keeps its last value.
-Anything else is invalid input.
+Anything else is invalid input.  :func:`_parse` reads the canonical
+spelling, ``--version`` alone or a subcommand followed by exact option
+names each with a value that does not start with ``-``; every other
+argument list goes to the full parser,
+:func:`minaff.cli_extra._parse_full`, which is the reference on all input
+and builds every refusal.
 
-This module holds only what a table process (``char``, ``decomp``, ``sam``)
-runs: a process run without cached bytecode compiles every module it
-imports, in full.  ``run`` imports only the handler's module, and each
-handler imports the modules it runs, so a
+This module holds only what a canonical table command line (``char``,
+``decomp``, ``sam``, JSON output) runs: a process run without cached
+bytecode compiles every module it imports, in full.  ``run`` imports only
+the handler's module, and each handler imports the modules it runs, so a
 ``sam`` process never loads the Demazure side: it reads only
 :mod:`minaff.cartan`, the weight lattice and labels that both pipelines
 share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
@@ -35,15 +40,16 @@ share, which knows no root, and :mod:`minaff.spbranch`.  A ``char`` or
 :mod:`minaff.affinization`, whose table path runs on plain maps from keys
 to coefficients and stops before the longest-element pass, so the full
 character (:mod:`minaff.polyring`) does not load.  ``weyl`` holds only the
-integer key kernel that path runs.  ``cartan`` loads once
-the command line has parsed, ``csv`` only for a CSV report, and JSON is
-written here without ``json``.
-``--version`` loads nothing beyond this module and the package root, which
-defines the exception types.  The usage and help generator, the ``xi`` and
-``drinfeld`` handlers and the classifying polynomial data live in
-:mod:`minaff.cli_extra`, which only ``--help``, a refused command line,
-``xi`` and ``drinfeld`` load; the ``verify`` suites live in
-:mod:`minaff.verify`, which only ``verify`` loads.
+integer key kernel that path runs.  ``cartan`` loads once the command line
+has parsed, and JSON is written here without ``json``.  ``--version``
+loads nothing beyond this module and the package root, which defines the
+exception types.  The full parser, the usage and help generator, the CSV
+and aligned-text table writers, the ``xi`` and ``drinfeld`` handlers and
+the classifying polynomial data live in :mod:`minaff.cli_extra`, which
+only ``--help``, a refused command line, any other spelling, a CSV or
+aligned-text table, ``xi`` and ``drinfeld`` load (``csv`` only for a CSV
+report); the ``verify`` suites live in :mod:`minaff.verify`, which only
+``verify`` loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
 and 1 from :func:`main` when the report could not be written: the reader
@@ -148,16 +154,6 @@ def _json_str(text):
     return f'"{text}"'
 
 
-def _csv_text(header, rows):
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -171,9 +167,7 @@ def _table_report(opts, n, s, lam, mults):
     dimension = sum(e["m"] * e["dim"] for e in entries)
     mu = opts.get("mu")
     if mu is not None:  # checked dominant by ``run``; a table holds only dominant weights
-        entries = [e for e in entries if tuple(e["mu"]) == mu] or [
-            {"mu": list(mu), "m": 0, "dim": _dim_irr(n, mu)}
-        ]
+        entries = [{"mu": list(mu), "m": mults.get(mu, 0), "dim": _dim_irr(n, mu)}]
     report = {
         "n": n,
         "s": s,
@@ -184,18 +178,9 @@ def _table_report(opts, n, s, lam, mults):
     }
     if opts["format"] == "json":
         return _json_text(report)
-    if opts["format"] == "csv":
-        rows = [(" ".join(map(str, e["mu"])), e["m"], e["dim"]) for e in entries]
-        return _csv_text(("mu", "m", "dim"), rows)
-    lines = [
-        f"n = {n}  s = {s}  lambda = {','.join(map(str, lam))}",
-        f"dimension = {dimension}",
-        "  mu" + " " * (3 * n - 1) + "m      dim",
-    ]
-    for e in entries:
-        mu = ",".join(map(str, e["mu"]))
-        lines.append(f"  {mu:<{3 * n + 1}}{e['m']:<7}{e['dim']}")
-    return "\n".join(lines) + "\n"
+    from .cli_extra import table_text
+
+    return table_text(opts["format"], report)
 
 
 def _cmd_char(opts):
@@ -250,90 +235,41 @@ _COMMANDS = {
                (_N, ("--suite", ("demazure", "weyl", "pipeline", "all"), "all", "suite to run"),
                 ("--format", _FORMATS, "pretty", "report format"))),
 }
-_HELP = ("-h", "--help")
-
-
-def _refuse(message, command=None):
-    from .cli_extra import _usage
-
-    return InputError(f"{message}\n{_usage(command)}")
-
-
-def _option(token, names, command=None):
-    """What ``token`` is among the option ``names``, by argparse's rules:
-    (name, inline value or None) for an option, (None, None) for an
-    option-like token that names none of them, None for a value."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token == "--":
-        raise _refuse("'--' is not accepted", command)
-    head, eq, inline = token.partition("=")
-    if token in names or (eq and head in names):
-        return head, inline if eq else None
-    if token.startswith("--"):
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            raise _refuse(f"ambiguous option {head}: could be {', '.join(found)}", command)
-        if found:
-            return found[0], inline if eq else None
-    whole, dot, frac = token[1:].partition(".")
-    if ((frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())) or " " in token:
-        return None  # a negative number, or text with a space, is a value
-    return None, None
 
 
 def _parse(argv):
     """The subcommand and its options {name: value} for ``argv``, or the
-    help or version text to print.  Raises InputError for an argument
-    list that argparse refused."""
-    command, names, table, unknown, opts = None, (*_HELP, "--version"), {}, [], {}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        opt = _option(token, names, command)
-        if opt is None and command is None:
-            if token not in _COMMANDS:
-                raise _refuse(f"unknown subcommand {token!r}")
-            command = token
-            table = {name: (value, default) for name, value, default, _ in _COMMANDS[command][2]}
-            names = (*_HELP, *table)
-            continue
-        name, raw = opt or (None, None)
-        if name is None:
-            unknown.append(token)
-            continue
-        if name in _HELP or name == "--version":
-            if raw is not None:
-                raise _refuse(f"{name} takes no value", command)
-            if name == "--version":
-                return f"minaff {__version__}\n"
-            from .cli_extra import _help
+    version text to print.  This reads the canonical spelling only:
+    ``--version`` alone, or a subcommand followed by exact option names,
+    each with its own value, which does not start with ``-``.  Any other
+    argument list, every refused one included, goes to
+    :func:`minaff.cli_extra._parse_full`, which reads all that argparse
+    read and gives the same result on the canonical spelling."""
+    if argv == ["--version"]:
+        return f"minaff {__version__}\n"
+    if argv and argv[0] in _COMMANDS and len(argv) % 2:
+        table = {name: (value, default) for name, value, default, _ in _COMMANDS[argv[0]][2]}
+        opts = {}
+        for name, raw in zip(argv[1::2], argv[2::2]):
+            if name not in table or raw[:1] == "-":
+                break
+            kind = table[name][0]
+            if kind is int:
+                try:
+                    raw = int(raw)
+                except ValueError:
+                    break
+            elif kind is not str and raw not in kind:
+                break
+            opts[name[2:]] = raw
+        else:
+            for name, (_, default) in table.items():
+                opts.setdefault(name[2:], default)
+            if _REQUIRED not in opts.values():
+                return argv[0], opts
+    from .cli_extra import _parse_full
 
-            return _help(command)
-        if raw is None:
-            if i == len(argv) or _option(argv[i], names, command) is not None:
-                raise _refuse(f"{name} expects a value", command)
-            raw, i = argv[i], i + 1
-        kind = table[name][0]
-        if kind is int:
-            try:
-                raw = int(raw)
-            except ValueError:
-                raise _refuse(f"{name} expects an integer, got {raw!r}", command)
-        elif kind is not str and raw not in kind:
-            raise _refuse(f"{name} must be one of {', '.join(kind)}, got {raw!r}", command)
-        opts[name[2:]] = raw
-    if command is None:
-        raise _refuse("a subcommand is required")
-    for name, (_, default) in table.items():
-        opts.setdefault(name[2:], default)
-    missing = [name for name in table if opts[name[2:]] is _REQUIRED]
-    if missing:
-        raise _refuse(f"missing required options: {', '.join(missing)}", command)
-    if unknown:
-        raise _refuse(f"unrecognized arguments: {' '.join(unknown)}", command)
-    return command, opts
+    return _parse_full(argv)
 
 
 def run(argv):

@@ -1,20 +1,112 @@
-"""The parts of the command line that no table subcommand runs.
+"""The parts of the command line that a canonical table command line never runs.
 
-The usage and help texts, generated from :data:`minaff.cli._COMMANDS`, the
-``xi`` and ``drinfeld`` handlers with their report helpers, and the
-classifying polynomial data that only the ``drinfeld`` handler reads
-(:func:`drinfeld`, a plain tuple of factor triples).  Only ``--help``, a refused command line, ``xi`` and
-``drinfeld`` import this module, so a ``char``, ``decomp`` or ``sam``
-process never compiles it.
+The full argument parser (:func:`_parse_full`, which reads every spelling
+argparse read and builds every refusal), the usage and help texts, both
+generated from :data:`minaff.cli._COMMANDS` at each call, the CSV and
+aligned-text table writers, the ``xi`` and ``drinfeld`` handlers with
+their report helpers, and the classifying polynomial data that only the
+``drinfeld`` handler reads (:func:`drinfeld`, a plain tuple of factor
+triples).  Only ``--help``, a refused command line, any spelling other
+than the canonical one, a CSV or aligned-text table, ``xi``, ``drinfeld``
+and a CSV ``verify`` report import this module, so ``--version`` and a
+canonical ``char``, ``decomp`` or ``sam`` process writing JSON never
+compile it.
 """
 
-from . import InputError, cli
-from .cli import _csv_text, _json_text, _meta
+import io
+
+from . import InputError, __version__, cli
+from .cli import _json_text, _meta
 
 
 # ---------------------------------------------------------------------------
-# usage and help, read off cli._COMMANDS at each call, so that they always
-# describe the table the parser reads
+# the full parser, the usage and the help, each reading cli._COMMANDS at
+# each call, so that they always read and describe the one table
+
+_HELP = ("-h", "--help")
+
+
+def _refuse(message, command=None):
+    return InputError(f"{message}\n{_usage(command)}")
+
+
+def _option(token, names, command=None):
+    """What ``token`` is among the option ``names``, by argparse's rules:
+    (name, inline value or None) for an option, (None, None) for an
+    option-like token that names none of them, None for a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":
+        raise _refuse("'--' is not accepted", command)
+    head, eq, inline = token.partition("=")
+    if token in names or (eq and head in names):
+        return head, inline if eq else None
+    if token.startswith("--"):
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise _refuse(f"ambiguous option {head}: could be {', '.join(found)}", command)
+        if found:
+            return found[0], inline if eq else None
+    whole, dot, frac = token[1:].partition(".")
+    if ((frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())) or " " in token:
+        return None  # a negative number, or text with a space, is a value
+    return None, None
+
+
+def _parse_full(argv):
+    """The subcommand and its options {name: value} for ``argv``, or the
+    help or version text to print, by argparse's rules: ``--opt value``,
+    ``--opt=value`` and unique prefixes of option names (an exact name
+    first); a repeated option keeps its last value.  Raises InputError
+    for an argument list that argparse refused."""
+    command, names, table, unknown, opts = None, (*_HELP, "--version"), {}, [], {}
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        opt = _option(token, names, command)
+        if opt is None and command is None:
+            if token not in cli._COMMANDS:
+                raise _refuse(f"unknown subcommand {token!r}")
+            command = token
+            table = {
+                name: (value, default) for name, value, default, _ in cli._COMMANDS[command][2]
+            }
+            names = (*_HELP, *table)
+            continue
+        name, raw = opt or (None, None)
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in _HELP or name == "--version":
+            if raw is not None:
+                raise _refuse(f"{name} takes no value", command)
+            if name == "--version":
+                return f"minaff {__version__}\n"
+            return _help(command)
+        if raw is None:
+            if i == len(argv) or _option(argv[i], names, command) is not None:
+                raise _refuse(f"{name} expects a value", command)
+            raw, i = argv[i], i + 1
+        kind = table[name][0]
+        if kind is int:
+            try:
+                raw = int(raw)
+            except ValueError:
+                raise _refuse(f"{name} expects an integer, got {raw!r}", command)
+        elif kind is not str and raw not in kind:
+            raise _refuse(f"{name} must be one of {', '.join(kind)}, got {raw!r}", command)
+        opts[name[2:]] = raw
+    if command is None:
+        raise _refuse("a subcommand is required")
+    for name, (_, default) in table.items():
+        opts.setdefault(name[2:], default)
+    missing = [name for name in table if opts[name[2:]] is cli._REQUIRED]
+    if missing:
+        raise _refuse(f"missing required options: {', '.join(missing)}", command)
+    if unknown:
+        raise _refuse(f"unrecognized arguments: {' '.join(unknown)}", command)
+    return command, opts
 
 
 def _metavar(name, value):
@@ -53,6 +145,40 @@ def _help(command=None):
             rows.append((f"{name} {_metavar(name, value)}", line))
         body = [cli._COMMANDS[command][1], "", "options:", *_columns(rows)]
     return "\n".join([_usage(command), "", *body]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the CSV and aligned-text writers
+
+
+def _csv_text(header, rows):
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def table_text(fmt, report):
+    """The ``csv`` or ``pretty`` form of a ``char``, ``decomp`` or ``sam``
+    table ``report``, the dict that :func:`minaff.cli._table_report` writes
+    as JSON."""
+    entries = report["multiplicities"]
+    if fmt == "csv":
+        rows = [(" ".join(map(str, e["mu"])), e["m"], e["dim"]) for e in entries]
+        return _csv_text(("mu", "m", "dim"), rows)
+    n, lam = report["n"], report["lambda"]
+    lines = [
+        f"n = {n}  s = {report['s']}  lambda = {','.join(map(str, lam))}",
+        f"dimension = {report['dimension']}",
+        "  mu" + " " * (3 * n - 1) + "m      dim",
+    ]
+    for e in entries:
+        mu = ",".join(map(str, e["mu"]))
+        lines.append(f"  {mu:<{3 * n + 1}}{e['m']:<7}{e['dim']}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from operator import mul
 
 from . import affinization, polyring, spbranch, weyl
 from .cartan import dim_irr, eps2, varpi
-from .cli import _csv_text, _json_text, _meta
+from .cli import _json_text, _meta
 
 
 def affine_edges(n):
@@ -257,6 +257,8 @@ def verify_report(opts):
         }
         text = _json_text(report)
     elif opts["format"] == "csv":
+        from .cli_extra import _csv_text
+
         text = _csv_text(
             ("check", "status"),
             [(name, "pass" if ok else "FAIL") for name, ok in checks],

@@ -15,7 +15,9 @@ automorphism (:func:`finite_twist`) and of a key (:func:`key_twist`), the
 one Demazure kernel (:func:`_demazure_terms`, applied along a tuple of
 letters by :func:`demazure_letters`, with the one term limit
 :data:`MAX_TERMS`), the dominant point of an affine Weyl orbit in closed
-form (:func:`_dominant_key`) and the rotation element as a plain pair
+form (:func:`_dominant_key`, which reads its doubled orthogonal
+coordinates back through :func:`fw_from_eps2`, the inverse of
+:func:`minaff.cartan.eps2`) and the rotation element as a plain pair
 (:func:`sigma_pair`): an automorphism prefix (a permutation of the affine
 nodes generated by the two diagram swaps, each its own inverse) and a
 tuple of reflection indices, read left to right, rightmost applied first.
@@ -28,7 +30,7 @@ lengths by hyperplanes.
 from functools import lru_cache
 from operator import add, itemgetter, mul
 
-from .cartan import _unit, check_node, check_rank, eps2, fw_from_eps2
+from .cartan import _unit, check_node, check_rank, eps2
 from . import InputError, VerificationError
 
 
@@ -96,6 +98,23 @@ def _dominantize(d):
     if neg % 2 and mags[-1]:
         mags[-1] = -mags[-1]
     return tuple(mags)
+
+
+def fw_from_eps2(n, d):
+    """Inverse of :func:`minaff.cartan.eps2`; raises if ``d`` is not on the
+    weight lattice."""
+    fw = []
+    for j in range(n - 2):
+        q, r = divmod(d[j] - d[j + 1], 2)
+        if r:
+            raise InputError(f"{d} is not a doubled weight-lattice point")
+        fw.append(q)
+    a, ra = divmod(d[n - 2] - d[n - 1], 2)
+    b, rb = divmod(d[n - 2] + d[n - 1], 2)
+    if ra or rb:
+        raise InputError(f"{d} is not a doubled weight-lattice point")
+    fw.extend([a, b])
+    return tuple(fw)
 
 
 def _dominant_key(n, k):

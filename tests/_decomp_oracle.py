@@ -23,9 +23,9 @@ from functools import lru_cache
 from math import factorial, prod
 
 from minaff import CharacterError, InputError
-from minaff.cartan import _rho2, check_dominant, dim_irr, eps2, fw_from_eps2, is_dominant_fw
+from minaff.cartan import _rho2, check_dominant, dim_irr, eps2, is_dominant_fw
 from minaff.decomp import _maximal_keys
-from minaff.weyl import _dominantize
+from minaff.weyl import _dominantize, fw_from_eps2
 from _ring_oracle import CharElem
 
 

@@ -1,10 +1,12 @@
 """Shared generators for the test suite."""
 
 import ast
+import json
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from minaff import polyring
@@ -12,6 +14,7 @@ from minaff.verify import affine_edges
 from _ring_oracle import CharElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCHMARK_DIGESTS = SRC.parent / "perfbench" / "expected.json"
 
 
 def rand_key(n, rng, span=2):
@@ -112,3 +115,56 @@ def run_fresh(*args):
     return subprocess.run(
         fresh_argv(*args), capture_output=True, text=True, env=fresh_env(), timeout=300
     )
+
+
+def benchmark_lines():
+    """The argument lists of the benchmark's 12 table cases."""
+    return [key.split(" ") for key in json.loads(BENCHMARK_DIGESTS.read_text())["cli"]]
+
+
+# A fresh process runs command lines through cli.run under a profiler and
+# prints the (first line, name) of every code object of one minaff module
+# that was called.
+CODE_CALLED = """
+import contextlib, importlib, io, json, sys
+from minaff import cli
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.run(argv) != 0:
+            sys.exit(1)
+sys.setprofile(None)
+path = importlib.import_module("minaff." + sys.argv[1]).__file__
+print(json.dumps(sorted([line, name] for file, line, name in called if file == path)))
+"""
+
+
+def code_objects(code, qualname=""):
+    """Every code object nested in ``code``, with its qualified name."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            name = f"{qualname}.<locals>.{const.co_name}" if qualname else const.co_name
+            yield name, const
+            yield from code_objects(const, name)
+
+
+def uncalled_code(module, argvs):
+    """Qualified names of the code objects of the minaff ``module`` (nested
+    functions and comprehensions included) that a fresh process running
+    every command line of ``argvs`` never calls."""
+    name = module.__name__.rpartition(".")[2]
+    proc = run_fresh("-c", CODE_CALLED, name, json.dumps(argvs))
+    if proc.returncode:
+        raise RuntimeError(proc.stderr)
+    called = {tuple(entry) for entry in json.loads(proc.stdout)}
+    with open(module.__file__) as f:
+        compiled = compile(f.read(), module.__file__, "exec")
+    return {
+        name
+        for name, code in code_objects(compiled)
+        if (code.co_firstlineno, code.co_name) not in called
+    }

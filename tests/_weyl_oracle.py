@@ -34,9 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from minaff import InputError, VerificationError, polyring, weyl
-from minaff.cartan import branch_set, check_rank, eps2, family_nodes, fw_from_eps2, support, varpi
+from minaff.cartan import branch_set, check_rank, eps2, family_nodes, support, varpi
 from minaff.verify import _identity_tau
-from minaff.weyl import _swap_tau, fw_to_root, root_to_fw, theta_coeffs
+from minaff.weyl import _swap_tau, fw_from_eps2, fw_to_root, root_to_fw, theta_coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ import json
 import time
 
 from minaff.affinization import _lambda_keys, _xi, multiplicity_table, xi_sequence
-from minaff.cartan import dim_irr, fw_from_eps2, varpi
+from minaff.cartan import dim_irr, varpi
 from minaff.cli import run
 from minaff.polyring import character
 from minaff.spbranch import sam_table
+from minaff.weyl import fw_from_eps2
 from minaff import polyring, verify, weyl
 from _decomp_oracle import (
     character_mass,

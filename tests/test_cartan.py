@@ -7,11 +7,13 @@ from operator import mul, sub
 import pytest
 
 from minaff import InputError, cartan, decomp, spbranch, verify, weyl
-from minaff.cartan import _rho2, check_rank, eps2, fw_from_eps2, support, varpi
-from minaff.weyl import _dominates, finite_edges, fw_to_root, key_pairing, root_to_fw
+from minaff.cartan import _rho2, check_rank, eps2, support, varpi
+from minaff.weyl import (
+    _dominates, finite_edges, fw_from_eps2, fw_to_root, key_pairing, root_to_fw
+)
 from minaff.verify import affine_edges, bilinear
 from _decomp_oracle import _dot, positive_roots_eps2
-from _helpers import minaff_imports, rand_key, seeded
+from _helpers import benchmark_lines, minaff_imports, rand_key, seeded, uncalled_code
 from _weyl_oracle import (
     AffineWeight,
     delta_plus_s,
@@ -416,3 +418,21 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     assert not any(hasattr(m, "in_root_cone") for m in (cartan, weyl, verify))
     # so the symplectic pipeline loads no code that knows a root
     assert minaff_imports(spbranch) == {"cartan"}
+
+
+# cartan holds what both pipelines share, so the six sam lines of the
+# benchmark call every function it defines but these, by qualified name.
+SAM_UNCALLED = {
+    "check_node",  # the node rule, read by weyl's pairings and by varpi
+    "varpi",  # a library export; the Demazure side and verify call it
+    "_unit",  # varpi's body and weyl's simple roots
+    "_unit.<locals>.<genexpr>",  # part of _unit
+    "resolve_family",  # the family label, which a sam line given no --s never reads
+    "dim_irr",  # the checked library export; a table report calls _dim_irr
+}
+
+
+def test_a_sam_process_runs_every_function_of_cartan_but_the_exempt_ones():
+    sam_lines = [argv for argv in benchmark_lines() if argv[0] == "sam"]
+    assert len(sam_lines) == 6
+    assert uncalled_code(cartan, sam_lines) == SAM_UNCALLED

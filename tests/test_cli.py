@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minaff import affinization, polyring, spbranch, verify, weyl
+from minaff import affinization, cli, polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
-from _helpers import fresh_argv, fresh_env, run_fresh
+from _helpers import benchmark_lines, fresh_argv, fresh_env, run_fresh, uncalled_code
 from _weyl_oracle import from_word, same_element
 
 
@@ -451,6 +451,23 @@ def test_benchmark_cases_print_their_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
 
+# cli holds only what a canonical table command line runs: the benchmark's
+# 12 table lines and --version call every function it defines but these, by
+# qualified name.  The full parser and the CSV and aligned-text writers
+# live in cli_extra.
+CLI_UNCALLED = {
+    "main",  # the console entry point; these lines run through cli.run in-process
+    "_watched",  # read by main alone
+    "_watched.<locals>.<genexpr>",  # part of _watched
+}
+
+
+def test_a_table_process_runs_every_function_of_the_cli():
+    argvs = [*benchmark_lines(), ["--version"]]
+    assert len(argvs) == 13
+    assert uncalled_code(cli, argvs) == CLI_UNCALLED
+
+
 # sha256 of the reports that print affine weights (xi; s = 1 prints a delta
 # of 1/2) and of the verify suites, which draw random elements: the bytes
 # stay fixed whatever the weights are stored as
@@ -695,9 +712,14 @@ def test_no_subcommand_loads_json(argv):
 
 
 def test_only_help_refusals_xi_and_drinfeld_load_the_extra_cli():
-    argvs = (*SUBCOMMANDS, ("--help",), ("char", "--help"), REFUSED)
+    # and an accepted spelling other than the canonical one, which the full
+    # parser reads
+    spelled = ("char", "--n=4", "--lam", "1,1,1,1", "--s", "1")
+    argvs = (*SUBCOMMANDS, ("--help",), ("char", "--help"), REFUSED, spelled)
     loading = {argv for argv in argvs if "minaff.cli_extra" in modules_after_run(*argv)}
-    assert loading == {SUBCOMMANDS[4], SUBCOMMANDS[5], ("--help",), ("char", "--help"), REFUSED}
+    assert loading == {
+        SUBCOMMANDS[4], SUBCOMMANDS[5], ("--help",), ("char", "--help"), REFUSED, spelled
+    }
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

@@ -1,9 +1,13 @@
-"""The table-driven argument parser against the argparse parser it replaced.
+"""The table-driven argument parsers against the argparse parser they replaced.
 
 ``_cli_oracle._build_parser`` is the old parser, unchanged.  On generated
 argument lists that it accepts, :func:`minaff.cli._parse` must give the
 same subcommand and the same value for every option; every list that it
 refuses must make :func:`minaff.cli.run` exit 2 with nothing on stdout.
+``cli._parse`` reads the canonical spelling itself and hands every other
+argument list to :func:`minaff.cli_extra._parse_full`: the two must give
+the same value or the same refusal on every list here, and a canonical
+list must never reach the full parser.
 """
 
 import contextlib
@@ -12,7 +16,7 @@ import random
 
 import pytest
 
-from minaff import InputError, __version__, cli
+from minaff import InputError, __version__, cli, cli_extra
 from _cli_oracle import _build_parser
 
 ORACLE = _build_parser()
@@ -55,16 +59,21 @@ def oracle(argv):
     return 0, values, out.getvalue()
 
 
-def pairs(command, rng, required_only=False):
+def pairs(command, rng, required_only=False, canonical=False):
     """One (spelling, value) pair per option, in random order: every
     required one and, unless ``required_only``, each optional one half the
-    time and a quarter of them given twice."""
+    time and a quarter of them given twice.  A ``canonical`` pair is the
+    exact name and a value that does not start with "-"."""
     out = []
     for name, _, default, _ in options(command):
         if default is not cli._REQUIRED and (required_only or rng.random() < 0.5):
             continue
         for _ in range(2 if not required_only and rng.random() < 0.25 else 1):
-            out.append((rng.choice(spellings(command, name)), rng.choice(VALUES[name])))
+            if canonical:
+                values = [v for v in VALUES[name] if not v.startswith("-")]
+                out.append((name, rng.choice(values)))
+            else:
+                out.append((rng.choice(spellings(command, name)), rng.choice(VALUES[name])))
     rng.shuffle(out)
     return out
 
@@ -82,6 +91,25 @@ def accepted_argvs():
     for command in cli._COMMANDS:
         argvs += [flatten(command, pairs(command, rng), rng) for _ in range(150)]
     return argvs
+
+
+def canonical_argvs():
+    """``--version`` and, for each subcommand, argument lists of exact
+    option names in random order, some given twice, each with its value."""
+    rng = random.Random(1310)
+    argvs = [["--version"]]
+    for command in cli._COMMANDS:
+        for _ in range(40):
+            option_pairs = pairs(command, rng, canonical=True)
+            argvs.append([command, *(token for pair in option_pairs for token in pair)])
+    return argvs
+
+
+HELP_ARGVS = [["--help"], ["-h"], ["--he"], ["--frobnicate", "--help"]]
+
+
+def subcommand_help_argvs(command):
+    return [command, "--help"], [command, "-h"], [command, "--n", "4", "--frobnicate", "--hel"]
 
 
 def refused_argvs():
@@ -146,7 +174,7 @@ def test_refused_argument_lists_exit_2_with_no_stdout(capsys):
         assert out.out == "" and out.err.startswith("error: "), argv
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["--frobnicate", "--help"]])
+@pytest.mark.parametrize("argv", HELP_ARGVS)
 def test_help_names_every_subcommand(capsys, argv):
     assert oracle(argv)[0] == 0
     assert cli.run(argv) == 0
@@ -158,8 +186,7 @@ def test_help_names_every_subcommand(capsys, argv):
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_subcommand_help_names_every_option(capsys, command):
-    argvs = [command, "--help"], [command, "-h"], [command, "--n", "4", "--frobnicate", "--hel"]
-    for argv in argvs:
+    for argv in subcommand_help_argvs(command):
         assert oracle(argv)[0] == 0
         assert cli.run(argv) == 0
         out = capsys.readouterr().out
@@ -201,3 +228,32 @@ def test_exact_name_before_prefix_and_ambiguous_prefix(monkeypatch, capsys):
     assert cli._parse(argv)[1] == {
         "n": 4, "lambda": "0,1,0,0", "s": "1", "format": "json", "mu": None, "size": 7
     }
+
+
+def outcome(parse, argv):
+    """What ``parse`` gives for ``argv``: its value, or the refusal."""
+    try:
+        return parse(argv)
+    except InputError as e:
+        return "refused", str(e)
+
+
+def test_canonical_argument_lists_never_reach_the_full_parser(monkeypatch):
+    full, calls = cli_extra._parse_full, []
+    monkeypatch.setattr(cli_extra, "_parse_full", lambda argv: calls.append(argv) or full(argv))
+    argvs = canonical_argvs()
+    repeated = sum(len(set(argv[1::2])) < len(argv[1::2]) for argv in argvs)
+    assert len(argvs) == 1 + 40 * len(cli._COMMANDS) and repeated > 20
+    for argv in argvs:
+        assert cli._parse(argv) == full(argv), argv
+    assert calls == []
+
+
+def test_both_parsers_give_the_same_value_or_the_same_refusal():
+    argvs = [
+        *canonical_argvs(), *accepted_argvs(), *refused_argvs(), *HELP_ARGVS,
+        ["--version"], ["--vers"],
+        *(argv for command in cli._COMMANDS for argv in subcommand_help_argvs(command)),
+    ]
+    for argv in argvs:
+        assert outcome(cli._parse, argv) == outcome(cli_extra._parse_full, argv), argv

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from minaff import CharacterError, InputError
 from minaff.affinization import _straighten
-from minaff.cartan import dim_irr, eps2, fw_from_eps2, varpi
+from minaff.cartan import dim_irr, eps2, varpi
 from minaff.decomp import compare_affinization
 from minaff import decomp
-from minaff.weyl import _dominantize
+from minaff.weyl import _dominantize, fw_from_eps2
 from _decomp_oracle import (
     _orbit,
     character_mass,

@@ -1,5 +1,3 @@
-import json
-import types
 from collections import deque
 from fractions import Fraction
 from operator import sub
@@ -10,7 +8,7 @@ from minaff import InputError, polyring, verify, weyl
 from minaff.cartan import is_dominant_fw, varpi
 from minaff.verify import bilinear
 from minaff.weyl import root_to_fw
-from _helpers import braid_variant, rand_key, run_fresh, seeded
+from _helpers import braid_variant, rand_key, seeded, uncalled_code
 from _weyl_oracle import (
     AffineWeight,
     ExtendedWeylWord,
@@ -446,33 +444,8 @@ def test_finite_twist_is_the_finite_part_of_the_key_twist(n):
 # weyl holds only the key kernel that the table path runs: a fresh process
 # runs char and decomp in every family under a profiler, and every function
 # the module defines, nested ones and comprehensions included, must run.
-CODE_CALLED = """
-import contextlib, io, json, sys
-from minaff import cli
-called = set()
-def profile(frame, event, arg):
-    if event == "call":
-        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))
-sys.setprofile(profile)
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli.run(argv) != 0:
-            sys.exit(1)
-sys.setprofile(None)
-from minaff import weyl
-print(json.dumps(sorted([line, name] for path, line, name in called if path == weyl.__file__)))
-"""
 # Code of weyl that a table process never runs, by qualified name.
 KERNEL_UNCALLED = set()
-
-
-def code_objects(code, qualname=""):
-    """Every code object nested in ``code``, with its qualified name."""
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            name = f"{qualname}.<locals>.{const.co_name}" if qualname else const.co_name
-            yield name, const
-            yield from code_objects(const, name)
 
 
 def test_a_table_process_runs_every_function_of_the_kernel():
@@ -481,14 +454,4 @@ def test_a_table_process_runs_every_function_of_the_kernel():
         for command in ("char", "decomp")
         for s in ("1", "n-1", "n")
     ]
-    proc = run_fresh("-c", CODE_CALLED, json.dumps(cases))
-    assert proc.returncode == 0, proc.stderr
-    called = {tuple(entry) for entry in json.loads(proc.stdout)}
-    with open(weyl.__file__) as f:
-        module = compile(f.read(), weyl.__file__, "exec")
-    defined = {
-        name: (code.co_firstlineno, code.co_name) for name, code in code_objects(module)
-    }
-    assert KERNEL_UNCALLED <= set(defined)
-    uncalled = {name for name, key in defined.items() if key not in called}
-    assert uncalled == KERNEL_UNCALLED
+    assert uncalled_code(weyl, cases) == KERNEL_UNCALLED
