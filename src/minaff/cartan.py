@@ -43,7 +43,7 @@ def check_node(n, i, first):
     a float) in first..n, for a checked rank n.  A cached caller keys its
     cache by type, since an untyped ``lru_cache`` takes 1.0 and True for 1."""
     if i.__class__ is not int or not first <= i <= n:
-        raise InputError(f"node {i} outside {first}..{n}")
+        raise InputError(f"node {i!r} outside {first}..{n}")
 
 
 def varpi(n, i):

@@ -20,13 +20,13 @@ def _maximal_keys(n, keys):
 
 
 def _top_weight(n, table):
-    """The unique maximal weight of a table, checked here: every key a
-    dominant rank-n weight, every multiplicity a nonnegative int."""
+    """The unique maximal weight of the nonzero entries (a 0 reads as a missing
+    weight), checked here: every key dominant, every multiplicity an int >= 0."""
     for mu, m in table.items():
         check_dominant(n, mu)
         if m.__class__ is not int or m < 0:
             raise InputError(f"multiplicity {m!r} at {mu} is not a nonnegative integer")
-    tops = _maximal_keys(n, list(table))
+    tops = _maximal_keys(n, [mu for mu, m in table.items() if m])
     if len(tops) != 1:
         raise InputError(f"table has no unique top weight: {tops}")
     return tops[0]

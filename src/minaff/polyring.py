@@ -11,35 +11,22 @@ this module.
 """
 
 from .affinization import _pre_w0, _regular_input
-from . import CharacterError, VerificationError, weyl
-
-
-def reflect_key(i, k):
-    """Simple reflection at node i: subtract the pairing times alpha_i, the
-    end of the string :func:`minaff.weyl._demazure_terms` walks at node i."""
-    n = len(k) - 2
-    alpha = weyl.alpha_key(n, i)
-    m = weyl.key_pairing(n, i)(k)
-    return tuple(a - m * b for a, b in zip(k, alpha))
+from . import CharacterError, weyl
 
 
 def _w0_letters(n):
-    """A reduced word for the longest finite Weyl group element, at a
-    checked rank: -rho walked up into the dominant chamber over the finite
-    nodes, always at the smallest node with a negative pairing, the steps
-    reversed.  The library's one chamber walk; ``verify`` reads it too."""
-    k = (-1,) * n + (0, 0)
-    pairings = [(i, weyl.key_pairing(n, i)) for i in range(1, n + 1)]
-    steps = []
-    while True:
-        i = next((i for i, pair in pairings if pair(k) < 0), None)
-        if i is None:
-            break
-        k = reflect_key(i, k)
-        steps.append(i)
-    if len(steps) != n * (n - 1):
-        raise VerificationError(f"longest word has length {len(steps)}, expected {n * (n - 1)}")
-    return tuple(reversed(steps))
+    """A reduced word for the longest finite Weyl group element: w0 = w0^J
+    w0_J, J the chain 1..n-1 (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.4).  For k = 1..n-1 the block n-k..n-2, closed by n when
+    n-1-k is even and by n-1 otherwise, then (1..n-1)(1..n-2)...(1): the
+    walk of -rho into the dominant chamber, reversed, letter for letter."""
+    letters = []
+    for k in range(1, n):
+        letters += range(n - k, n - 1)
+        letters.append(n - (n - 1 - k) % 2)
+    for m in range(n - 1, 0, -1):
+        letters += range(1, m + 1)
+    return tuple(letters)
 
 
 def character(n, lam, s):

@@ -21,10 +21,10 @@ coordinates back through :func:`fw_from_eps2`, the inverse of
 (:func:`sigma_pair`): an automorphism prefix (a permutation of the affine
 nodes generated by the two diagram swaps, each its own inverse) and a
 tuple of reflection indices, read left to right, rightmost applied first.
-Nothing here reflects a key, walks a chamber or reduces a word:
-:mod:`minaff.polyring` holds the simple reflection and the walk that gives
-the full character the longest word's letters, and ``verify`` counts
-lengths by hyperplanes.
+Nothing here reflects a key or reduces a word, and nothing in the
+library walks a chamber: :mod:`minaff.polyring` writes the
+longest word's letters in closed form, and ``verify`` holds the simple
+reflection and counts lengths by hyperplanes.
 """
 
 from functools import lru_cache
@@ -167,7 +167,7 @@ def sigma_pair(n):
 # every delta the library meets has denominator 1 or 2, so doubling keeps
 # the key exact.  The pairings, the simple roots and the relabelling are
 # written once, below, on these keys; the simple reflection, which no table
-# runs, is minaff.polyring.reflect_key, on the pairing and root of its
+# runs, is minaff.verify.reflect_key, on the pairing and root of its
 # string in _demazure_terms, so a change of the key format touches both.
 
 

@@ -11,13 +11,15 @@ the kernel is pinned on deltas the keys cannot hold.
 The extended affine Weyl group as words lives here too: an automorphism
 prefix (one of the four generated by the two diagram swaps, each its own
 inverse) and a tuple of reflection letters, read left to right, rightmost
-applied first, with products, inverses and the action on keys through the
-kernel of ``minaff.weyl``.  :func:`reduce_word` walks w^-1 rho-hat into
-the dominant chamber, and :func:`length` reads the reduced word: the
-oracle for ``verify``'s hyperplane count.  :func:`descent_oracle` keeps
-the older construction the walk replaced, which strips right descents
-found by acting on the affine simple roots, so the two can be compared
-word for word.  ``weyl.key_twist`` permutes coroot pairings; this module
+applied first, with products, inverses and the action on keys through
+``verify``'s simple reflection on the kernel of ``minaff.weyl``.
+:func:`reduce_word` walks w^-1 rho-hat into the dominant chamber, and
+:func:`length` reads the reduced word: the oracle for ``verify``'s
+hyperplane count.  :func:`longest_word` keeps the walk from -rho that
+``polyring._w0_letters`` replaced with a closed form.
+:func:`descent_oracle` keeps the older construction the walk replaced,
+which strips right descents found by acting on the affine simple roots,
+so the two can be compared word for word.  ``weyl.key_twist`` permutes coroot pairings; this module
 keeps the expansion over the fundamental weights that it replaced, each
 mapped to its image with the delta correction that norm preservation
 forces.  :func:`element_images` is a fingerprint of a group element, the
@@ -33,9 +35,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from minaff import InputError, VerificationError, polyring, weyl
+from minaff import InputError, VerificationError, weyl
 from minaff.cartan import branch_set, check_rank, eps2, family_nodes, support, varpi
-from minaff.verify import _identity_tau
+from minaff.verify import _identity_tau, reflect_key
 from minaff.weyl import _swap_tau, fw_from_eps2, fw_to_root, root_to_fw, theta_coeffs
 
 
@@ -98,7 +100,7 @@ def inverse(u):
 def act(w, k):
     """Apply a word to a key, letters first, prefix last."""
     for i in reversed(w.word):
-        k = polyring.reflect_key(i, k)
+        k = reflect_key(i, k)
     return weyl.key_twist(w.n, w.tau)(k)
 
 
@@ -113,7 +115,7 @@ def walk_up(k, nodes):
         i = next((i for i, pair in pairings if pair(k) < 0), None)
         if i is None:
             return steps, k
-        k = polyring.reflect_key(i, k)
+        k = reflect_key(i, k)
         steps.append(i)
 
 

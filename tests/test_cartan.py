@@ -122,6 +122,15 @@ def test_bools_and_floats_are_neither_ranks_labels_nor_coordinates():
     assert cartan.resolve_family(4, 4) == cartan.resolve_family(4, "n") == 4
 
 
+def test_a_refused_node_is_printed_with_its_type():
+    # the string "1" and the float 1.0 are refused as themselves, not as
+    # the int 1 that a bare format would show
+    for bad, shown in (("1", "'1'"), (1.0, "1.0")):
+        with pytest.raises(InputError) as refused:
+            varpi(4, bad)
+        assert str(refused.value) == f"node {shown} outside 1..4"
+
+
 def _input_checks(fn, *args):
     """What ``fn(*args)`` returns, and how often it runs each input check:
     the rank, weight, node and dominance rules, ``resolve_family``, and the

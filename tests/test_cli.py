@@ -238,7 +238,7 @@ for module in (polyring, verify):
     for name, value in list(vars(module).items()):
         if getattr(value, "__module__", None) == module.__name__ and callable(value):
             setattr(module, name, off)
-            stubbed.append(name)
+            stubbed.append(module.__name__ + "." + name)
 print(json.dumps({"loaded": sorted(loaded), "first": first, "off": run_all(), "stubbed": stubbed}))
 """
 
@@ -247,7 +247,9 @@ def test_char_and_decomp_reduce_no_word(capsys):
     # the nesting proof lives in verify and the tests: a table process
     # reflects no key, builds no w0, counts no length and composes no
     # words, in every family; the rotated factor weights are closed forms
-    # and the rotation passes run the kernel on the rotation's letters
+    # and the rotation passes run the kernel on the rotation's letters.
+    # The full character's module holds w0's letters, verify the
+    # reflection and the word operations
     cases = [
         [command, "--n", "5", "--lambda", "0,1,1,1,1", "--s", s, "--format", "csv"]
         for command in ("char", "decomp")
@@ -260,7 +262,10 @@ def test_char_and_decomp_reduce_no_word(capsys):
     report = json.loads(proc.stdout)
     assert report["loaded"] == []
     assert report["first"] == report["off"] == expected
-    word_operations = {"reflect_key", "_w0_letters", "_length", "_compose", "_act", "character"}
+    word_operations = {
+        "minaff.polyring._w0_letters", "minaff.polyring.character", "minaff.verify.reflect_key",
+        "minaff.verify._length", "minaff.verify._compose", "minaff.verify._act",
+    }
     assert word_operations <= set(report["stubbed"])
     assert not hasattr(weyl, "_walk_up") and not hasattr(weyl, "reflect_key")
 
@@ -682,10 +687,11 @@ def test_table_subcommands_load_exactly_the_table_path(argv):
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
-def test_only_verify_loads_the_reflection_and_the_walk(argv):
-    # the table path runs the key kernel of weyl alone; the simple
-    # reflection and the longest word's walk live with the full character,
-    # which only verify's suites load
+def test_only_verify_loads_the_full_character(argv):
+    # the table path runs the key kernel of weyl alone; the longest word's
+    # closed-form letters live with the full character, which only verify's
+    # suites load, and the simple reflection lives in verify itself
+    assert not hasattr(polyring, "reflect_key") and callable(verify.reflect_key)
     assert ("minaff.polyring" in modules_after_run(*argv)) == (argv[0] == "verify")
 
 

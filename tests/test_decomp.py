@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minaff import CharacterError, InputError
-from minaff.affinization import _straighten
+from minaff.affinization import _straighten, multiplicity_table
 from minaff.cartan import dim_irr, eps2, varpi
 from minaff.decomp import compare_affinization
 from minaff import decomp
-from minaff.weyl import _dominantize, fw_from_eps2
+from minaff.weyl import _dominantize, _dominates, fw_from_eps2
 from _decomp_oracle import (
     _orbit,
     character_mass,
@@ -175,6 +175,32 @@ def test_compare_affinization():
         compare_affinization(n, t, {(0, 1, 0, 0, 0): 1})
     with pytest.raises(InputError, match="no unique top weight"):
         compare_affinization(n, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}, t)
+
+
+def test_zero_entries_change_no_verdict():
+    # the order reads a missing weight as multiplicity 0, and so does the
+    # top weight: zeros above, beside and below the top leave every verdict
+    n = 4
+    t = multiplicity_table(n, (0, 1, 0, 0), 1)
+    assert compare_affinization(n, t, {**t, (0, 2, 0, 0): 0}) == "equal"
+    top = (1, 1, 1, 1)
+    above, beside, below = (1, 2, 1, 1), (2, 1, 1, 1), (0, 0, 0, 0)
+    assert _dominates(n, above, top) and _dominates(n, top, below)
+    assert not _dominates(n, beside, top) and not _dominates(n, top, beside)
+    families = [multiplicity_table(n, top, s) for s in (1, 3, 4)]
+    smaller, bigger = ({top: 1, (1, 0, 1, 1): m} for m in (1, 2))
+    pairs = [(a, b) for a in families for b in families] + [(smaller, bigger), (bigger, smaller)]
+    verdicts = set()
+    for a, b in pairs:
+        verdict = compare_affinization(n, a, b)
+        verdicts.add(verdict)
+        for mu in (above, beside, below):
+            assert mu not in a and mu not in b
+            assert compare_affinization(n, {**a, mu: 0}, b) == verdict
+            assert compare_affinization(n, a, {**b, mu: 0}) == verdict
+    assert verdicts == {"equal", "leq", "geq", "incomparable"}
+    with pytest.raises(InputError, match="no unique top weight"):
+        compare_affinization(n, {top: 0}, families[0])
 
 
 def test_three_families_pairwise_incomparable():

@@ -259,6 +259,17 @@ def test_lengths():
         assert length(w) == length(from_word(n, (1, 2, 0)))
 
 
+def test_closed_form_longest_word_is_the_walk_and_reduced():
+    # the parabolic factorization w0 = w0^J w0_J, letter for letter the
+    # walk from -rho it replaced (so character runs the same steps), and
+    # n(n-1) hyperplanes long, as long as its word
+    for n in range(4, 41):
+        word = polyring._w0_letters(n)
+        steps, _ = walk_up((-1,) * n + (0, 0), range(1, n + 1))
+        assert word == tuple(reversed(steps)), n
+        assert verify._length(n, (verify._identity_tau(n), word)) == n * (n - 1) == len(word)
+
+
 @pytest.mark.parametrize("n", range(4, 17))
 def test_length_additivity(n):
     # the proof behind the nested formula, for every rank the tests reach,
@@ -359,9 +370,9 @@ def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
         refused(bad)
         assert weyl.key_pairing.cache_info().currsize == 0  # nothing refused is stored
         assert weyl.key_pairing(4, 1)(key) == 1
-        assert polyring.reflect_key(1, key) == reflected
+        assert verify.reflect_key(1, key) == reflected
         refused(bad)
-        assert polyring.reflect_key(1, key) == reflected
+        assert verify.reflect_key(1, key) == reflected
 
 
 @pytest.mark.parametrize("n", range(4, 13))
