@@ -3,9 +3,12 @@
 Two independent pipelines compute the same multiplicity tables: a nested
 Demazure-operator character formula over the affine weight lattice, and a
 symplectic branching construction through Schur functors and Littlewood's
-restriction rule.  Everything is exact integer arithmetic; an affine weight
-is one int tuple (a_1, ..., a_n, level, 2 delta), and a character is a
-plain map from keys or finite weights to integer coefficients.
+restriction rule.  Everything is exact integer arithmetic.  Inside the
+Demazure side an affine weight is one int tuple (d_1, ..., d_n, level,
+2 delta), d the doubled orthogonal coordinates of ``cartan.eps2``; what
+the library returns (tables, characters, ``XiSequence.keys``) is in
+fundamental coordinates, and a character is a plain map from finite
+weights to integer coefficients.
 
 The names in ``__all__`` are the documented API and what the command line
 and the two pipelines are built from.  Machinery that only the test suite

@@ -6,21 +6,21 @@ forms Lambda_j, the nested Demazure polynomial of the associated module and
 its multiplicity table.  The s = n-1 family is the fork twin of s = n;
 past :func:`xi_sequence`, only :func:`_pre_w0` knows it.
 
-Everything runs on plain maps and on the kernel of :mod:`minaff.weyl`.
-The rotated factor weights are keys, each a closed form
+Everything runs on plain maps and on the kernel of :mod:`minaff.weyl`, in
+its frame.  The rotated factor weights are keys, each a closed form
 (:func:`minaff.weyl._dominant_key`), so a table process builds no word and
-walks no chamber.  The nested polynomial is a map {mu: coefficient} of
+walks no chamber.  The nested polynomial is a map {d: coefficient} of
 finite weights at one shared level: each rotation pass runs the rotation's
 letters (:func:`minaff.weyl.demazure_letters`) and relabels by its prefix
 at that level (:func:`minaff.weyl.finite_twist`).  The table is read off
-the result by dot-action straightening, with no expansion at all; the
-full character, :func:`minaff.polyring.character`, finishes it with the
-longest-element pass instead, and a ``char`` or ``decomp`` process never
-compiles it.
+the result by dot-action straightening, with no expansion at all, and its
+rows alone go back to fundamental coordinates; the full character,
+:func:`minaff.polyring.character`, finishes it with the longest-element
+pass instead, and a ``char`` or ``decomp`` process never compiles it.
 """
 
 from collections import namedtuple
-from operator import add
+from operator import add, sub
 
 from .cartan import (
     _rho2,
@@ -44,7 +44,8 @@ class XiSequence(
     """Tensor-factor weights for one family, plus the bookkeeping that
     produced them: the spin split (m, m_prime) for s = 1, the cut index and
     leftover bar coordinate for s = n and its fork twin.  ``keys`` holds the
-    weights as integer keys (a_1, ..., a_n, level, 2 delta)."""
+    weights as integer keys (a_1, ..., a_n, level, 2 delta) in fundamental
+    coordinates, not in the frame of :mod:`minaff.weyl`."""
 
     __slots__ = ()
 
@@ -102,9 +103,9 @@ def _xi_family_n(n, lam):
 
 
 def _swap_fork(n, k):
-    """The fork swap of a finite weight or a key: its two spin coordinates
-    exchanged.  On a key it is the relabelling by the fork automorphism,
-    which fixes node 0, so the level and 2 delta stay."""
+    """The fork swap of a finite weight or a key in fundamental coordinates:
+    its spin coordinates exchanged.  On a key it is the relabelling by the
+    fork automorphism, which fixes node 0, so the level and 2 delta stay."""
     return k[: n - 2] + (k[n - 1], k[n - 2]) + k[n:]
 
 
@@ -128,24 +129,24 @@ def _xi(n, lam, s):
 
 
 def _lambda_keys(n, xi_keys):
-    """The dominant keys Lambda_j = sigma^-j xi_j (j < n), then xi_n, from
-    the tensor-factor weights of s = 1 or n.  A weight of positive level
-    has one dominant point in its affine Weyl orbit (V. G. Kac,
-    Infinite-dimensional Lie algebras, Prop. 3.12), and sigma^-j is tau^j,
-    tau the rotation word's prefix (an involution), times an affine Weyl
-    element: Lambda_j is the dominant point of the orbit of xi_j
-    (:func:`minaff.weyl._dominant_key`), relabelled by tau when j is odd.
-    A factor with no dominant point (negative level, or level 0 and a
-    finite part) is refused; one of level 0 and no finite part, a multiple
-    of delta, is dominant as it stands."""
+    """The dominant keys Lambda_j = sigma^-j xi_j (j < n), then xi_n, in the
+    frame of :mod:`minaff.weyl`, from the tensor-factor weights of s = 1 or
+    n.  A weight of positive level has one dominant point in its affine
+    Weyl orbit (V. G. Kac, Infinite-dimensional Lie algebras, Prop. 3.12),
+    and sigma^-j is tau^j, tau the rotation word's prefix (an involution),
+    times an affine Weyl element: Lambda_j is the dominant point of the
+    orbit of xi_j (:func:`minaff.weyl._dominant_key`), relabelled by tau
+    when j is odd.  A factor with no dominant point (negative level, or
+    level 0 and a finite part) is refused; one of level 0 and no finite
+    part, a multiple of delta, is dominant as it stands."""
     tau = weyl.key_twist(n, weyl.sigma_pair(n)[0])
-    keys = []
+    keys = [eps2(n, xi[:n]) + xi[n:] for xi in xi_keys]
     for j, xi in enumerate(xi_keys[: n - 1], 1):
         if xi[n] < 0 or xi[n] == 0 and any(xi[:n]):
             raise VerificationError(f"factor weight {xi} of level {xi[n]} has no dominant point")
-        top = weyl._dominant_key(n, xi) if xi[n] else xi
-        keys.append(tau(top) if j % 2 else top)
-    return (*keys, xi_keys[n - 1])
+        top = weyl._dominant_key(n, keys[j - 1]) if xi[n] else keys[j - 1]
+        keys[j - 1] = tau(top) if j % 2 else top
+    return tuple(keys)
 
 
 def _regular_input(n, lam, s):
@@ -169,18 +170,18 @@ def _shift(k, terms):
 
 def _pre_w0(n, lam, s):
     """The nested polynomial before the longest-element pass, as a map
-    {mu: coefficient} of finite weights without zeros, for all three
-    families, of checked (lam, s).
+    {d: coefficient} of finite weights of the frame without zeros, for all
+    three families, of checked (lam, s).
 
-    Innermost factor first: shift by each tensor-factor weight's finite
+    Innermost factor first: shift by each rotated factor weight's finite
     part and add its level, then run the rotation's letters (finite nodes,
     which read no delta) and relabel by its prefix at that level; the last
     factor is shifted in unrotated.  The fork twin is the fork relabelling
-    of the s = n map of the swapped weight; rho is fork-invariant, so the
-    relabelling commutes with both finishes.
+    (d_n to -d_n) of the s = n map of the swapped weight; rho is
+    fork-invariant, so the relabelling commutes with both finishes.
     """
     if s == n - 1:
-        return {_swap_fork(n, mu): c for mu, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
+        return {d[:-1] + (-d[-1],): c for d, c in _pre_w0(n, _swap_fork(n, lam), n).items()}
     lams = _lambda_keys(n, _xi(n, lam, s).keys)
     tau, letters = weyl.sigma_pair(n)
     twist = weyl.finite_twist(n, tau)
@@ -193,26 +194,27 @@ def _pre_w0(n, lam, s):
 
 
 def _straighten(n, terms):
-    """Irreducible multiplicities {mu: m} of the longest-element Demazure
-    operator applied to the finite weights {mu: c} of ``terms``, rank-n
-    int tuples with int coefficients.
+    """Irreducible multiplicities {d: m} of the longest-element Demazure
+    operator applied to the finite weights {d: c} of ``terms``, rank-n
+    points of the frame with int coefficients, keyed by the frame points
+    of the highest weights.
 
     That operator takes e^mu to the Weyl character of mu straightened by
-    the dot action.  In rho-shifted doubled coordinates a weight with two
-    equal absolute coordinates lies on a wall and contributes nothing; any
-    other is sorted into the dominant chamber with the sign of the sorting
+    the dot action.  Shifted by rho, a weight with two equal absolute
+    coordinates lies on a wall and contributes nothing; any other is
+    sorted into the dominant chamber with the sign of the sorting
     permutation (type D Weyl elements flip an even number of signs, so
     that is their whole sign) and shifted back.
     """
     rho = _rho2(n)
     out = {}
-    for mu, c in terms.items():
-        x = tuple(map(add, eps2(n, mu), rho))
+    for d, c in terms.items():
+        x = tuple(map(add, d, rho))
         mags = [abs(v) for v in x]
         if len(set(mags)) < n:
             continue
         inversions = sum(a < b for i, a in enumerate(mags) for b in mags[i + 1 :])
-        nu = fw_from_eps2(n, tuple(a - b for a, b in zip(_dominantize(x), rho)))
+        nu = tuple(map(sub, _dominantize(x), rho))
         out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
     return {nu: m for nu, m in out.items() if m}
 
@@ -230,13 +232,16 @@ def multiplicity_table(n, lam, s):
 
 
 def _table(n, lam, s):
-    """:func:`multiplicity_table` of a checked regular ``lam`` and family ``s``."""
+    """:func:`multiplicity_table` of a checked regular ``lam`` and family
+    ``s``: the straightened rows checked in the frame, then read back
+    into fundamental coordinates."""
+    top = eps2(n, lam)
     mults = _straighten(n, _pre_w0(n, lam, s))
-    if mults.get(lam) != 1:
-        raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(lam, 0)}")
-    for mu, m in mults.items():
+    if mults.get(top) != 1:
+        raise CharacterError(f"leading multiplicity at {lam} must be 1, got {mults.get(top, 0)}")
+    for d, m in mults.items():
         if m < 0:
-            raise CharacterError(f"negative multiplicity {m} at {mu}")
-        if not _dominates(n, lam, mu):
-            raise CharacterError(f"{mu} is not below the highest weight {lam}")
-    return mults
+            raise CharacterError(f"negative multiplicity {m} at {fw_from_eps2(n, d)}")
+        if not _dominates(n, top, d):
+            raise CharacterError(f"{fw_from_eps2(n, d)} is not below the highest weight {lam}")
+    return {fw_from_eps2(n, d): m for d, m in mults.items()}

@@ -6,13 +6,14 @@ orthogonal coordinates (:func:`eps2`) keep every weight integral.  The fork
 of the finite diagram sits at node n-2, with spin nodes n-1 and n attached
 to it.  Ranks below 4 are rejected everywhere.
 
-This module knows no root: the root system, the diagrams and the invariant
-form live in :mod:`minaff.weyl`.  What is here is what the command line and
-both pipelines read (the rank, weight and node rules, written once each
-and called by every function that takes such an input; the family labels,
-regularity and the closed Weyl dimension formula), so a ``sam`` process
-loads nothing of the Demazure side.  The inverse of :func:`eps2`, which
-only the Demazure side reads, is :func:`minaff.weyl.fw_from_eps2`.
+This module knows no root: the root system lives in :mod:`minaff.weyl`,
+the diagrams and the invariant form in :mod:`minaff.verify`.  What is
+here is what the command line and both pipelines read (the rank, weight
+and node rules, written once each and called by every function that
+takes such an input; the family labels, regularity and the closed Weyl
+dimension formula), so a ``sam`` process loads nothing of the Demazure
+side, which runs in the frame of :func:`eps2` and reads results back
+through its inverse, :func:`minaff.weyl.fw_from_eps2`.
 """
 
 from functools import lru_cache

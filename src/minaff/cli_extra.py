@@ -248,11 +248,14 @@ def _family_str(n, s):
 
 def xi_report(opts):
     from .affinization import _lambda_keys, xi_sequence
+    from .weyl import fw_from_eps2
 
     n = opts["n"]
     xs = xi_sequence(n, opts["lambda"], opts["s"])
     lam, s = xs.lam, xs.s
-    lams = _lambda_keys(n, xs.keys) if s != n - 1 else None
+    lams = None
+    if s != n - 1:  # the rows of both sequences in fundamental coordinates
+        lams = [fw_from_eps2(n, k[:n]) + k[n:] for k in _lambda_keys(n, xs.keys)]
     if opts["format"] == "json":
         report = {
             "n": n,

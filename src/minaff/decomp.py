@@ -4,19 +4,19 @@ A multiplicity table is a plain map {mu: m} from dominant weights to the
 multiplicity of V(mu), as :func:`minaff.affinization.multiplicity_table`
 and :func:`minaff.spbranch.sam_table` return it.  The tables of the
 minimal affinizations of one V(lambda) are compared in this order.  The
-dominance order comes from :mod:`minaff.weyl`; nothing else of the root
-system is used here.
+dominance order comes from :mod:`minaff.weyl`, on the doubled orthogonal
+coordinates of :func:`minaff.cartan.eps2`; nothing else of the root system
+is used here.
 """
 
 from . import InputError
-from .cartan import check_dominant, check_rank
+from .cartan import check_dominant, check_rank, eps2
 from .weyl import _dominates
 
 
 def _maximal_keys(n, keys):
-    return [
-        a for a in keys if not any(b != a and _dominates(n, b, a) for b in keys)
-    ]
+    d = {a: eps2(n, a) for a in keys}
+    return [a for a in keys if not any(b != a and _dominates(n, d[b], d[a]) for b in keys)]
 
 
 def _top_weight(n, table):
@@ -47,13 +47,14 @@ def compare_affinization(n, a, b):
     if a == b:
         return "equal"
     keys = set(a) | set(b)
+    d = {mu: eps2(n, mu) for mu in keys}
 
     def leq(x, y):
         for mu in keys:
             if x.get(mu, 0) <= y.get(mu, 0):
                 continue
             if any(
-                _dominates(n, nu, mu) and nu != mu and x.get(nu, 0) < y.get(nu, 0)
+                _dominates(n, d[nu], d[mu]) and nu != mu and x.get(nu, 0) < y.get(nu, 0)
                 for nu in keys
             ):
                 continue

@@ -6,8 +6,8 @@ library.  It is built from the nested polynomial of
 :mod:`minaff.affinization` by the longest-element Demazure operator
 (:func:`minaff.weyl.demazure_letters` on the letters of
 :func:`_w0_letters`), the pass that the multiplicity tables skip by
-straightening.  No table subcommand (``char``, ``decomp``, ``sam``) loads
-this module.
+straightening, in the frame of :mod:`minaff.weyl` and read back once.
+No table subcommand (``char``, ``decomp``, ``sam``) loads this module.
 """
 
 from .affinization import _pre_w0, _regular_input
@@ -39,6 +39,7 @@ def character(n, lam, s):
     """
     lam, s = _regular_input(n, lam, s)
     ch = weyl.demazure_letters(n, _w0_letters(n), _pre_w0(n, lam, s))
+    ch = {weyl.fw_from_eps2(n, d): c for d, c in ch.items()}
     if ch.get(lam) != 1:
         raise CharacterError(f"leading coefficient at {lam} must be 1")
     return ch

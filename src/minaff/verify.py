@@ -8,7 +8,8 @@ table, length additivity of the nested composite and invariance of the
 form) and ``pipeline`` (the straightened tables against the symplectic
 pipeline, and their total dimension against the mass of the full character
 of :mod:`minaff.polyring`, which the longest-element pass builds without
-straightening).  The suites run on the key kernel of :mod:`minaff.weyl`
+straightening).  The suites run on keys and the one Demazure step of
+:mod:`minaff.weyl`, in its frame, with node 0 added here (:func:`_node`),
 and on its (prefix, letters) pairs: a length is a count of hyperplanes
 (:func:`_length`), so no word is ever reduced.  Only the ``verify``
 handler imports this module, so no other subcommand compiles it.
@@ -18,32 +19,54 @@ import random
 from operator import mul
 
 from . import affinization, polyring, spbranch, weyl
-from .cartan import dim_irr, eps2, varpi
+from .cartan import _rho2, dim_irr, eps2, varpi
 from .cli import _json_text, _meta
+
+
+def finite_edges(n):
+    """Edges of the finite diagram: a chain 1..n-1 plus the fork edge (n-2, n)."""
+    return tuple((i, i + 1) for i in range(1, n - 1)) + ((n - 2, n),)
 
 
 def affine_edges(n):
     """Finite edges plus the affine attachment (0, 2)."""
-    return ((0, 2),) + weyl.finite_edges(n)
+    return ((0, 2),) + finite_edges(n)
 
 
 def bilinear(x, y):
     """Four times the invariant symmetric form of two keys, an integer.
 
-    Finite parts pair through the orthogonal coordinates, delta pairs with
-    the level, and both delta and the level-one generator are isotropic.
+    Finite parts pair as the dot product of the frame, delta pairs with the
+    level, and both delta and the level-one generator are isotropic.
     """
     n = len(x) - 2
-    dot = sum(map(mul, eps2(n, x[:n]), eps2(n, y[:n])))
-    return dot + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
+    return sum(map(mul, x[:n], y[:n])) + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
+
+
+def _node(n, i):
+    """The coroot pairing and the simple root of node i in 0..n, as
+    :func:`minaff.weyl._demazure_terms` takes them.  The node-0 coroot is
+    the canonical central element minus the highest root's, so it pairs
+    as level - (d_1 + d_2)/2, and alpha_0 = delta - theta, theta = e_1 +
+    e_2, is (-2, -2, 0, ..., 0) with 2 in the 2 delta slot."""
+    if i:
+        return weyl.key_pairing(n, i), weyl.alpha_key(n, i)
+    return (lambda k: k[n] - (k[0] + k[1]) // 2), (-2, -2) + (0,) * (n - 2) + (0, 2)
+
+
+def _demazure_word(n, letters, terms):
+    """The Demazure operator of a word over the affine nodes on a map, last
+    letter first: the one step of :mod:`minaff.weyl` at each node."""
+    for i in reversed(letters):
+        terms = weyl._demazure_terms(*_node(n, i), terms)
+    return terms
 
 
 def reflect_key(i, k):
     """Simple reflection at node i: subtract the pairing times alpha_i, the
     end of the string :func:`minaff.weyl._demazure_terms` walks at node i."""
-    n = len(k) - 2
-    alpha = weyl.alpha_key(n, i)
-    m = weyl.key_pairing(n, i)(k)
+    pair, alpha = _node(len(k) - 2, i)
+    m = pair(k)
     return tuple(a - m * b for a, b in zip(k, alpha))
 
 
@@ -75,11 +98,11 @@ def _length(n, w):
     hyperplanes <x, alpha> = m h that separate rho-hat = rho + h Lambda_0,
     h = 2n - 2, which lies inside the fundamental alcove, from its image x
     (N. Iwahori and H. Matsumoto, 1965; J. E. Humphreys, Reflection Groups
-    and Coxeter Groups, ch. 4).  In doubled coordinates d the positive
-    root alpha = e_i -+ e_j adds |floor((d_i -+ d_j) / 2h)|.  A prefix maps
-    the fundamental alcove to itself and adds nothing."""
+    and Coxeter Groups, ch. 4).  On the image's doubled coordinates d the
+    positive root alpha = e_i -+ e_j adds |floor((d_i -+ d_j) / 2h)|.  A
+    prefix maps the fundamental alcove to itself and adds nothing."""
     h2 = 4 * n - 4
-    d = eps2(n, _act(n, w, (1,) * n + (2 * n - 2, 0))[:n])
+    d = _act(n, w, _rho2(n) + (2 * n - 2, 0))[:n]
     return sum(
         abs((a - b) // h2) + abs((a + b) // h2) for i, a in enumerate(d) for b in d[i + 1 :]
     )
@@ -90,9 +113,9 @@ def _is_reduced(n, w):
 
 
 def _rand_key(rng, n, levels):
-    """A key with finite coordinates in -2..2, a level from ``levels`` and
-    a delta in -1..1."""
-    finite = tuple(rng.randint(-2, 2) for _ in range(n))
+    """A key with fundamental coordinates in -2..2, a level from ``levels``
+    and a delta in -1..1."""
+    finite = eps2(n, tuple(rng.randint(-2, 2) for _ in range(n)))
     return finite + (rng.randint(*levels), 2 * rng.randint(-1, 1))
 
 
@@ -129,13 +152,13 @@ def _suite_demazure(n, checks):
         f = rand_terms()
         for i in range(n + 1):
             # D - e^{-alpha_i} D = f - e^{-alpha_i} s_i f, with D the Demazure step
-            D = weyl._demazure_terms(n, i, f)
-            minus_alpha = tuple(-v for v in weyl.alpha_key(n, i))
+            D = weyl._demazure_terms(*_node(n, i), f)
+            minus_alpha = tuple(-v for v in _node(n, i)[1])
             left = _minus(D, affinization._shift(minus_alpha, D))
             s_f = {reflect_key(i, k): c for k, c in f.items()}
             if left != _minus(f, affinization._shift(minus_alpha, s_f)):
                 ok = False
-            if weyl._demazure_terms(n, i, D) != D:
+            if weyl._demazure_terms(*_node(n, i), D) != D:
                 ok = False
     checks.append(("demazure.defining_identity_and_idempotency", ok))
 
@@ -149,7 +172,7 @@ def _suite_demazure(n, checks):
 
     ok = True
     compared = 0
-    rho = (1,) * n + (2 * n - 2, 0)  # regular: with the prefix, its image determines an element
+    rho = _rho2(n) + (2 * n - 2, 0)  # regular: with the prefix, its image determines an element
     for _ in range(10):
         tau, word = _rand_reduced(rng, n, 8)
         f = rand_terms(10)
@@ -159,12 +182,12 @@ def _suite_demazure(n, checks):
             same = _act(n, (tau, word), rho) == _act(n, (tau, other), rho)
             if not (same and _is_reduced(n, (tau, other))):
                 ok = False
-            elif weyl.demazure_letters(n, word, f) != weyl.demazure_letters(n, other, f):
+            elif _demazure_word(n, word, f) != _demazure_word(n, other, f):
                 ok = False
     # a word by hand, as the random words cannot pin the order of letters:
     # D_2 D_1 e^top has the keys top, top - alpha_1, top - alpha_1 - alpha_2
     tau = _identity_tau(n)
-    top = varpi(n, 1) + (1, 0)
+    top = eps2(n, varpi(n, 1)) + (1, 0)
     chain = {_act(n, (tau, w), top): 1 for w in ((), (1,), (2, 1))}
     ok = ok and weyl.demazure_letters(n, (2, 1), {top: 1}) == chain
     checks.append(("demazure.reduced_word_application", ok and compared > 0))
@@ -190,22 +213,25 @@ def _suite_weyl(n, checks):
     def modqd(k):
         return (k[:n], k[n])
 
+    def plus(*js):
+        return eps2(n, tuple(map(sum, zip(*(varpi(n, j) for j in js)))))
+
     table = {}
     for j in range(n + 1):
-        fin = varpi(n, j) if j else (0,) * n
+        fin = eps2(n, varpi(n, j)) if j else (0,) * n
         table[j] = modqd(_act(n, sig, fin + (1, 0)))
     expect = {}
     for j in range(n + 1):
         if j <= n - 3:
-            expect[j] = (varpi(n, j + 1), 1)
+            expect[j] = (plus(j + 1), 1)
         elif j == n - 2:
-            expect[j] = (tuple(a + b for a, b in zip(varpi(n, n - 1), varpi(n, n))), 1)
+            expect[j] = (plus(n - 1, n), 1)
         elif j == n - 1:
-            expect[j] = (tuple(a + b for a, b in zip(varpi(n, n - 1), varpi(n, 1))), 1)
+            expect[j] = (plus(n - 1, 1), 1)
         else:
-            expect[j] = (varpi(n, n - 1), 1)
+            expect[j] = (plus(n - 1), 1)
     ok = table == expect
-    ok = ok and modqd(_act(n, sig, varpi(n, n - 1) + (0, 0))) == (varpi(n, n - 1), 0)
+    ok = ok and modqd(_act(n, sig, plus(n - 1) + (0, 0))) == (plus(n - 1), 0)
     checks.append(("weyl.rotation_table", ok))
 
     # The nested formula is legal, and w0's word reduced, as the lengths of

@@ -8,17 +8,21 @@ constructor that skips the check.  Both constructors end in ``_set``, the
 one place an element drops zero coefficients: every operation sums into a
 plain map, cancelled keys included, and hands it over.
 
-The Demazure operator is applied monomial by monomial through its integer
-string form, :func:`minaff.weyl._demazure_terms`, the kernel that the
-program runs on plain maps; never by polynomial division.  The word
-operator, :meth:`CharElem.demazure_word`, is written here on its own, on
-the words of ``_weyl_oracle``, and checks that the word is reduced, so it
-is a reference for :func:`minaff.weyl.demazure_letters` followed by
-:func:`minaff.weyl.key_twist`.  Elements are immutable; all operations
-return new elements.
+The keys are in fundamental coordinates, and the Demazure operator is
+applied monomial by monomial through its integer string form on the
+fundamental-coordinate kernel of ``_weyl_oracle``
+(:func:`_weyl_oracle.demazure_terms`), never by polynomial division; the
+twist is that kernel's too.  The program runs its own kernel, in doubled
+orthogonal coordinates, so the element route shares no kernel code with
+it.  The word operator, :meth:`CharElem.demazure_word`, is written here
+on its own, on the words of ``_weyl_oracle``, and checks that the word is
+reduced, so it is a reference for :func:`minaff.weyl.demazure_letters`
+followed by :func:`minaff.weyl.key_twist`, conjugated by ``eps2``.
+Elements are immutable; all operations return new elements.
 
 The tests check the ring laws and the Demazure identities on elements,
-build the nested polynomial by the element route (:func:`pre_w0_oracle`),
+build the nested polynomial by the element route (:func:`pre_w0_oracle`,
+on the rotated factor weights of the chamber walk),
 and hand characters to the greedy peel of ``_decomp_oracle`` as
 finite-tagged elements (:func:`finite_char`).  The element route keeps
 the level and the 2 delta slot of every key, which the program's nested
@@ -28,10 +32,13 @@ its 2 delta slices, and the map-path test merges it by finite part.
 
 from operator import add
 
-from minaff import InputError, weyl
-from minaff.affinization import _lambda_keys, _xi
-from minaff.cartan import check_node, check_rank
-from _weyl_oracle import act, checked_tau, is_reduced, sigma_word
+from minaff import InputError
+from minaff.affinization import _straighten, _xi
+from minaff.cartan import check_node, check_rank, eps2
+from minaff.weyl import fw_from_eps2
+from _weyl_oracle import (
+    act, checked_tau, demazure_terms, is_reduced, key_twist, lambda_keys_by_walk, sigma_word
+)
 
 
 def _checked_rank(n):
@@ -177,14 +184,14 @@ class CharElem:
 
     def demazure(self, i):
         """One divided-difference step at node i, through the string form
-        of :func:`minaff.weyl._demazure_terms`.  The defining rational
+        of :func:`_weyl_oracle.demazure_terms`.  The defining rational
         identity is pinned by the test suite.
         """
         if not self.affine:
             raise InputError("Demazure operators act on affine-tagged elements")
         check_rank(self.n)
         check_node(self.n, i, 0)
-        return CharElem._of(self.n, weyl._demazure_terms(self.n, i, self._terms))
+        return CharElem._of(self.n, demazure_terms(self.n, i, self._terms))
 
     def demazure_word(self, w):
         """Composite operator along a reduced word, then the prefix twist."""
@@ -205,7 +212,7 @@ class CharElem:
             if tau.word:
                 raise InputError("twist expects a pure automorphism")
             tau = tau.tau
-        twist = weyl.key_twist(self.n, checked_tau(self.n, tau))
+        twist = key_twist(self.n, checked_tau(self.n, tau))
         return CharElem._of(self.n, {twist(k): v for k, v in self._terms.items()}, self.affine)
 
     def relabel_weyl(self, w):
@@ -242,10 +249,19 @@ def pre_w0_oracle(n, lam, s):
     """The nested polynomial before the longest-element pass by the
     element route, for s = 1 or n: CharElem products and the word operator
     of the rotation word, which checks the word on every pass, on keys
-    that keep the level and 2 delta."""
-    lams = _lambda_keys(n, _xi(n, lam, s).keys)
+    that keep the level and 2 delta, from the rotated factor weights of
+    the chamber walk."""
+    lams = lambda_keys_by_walk(n, _xi(n, lam, s).keys)
     sig = sigma_word(n)
     g = CharElem.one(n)
     for j in range(n - 1, 0, -1):
         g = (CharElem.monomial(n, lams[j - 1]) * g).demazure_word(sig)
     return CharElem.monomial(n, lams[n - 1]) * g
+
+
+def straightened(n, terms):
+    """The program's straightening of a map of finite weights in
+    fundamental coordinates, conjugated by eps2: the table {mu: m} in
+    fundamental coordinates."""
+    table = _straighten(n, {eps2(n, mu): c for mu, c in terms.items()})
+    return {fw_from_eps2(n, d): m for d, m in table.items()}

@@ -1,30 +1,41 @@
-"""Rational affine weights, the extended affine Weyl group as words, the
-positive roots in simple-root coordinates and their family subsets, the
-affine root action, the root-by-root descent and the twist by norm
-preservation, kept as a reference.
+"""The fundamental-coordinate key kernel, rational affine weights, the
+extended affine Weyl group as words, the positive roots in simple-root
+coordinates and their family subsets, the affine root action, the
+root-by-root descent and the twist by norm preservation, kept as a
+reference.
 
-minaff carries an affine weight as one int key (a_1, ..., a_n, level,
-2 delta).  This module keeps the weight with an exact rational delta, any
-denominator, and acts on it through the key kernel plus a delta shift, so
-the kernel is pinned on deltas the keys cannot hold.
+minaff runs its kernel in one frame, doubled orthogonal coordinates
+(``cartan.eps2``).  This module keeps the kernel it replaced, on keys
+(a_1, ..., a_n, level, 2 delta) in fundamental coordinates: the pairings
+read one coordinate, or the level minus the highest root's marks at node
+0, and the simple roots are the columns of the Cartan matrix
+(:func:`root_to_fw`).  Every frame function of ``minaff.weyl`` and
+``minaff.verify`` is pinned against its function here conjugated by eps2
+(:func:`frame_key`, :func:`fw_key`), and the ring oracle runs its Demazure
+step and twist on this kernel, so the element route shares no kernel code
+with the program.
+
+It also keeps the weight with an exact rational delta, any denominator,
+acting on it through the key kernel plus a delta shift, so the kernel is
+pinned on deltas the keys cannot hold.
 
 The extended affine Weyl group as words lives here too: an automorphism
 prefix (one of the four generated by the two diagram swaps, each its own
 inverse) and a tuple of reflection letters, read left to right, rightmost
 applied first, with products, inverses and the action on keys through
-``verify``'s simple reflection on the kernel of ``minaff.weyl``.
+the simple reflection of this kernel (:func:`reflect_key`).
 :func:`reduce_word` walks w^-1 rho-hat into the dominant chamber, and
 :func:`length` reads the reduced word: the oracle for ``verify``'s
 hyperplane count.  :func:`longest_word` keeps the walk from -rho that
 ``polyring._w0_letters`` replaced with a closed form.
 :func:`descent_oracle` keeps the older construction the walk replaced,
 which strips right descents found by acting on the affine simple roots,
-so the two can be compared word for word.  ``weyl.key_twist`` permutes coroot pairings; this module
-keeps the expansion over the fundamental weights that it replaced, each
-mapped to its image with the delta correction that norm preservation
-forces.  :func:`element_images` is a fingerprint of a group element, the
-action on a basis of the affine weight space, which reads no reduced
-word.  ``affinization._lambda_keys`` reads each rotated factor weight off
+so the two can be compared word for word.  :func:`key_twist` permutes
+coroot pairings; this module keeps the expansion over the fundamental
+weights that it replaced, each mapped to its image with the delta
+correction that norm preservation forces.  :func:`element_images` is a
+fingerprint of a group element, the action on a basis of the affine
+weight space, which reads no reduced word.  ``affinization._lambda_keys`` reads each rotated factor weight off
 a closed form; this module keeps the two routes it replaced, the chamber
 walk (:func:`lambda_keys_by_walk`) and the inverse rotation word applied
 j times to the j-th factor (:func:`lambda_keys_by_rotation`), and the
@@ -34,11 +45,144 @@ affine dominance test they are checked by.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter, mul
 
 from minaff import InputError, VerificationError, weyl
-from minaff.cartan import branch_set, check_rank, eps2, family_nodes, support, varpi
-from minaff.verify import _identity_tau, reflect_key
-from minaff.weyl import _swap_tau, fw_from_eps2, fw_to_root, root_to_fw, theta_coeffs
+from minaff.cartan import (
+    _unit, branch_set, check_node, check_rank, eps2, family_nodes, support, varpi
+)
+from minaff.verify import _identity_tau, finite_edges
+from minaff.weyl import _swap_tau, fw_from_eps2
+
+
+# ---------------------------------------------------------------------------
+# The fundamental-coordinate key kernel
+
+
+def frame_key(k):
+    """A key in fundamental coordinates as a key of the program's frame."""
+    n = len(k) - 2
+    return eps2(n, k[:n]) + k[n:]
+
+
+def fw_key(k):
+    """A key of the program's frame in fundamental coordinates."""
+    n = len(k) - 2
+    return fw_from_eps2(n, k[:n]) + k[n:]
+
+
+def theta_coeffs(n):
+    """Simple-root coefficients of the highest root, at a checked rank."""
+    return (1,) + (2,) * (n - 3) + (1, 1)
+
+
+def root_to_fw(n, c):
+    """Fundamental coordinates of a root-coordinate vector (Cartan matrix action)."""
+    fw = [2 * v for v in c]
+    for a, b in finite_edges(n):
+        fw[a - 1] -= c[b - 1]
+        fw[b - 1] -= c[a - 1]
+    return tuple(fw)
+
+
+def fw_to_root(n, fw):
+    """Root coordinates of a root-lattice element given in fundamental coordinates."""
+    d = eps2(n, fw)
+    c = []
+    acc = 0
+    for k in range(n - 2):
+        acc += d[k]
+        q, r = divmod(acc, 2)
+        if r:
+            raise InputError(f"{fw} is not on the root lattice")
+        c.append(q)
+    acc += d[n - 2]
+    qa, ra = divmod(acc - d[n - 1], 4)
+    qb, rb = divmod(acc + d[n - 1], 4)
+    if ra or rb:
+        raise InputError(f"{fw} is not on the root lattice")
+    c.extend([qa, qb])
+    return tuple(c)
+
+
+@lru_cache(maxsize=None, typed=True)
+def key_pairing(n, i):
+    """The pairing of the i-th simple coroot (i in 0..n) with a key, as a
+    function.  The node-0 coroot is the canonical central element minus the
+    highest-root coroot: the level minus the mark-weighted finite part.
+    The 2-delta slot never contributes."""
+    check_rank(n)
+    check_node(n, i, 0)
+    if i:
+        return itemgetter(i - 1)
+    marks = theta_coeffs(n)
+    return lambda k: k[n] - sum(map(mul, marks, k))
+
+
+@lru_cache(maxsize=None)
+def alpha_key(n, i):
+    """Simple root i as a key; alpha_0 = delta - theta, 2 in the 2-delta
+    slot, as theta = e_1 + e_2 is varpi_2."""
+    if i == 0:
+        return (0, -1) + (0,) * (n - 2) + (0, 2)
+    return root_to_fw(n, _unit(n, i)) + (0, 0)
+
+
+@lru_cache(maxsize=None)
+def finite_twist(n, tau):
+    """The relabelling by a diagram automorphism ``tau`` of a finite weight
+    at a level, as a function (mu, level) -> mu': the image pairs with the
+    coroot at node tau(i) as the weight does at node i, so its coordinates
+    are the permuted pairings, the one at node j read from node tau(j), as
+    ``tau`` is its own inverse.  The pairing at node 0 reads the level."""
+    pick = itemgetter(*tau[1:])
+    pair0 = key_pairing(n, 0)
+    return lambda mu, level: pick((pair0(mu + (level,)),) + mu)
+
+
+@lru_cache(maxsize=None)
+def key_twist(n, tau):
+    """The relabelling of keys by a diagram automorphism ``tau``: the finite
+    part by :func:`finite_twist` at the key's level, and 2 delta raised by
+    c_1 minus the image's first coordinate, which norm preservation forces
+    (Lambda_0 has norm 0 and Lambda_1 norm 1; the spin weights have equal
+    norms)."""
+    relabel = finite_twist(n, tau)
+
+    def twist(k):
+        mu = relabel(k[:n], k[n])
+        return mu + (k[n], k[n + 1] + k[0] - mu[0])
+
+    return twist
+
+
+def demazure_terms(n, i, terms):
+    """One Demazure step at node i on a map {key: coefficient}, as a fresh
+    map without zero coefficients: per key with coroot pairing m, the
+    descending string k, ..., k - m alpha_i when m >= 0, nothing when
+    m = -1, and the negated ascending string k + alpha_i, ...,
+    k + (-m-1) alpha_i otherwise."""
+    out = {}
+    up = alpha_key(n, i)
+    down = tuple(-a for a in up)
+    pair = key_pairing(n, i)
+    for k, c in terms.items():
+        m = pair(k)
+        if m >= 0:
+            step, count, sign = down, m + 1, c
+        else:
+            k, step, count, sign = tuple(map(add, k, up)), up, -m - 1, -c
+        for _ in range(count):
+            out[k] = out.get(k, 0) + sign
+            k = tuple(map(add, k, step))
+    return {k: c for k, c in out.items() if c}
+
+
+def reflect_key(i, k):
+    """Simple reflection at node i: subtract the pairing times alpha_i."""
+    n = len(k) - 2
+    m = key_pairing(n, i)(k)
+    return tuple(a - m * b for a, b in zip(k, alpha_key(n, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +245,7 @@ def act(w, k):
     """Apply a word to a key, letters first, prefix last."""
     for i in reversed(w.word):
         k = reflect_key(i, k)
-    return weyl.key_twist(w.n, w.tau)(k)
+    return key_twist(w.n, w.tau)(k)
 
 
 def walk_up(k, nodes):
@@ -109,7 +253,7 @@ def walk_up(k, nodes):
     negative pairing until there is none; returns the nodes used, in order,
     and the key where it stops."""
     n = len(k) - 2
-    pairings = [(i, weyl.key_pairing(n, i)) for i in nodes]
+    pairings = [(i, key_pairing(n, i)) for i in nodes]
     steps = []
     while True:
         i = next((i for i, pair in pairings if pair(k) < 0), None)
@@ -202,7 +346,7 @@ def _delta_free(x):
 def pairing(i, x):
     """The i-th simple coroot (i in 0..n) paired with ``x``; delta never
     contributes."""
-    return weyl.key_pairing(x.n, i)(_delta_free(x))
+    return key_pairing(x.n, i)(_delta_free(x))
 
 
 def form(x, y):
@@ -220,10 +364,10 @@ def act_weight(w, x):
 
 
 def tau_on_weight(tau, x):
-    """A diagram automorphism on a weight, through :func:`weyl.key_twist`;
+    """A diagram automorphism on a weight, through :func:`key_twist`;
     ``tau`` may be a tuple or a list, checked by :func:`checked_tau`."""
     tau = checked_tau(x.n, tau)
-    return weight_of(weyl.key_twist(x.n, tau)(_delta_free(x)), x.delta)
+    return weight_of(key_twist(x.n, tau)(_delta_free(x)), x.delta)
 
 
 # Positive roots in simple-root coordinates, and the ones a family label
@@ -352,7 +496,7 @@ def tau_on_weight_oracle(tau, x):
 
 def is_dominant(n, k):
     """Nonnegative coroot pairings of a rank-n key over the affine node set 0..n."""
-    return all(weyl.key_pairing(n, i)(k) >= 0 for i in range(n + 1))
+    return all(key_pairing(n, i)(k) >= 0 for i in range(n + 1))
 
 
 def lambda_keys_by_rotation(n, xi_keys):
@@ -374,6 +518,6 @@ def lambda_keys_by_walk(n, xi_keys):
     """The rotated factor weights by the chamber walk: where the walk of
     xi_j over the affine nodes stops, relabelled by the rotation prefix at
     odd j (j < n); the last factor as it is."""
-    tau = weyl.key_twist(n, weyl.sigma_pair(n)[0])
+    tau = key_twist(n, weyl.sigma_pair(n)[0])
     keys = [walk_up(xi, range(n + 1))[1] for xi in xi_keys[: n - 1]]
     return (*(tau(k) if j % 2 else k for j, k in enumerate(keys, 1)), xi_keys[n - 1])

@@ -27,7 +27,10 @@ from _helpers import braid_variant, rand_char, seeded
 from _ring_oracle import CharElem, finite_char
 from _weyl_oracle import (
     ExtendedWeylWord,
+    alpha_key,
+    frame_key,
     from_word,
+    fw_key,
     is_dominant,
     is_reduced,
     reduce_word,
@@ -81,7 +84,7 @@ def test_criterion_01_demazure_defining_identity():
             f = rand_char(n, rng, 50)
             for i in range(0, n + 1):
                 D = f.demazure(i)
-                am = CharElem.monomial(n, tuple(-v for v in weyl.alpha_key(n, i)))
+                am = CharElem.monomial(n, tuple(-v for v in alpha_key(n, i)))
                 if D - am * D != f - am * f.relabel_weyl(simple(n, i)):
                     ok = False
     report(1, ok, "defining identity on 200 random elements, every node", t0, 10)
@@ -120,7 +123,7 @@ def test_criterion_03_rotation_table_and_length_additivity():
         sig = weyl.sigma_pair(n)
         for j in range(0, n + 1):
             fin = varpi(n, j) if j else (0,) * n
-            got = verify._act(n, sig, fin + (1, 0))
+            got = fw_key(verify._act(n, sig, frame_key(fin + (1, 0))))
             if j <= n - 3:
                 expect = (varpi(n, j + 1), 1)
             elif j == n - 2:
@@ -131,7 +134,7 @@ def test_criterion_03_rotation_table_and_length_additivity():
                 expect = (varpi(n, n - 1), 1)
             if (got[:n], got[n]) != expect:
                 ok = False
-        fix = verify._act(n, sig, varpi(n, n - 1) + (0, 0))
+        fix = fw_key(verify._act(n, sig, frame_key(varpi(n, n - 1) + (0, 0))))
         if (fix[:n], fix[n]) != (varpi(n, n - 1), 0):
             ok = False
         comp = (verify._identity_tau(n), polyring._w0_letters(n))
@@ -159,7 +162,7 @@ def test_criterion_04_xi_congruence_and_lambda_dominance():
             swapped = lam[: n - 2] + (lam[n - 1], lam[n - 2])
             for s, l in ((1, lam), (n, lam), (n, swapped)):
                 for x in _lambda_keys(n, _xi(n, l, s).keys):
-                    if not is_dominant(n, x):
+                    if not is_dominant(n, fw_key(x)):
                         ok = False
     report(4, ok, "100 random weights per rank 4..7, all families", t0, 30)
 

@@ -13,7 +13,7 @@ from minaff.affinization import (
     resolve_family,
     xi_sequence,
 )
-from minaff.cartan import branch_set, support, varpi
+from minaff.cartan import branch_set, eps2, support, varpi
 from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
@@ -21,12 +21,14 @@ from minaff.spbranch import sam_table
 from minaff import affinization, polyring, verify, weyl
 from _decomp_oracle import decompose, irr_character
 from _helpers import break_longest_word, rand_char, rand_key, seeded
-from _ring_oracle import CharElem, finite_char, pre_w0_oracle, swap_fork
+from _ring_oracle import CharElem, finite_char, pre_w0_oracle, straightened, swap_fork
 from _weyl_oracle import (
     ExtendedWeylWord,
     act,
     compose,
     from_word,
+    frame_key,
+    fw_key,
     inverse,
     is_dominant,
     lambda_keys_by_rotation,
@@ -36,6 +38,14 @@ from _weyl_oracle import (
     simple,
     tau_fork,
 )
+import _weyl_oracle as oracle
+
+
+
+def lambda_keys(n, xi):
+    """The program's rotated factor weights, read back into fundamental
+    coordinates."""
+    return tuple(fw_key(k) for k in _lambda_keys(n, xi))
 
 
 def modqd(k):
@@ -89,10 +99,10 @@ def test_xi_rejects_non_dominant():
 
 def test_lambda_sequence_displays():
     # multiples of a single chain node stay at the affine vertex
-    L = _lambda_keys(4, _xi(4, (0, 3, 0, 0), 1).keys)
+    L = lambda_keys(4, _xi(4, (0, 3, 0, 0), 1).keys)
     assert modqd(L[1]) == ((0, 0, 0, 0), 3)
     # the worked s = n case pins entry 2 at the spin node
-    L = _lambda_keys(5, _xi(5, (1, 1, 0, 2, 0), 5).keys)
+    L = lambda_keys(5, _xi(5, (1, 1, 0, 2, 0), 5).keys)
     assert modqd(L[1]) == (varpi(5, 4), 1)
 
 
@@ -101,13 +111,13 @@ def test_lambda_sequence_display_random():
     for n in (4, 5, 6):
         for _ in range(12):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
-            L1 = _lambda_keys(n, _xi(n, lam, 1).keys)
+            L1 = lambda_keys(n, _xi(n, lam, 1).keys)
             lmp = min(lam[n - 2], lam[n - 1])
             for j in range(1, n - 1):
                 assert modqd(L1[j - 1]) == ((0,) * n, lam[j - 1])
             assert modqd(L1[n - 2]) == ((0,) * n, lmp)
             xs = xi_sequence(n, lam, n)
-            Ln = _lambda_keys(n, xs.keys)
+            Ln = lambda_keys(n, xs.keys)
             cut, lbar = xs.cut, xs.lambda_bar
             spin = varpi(n, n - 1)
             for j in range(1, n - 1):
@@ -131,7 +141,7 @@ def test_lambda_sequence_dominant():
         for _ in range(10):
             lam = tuple(rng.randint(0, 3) for _ in range(n))
             for s in (1, n):
-                for x in _lambda_keys(n, _xi(n, lam, s).keys):
+                for x in lambda_keys(n, _xi(n, lam, s).keys):
                     assert is_dominant(n, x)
 
 
@@ -254,6 +264,15 @@ def test_multiplicity_table_cross_pipeline_sweep(case):
         assert table == decompose(finite_char(n, character(n, lam, s)))
 
 
+def test_a_rank_9_table_matches_the_symplectic_pipeline():
+    # the largest table a test checks: 98,116 terms in the biggest map of
+    # the passes and 1,335 rows, against the pipeline that shares no code
+    lam = (1, 1, 0, 1, 1, 1, 1, 1, 1)
+    table = multiplicity_table(9, lam, 1)
+    assert len(table) == 1335
+    assert table == sam_table(9, lam)
+
+
 # every regular weight with coordinates <= 2 at ranks 4 and 5, <= 1 at rank 6
 COINCIDENCE_WEIGHTS = [
     (n, lam)
@@ -313,7 +332,7 @@ def test_family_tables_coincide_past_the_grid(case):
 def test_fork_swap_is_the_fork_relabelling():
     rng = seeded(45)
     for n in range(4, 9):
-        fork = weyl.key_twist(n, tau_fork(n).tau)
+        fork = oracle.key_twist(n, tau_fork(n).tau)
         for _ in range(30):
             k = rand_key(n, rng)
             assert affinization._swap_fork(n, k) == fork(k), (n, k)
@@ -331,7 +350,7 @@ def test_lambda_sequence_is_the_rotation_preimage_on_the_grid():
             for j in range(1, n):
                 rot = compose(rot, sigma_inv)
                 expect.append(act(rot, xi[j - 1]))
-            assert _lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
+            assert lambda_keys(n, xi) == (*expect, xi[n - 1]), (n, lam, s)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -350,7 +369,7 @@ def test_lambda_keys_walk_equals_the_rotation_route(n):
         for s in (1, n):
             xi = _xi(n, lam, s).keys
             expect = lambda_keys_by_rotation(n, xi)
-            assert _lambda_keys(n, xi) == lambda_keys_by_walk(n, xi) == expect, (n, lam, s)
+            assert lambda_keys(n, xi) == lambda_keys_by_walk(n, xi) == expect, (n, lam, s)
 
 
 @pytest.mark.parametrize("level", [0, -1])
@@ -383,7 +402,8 @@ def test_multiplicity_table_rejects_bad_input():
     ],
 )
 def test_multiplicity_table_invariants_raise(monkeypatch, table, message):
-    monkeypatch.setattr(affinization, "_straighten", lambda n, terms: dict(table))
+    frame = {eps2(4, mu): m for mu, m in table.items()}
+    monkeypatch.setattr(affinization, "_straighten", lambda n, terms: dict(frame))
     with pytest.raises(CharacterError, match=message):
         multiplicity_table(4, (0, 1, 0, 0), 1)
 
@@ -460,33 +480,40 @@ def finite_parts(n, elem):
     return {k[:n]: c for k, c in elem.specialize().items()}
 
 
+def in_frame(n, terms):
+    """A map of finite weights in fundamental coordinates, in the frame."""
+    return {eps2(n, mu): c for mu, c in terms.items()}
+
+
 def test_map_path_matches_the_element_route():
     # the program carries finite weights only, so keys of the element route
     # that differ only in delta merge: 52 keys become 48 here, and a
-    # comparison that merged nothing would not see it
+    # comparison that merged nothing would not see it.  The program's maps
+    # are in its frame, the oracle's in fundamental coordinates; eps2 is a
+    # bijection, so the maps are compared through it term for term
     lam = (0, 1, 1, 1, 1)
     assert (len(pre_w0_oracle(5, lam, 5)), len(affinization._pre_w0(5, lam, 5))) == (52, 48)
     for n, lam in MAP_PATH_WEIGHTS:
         for s in (1, n - 1, n):
             # the fork twin runs the s = n passes of the swapped weight
             base, s0 = (swap_fork(n, lam), n) if s == n - 1 else (lam, s)
-            oracle = pre_w0_oracle(n, base, s0)
-            finite = finite_parts(n, oracle)
-            assert affinization._pre_w0(n, base, s0) == finite, (n, lam, s)
+            oracle_map = pre_w0_oracle(n, base, s0)
+            finite = finite_parts(n, oracle_map)
+            assert affinization._pre_w0(n, base, s0) == in_frame(n, finite), (n, lam, s)
             if s == n - 1:
                 # the program relabels the polynomial; the oracle swaps the
                 # finished table and character below, so the two finishes
                 # are checked to commute with the fork relabelling
-                twin = oracle.twist(tau_fork(n))
-                assert affinization._pre_w0(n, lam, s) == finite_parts(n, twin), (n, lam, s)
-            expected = _straighten(n, finite)
+                twin = in_frame(n, finite_parts(n, oracle_map.twist(tau_fork(n))))
+                assert affinization._pre_w0(n, lam, s) == twin, (n, lam, s)
+            expected = straightened(n, finite)
             if s == n - 1:
                 expected = {swap_fork(n, mu): m for mu, m in expected.items()}
             assert multiplicity_table(n, lam, s) == expected, (n, lam, s)
             if n == 4:
                 # the full character: the oracle runs w0 on the affine
                 # element and specializes after; the program projects first
-                full = oracle.demazure_word(longest_word(n)).specialize()
+                full = oracle_map.demazure_word(longest_word(n)).specialize()
                 if s == n - 1:
                     full = full.twist(tau_fork(n))
                 assert finite_char(n, character(n, lam, s)) == full, (n, lam, s)
@@ -496,10 +523,10 @@ def test_demazure_kernel_drops_cancelled_keys():
     rng = seeded(83)
     for n in (4, 5):
         for _ in range(20):
-            terms = dict(rand_char(n, rng).items())
+            terms = {frame_key(k): c for k, c in rand_char(n, rng).items()}
             for i in range(n + 1):
-                assert all(weyl._demazure_terms(n, i, terms).values())
+                assert all(weyl._demazure_terms(*verify._node(n, i), terms).values())
     # at node 1, D e^0 = e^0 and D e^{-alpha_1} = -e^0, so their sum maps to 0
     alpha = weyl.alpha_key(4, 1)
     terms = {(0,) * 6: 1, tuple(-a for a in alpha): 1}
-    assert weyl._demazure_terms(4, 1, terms) == {}
+    assert weyl._demazure_terms(weyl.key_pairing(4, 1), alpha, terms) == {}

@@ -8,19 +8,21 @@ import pytest
 
 from minaff import InputError, cartan, decomp, spbranch, verify, weyl
 from minaff.cartan import _rho2, check_rank, eps2, support, varpi
-from minaff.weyl import (
-    _dominates, finite_edges, fw_from_eps2, fw_to_root, key_pairing, root_to_fw
-)
-from minaff.verify import affine_edges, bilinear
+from minaff.weyl import _dominates, fw_from_eps2, key_pairing
+from minaff.verify import _node, affine_edges, bilinear, finite_edges
 from _decomp_oracle import _dot, positive_roots_eps2
 from _helpers import benchmark_lines, minaff_imports, rand_key, seeded, uncalled_code
+import _weyl_oracle
 from _weyl_oracle import (
     AffineWeight,
     delta_plus_s,
     form,
+    frame_key,
+    fw_to_root,
     key_of,
     pairing,
     positive_roots,
+    root_to_fw,
     weight_of,
 )
 
@@ -182,7 +184,7 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
     # ``check_dominant`` and the one ``resolve_family`` call, in
     # ``_regular_input``; the weight in ``check_dominant`` and ``support``)
     # and per-rank cache misses (the rank and node in ``key_pairing`` at
-    # each of the n + 1 nodes).
+    # each finite node a letter names).
     from minaff.cli import run
 
     lam = "1,0,0,1,1,1"
@@ -290,12 +292,15 @@ def test_delta_plus_s_multiplicity_free():
 
 
 def test_pairing():
+    # in the frame: varpi_2 is (2, 2, 0, 0); node 0 is verify's
     L0 = (0,) * 4 + (1, 0)
+    pair0 = _node(4, 0)[0]
     assert key_pairing(4, 2)(L0) == 0
-    assert key_pairing(4, 0)(L0) == 1
-    assert key_pairing(4, 0)(varpi(4, 2) + (0, 0)) == -2
-    with pytest.raises(InputError):
-        key_pairing(4, 5)
+    assert pair0(L0) == 1
+    assert pair0(eps2(4, varpi(4, 2)) + (0, 0)) == -2 == pair0((2, 2, 0, 0, 0, 0))
+    for bad in (0, 5):
+        with pytest.raises(InputError):
+            key_pairing(4, bad)
 
 
 def test_pairing_ignores_delta():
@@ -316,11 +321,10 @@ def test_bilinear_normalization():
     L0 = (0,) * n + (1, 0)
     assert bilinear(d, L0) == 4
     assert bilinear(L0, L0) == 0
-    a1 = root_to_fw(n, (1, 0, 0, 0)) + (0, 0)
-    a2 = root_to_fw(n, (0, 1, 0, 0)) + (0, 0)
+    a1, a2 = weyl.alpha_key(n, 1), weyl.alpha_key(n, 2)
     assert bilinear(a1, a1) == 8
     assert bilinear(a1, a2) == -4
-    assert bilinear(varpi(n, 1) + (0, 0), d) == 0
+    assert bilinear(frame_key(varpi(n, 1) + (0, 0)), d) == 0
 
 
 def test_bilinear_is_four_times_the_rational_form():
@@ -333,7 +337,7 @@ def test_bilinear_is_four_times_the_rational_form():
                 Fraction(rng.randint(-5, 5), 2),
             )
             y = rand_key(n, rng)
-            assert bilinear(key_of(x), y) == 4 * form(x, weight_of(y))
+            assert bilinear(frame_key(key_of(x)), frame_key(y)) == 4 * form(x, weight_of(y))
 
 
 def test_real_roots_have_square_length_two():
@@ -342,7 +346,7 @@ def test_real_roots_have_square_length_two():
             for k in range(-3, 4):
                 x = AffineWeight(root_to_fw(n, beta), 0, k)
                 assert form(x, x) == 2
-                assert bilinear(key_of(x), key_of(x)) == 8
+                assert bilinear(frame_key(key_of(x)), frame_key(key_of(x))) == 8
 
 
 def test_support():
@@ -363,14 +367,19 @@ def test_coordinate_round_trips():
             assert fw_to_root(n, root_to_fw(n, c)) == c
 
 
+def dominates(n, lam, mu):
+    """The frame's dominance order on two weights in fundamental coordinates."""
+    return _dominates(n, eps2(n, lam), eps2(n, mu))
+
+
 def test_dominance_order():
     n = 4
     lam = (1, 1, 0, 0)
     a2 = root_to_fw(n, (0, 1, 0, 0))
-    assert _dominates(n, lam, tuple(l - a for l, a in zip(lam, a2)))
-    assert not _dominates(n, (0, 0, 0, 1), (0, 0, 1, 0))  # different coset
-    assert not _dominates(n, (0, 0, 0, 0), (0, 1, 0, 0))
-    assert _dominates(n, root_to_fw(n, (1, 2, 1, 1)), (0, 0, 0, 0))
+    assert dominates(n, lam, tuple(l - a for l, a in zip(lam, a2)))
+    assert not dominates(n, (0, 0, 0, 1), (0, 0, 1, 0))  # different coset
+    assert not dominates(n, (0, 0, 0, 0), (0, 1, 0, 0))
+    assert dominates(n, root_to_fw(n, (1, 2, 1, 1)), (0, 0, 0, 0))
 
 
 def test_dominates_matches_sums_of_positive_roots():
@@ -397,15 +406,17 @@ def test_dominates_matches_sums_of_positive_roots():
         for lam in weights:
             for mu in weights:
                 expected = is_sum(tuple(map(sub, lam, mu)))
-                assert _dominates(n, lam, mu) == expected, (lam, mu)
+                assert dominates(n, lam, mu) == expected, (lam, mu)
                 below += expected
         assert len(weights) < below < len(weights) ** 2
 
 
 # The root-system names: weyl defines what the table path runs, verify the
-# affine diagram and the form, and cartan none of them.
-MOVED_TO_WEYL = "finite_edges theta_coeffs root_to_fw fw_to_root _dominates _dominantize".split()
-MOVED_TO_VERIFY = ("affine_edges", "bilinear")
+# diagrams and the form, and cartan none of them; the fundamental-coordinate
+# kernel that the frame replaced is the Weyl oracle's.
+MOVED_TO_WEYL = ("_dominates", "_dominantize", "fw_from_eps2")
+MOVED_TO_VERIFY = ("affine_edges", "bilinear", "finite_edges")
+MOVED_TO_ORACLE = ("theta_coeffs", "root_to_fw", "fw_to_root")
 # Root lists: the doubled one lives with its only reader, the Freudenthal
 # recursion of the decomposition oracle; the simple-root-coordinate one and
 # its family subsets in the Weyl oracle.
@@ -420,6 +431,9 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
     for name in MOVED_TO_VERIFY:
         assert not hasattr(cartan, name) and not hasattr(weyl, name), name
         assert getattr(verify, name).__module__ == "minaff.verify", name
+    for name in MOVED_TO_ORACLE:
+        assert not any(hasattr(m, name) for m in (cartan, weyl, verify, decomp)), name
+        assert getattr(_weyl_oracle, name).__module__ == "_weyl_oracle", name
     for name in (*ROOT_LISTS, "_dot"):
         assert not any(hasattr(m, name) for m in (cartan, weyl, verify, decomp)), name
     assert positive_roots_eps2.__module__ == _dot.__module__ == "_decomp_oracle"
@@ -434,7 +448,7 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
 SAM_UNCALLED = {
     "check_node",  # the node rule, read by weyl's pairings and by varpi
     "varpi",  # a library export; the Demazure side and verify call it
-    "_unit",  # varpi's body and weyl's simple roots
+    "_unit",  # varpi's body and the level-one weights of the Demazure side
     "_unit.<locals>.<genexpr>",  # part of _unit
     "resolve_family",  # the family label, which a sam line given no --s never reads
     "dim_irr",  # the checked library export; a table report calls _dim_irr

@@ -12,10 +12,10 @@ must sit at twice its domino count.
 
 import pytest
 
-from minaff.affinization import _straighten, multiplicity_table
+from minaff.affinization import multiplicity_table
 from minaff.spbranch import sam_table
 from _kr_oracle import kr_graded_table, kr_table, kr_weight
-from _ring_oracle import pre_w0_oracle, swap_fork
+from _ring_oracle import pre_w0_oracle, straightened, swap_fork
 from _weyl_oracle import tau_fork
 
 
@@ -53,7 +53,7 @@ def graded_table(n, lam, s):
         terms = slices.setdefault(k[n + 1], {})
         terms[k[:n]] = terms.get(k[:n], 0) + c
     return {
-        (mu, d2): m for d2, terms in slices.items() for mu, m in _straighten(n, terms).items()
+        (mu, d2): m for d2, terms in slices.items() for mu, m in straightened(n, terms).items()
     }
 
 

@@ -3,14 +3,17 @@ from hypothesis import given, settings, strategies as st
 
 from minaff import InputError
 from minaff.cartan import varpi
-from minaff import weyl
-from minaff.weyl import key_pairing
+from minaff import verify, weyl
 from _helpers import braid_variant, rand_char, seeded
 from _ring_oracle import CharElem
 from _weyl_oracle import (
     ExtendedWeylWord,
+    alpha_key,
     compose,
+    frame_key,
     from_word,
+    fw_key,
+    key_pairing,
     is_reduced,
     length,
     longest_word,
@@ -38,7 +41,7 @@ def times(c, k):
 
 
 def alpha(n, i):
-    return weyl.alpha_key(n, i)
+    return alpha_key(n, i)
 
 
 def lambda0(n):
@@ -126,11 +129,12 @@ def test_reduced_word_independence():
         distinct += r1.word != r2.word
         f = rand_char(N, rng, 15)
         assert f.demazure_word(r1) == f.demazure_word(r2)
-        # the program's letters operator on plain maps, then the key twist
+        # the program's steps on plain maps of its frame, then the key
+        # twist, conjugated by eps2
         w = compose(tau_01(N), r1)
         twist = weyl.key_twist(N, w.tau)
-        terms = weyl.demazure_letters(N, w.word, dict(f.items()))
-        assert {twist(k): c for k, c in terms.items()} == dict(f.demazure_word(w).items())
+        terms = verify._demazure_word(N, w.word, {frame_key(k): c for k, c in f.items()})
+        assert {fw_key(twist(k)): c for k, c in terms.items()} == dict(f.demazure_word(w).items())
     assert distinct >= 10
 
 

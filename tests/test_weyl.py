@@ -5,10 +5,10 @@ from operator import sub
 import pytest
 
 from minaff import InputError, polyring, verify, weyl
-from minaff.cartan import is_dominant_fw, varpi
+from minaff.cartan import eps2, is_dominant_fw, varpi
 from minaff.verify import bilinear
-from minaff.weyl import root_to_fw
 from _helpers import braid_variant, rand_key, seeded, uncalled_code
+import _weyl_oracle as oracle
 from _weyl_oracle import (
     AffineWeight,
     ExtendedWeylWord,
@@ -20,7 +20,9 @@ from _weyl_oracle import (
     descent_oracle,
     element_images,
     form,
+    frame_key,
     from_word,
+    fw_key,
     inverse,
     is_dominant,
     is_positive_root,
@@ -33,6 +35,7 @@ from _weyl_oracle import (
     positive_roots,
     power,
     reduce_word,
+    root_to_fw,
     same_element,
     sigma_word,
     simple,
@@ -295,7 +298,7 @@ def test_dominant_key_is_where_the_chamber_walk_stops(n):
     for _ in range(250):
         k = tuple(rng.randint(-8, 8) for _ in range(n)) + (rng.randint(1, 6), rng.randint(-9, 9))
         top = walk_up(k, range(n + 1))[1]
-        assert weyl._dominant_key(n, k) == top, k
+        assert weyl._dominant_key(n, frame_key(k)) == frame_key(top), k
         assert is_dominant(n, top)
         spins += (k[n - 2] + k[n - 1]) % 2
     assert spins > 90
@@ -308,10 +311,10 @@ def test_dominant_key_keeps_the_form_and_fixes_dominant_keys(level):
     rng = seeded(70 + level)
     for _ in range(200):
         n = rng.randint(4, 12)
-        k = tuple(rng.randint(-8, 8) for _ in range(n)) + (level, rng.randint(-9, 9))
+        k = frame_key(tuple(rng.randint(-8, 8) for _ in range(n)) + (level, rng.randint(-9, 9)))
         top = weyl._dominant_key(n, k)
         assert top[n] == level and bilinear(top, top) == bilinear(k, k), k
-        assert is_dominant(n, top) and weyl._dominant_key(n, top) == top, k
+        assert is_dominant(n, fw_key(top)) and weyl._dominant_key(n, top) == top, k
 
 
 def test_composite_reduction_example():
@@ -357,8 +360,8 @@ def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
     # an untyped lru_cache would take 1.0 and True for the node 1, so both
     # orders run from a cleared cache: refused calls first, then with the
     # node-1 entry cached, where only the typed cache keeps them refused
-    key = (1, 0, 0, 0, 1, 0)
-    reflected = (-1, 1, 0, 0, 1, 0)  # s_1 of the key, which pairs 1 with node 1
+    key = (2, 0, 0, 0, 1, 0)  # varpi_1 + Lambda_0 in the frame
+    reflected = (0, 2, 0, 0, 1, 0)  # s_1 of the key, which pairs 1 with node 1
 
     def refused(bad):
         for call in (lambda: weyl.key_pairing(4, bad), lambda: varpi(4, bad)):
@@ -377,11 +380,12 @@ def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_alpha_zero_is_delta_minus_the_highest_root(n):
-    # alpha_key's closed form for node 0 against the highest root's marks
-    # through the Cartan matrix
-    minus_theta = root_to_fw(n, tuple(-v for v in weyl.theta_coeffs(n)))
-    assert weyl.alpha_key(n, 0) == minus_theta + (0, 2)
-    assert weyl.key_pairing(n, 0)(weyl.alpha_key(n, 0)) == 2
+    # verify's node-0 root against the highest root's marks through the
+    # Cartan matrix, conjugated by eps2
+    pair0, alpha0 = verify._node(n, 0)
+    minus_theta = root_to_fw(n, tuple(-v for v in oracle.theta_coeffs(n)))
+    assert fw_key(alpha0) == oracle.alpha_key(n, 0) == minus_theta + (0, 2)
+    assert pair0(alpha0) == 2
 
 
 def test_action_preserves_form():
@@ -391,7 +395,8 @@ def test_action_preserves_form():
             w = rand_extended(n, rng, rng.randint(0, 12))
             x = rand_key(n, rng)
             y = rand_key(n, rng)
-            assert bilinear(act(w, x), act(w, y)) == bilinear(x, y)
+            wx, wy = frame_key(act(w, x)), frame_key(act(w, y))
+            assert bilinear(wx, wy) == bilinear(frame_key(x), frame_key(y))
 
 
 def test_distinct_reduced_words_act_identically():
@@ -429,14 +434,14 @@ def test_every_prefix_is_its_own_inverse(n):
         assert tuple(tau[j] for j in tau) == tuple(range(n + 1)), tau
         twist = weyl.key_twist(n, tau)
         for _ in range(25):
-            k = rand_key(n, rng)
+            k = frame_key(rand_key(n, rng))
             assert twist(twist(k)) == k, (tau, k)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_finite_twist_is_the_finite_part_of_the_key_twist(n):
     # the table path relabels finite weights at one level; the key twist
-    # adds 2 delta = c_1 - c_0, which moves only when the prefix swaps
+    # adds 2 delta = d_1 - level, which moves only when the prefix swaps
     # nodes 0 and 1
     rng = seeded(71 + n)
     for tau in sorted(allowed_taus(n)):
@@ -444,12 +449,38 @@ def test_finite_twist_is_the_finite_part_of_the_key_twist(n):
         twist = weyl.key_twist(n, tau)
         moved = False
         for _ in range(40):
-            k = rand_key(n, rng)
+            k = frame_key(rand_key(n, rng))
             image = twist(k)
             assert relabel(k[:n], k[n]) == image[:n], (tau, k)
             assert image[n] == k[n], (tau, k)
             moved |= image[n + 1] != k[n + 1]
         assert moved == (tau[0] == 1), tau
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_the_frame_kernel_is_the_oracle_kernel_conjugated_by_eps2(n):
+    # every function of the frame against the fundamental-coordinate kernel
+    # it replaced: at every node 0..n (the finite ones from weyl, node 0
+    # from verify) the pairing, the simple root, the reflection and the
+    # Demazure step; under each of the four prefixes, both twists
+    rng = seeded(90 + n)
+    keys = [rand_key(n, rng, span=3) for _ in range(40)]
+    for i in range(n + 1):
+        pair, alpha = verify._node(n, i)
+        assert alpha == frame_key(oracle.alpha_key(n, i)), i
+        for k in keys:
+            assert pair(frame_key(k)) == oracle.key_pairing(n, i)(k), (i, k)
+            assert verify.reflect_key(i, frame_key(k)) == frame_key(oracle.reflect_key(i, k))
+        terms = {k: rng.choice([-2, -1, 1, 2]) for k in keys}
+        step = weyl._demazure_terms(pair, alpha, {frame_key(k): c for k, c in terms.items()})
+        assert step == {frame_key(k): c for k, c in oracle.demazure_terms(n, i, terms).items()}
+    for tau in sorted(allowed_taus(n)):
+        twist, relabel = weyl.key_twist(n, tau), weyl.finite_twist(n, tau)
+        for k in keys:
+            image = oracle.key_twist(n, tau)(k)
+            assert twist(frame_key(k)) == frame_key(image), (tau, k)
+            d = relabel(eps2(n, k[:n]), k[n])
+            assert d == eps2(n, oracle.finite_twist(n, tau)(k[:n], k[n])), (tau, k)
 
 
 # weyl holds only the key kernel that the table path runs: a fresh process
