@@ -41,8 +41,7 @@ def check_weight(n, mu):
 
 def check_node(n, i, first):
     """The one node rule: refuses ``i`` unless it is an int (not a bool or
-    a float) in first..n, for a checked rank n.  A cached caller keys its
-    cache by type, since an untyped ``lru_cache`` takes 1.0 and True for 1."""
+    a float) in first..n, for a checked rank n."""
     if i.__class__ is not int or not first <= i <= n:
         raise InputError(f"node {i!r} outside {first}..{n}")
 

@@ -9,14 +9,14 @@ form) and ``pipeline`` (the straightened tables against the symplectic
 pipeline, and their total dimension against the mass of the full character
 of :mod:`minaff.polyring`, which the longest-element pass builds without
 straightening).  The suites run on keys and the one Demazure step of
-:mod:`minaff.weyl`, in its frame, with node 0 added here (:func:`_node`),
+:mod:`minaff.weyl`, in its frame, with node 0 added here (:func:`_step`),
 and on its (prefix, letters) pairs: a length is a count of hyperplanes
 (:func:`_length`), so no word is ever reduced.  Only the ``verify``
 handler imports this module, so no other subcommand compiles it.
 """
 
 import random
-from operator import mul
+from operator import mul, sub
 
 from . import affinization, polyring, spbranch, weyl
 from .cartan import _rho2, dim_irr, eps2, varpi
@@ -43,31 +43,46 @@ def bilinear(x, y):
     return sum(map(mul, x[:n], y[:n])) + 2 * (x[n] * y[n + 1] + y[n] * x[n + 1])
 
 
-def _node(n, i):
-    """The coroot pairing and the simple root of node i in 0..n, as
-    :func:`minaff.weyl._demazure_terms` takes them.  The node-0 coroot is
-    the canonical central element minus the highest root's, so it pairs
-    as level - (d_1 + d_2)/2, and alpha_0 = delta - theta, theta = e_1 +
-    e_2, is (-2, -2, 0, ..., 0) with 2 in the 2 delta slot."""
+def _twist01(n):
+    """The relabelling of keys by the 0-1 swap, which conjugates node 1 to 0."""
+    return weyl.key_twist(n, weyl._swap_tau(n, 0, 1))
+
+
+def _step(n, i, terms):
+    """The Demazure step of :mod:`minaff.weyl` at node i in 0..n, conjugated
+    from node 1 at node 0."""
     if i:
-        return weyl.key_pairing(n, i), weyl.alpha_key(n, i)
-    return (lambda k: k[n] - (k[0] + k[1]) // 2), (-2, -2) + (0,) * (n - 2) + (0, 2)
+        return weyl._demazure_terms(n, i, terms)
+    twist = _twist01(n)
+    step = weyl._demazure_terms(n, 1, {twist(k): c for k, c in terms.items()})
+    return {twist(k): c for k, c in step.items()}
 
 
 def _demazure_word(n, letters, terms):
     """The Demazure operator of a word over the affine nodes on a map, last
-    letter first: the one step of :mod:`minaff.weyl` at each node."""
+    letter first: :func:`_step` at each node."""
     for i in reversed(letters):
-        terms = weyl._demazure_terms(*_node(n, i), terms)
+        terms = _step(n, i, terms)
     return terms
 
 
 def reflect_key(i, k):
-    """Simple reflection at node i: subtract the pairing times alpha_i, the
-    end of the string :func:`minaff.weyl._demazure_terms` walks at node i."""
-    pair, alpha = _node(len(k) - 2, i)
-    m = pair(k)
-    return tuple(a - m * b for a, b in zip(k, alpha))
+    """Simple reflection at node i, the end of the string of
+    :func:`minaff.weyl._demazure_terms`: the signed swap of the node's two
+    coordinates, conjugated from node 1 at node 0."""
+    n = len(k) - 2
+    if not i:
+        twist = _twist01(n)
+        return twist(reflect_key(1, twist(k)))
+    p, f = weyl._node_coords(n, i)
+    return k[:p] + (f * k[p + 1], f * k[p]) + k[p + 2 :]
+
+
+def _alpha(n, i):
+    """Simple root i as a key: k - s_i k for a key k that pairs 1 with node
+    i, Lambda_0 at node 0 and varpi_i at level 0 otherwise."""
+    k = eps2(n, varpi(n, i)) + (0, 0) if i else (0,) * n + (1, 0)
+    return tuple(map(sub, k, reflect_key(i, k)))
 
 
 # A word is a (prefix, letters) pair, as in weyl: the prefix one of the
@@ -152,13 +167,13 @@ def _suite_demazure(n, checks):
         f = rand_terms()
         for i in range(n + 1):
             # D - e^{-alpha_i} D = f - e^{-alpha_i} s_i f, with D the Demazure step
-            D = weyl._demazure_terms(*_node(n, i), f)
-            minus_alpha = tuple(-v for v in _node(n, i)[1])
+            D = _step(n, i, f)
+            minus_alpha = tuple(-v for v in _alpha(n, i))
             left = _minus(D, affinization._shift(minus_alpha, D))
             s_f = {reflect_key(i, k): c for k, c in f.items()}
             if left != _minus(f, affinization._shift(minus_alpha, s_f)):
                 ok = False
-            if weyl._demazure_terms(*_node(n, i), D) != D:
+            if _step(n, i, D) != D:
                 ok = False
     checks.append(("demazure.defining_identity_and_idempotency", ok))
 

@@ -11,28 +11,28 @@ as (d_(n-1) + d_n)/2, a simple root is +-2 at two coordinates, and the
 two diagram swaps send d_1 to 2 level - d_1 and d_n to -d_n.  Weights go
 back to fundamental coordinates only at the edges (:func:`fw_from_eps2`).
 
-This module holds what the table path runs: the dominance order, the
-pairings and simple roots of the finite nodes, the relabelling by a
-diagram automorphism of a finite weight at a level (:func:`finite_twist`)
-and of a key (:func:`key_twist`), the one Demazure kernel
-(:func:`_demazure_terms`, one step on a pairing and a root, applied along
-finite letters by :func:`demazure_letters`, with the one term limit
-:data:`MAX_TERMS`), the dominant point of an affine Weyl orbit in closed
-form (:func:`_dominant_key`) and the rotation element as a plain pair
-(:func:`sigma_pair`): an automorphism prefix (a permutation of the affine
-nodes generated by the two diagram swaps, each its own inverse) and a
-tuple of reflection indices, read left to right, rightmost applied first.
-Node 0 is ``verify``'s, which hands its pairing and root to the same
-step, reflects keys and counts lengths by hyperplanes; nothing here
-reduces a word, and :mod:`minaff.polyring` writes the longest word's
-letters in closed form, so nothing in the library walks a chamber.
+This module holds what the table path runs: the dominance order, the two
+coordinates a finite node moves (:func:`_node_coords`), the relabelling
+by a diagram automorphism of a finite weight at a level
+(:func:`finite_twist`) and of a key (:func:`key_twist`), the one Demazure
+kernel (:func:`_demazure_terms`, one step on those two coordinates,
+applied along finite letters by :func:`demazure_letters`, with the one
+term limit :data:`MAX_TERMS`), the dominant point of an affine Weyl orbit
+in closed form (:func:`_dominant_key`) and the rotation element as a
+plain pair (:func:`sigma_pair`): an automorphism prefix (a permutation of
+the affine nodes generated by the two diagram swaps, each its own
+inverse) and a tuple of reflection indices, read left to right, rightmost
+applied first.  Node 0 is ``verify``'s, node 1 conjugated by the 0-1
+swap; ``verify`` also reflects keys and counts lengths by hyperplanes;
+nothing here reduces a word, and :mod:`minaff.polyring` writes the
+longest word's letters in closed form, so nothing in the library walks a
+chamber.
 """
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 
-from .cartan import check_node, check_rank
 from . import InputError, VerificationError
 
 
@@ -66,10 +66,10 @@ def _dominantize(d):
 def fw_from_eps2(n, d):
     """Inverse of :func:`minaff.cartan.eps2`, the edge where a point of the
     frame is read back into fundamental coordinates: (d_j - d_(j+1))/2 for
-    j < n, then (d_(n-1) + d_n)/2.  Raises unless ``d`` is on the weight
-    lattice, that is, unless its coordinates share one parity."""
+    j < n, then (d_(n-1) + d_n)/2.  Every point it reads was computed, so
+    one off the weight lattice (mixed parities) fails the verification."""
     if len({v & 1 for v in d}) > 1:
-        raise InputError(f"{d} is not a doubled weight-lattice point")
+        raise VerificationError(f"{d} is not a doubled weight-lattice point")
     return (*[(a - b) // 2 for a, b in zip(d, d[1:])], (d[n - 2] + d[n - 1]) // 2)
 
 
@@ -119,35 +119,17 @@ def sigma_pair(n):
 # ---------------------------------------------------------------------------
 # The action on integer keys
 #
-# The pairings, the simple roots and the relabelling are written once,
-# below, on keys and finite weights of the frame; the node-0 pairing and
-# root, which no table reads, and the simple reflection, which no table
-# runs, are minaff.verify's, on the same frame, so a change of the frame
-# touches both.
+# The step and the relabelling are written once, below, on keys and finite
+# weights of the frame; node 0 and the simple reflection, which no table
+# runs, are minaff.verify's, on the same frame.
 
 
-@lru_cache(maxsize=None, typed=True)
-def key_pairing(n, i):
-    """The pairing of the i-th simple coroot (i in 1..n) with a key or a
-    finite weight, as a function: (d_i - d_(i+1))/2, or (d_(n-1) + d_n)/2
-    at the fork node n.  The cache is typed, so 1.0 or True misses the
-    node-1 entry and is refused like any other bad node."""
-    check_rank(n)
-    check_node(n, i, 1)
-    a, b, op = (i - 1, i, sub) if i < n else (n - 2, n - 1, add)
-    return lambda k: op(k[a], k[b]) // 2
-
-
-@lru_cache(maxsize=None)
-def alpha_key(n, i):
-    """Simple root i (1..n) as a key, at a checked rank and node: +2 at d_i
-    and -2 at d_(i+1), or +2 at both d_(n-1) and d_n for i = n."""
-    a = [0] * (n + 2)
-    if i < n:
-        a[i - 1], a[i] = 2, -2
-    else:
-        a[n - 2] = a[n - 1] = 2
-    return tuple(a)
+def _node_coords(n, i):
+    """The coordinates a finite node i moves, as (p, f): positions p and
+    p + 1 (0-based), and the sign f, -1 at the fork node n and 1 on the
+    chain.  With (a, b) at those positions, the node pairs as (a - f b)/2,
+    its simple root is (2, -2f) there, and its reflection gives (f b, f a)."""
+    return (i - 1, 1) if i < n else (n - 2, -1)
 
 
 @lru_cache(maxsize=None)
@@ -188,39 +170,36 @@ def key_twist(n, tau):
     return twist
 
 
-def _demazure_terms(pair, up, terms):
-    """One Demazure step on a map {key: coefficient}, at the node whose
-    coroot pairing is the function ``pair`` and whose simple root is the
-    key ``up``, as a fresh map without zero coefficients.
+def _demazure_terms(n, i, terms):
+    """One Demazure step at the finite node i on a map {key: coefficient},
+    as a fresh map without zero coefficients.
 
-    Per key with coroot pairing m: the coefficient times the descending
-    string k, k - alpha, ..., k - m alpha when m >= 0, nothing when
-    m = -1, and its negative times the ascending string k + alpha, ...,
-    k + (-m-1) alpha otherwise.  The one Demazure kernel, applied along
-    finite letters by :func:`demazure_letters` and at any node by
-    ``verify``.  At a finite node it acts on finite weights (length-n
-    tuples) as well: the simple root has no level or delta part, and the
-    pairing reads the finite part.
+    Per key, with (a, b, f) as in :func:`_node_coords` and the pairing
+    m = (a - f b)/2: k - t alpha, which is k with (a - 2t, b + 2ft) in
+    place of (a, b), for t = 0..m with the coefficient, or t = m+1..-1
+    with its negative (nothing when m = -1).  The one Demazure kernel,
+    applied along finite letters by :func:`demazure_letters` and at every
+    node by ``verify``.  It acts on keys and finite weights alike, as the
+    simple root has no level or delta part.
     """
     out = {}
-    down = tuple(-a for a in up)
+    p, f = _node_coords(n, i)
     for k, c in terms.items():
-        m = pair(k)
-        if m >= 0:
-            step, count, sign = down, m + 1, c
-        else:
-            k, step, count, sign = tuple(map(add, k, up)), up, -m - 1, -c
-        for _ in range(count):
-            out[k] = out.get(k, 0) + sign
-            k = tuple(map(add, k, step))
+        a, b = k[p], k[p + 1]
+        m = (a - f * b) // 2
+        head, tail = k[:p], k[p + 2 :]
+        ts, sign = (range(m + 1), c) if m >= 0 else (range(m + 1, 0), -c)
+        for t in ts:
+            key = head + (a - 2 * t, b + 2 * f * t) + tail
+            out[key] = out.get(key, 0) + sign
     return {k: c for k, c in out.items() if c}
 
 
 # The most terms a map may reach after one Demazure step.  Measured on a
 # 2-vCPU Xeon VM with Python 3.11.7: no table case of the README or the
 # benchmark passes 1,012 terms; rank 9 tables reach 98,116 at
-# (1,1,0,1,1,1,1,1,1) and 148,692 at (1,...,1), in 1.0-1.2 s and
-# 1.5-1.6 s in-process.
+# (1,1,0,1,1,1,1,1,1) and 148,692 at (1,...,1), in 0.9-1.2 s and
+# 1.3-1.9 s in-process.
 MAX_TERMS = 200_000
 
 
@@ -239,7 +218,7 @@ def demazure_letters(n, letters, terms):
     not on the table path.
     """
     for i in reversed(letters):
-        terms = _demazure_terms(key_pairing(n, i), alpha_key(n, i), terms)
+        terms = _demazure_terms(n, i, terms)
         if len(terms) > MAX_TERMS:
             raise InputError(
                 f"rank {n}: a Demazure step passed the limit of {MAX_TERMS} terms, "

@@ -525,8 +525,21 @@ def test_demazure_kernel_drops_cancelled_keys():
         for _ in range(20):
             terms = {frame_key(k): c for k, c in rand_char(n, rng).items()}
             for i in range(n + 1):
-                assert all(weyl._demazure_terms(*verify._node(n, i), terms).values())
+                assert all(verify._step(n, i, terms).values())
     # at node 1, D e^0 = e^0 and D e^{-alpha_1} = -e^0, so their sum maps to 0
-    alpha = weyl.alpha_key(4, 1)
-    terms = {(0,) * 6: 1, tuple(-a for a in alpha): 1}
-    assert weyl._demazure_terms(weyl.key_pairing(4, 1), alpha, terms) == {}
+    terms = {(0,) * 6: 1, tuple(-a for a in verify._alpha(4, 1)): 1}
+    assert weyl._demazure_terms(4, 1, terms) == {}
+
+
+def test_an_internal_point_off_the_lattice_is_a_failed_verification(monkeypatch, capsys):
+    # a table row of mixed parity can only come from a fault in the
+    # pipeline: the table's check and its message read it back through
+    # fw_from_eps2, which fails the verification (exit 3), not the input
+    real = affinization._pre_w0
+    monkeypatch.setattr(
+        affinization, "_pre_w0", lambda n, lam, s: {**real(n, lam, s), (1, 0, 0, 0): 1}
+    )
+    assert run(["char", "--n", "4", "--lambda", "1,1,1,1", "--s", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure:") and "weight-lattice point" in err

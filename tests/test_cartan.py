@@ -6,10 +6,10 @@ from operator import mul, sub
 
 import pytest
 
-from minaff import InputError, cartan, decomp, spbranch, verify, weyl
+from minaff import InputError, VerificationError, cartan, decomp, spbranch, verify, weyl
 from minaff.cartan import _rho2, check_rank, eps2, support, varpi
-from minaff.weyl import _dominates, fw_from_eps2, key_pairing
-from minaff.verify import _node, affine_edges, bilinear, finite_edges
+from minaff.weyl import _dominates, fw_from_eps2
+from minaff.verify import _alpha, _step, affine_edges, bilinear, finite_edges
 from _decomp_oracle import _dot, positive_roots_eps2
 from _helpers import benchmark_lines, minaff_imports, rand_key, seeded, uncalled_code
 import _weyl_oracle
@@ -182,9 +182,8 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
     # are built from checked data and not checked again.  What remains is
     # each public function's own check (the rank in ``run``,
     # ``check_dominant`` and the one ``resolve_family`` call, in
-    # ``_regular_input``; the weight in ``check_dominant`` and ``support``)
-    # and per-rank cache misses (the rank and node in ``key_pairing`` at
-    # each finite node a letter names).
+    # ``_regular_input``; the weight in ``check_dominant`` and ``support``).
+    # The Demazure step reads its nodes off the letters and checks none.
     from minaff.cli import run
 
     lam = "1,0,0,1,1,1"
@@ -194,8 +193,8 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
             assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
             assert counts["resolve_family"] == 1, (command, s, counts)
             assert counts["check_weight"] == 2, (command, s, counts)
-            assert 3 <= counts["check_rank"] <= 3 + 7, (command, s, counts)
-            assert counts["check_node"] <= 7, (command, s, counts)
+            assert counts["check_rank"] == 3, (command, s, counts)
+            assert counts["check_node"] == 0, (command, s, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
     assert code == 0, counts
     assert counts["check_dominant"] == 1 and counts["partition_of"] == 1, counts
@@ -292,15 +291,20 @@ def test_delta_plus_s_multiplicity_free():
 
 
 def test_pairing():
-    # in the frame: varpi_2 is (2, 2, 0, 0); node 0 is verify's
+    # in the frame, read off the step: a key pairing m >= 0 with a node
+    # spans a string of m + 1 keys, one pairing -1 none, and one pairing
+    # m < -1 a negated string of -m - 1 keys.  Lambda_0 pairs 1 with node 0
+    # (verify's) and 0 with node 2; varpi_2 is (2, 2, 0, 0) and pairs -2
+    # with node 0, varpi_1 -1
     L0 = (0,) * 4 + (1, 0)
-    pair0 = _node(4, 0)[0]
-    assert key_pairing(4, 2)(L0) == 0
-    assert pair0(L0) == 1
-    assert pair0(eps2(4, varpi(4, 2)) + (0, 0)) == -2 == pair0((2, 2, 0, 0, 0, 0))
-    for bad in (0, 5):
-        with pytest.raises(InputError):
-            key_pairing(4, bad)
+    assert _step(4, 2, {L0: 1}) == {L0: 1}
+    assert _step(4, 0, {L0: 1}) == {L0: 1, tuple(map(sub, L0, _alpha(4, 0))): 1}
+    w2 = eps2(4, varpi(4, 2)) + (0, 0)
+    assert w2 == (2, 2, 0, 0, 0, 0)
+    assert _step(4, 0, {w2: 1}) == {tuple(map(sum, zip(w2, _alpha(4, 0)))): -1}
+    assert _step(4, 0, {eps2(4, varpi(4, 1)) + (0, 0): 1}) == {}
+    with pytest.raises(InputError):
+        _alpha(4, 5)
 
 
 def test_pairing_ignores_delta():
@@ -321,7 +325,7 @@ def test_bilinear_normalization():
     L0 = (0,) * n + (1, 0)
     assert bilinear(d, L0) == 4
     assert bilinear(L0, L0) == 0
-    a1, a2 = weyl.alpha_key(n, 1), weyl.alpha_key(n, 2)
+    a1, a2 = _alpha(n, 1), _alpha(n, 2)
     assert bilinear(a1, a1) == 8
     assert bilinear(a1, a2) == -4
     assert bilinear(frame_key(varpi(n, 1) + (0, 0)), d) == 0
@@ -363,6 +367,10 @@ def test_coordinate_round_trips():
         for _ in range(50):
             fw = tuple(rng.randint(-4, 4) for _ in range(n))
             assert fw_from_eps2(n, eps2(n, fw)) == fw
+        # every point it reads was computed: one off the lattice is a
+        # failed verification, not bad input
+        with pytest.raises(VerificationError, match="not a doubled weight-lattice point"):
+            fw_from_eps2(n, (1,) + (0,) * (n - 1))
         for c in list(positive_roots(n))[:20]:
             assert fw_to_root(n, root_to_fw(n, c)) == c
 
@@ -416,7 +424,7 @@ def test_dominates_matches_sums_of_positive_roots():
 # kernel that the frame replaced is the Weyl oracle's.
 MOVED_TO_WEYL = ("_dominates", "_dominantize", "fw_from_eps2")
 MOVED_TO_VERIFY = ("affine_edges", "bilinear", "finite_edges")
-MOVED_TO_ORACLE = ("theta_coeffs", "root_to_fw", "fw_to_root")
+MOVED_TO_ORACLE = ("theta_coeffs", "root_to_fw", "fw_to_root", "key_pairing", "alpha_key")
 # Root lists: the doubled one lives with its only reader, the Freudenthal
 # recursion of the decomposition oracle; the simple-root-coordinate one and
 # its family subsets in the Weyl oracle.
@@ -446,7 +454,7 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
 # cartan holds what both pipelines share, so the six sam lines of the
 # benchmark call every function it defines but these, by qualified name.
 SAM_UNCALLED = {
-    "check_node",  # the node rule, read by weyl's pairings and by varpi
+    "check_node",  # the node rule, read by varpi
     "varpi",  # a library export; the Demazure side and verify call it
     "_unit",  # varpi's body and the level-one weights of the Demazure side
     "_unit.<locals>.<genexpr>",  # part of _unit

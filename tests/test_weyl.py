@@ -356,36 +356,25 @@ def test_is_dominant():
     assert not is_dominant_fw(root_to_fw(n, (-1, 0, 0, 0)))
 
 
-def test_a_float_or_bool_node_is_refused_whatever_the_caches_hold():
-    # an untyped lru_cache would take 1.0 and True for the node 1, so both
-    # orders run from a cleared cache: refused calls first, then with the
-    # node-1 entry cached, where only the typed cache keeps them refused
+def test_a_float_or_bool_node_is_refused():
+    # 1.0 and True compare equal to the node 1 and are refused all the same
     key = (2, 0, 0, 0, 1, 0)  # varpi_1 + Lambda_0 in the frame
     reflected = (0, 2, 0, 0, 1, 0)  # s_1 of the key, which pairs 1 with node 1
-
-    def refused(bad):
-        for call in (lambda: weyl.key_pairing(4, bad), lambda: varpi(4, bad)):
-            with pytest.raises(InputError):
-                call()
-
+    assert verify.reflect_key(1, key) == reflected
     for bad in (1.0, True):
-        weyl.key_pairing.cache_clear()
-        refused(bad)
-        assert weyl.key_pairing.cache_info().currsize == 0  # nothing refused is stored
-        assert weyl.key_pairing(4, 1)(key) == 1
-        assert verify.reflect_key(1, key) == reflected
-        refused(bad)
-        assert verify.reflect_key(1, key) == reflected
+        with pytest.raises(InputError):
+            varpi(4, bad)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_alpha_zero_is_delta_minus_the_highest_root(n):
     # verify's node-0 root against the highest root's marks through the
-    # Cartan matrix, conjugated by eps2
-    pair0, alpha0 = verify._node(n, 0)
+    # Cartan matrix, conjugated by eps2; it pairs 2 with its own coroot, so
+    # its reflection negates it
+    alpha0 = verify._alpha(n, 0)
     minus_theta = root_to_fw(n, tuple(-v for v in oracle.theta_coeffs(n)))
     assert fw_key(alpha0) == oracle.alpha_key(n, 0) == minus_theta + (0, 2)
-    assert pair0(alpha0) == 2
+    assert verify.reflect_key(0, alpha0) == tuple(-v for v in alpha0)
 
 
 def test_action_preserves_form():
@@ -461,18 +450,17 @@ def test_finite_twist_is_the_finite_part_of_the_key_twist(n):
 def test_the_frame_kernel_is_the_oracle_kernel_conjugated_by_eps2(n):
     # every function of the frame against the fundamental-coordinate kernel
     # it replaced: at every node 0..n (the finite ones from weyl, node 0
-    # from verify) the pairing, the simple root, the reflection and the
-    # Demazure step; under each of the four prefixes, both twists
+    # conjugated in verify) the simple root, the reflection and the
+    # Demazure step, which reads the pairing; under each of the four
+    # prefixes, both twists
     rng = seeded(90 + n)
     keys = [rand_key(n, rng, span=3) for _ in range(40)]
     for i in range(n + 1):
-        pair, alpha = verify._node(n, i)
-        assert alpha == frame_key(oracle.alpha_key(n, i)), i
+        assert verify._alpha(n, i) == frame_key(oracle.alpha_key(n, i)), i
         for k in keys:
-            assert pair(frame_key(k)) == oracle.key_pairing(n, i)(k), (i, k)
             assert verify.reflect_key(i, frame_key(k)) == frame_key(oracle.reflect_key(i, k))
         terms = {k: rng.choice([-2, -1, 1, 2]) for k in keys}
-        step = weyl._demazure_terms(pair, alpha, {frame_key(k): c for k, c in terms.items()})
+        step = verify._step(n, i, {frame_key(k): c for k, c in terms.items()})
         assert step == {frame_key(k): c for k, c in oracle.demazure_terms(n, i, terms).items()}
     for tau in sorted(allowed_taus(n)):
         twist, relabel = weyl.key_twist(n, tau), weyl.finite_twist(n, tau)
