@@ -12,9 +12,9 @@ dimension against the mass of the full character).  Reports go to standard
 output as JSON, CSV, or aligned text; diagnostics go to standard error.
 
 One table, ``_COMMANDS``, names each subcommand's handler (by module, as
-``"module:function"``), help line and options; both parsers read the
-argument list against it, and :mod:`minaff.cli_extra` generates the usage
-and help texts from it.  :func:`run` checks the rank and converts the
+``"module:function"``), help line and options; :func:`_parse` reads the
+argument list against it, and the full parser, with its usage and help,
+is built from it.  :func:`run` checks the rank and converts the
 ``--lambda`` and ``--mu`` weights, refusing a ``--mu`` that is not
 dominant, before it imports the handler, so no table is built for a bad
 ``--mu``; each handler hands the raw family label to the library entry
@@ -26,8 +26,8 @@ Anything else is invalid input.  :func:`_parse` reads the canonical
 spelling, ``--version`` alone or a subcommand followed by exact option
 names each with a value that does not start with ``-``; every other
 argument list goes to the full parser,
-:func:`minaff.cli_extra._parse_full`, which is the reference on all input
-and builds every refusal.
+:func:`minaff.cli_extra._parse_full`, which is argparse, the reference on
+all input, and builds every refusal.
 
 This module holds only what a canonical table command line (``char``,
 ``decomp``, ``sam``, JSON output) runs: a process run without cached
@@ -43,8 +43,8 @@ character (:mod:`minaff.polyring`) does not load.  ``weyl`` holds only the
 integer key kernel that path runs.  ``cartan`` loads once the command line
 has parsed, and JSON is written here without ``json``.  ``--version``
 loads nothing beyond this module and the package root, which defines the
-exception types.  The full parser, the usage and help generator, the CSV
-and aligned-text table writers, the ``xi`` and ``drinfeld`` handlers and
+exception types.  The full parser (argparse, with the usage and help), the
+CSV and aligned-text table writers, the ``xi`` and ``drinfeld`` handlers and
 the classifying polynomial data live in :mod:`minaff.cli_extra`, which
 only ``--help``, a refused command line, any other spelling, a CSV or
 aligned-text table, ``xi`` and ``drinfeld`` load (``csv`` only for a CSV
@@ -243,8 +243,8 @@ def _parse(argv):
     ``--version`` alone, or a subcommand followed by exact option names,
     each with its own value, which does not start with ``-``.  Any other
     argument list, every refused one included, goes to
-    :func:`minaff.cli_extra._parse_full`, which reads all that argparse
-    read and gives the same result on the canonical spelling."""
+    :func:`minaff.cli_extra._parse_full`, which is argparse and gives the
+    same result on the canonical spelling."""
     if argv == ["--version"]:
         return f"minaff {__version__}\n"
     if argv and argv[0] in _COMMANDS and len(argv) % 2:

@@ -1,8 +1,8 @@
 """The parts of the command line that a canonical table command line never runs.
 
-The full argument parser (:func:`_parse_full`, which reads every spelling
-argparse read and builds every refusal), the usage and help texts, both
-generated from :data:`minaff.cli._COMMANDS` at each call, the CSV and
+The full argument parser (:func:`_parse_full`, a stdlib ``argparse``
+parser built from :data:`minaff.cli._COMMANDS` at each call, which reads
+every spelling, prints the help and builds every refusal), the CSV and
 aligned-text table writers, the ``xi`` and ``drinfeld`` handlers with
 their report helpers, and the classifying polynomial data that only the
 ``drinfeld`` handler reads (:func:`drinfeld`, a plain tuple of factor
@@ -10,7 +10,7 @@ triples).  Only ``--help``, a refused command line, any spelling other
 than the canonical one, a CSV or aligned-text table, ``xi``, ``drinfeld``
 and a CSV ``verify`` report import this module, so ``--version`` and a
 canonical ``char``, ``decomp`` or ``sam`` process writing JSON never
-compile it.
+compile it; ``argparse`` loads only inside the full parser.
 """
 
 import io
@@ -20,131 +20,65 @@ from .cli import _json_text, _meta
 
 
 # ---------------------------------------------------------------------------
-# the full parser, the usage and the help, each reading cli._COMMANDS at
-# each call, so that they always read and describe the one table
-
-_HELP = ("-h", "--help")
-
-
-def _refuse(message, command=None):
-    return InputError(f"{message}\n{_usage(command)}")
-
-
-def _option(token, names, command=None):
-    """What ``token`` is among the option ``names``, by argparse's rules:
-    (name, inline value or None) for an option, (None, None) for an
-    option-like token that names none of them, None for a value."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token == "--":
-        raise _refuse("'--' is not accepted", command)
-    head, eq, inline = token.partition("=")
-    if token in names or (eq and head in names):
-        return head, inline if eq else None
-    if token.startswith("--"):
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            raise _refuse(f"ambiguous option {head}: could be {', '.join(found)}", command)
-        if found:
-            return found[0], inline if eq else None
-    whole, dot, frac = token[1:].partition(".")
-    if ((frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())) or " " in token:
-        return None  # a negative number, or text with a space, is a value
-    return None, None
+# the full parser: argparse, built from cli._COMMANDS at each call
 
 
 def _parse_full(argv):
     """The subcommand and its options {name: value} for ``argv``, or the
     help or version text to print, by argparse's rules: ``--opt value``,
     ``--opt=value`` and unique prefixes of option names (an exact name
-    first); a repeated option keeps its last value.  Raises InputError
-    for an argument list that argparse refused."""
-    command, names, table, unknown, opts = None, (*_HELP, "--version"), {}, [], {}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        opt = _option(token, names, command)
-        if opt is None and command is None:
-            if token not in cli._COMMANDS:
-                raise _refuse(f"unknown subcommand {token!r}")
-            command = token
-            table = {
-                name: (value, default) for name, value, default, _ in cli._COMMANDS[command][2]
-            }
-            names = (*_HELP, *table)
-            continue
-        name, raw = opt or (None, None)
-        if name is None:
-            unknown.append(token)
-            continue
-        if name in _HELP or name == "--version":
-            if raw is not None:
-                raise _refuse(f"{name} takes no value", command)
-            if name == "--version":
-                return f"minaff {__version__}\n"
-            return _help(command)
-        if raw is None:
-            if i == len(argv) or _option(argv[i], names, command) is not None:
-                raise _refuse(f"{name} expects a value", command)
-            raw, i = argv[i], i + 1
-        kind = table[name][0]
-        if kind is int:
-            try:
-                raw = int(raw)
-            except ValueError:
-                raise _refuse(f"{name} expects an integer, got {raw!r}", command)
-        elif kind is not str and raw not in kind:
-            raise _refuse(f"{name} must be one of {', '.join(kind)}, got {raw!r}", command)
-        opts[name[2:]] = raw
-    if command is None:
-        raise _refuse("a subcommand is required")
-    for name, (_, default) in table.items():
-        opts.setdefault(name[2:], default)
-    missing = [name for name in table if opts[name[2:]] is cli._REQUIRED]
-    if missing:
-        raise _refuse(f"missing required options: {', '.join(missing)}", command)
-    if unknown:
-        raise _refuse(f"unrecognized arguments: {' '.join(unknown)}", command)
-    return command, opts
+    first); a repeated option keeps its last value.  Raises InputError,
+    the message followed by the usage line, for an argument list that
+    argparse refuses, and for any that holds ``--``."""
+    import argparse
 
+    class Shown(Exception):
+        """The help or version text, which ends the parse."""
 
-def _metavar(name, value):
-    return "{" + ",".join(value) + "}" if isinstance(value, tuple) else name[2:].upper()
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(f"{message}\n{self.format_usage().rstrip()}")
 
+        def print_help(self, file=None):  # what -h and --help run
+            raise Shown(self.format_help())
 
-def _usage(command=None):
-    if command is None:
-        return "usage: minaff [-h] [--version] {" + ",".join(cli._COMMANDS) + "} ..."
-    parts = []
-    for name, value, default, _ in cli._COMMANDS[command][2]:
-        part = f"{name} {_metavar(name, value)}"
-        parts.append(part if default is cli._REQUIRED else f"[{part}]")
-    return f"usage: minaff {command} [-h] " + " ".join(parts)
+    class Version(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise Shown(f"minaff {__version__}\n")
 
+    def layout(prog):  # help and usage at a fixed width, whatever the terminal
+        return argparse.HelpFormatter(prog, width=80)
 
-def _columns(rows):
-    width = max(len(left) for left, _ in rows) + 2
-    return [f"  {left:<{width}}{right}" for left, right in rows]
-
-
-def _help(command=None):
-    help_row = ("-h, --help", "show this help and exit")
-    if command is None:
-        commands = [(name, line) for name, (_, line, _) in cli._COMMANDS.items()]
-        options = [help_row, ("--version", "print the version and exit")]
-        body = [
-            "Exact characters and multiplicities of regular minimal affinizations in type D.",
-            "", "commands:", *_columns(commands), "", "options:", *_columns(options),
-        ]
-    else:
-        rows = [help_row]
-        for name, value, default, line in cli._COMMANDS[command][2]:
-            if default is not None:
-                line += " (required)" if default is cli._REQUIRED else f" (default: {default})"
-            rows.append((f"{name} {_metavar(name, value)}", line))
-        body = [cli._COMMANDS[command][1], "", "options:", *_columns(rows)]
-    return "\n".join([_usage(command), "", *body]) + "\n"
+    parser = Parser(
+        prog="minaff",
+        description="Exact characters and multiplicities of regular minimal affinizations "
+        "in type D.",
+        formatter_class=layout,
+    )
+    parser.add_argument(
+        "--version", action=Version, nargs=0, default=argparse.SUPPRESS,
+        help="print the version and exit",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, line, options) in cli._COMMANDS.items():
+        sub = commands.add_parser(command, help=line, description=line, formatter_class=layout)
+        for name, value, default, text in options:
+            required = default is cli._REQUIRED
+            sub.add_argument(
+                name,
+                type=int if value is int else None,
+                choices=value if isinstance(value, tuple) else None,
+                required=required,
+                default=None if required else default,
+                help=text if required or default is None else f"{text} (default: {default})",
+            )
+    if "--" in argv:
+        parser.error("'--' is not accepted")
+    try:
+        opts = vars(parser.parse_args(argv))
+    except Shown as shown:
+        return shown.args[0]
+    return opts.pop("command"), opts
 
 
 # ---------------------------------------------------------------------------

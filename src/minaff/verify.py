@@ -11,14 +11,17 @@ of :mod:`minaff.polyring`, which the longest-element pass builds without
 straightening).  The suites run on keys and the one Demazure step of
 :mod:`minaff.weyl`, in its frame, with node 0 added here (:func:`_step`),
 and on its (prefix, letters) pairs: a length is a count of hyperplanes
-(:func:`_length`), so no word is ever reduced.  Only the ``verify``
-handler imports this module, so no other subcommand compiles it.
+(:func:`_length`), so no word is ever reduced.  A ``pipeline`` check
+whose table or character the library refuses as inconsistent (a
+CharacterError or VerificationError) fails, so a broken kernel still
+prints every check line.  Only the ``verify`` handler imports this
+module, so no other subcommand compiles it.
 """
 
 import random
 from operator import mul, sub
 
-from . import affinization, polyring, spbranch, weyl
+from . import CharacterError, VerificationError, affinization, polyring, spbranch, weyl
 from .cartan import _rho2, dim_irr, eps2, varpi
 from .cli import _json_text, _meta
 
@@ -267,6 +270,17 @@ def _suite_weyl(n, checks):
     checks.append(("weyl.form_invariance", ok))
 
 
+def _holds(check):
+    """Whether ``check()`` holds: False when the kernel under it refuses
+    what it built (CharacterError or VerificationError), so a broken kernel
+    fails the check instead of ending the report.  InputError, a term limit
+    passed, propagates."""
+    try:
+        return check()
+    except (CharacterError, VerificationError):
+        return False
+
+
 def _suite_pipeline(n, checks):
     if n == 4:
         lams = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0)]
@@ -277,13 +291,17 @@ def _suite_pipeline(n, checks):
             tuple(a + b for a, b in zip(varpi(n, n - 1), varpi(n, n))),
         ]
     for lam in lams:
-        straightened = affinization.multiplicity_table(n, lam, 1)
         tag = "".join(map(str, lam))
-        ok = straightened.get(lam) == 1 and straightened == spbranch.sam_table(n, lam)
+        try:
+            table = affinization.multiplicity_table(n, lam, 1)
+        except (CharacterError, VerificationError):  # neither check of lam can finish
+            checks += [("pipeline.crown_" + tag, False), ("pipeline.straighten_" + tag, False)]
+            continue
+        ok = table.get(lam) == 1 and _holds(lambda: table == spbranch.sam_table(n, lam))
         checks.append(("pipeline.crown_" + tag, ok))
-        dimension = sum(m * dim_irr(n, mu) for mu, m in straightened.items())
-        mass = sum(polyring.character(n, lam, 1).values())
-        checks.append(("pipeline.straighten_" + tag, dimension == mass))
+        dimension = sum(m * dim_irr(n, mu) for mu, m in table.items())
+        ok = _holds(lambda: dimension == sum(polyring.character(n, lam, 1).values()))
+        checks.append(("pipeline.straighten_" + tag, ok))
 
 
 _SUITES = {"demazure": _suite_demazure, "weyl": _suite_weyl, "pipeline": _suite_pipeline}

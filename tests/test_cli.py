@@ -1,6 +1,7 @@
 import errno
 import functools
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -559,6 +560,42 @@ def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, mon
     assert out.endswith("2 passed, 1 failed\n")
 
 
+def demazure_terms_mutant(old, new):
+    """``weyl._demazure_terms`` with ``old`` replaced by ``new`` in its source."""
+    source = inspect.getsource(weyl._demazure_terms)
+    assert source.count(old) == 1
+    scope = {}
+    exec(source.replace(old, new), vars(weyl), scope)
+    return scope["_demazure_terms"]
+
+
+@pytest.mark.parametrize(
+    "old, new, failing",
+    [
+        # a negative string one key too long: at rank 4 the table path never
+        # meets a negative pairing, so only the full character breaks
+        ("range(m + 1, 0)", "range(m, 0)", "pipeline.straighten_"),
+        # a positive string one key short: multiplicity_table refuses its
+        # own table, so neither check of a weight can finish
+        ("(range(m + 1), c)", "(range(m), c)", "pipeline.crown_"),
+    ],
+    ids=["range(m, 0)", "range(m)"],
+)
+def test_a_broken_kernel_fails_its_checks_and_keeps_every_line(
+    capsys, monkeypatch, old, new, failing
+):
+    argv = ("verify", "--n", "4", "--suite", "all")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    names = [line[5:] for line in out.splitlines()[:-1]]
+    monkeypatch.setattr(weyl, "_demazure_terms", demazure_terms_mutant(old, new))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3 and err == ""
+    lines = out.splitlines()[:-1]
+    assert [line[5:] for line in lines] == names
+    assert any(line.startswith("FAIL " + failing) for line in lines)
+
+
 def test_word_independence_check_fails_on_a_reduction_to_another_element(monkeypatch):
     # a reduced word of the same length but another element: its last
     # letter changed to one that keeps it reduced.  Comparing lengths or
@@ -630,6 +667,8 @@ SUBCOMMANDS = (
     ("verify", "--n", "4", "--suite", "all"),
 )
 REFUSED = ("char", "--n", "4", "--frobnicate", "1")
+HELP = (("--help",), ("char", "--help"))
+SPELLED = ("char", "--n=4", "--lam", "1,1,1,1", "--s", "1")  # read by the full parser
 
 
 @functools.lru_cache(maxsize=None)
@@ -656,11 +695,14 @@ def test_version_loads_only_the_cli_and_what_every_subcommand_needs():
 
 @pytest.mark.parametrize(
     "argv",
-    [*SUBCOMMANDS, ("--help",), ("char", "--help")],
-    ids=[argv[0] for argv in SUBCOMMANDS] + ["--help", "char --help"],
+    [*SUBCOMMANDS, *HELP, REFUSED, SPELLED],
+    ids=[argv[0] for argv in SUBCOMMANDS] + ["--help", "char --help", "refused", "spelled"],
 )
 def test_no_subcommand_loads_argparse(argv):
-    assert not {"argparse", "gettext", "locale"} & modules_after_run(*argv)
+    # the full parser is argparse, which brings gettext and locale; only
+    # help, a refusal and a spelling other than the canonical one reach it
+    parser = {"argparse", "gettext", "locale"}
+    assert parser & modules_after_run(*argv) == (set() if argv in SUBCOMMANDS else parser)
 
 
 def test_sam_adds_only_the_symplectic_pipeline():
@@ -720,12 +762,9 @@ def test_no_subcommand_loads_json(argv):
 def test_only_help_refusals_xi_and_drinfeld_load_the_extra_cli():
     # and an accepted spelling other than the canonical one, which the full
     # parser reads
-    spelled = ("char", "--n=4", "--lam", "1,1,1,1", "--s", "1")
-    argvs = (*SUBCOMMANDS, ("--help",), ("char", "--help"), REFUSED, spelled)
+    argvs = (*SUBCOMMANDS, *HELP, REFUSED, SPELLED)
     loading = {argv for argv in argvs if "minaff.cli_extra" in modules_after_run(*argv)}
-    assert loading == {
-        SUBCOMMANDS[4], SUBCOMMANDS[5], ("--help",), ("char", "--help"), REFUSED, spelled
-    }
+    assert loading == {SUBCOMMANDS[4], SUBCOMMANDS[5], *HELP, REFUSED, SPELLED}
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

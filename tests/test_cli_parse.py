@@ -1,13 +1,14 @@
-"""The table-driven argument parsers against the argparse parser they replaced.
+"""The argument parsers against the argparse parser the command line was once built on.
 
 ``_cli_oracle._build_parser`` is the old parser, unchanged.  On generated
 argument lists that it accepts, :func:`minaff.cli._parse` must give the
 same subcommand and the same value for every option; every list that it
 refuses must make :func:`minaff.cli.run` exit 2 with nothing on stdout.
 ``cli._parse`` reads the canonical spelling itself and hands every other
-argument list to :func:`minaff.cli_extra._parse_full`: the two must give
-the same value or the same refusal on every list here, and a canonical
-list must never reach the full parser.
+argument list to :func:`minaff.cli_extra._parse_full`, an argparse parser
+built from ``cli._COMMANDS``: the two must give the same value or the
+same refusal on every list here, and a canonical list must never reach
+the full parser.
 """
 
 import contextlib
@@ -195,6 +196,21 @@ def test_subcommand_help_names_every_option(capsys, command):
             assert name in out and line in out
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["char", "--help"]], ids=" ".join)
+def test_help_bytes_do_not_depend_on_the_terminal_width(capsys, monkeypatch, argv):
+    if argv == ["--help"]:
+        named = [(command, line) for command, (_, line, _) in cli._COMMANDS.items()]
+    else:
+        named = [(name, line) for name, _, _, line in options("char")]
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.run(argv) == 0
+        texts.append(capsys.readouterr().out)
+        assert all(name in texts[-1] and line in texts[-1] for name, line in named)
+    assert texts[0] == texts[1]
+
+
 def test_version_prints_what_argparse_printed(capsys):
     code, _, expected = oracle(["--version"])
     assert code == 0 and expected == f"minaff {__version__}\n"
@@ -223,7 +239,7 @@ def test_exact_name_before_prefix_and_ambiguous_prefix(monkeypatch, capsys):
     assert cli._parse(["verify", "--n", "4", "--su", "weyl", "--se=3"])[1]["seed"] == 3
     assert cli.run(["verify", "--n", "4", "--s", "weyl"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "ambiguous option --s: could be --suite, --seed" in out.err
+    assert out.out == "" and "ambiguous option: --s could match --suite, --seed" in out.err
     argv = ["char", "--n", "4", "--lambda", "0,1,0,0", "--s", "1", "--si", "7"]
     assert cli._parse(argv)[1] == {
         "n": 4, "lambda": "0,1,0,0", "s": "1", "format": "json", "mu": None, "size": 7
