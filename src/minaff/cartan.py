@@ -4,7 +4,10 @@ Finite weights are integer tuples of length n holding coefficients on the
 fundamental weights (node order 1..n, the two fork nodes last); doubled
 orthogonal coordinates (:func:`eps2`) keep every weight integral.  The fork
 of the finite diagram sits at node n-2, with spin nodes n-1 and n attached
-to it.  Ranks below 4 are rejected everywhere.
+to it; removing it leaves three branches, node n-1, node n and the chain
+1..n-3, so regularity (:func:`is_regular`) reads the fork coordinate
+``lam[n - 3]``, the spin coordinates ``lam[n - 2]`` and ``lam[n - 1]``, and
+the chain ``lam[: n - 3]``.  Ranks below 4 are rejected everywhere.
 
 This module knows no root: the root system lives in :mod:`minaff.weyl`,
 the diagrams and the invariant form in :mod:`minaff.verify`.  What is
@@ -95,11 +98,6 @@ def support(coords):
     return frozenset(i + 1 for i, v in enumerate(coords) if v > 0)
 
 
-def family_nodes(n):
-    """The three extreme nodes indexing affinization families, at a checked rank."""
-    return (1, n - 1, n)
-
-
 def resolve_family(n, s):
     """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'.
     A bool or a float is no label."""
@@ -113,34 +111,23 @@ def resolve_family(n, s):
             s = int(key)
         except ValueError:
             raise InputError(f"unknown family label {s!r}")
-    if s.__class__ is int and s in family_nodes(n):
+    if s.__class__ is int and s in (1, n - 1, n):
         return s
     raise InputError(f"family label must be one of 1, {n - 1}, {n} (or 1, n-1, n), got {s}")
-
-
-def branch_set(n, s):
-    """Nodes cut off by removing the fork from the branch at s."""
-    if s == 1:
-        return frozenset(range(1, n - 2))
-    if s == n - 1:
-        return frozenset((n - 1,))
-    if s == n:
-        return frozenset((n,))
-    raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
 
 
 def is_regular(n, lam):
     """Whether the classification covers this dominant weight.
 
-    True when some branch misses the support entirely, or when the fork
-    coordinate is positive.  The remaining case (full spread support with a
-    zero fork coordinate) is rejected by the character pipeline.
+    Removing the fork (node n-2, coordinate ``lam[n - 3]``) cuts the
+    diagram into three branches: node n-1 (``lam[n - 2]``), node n
+    (``lam[n - 1]``) and the chain 1..n-3 (``lam[: n - 3]``).  True when
+    the fork coordinate is positive or some branch misses the support
+    entirely.  The remaining case (a support meeting all three branches
+    with a zero fork coordinate) is rejected by both pipelines.
     """
     check_dominant(n, lam)
-    supp = support(lam)
-    if any(not (supp & branch_set(n, s)) for s in family_nodes(n)):
-        return True
-    return lam[n - 3] > 0
+    return lam[n - 3] > 0 or not (lam[n - 2] and lam[n - 1] and any(lam[: n - 3]))
 
 
 # ---------------------------------------------------------------------------

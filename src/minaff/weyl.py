@@ -21,12 +21,13 @@ term limit :data:`MAX_TERMS`), the dominant point of an affine Weyl orbit
 in closed form (:func:`_dominant_key`) and the rotation element as a
 plain pair (:func:`sigma_pair`): an automorphism prefix (a permutation of
 the affine nodes generated by the two diagram swaps, each its own
-inverse) and a tuple of reflection indices, read left to right, rightmost
-applied first.  Node 0 is ``verify``'s, node 1 conjugated by the 0-1
-swap; ``verify`` also reflects keys and counts lengths by hyperplanes;
-nothing here reduces a word, and :mod:`minaff.polyring` writes the
-longest word's letters in closed form, so nothing in the library walks a
-chamber.
+inverse; the rotation's swaps both and is written out as the tuple (1, 0,
+2, ..., n-2, n, n-1)) and a tuple of reflection indices, read left to
+right, rightmost applied first.  Node 0 is ``verify``'s, node 1
+conjugated by the 0-1 swap; ``verify`` also reflects keys and counts
+lengths by hyperplanes; nothing here reduces a word, and
+:mod:`minaff.polyring` writes the longest word's letters in closed form,
+so nothing in the library walks a chamber.
 """
 
 from functools import lru_cache
@@ -102,18 +103,12 @@ def _dominant_key(n, k):
 # Diagram automorphisms
 
 
-def _swap_tau(n, a, b):
-    t = list(range(n + 1))
-    t[a], t[b] = t[b], t[a]
-    return tuple(t)
-
-
 def sigma_pair(n):
     """The rotation element at a checked rank, as (prefix, letters): both
-    diagram swaps, then the chain of reflections from node 1 out to node
-    n-1.  Its letters are distinct, so the word is reduced by construction."""
-    fork = _swap_tau(n, n - 1, n)
-    return (1, 0) + fork[2:], tuple(range(1, n))
+    diagram swaps, the permutation (1, 0, 2, ..., n-2, n, n-1) of the affine
+    nodes, then the chain of reflections from node 1 out to node n-1.  Its
+    letters are distinct, so the word is reduced by construction."""
+    return (1, 0, *range(2, n - 1), n, n - 1), tuple(range(1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared generators for the test suite."""
 
 import ast
+import inspect
 import json
 import os
 import random
@@ -61,6 +62,17 @@ def break_longest_word(monkeypatch):
     which ``verify --suite weyl`` reports as a failed length additivity."""
     real = polyring._w0_letters
     monkeypatch.setattr(polyring, "_w0_letters", lambda n: real(n) + real(n)[-1:])
+
+
+def source_mutant(module, name, old, new):
+    """The function ``name`` of ``module`` with ``old`` replaced by ``new``
+    in its source; ``old`` must occur there exactly once."""
+    source = inspect.getsource(getattr(module, name))
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {source.count(old)} times in {name}")
+    scope = {}
+    exec(source.replace(old, new), vars(module), scope)
+    return scope[name]
 
 
 def minaff_imports(module):

@@ -1,7 +1,8 @@
 """The fundamental-coordinate key kernel, rational affine weights, the
 extended affine Weyl group as words, the positive roots in simple-root
 coordinates and their family subsets, the affine root action, the
-root-by-root descent and the twist by norm preservation, kept as a
+root-by-root descent, the twist by norm preservation, and the family
+labels, branch sets and diagram swaps by their definitions, kept as a
 reference.
 
 minaff runs its kernel in one frame, doubled orthogonal coordinates
@@ -48,11 +49,47 @@ from functools import lru_cache
 from operator import add, itemgetter, mul
 
 from minaff import InputError, VerificationError, weyl
-from minaff.cartan import (
-    _unit, branch_set, check_node, check_rank, eps2, family_nodes, support, varpi
-)
+from minaff.cartan import _unit, check_node, check_rank, eps2, support, varpi
 from minaff.verify import _identity_tau, finite_edges
-from minaff.weyl import _swap_tau, fw_from_eps2
+from minaff.weyl import fw_from_eps2
+
+
+# ---------------------------------------------------------------------------
+# The labels by their definitions.  minaff writes each of them in closed
+# form: the family labels as (1, n - 1, n), regularity on four coordinates
+# (``cartan.is_regular``) and the prefixes as tuple literals.
+
+
+def family_nodes(n):
+    """The three extreme nodes indexing affinization families, at a checked rank."""
+    return (1, n - 1, n)
+
+
+def branch_set(n, s):
+    """Nodes cut off by removing the fork from the branch at s."""
+    if s == 1:
+        return frozenset(range(1, n - 2))
+    if s == n - 1:
+        return frozenset((n - 1,))
+    if s == n:
+        return frozenset((n,))
+    raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
+
+
+def regular_by_branches(n, lam):
+    """Regularity by the branch sets: some branch misses the support of the
+    dominant ``lam`` entirely, or the fork coordinate is positive."""
+    supp = support(lam)
+    if any(not (supp & branch_set(n, s)) for s in family_nodes(n)):
+        return True
+    return lam[n - 3] > 0
+
+
+def _swap_tau(n, a, b):
+    """The identity permutation of the affine nodes 0..n with a and b swapped."""
+    t = list(range(n + 1))
+    t[a], t[b] = t[b], t[a]
+    return tuple(t)
 
 
 # ---------------------------------------------------------------------------

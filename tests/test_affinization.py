@@ -13,7 +13,7 @@ from minaff.affinization import (
     resolve_family,
     xi_sequence,
 )
-from minaff.cartan import branch_set, eps2, support, varpi
+from minaff.cartan import eps2, support, varpi
 from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
@@ -25,6 +25,7 @@ from _ring_oracle import CharElem, finite_char, pre_w0_oracle, straightened, swa
 from _weyl_oracle import (
     ExtendedWeylWord,
     act,
+    branch_set,
     compose,
     from_word,
     frame_key,

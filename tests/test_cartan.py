@@ -11,17 +11,22 @@ from minaff.cartan import _rho2, check_rank, eps2, support, varpi
 from minaff.weyl import _dominates, fw_from_eps2
 from minaff.verify import _alpha, _step, affine_edges, bilinear, finite_edges
 from _decomp_oracle import _dot, positive_roots_eps2
-from _helpers import benchmark_lines, minaff_imports, rand_key, seeded, uncalled_code
+from _helpers import (
+    benchmark_lines, minaff_imports, rand_key, seeded, source_mutant, uncalled_code
+)
 import _weyl_oracle
 from _weyl_oracle import (
     AffineWeight,
+    branch_set,
     delta_plus_s,
+    family_nodes,
     form,
     frame_key,
     fw_to_root,
     key_of,
     pairing,
     positive_roots,
+    regular_by_branches,
     root_to_fw,
     weight_of,
 )
@@ -182,7 +187,8 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
     # are built from checked data and not checked again.  What remains is
     # each public function's own check (the rank in ``run``,
     # ``check_dominant`` and the one ``resolve_family`` call, in
-    # ``_regular_input``; the weight in ``check_dominant`` and ``support``).
+    # ``_regular_input``; the weight once, in ``check_dominant``, since
+    # ``is_regular`` reads its coordinates and builds no support).
     # The Demazure step reads its nodes off the letters and checks none.
     from minaff.cli import run
 
@@ -192,7 +198,7 @@ def test_a_table_report_checks_the_input_weight_once(capsys):
             code, counts = _input_checks(run, [command, "--n", "6", "--lambda", lam, "--s", s])
             assert code == 0 and counts["check_dominant"] == 1, (command, s, counts)
             assert counts["resolve_family"] == 1, (command, s, counts)
-            assert counts["check_weight"] == 2, (command, s, counts)
+            assert counts["check_weight"] == 1, (command, s, counts)
             assert counts["check_rank"] == 3, (command, s, counts)
             assert counts["check_node"] == 0, (command, s, counts)
     code, counts = _input_checks(run, ["sam", "--n", "6", "--lambda", lam])
@@ -239,6 +245,37 @@ def test_a_weight_failing_two_checks_is_refused_for_the_first(capsys):
     assert "is not dominant" in capsys.readouterr().err
 
 
+# Every weight with coordinates in 0..2 at ranks 4..8: 9,801 weights.
+SMALL_WEIGHTS = [
+    (n, lam) for n in range(4, 9) for lam in itertools.product(range(3), repeat=n)
+]
+
+
+def regularity_mismatches():
+    """The small weights on which ``cartan.is_regular`` and the oracle's
+    branch-set rule disagree."""
+    return [
+        (n, lam)
+        for n, lam in SMALL_WEIGHTS
+        if cartan.is_regular(n, lam) != regular_by_branches(n, lam)
+    ]
+
+
+def test_regularity_in_closed_form_is_the_branch_set_rule():
+    assert len(SMALL_WEIGHTS) == 9801
+    assert regularity_mismatches() == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("lam[n - 3] > 0 or ", ""), (" and any(lam[: n - 3])", "")],
+    ids=["without the fork", "without the chain"],
+)
+def test_the_regularity_sweep_sees_a_dropped_clause(monkeypatch, old, new):
+    monkeypatch.setattr(cartan, "is_regular", source_mutant(cartan, "is_regular", old, new))
+    assert regularity_mismatches()
+
+
 def test_cartan_matrices():
     fin = cartan_matrix(range(1, 5), finite_edges(4))
     assert all(fin[i][i] == 2 for i in range(4))
@@ -255,8 +292,6 @@ def test_cartan_matrices():
 
 
 def test_delta_plus_s_against_brute_force():
-    from minaff.cartan import branch_set, family_nodes
-
     for n in (4, 5, 6):
         for s in family_nodes(n):
             brute = {
@@ -456,6 +491,8 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
 SAM_UNCALLED = {
     "check_node",  # the node rule, read by varpi
     "varpi",  # a library export; the Demazure side and verify call it
+    "support",  # a library export; is_regular reads coordinates, not the support
+    "support.<locals>.<genexpr>",  # part of support
     "_unit",  # varpi's body and the level-one weights of the Demazure side
     "_unit.<locals>.<genexpr>",  # part of _unit
     "resolve_family",  # the family label, which a sam line given no --s never reads

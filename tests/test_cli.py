@@ -1,7 +1,6 @@
 import errno
 import functools
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -14,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from minaff import affinization, cli, polyring, spbranch, verify, weyl
 from minaff.cli import _json_text, run
 from minaff.cli_extra import _delta
-from _helpers import benchmark_lines, fresh_argv, fresh_env, run_fresh, uncalled_code
+from _helpers import (
+    benchmark_lines, fresh_argv, fresh_env, run_fresh, source_mutant, uncalled_code
+)
 from _weyl_oracle import from_word, same_element
 
 
@@ -560,35 +561,30 @@ def test_word_independence_check_fails_on_a_word_that_is_not_reduced(capsys, mon
     assert out.endswith("2 passed, 1 failed\n")
 
 
-def demazure_terms_mutant(old, new):
-    """``weyl._demazure_terms`` with ``old`` replaced by ``new`` in its source."""
-    source = inspect.getsource(weyl._demazure_terms)
-    assert source.count(old) == 1
-    scope = {}
-    exec(source.replace(old, new), vars(weyl), scope)
-    return scope["_demazure_terms"]
-
-
 @pytest.mark.parametrize(
-    "old, new, failing",
+    "old, new, n, failing",
     [
         # a negative string one key too long: at rank 4 the table path never
         # meets a negative pairing, so only the full character breaks
-        ("range(m + 1, 0)", "range(m, 0)", "pipeline.straighten_"),
+        ("range(m + 1, 0)", "range(m, 0)", "4", "pipeline.straighten_"),
+        # from rank 5 on, the crown_ check without a straighten_ twin meets
+        # negative pairings, so the table breaks too
+        ("range(m + 1, 0)", "range(m, 0)", "5", "pipeline.crown_"),
+        ("range(m + 1, 0)", "range(m, 0)", "6", "pipeline.crown_"),
         # a positive string one key short: multiplicity_table refuses its
         # own table, so neither check of a weight can finish
-        ("(range(m + 1), c)", "(range(m), c)", "pipeline.crown_"),
+        ("(range(m + 1), c)", "(range(m), c)", "4", "pipeline.crown_"),
     ],
-    ids=["range(m, 0)", "range(m)"],
+    ids=["range(m, 0)", "range(m, 0) at rank 5", "range(m, 0) at rank 6", "range(m)"],
 )
 def test_a_broken_kernel_fails_its_checks_and_keeps_every_line(
-    capsys, monkeypatch, old, new, failing
+    capsys, monkeypatch, old, new, n, failing
 ):
-    argv = ("verify", "--n", "4", "--suite", "all")
+    argv = ("verify", "--n", n, "--suite", "all")
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     names = [line[5:] for line in out.splitlines()[:-1]]
-    monkeypatch.setattr(weyl, "_demazure_terms", demazure_terms_mutant(old, new))
+    monkeypatch.setattr(weyl, "_demazure_terms", source_mutant(weyl, "_demazure_terms", old, new))
     code, out, err = invoke(capsys, *argv)
     assert code == 3 and err == ""
     lines = out.splitlines()[:-1]

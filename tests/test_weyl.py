@@ -345,6 +345,11 @@ def test_sigma_word_structure():
     assert is_reduced(sig)
     L0 = (0,) * n + (1, 0)
     assert modqd(act(sig, L0)) == (varpi(n, 1), 1)
+    # the prefixes minaff writes as literals are the swaps they name
+    for n in range(4, 41):
+        swap01, fork = oracle._swap_tau(n, 0, 1), oracle._swap_tau(n, n - 1, n)
+        assert weyl.sigma_pair(n)[0] == tuple(swap01[j] for j in fork)
+        assert verify._twist01(n) is weyl.key_twist(n, swap01)
 
 
 def test_is_dominant():
