@@ -51,7 +51,7 @@ class VerificationError(RuntimeError):
 _EXPORTS = {
     name: module
     for module, names in (
-        ("cartan", "dim_irr is_regular resolve_family support varpi"),
+        ("cartan", "dim_irr is_regular resolve_family varpi"),
         ("polyring", "character"),
         ("affinization", "XiSequence multiplicity_table xi_sequence"),
         ("decomp", "compare_affinization"),

@@ -23,6 +23,7 @@ from collections import namedtuple
 from operator import add, sub
 
 from .cartan import (
+    _irregular,
     _rho2,
     _unit,
     check_dominant,
@@ -30,7 +31,7 @@ from .cartan import (
     is_regular,
     resolve_family,
 )
-from . import CharacterError, InputError, VerificationError, weyl
+from . import CharacterError, VerificationError, weyl
 from .weyl import _dominantize, _dominates, fw_from_eps2
 
 
@@ -156,10 +157,7 @@ def _regular_input(n, lam, s):
     regular = is_regular(n, lam)
     s = resolve_family(n, s)
     if not regular:
-        raise InputError(
-            f"weight {lam} is outside the regular classification "
-            "(full spread support with zero fork coordinate)"
-        )
+        raise _irregular(lam)
     return lam, s
 
 

@@ -85,19 +85,6 @@ def eps2(n, fw):
     return tuple(out)
 
 
-def support(coords):
-    """Indices (1-based nodes) of strictly positive coordinates.
-
-    Serves both dominant weights and positive roots (in simple-root
-    coordinates); a negative coordinate means the input is neither and is
-    rejected, and so is anything :func:`check_weight` refuses.
-    """
-    check_weight(len(coords), coords)
-    if any(v < 0 for v in coords):
-        raise InputError(f"support undefined for {coords}: negative coordinate")
-    return frozenset(i + 1 for i, v in enumerate(coords) if v > 0)
-
-
 def resolve_family(n, s):
     """Normalize a family label: 1, n-1, n, or the strings '1', 'n-1', 'n'.
     A bool or a float is no label."""
@@ -128,6 +115,15 @@ def is_regular(n, lam):
     """
     check_dominant(n, lam)
     return lam[n - 3] > 0 or not (lam[n - 2] and lam[n - 1] and any(lam[: n - 3]))
+
+
+def _irregular(lam):
+    """The refusal of a dominant weight that :func:`is_regular` rejects,
+    which both pipelines raise."""
+    return InputError(
+        f"weight {lam} is outside the regular classification "
+        "(full spread support with zero fork coordinate)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ offsets), and ``verify`` (internal consistency suites; ``pipeline`` checks
 the straightened tables against the symplectic pipeline and their total
 dimension against the mass of the full character).  Reports go to standard
 output as JSON, CSV, or aligned text; diagnostics go to standard error.
+Each handler returns its report as data, a dict, with its exit code, and
+:func:`run` alone picks the format: it writes JSON itself, adding the
+``meta`` field last, and hands any other format to
+:func:`minaff.cli_extra.report_text`, which builds every CSV and
+aligned-text form from that same dict.
 
 One table, ``_COMMANDS``, names each subcommand's handler (by module, as
 ``"module:function"``), help line and options; :func:`_parse` reads the
@@ -44,12 +49,13 @@ integer key kernel that path runs.  ``cartan`` loads once the command line
 has parsed, and JSON is written here without ``json``.  ``--version``
 loads nothing beyond this module and the package root, which defines the
 exception types.  The full parser (argparse, with the usage and help), the
-CSV and aligned-text table writers, the ``xi`` and ``drinfeld`` handlers and
+CSV and aligned-text writers, the ``xi`` and ``drinfeld`` handlers and
 the classifying polynomial data live in :mod:`minaff.cli_extra`, which
 only ``--help``, a refused command line, any other spelling, a CSV or
-aligned-text table, ``xi`` and ``drinfeld`` load (``csv`` only for a CSV
-report); the ``verify`` suites live in :mod:`minaff.verify`, which only
-``verify`` loads.
+aligned-text report of any subcommand (``verify``'s default among them),
+``xi`` and ``drinfeld`` load (``csv`` only for a CSV report); the
+``verify`` suites live in :mod:`minaff.verify`, which only ``verify``
+loads.
 
 Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
 and 1 from :func:`main` when the report could not be written: the reader
@@ -99,10 +105,6 @@ def _sorted_mults(n, mults):
 
     keys = sorted(mults, key=lambda mu: (-sum(eps2(n, mu)), tuple(-v for v in mu)))
     return [(mu, mults[mu]) for mu in keys]
-
-
-def _meta():
-    return {"tool_version": __version__, "elapsed_ms": 0}
 
 
 def _json_text(obj):
@@ -168,19 +170,7 @@ def _table_report(opts, n, s, lam, mults):
     mu = opts.get("mu")
     if mu is not None:  # checked dominant by ``run``; a table holds only dominant weights
         entries = [{"mu": list(mu), "m": mults.get(mu, 0), "dim": _dim_irr(n, mu)}]
-    report = {
-        "n": n,
-        "s": s,
-        "lambda": list(lam),
-        "dimension": dimension,
-        "multiplicities": entries,
-        "meta": _meta(),
-    }
-    if opts["format"] == "json":
-        return _json_text(report)
-    from .cli_extra import table_text
-
-    return table_text(opts["format"], report)
+    return {"n": n, "s": s, "lambda": list(lam), "dimension": dimension, "multiplicities": entries}
 
 
 def _cmd_char(opts):
@@ -291,7 +281,14 @@ def run(argv):
             if opts.get("mu") is not None:
                 check_dominant(n, opts["mu"])
             module, _, handler = _COMMANDS[command][0].partition(":")
-            text, code = getattr(import_module("." + module, __package__), handler)(opts)
+            report, code = getattr(import_module("." + module, __package__), handler)(opts)
+            if opts["format"] == "json":
+                report["meta"] = {"tool_version": __version__, "elapsed_ms": 0}
+                text = _json_text(report)
+            else:
+                from .cli_extra import report_text
+
+                text = report_text(command, opts["format"], report)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

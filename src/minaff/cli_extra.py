@@ -3,20 +3,21 @@
 The full argument parser (:func:`_parse_full`, a stdlib ``argparse``
 parser built from :data:`minaff.cli._COMMANDS` at each call, which reads
 every spelling, prints the help and builds every refusal), the CSV and
-aligned-text table writers, the ``xi`` and ``drinfeld`` handlers with
-their report helpers, and the classifying polynomial data that only the
+aligned-text writers (:func:`report_text`, which builds every such form
+of every subcommand from the report dict that :func:`minaff.cli.run`
+would write as JSON), the ``xi`` and ``drinfeld`` handlers, which return
+their report dicts, and the classifying polynomial data that only the
 ``drinfeld`` handler reads (:func:`drinfeld`, a plain tuple of factor
 triples).  Only ``--help``, a refused command line, any spelling other
-than the canonical one, a CSV or aligned-text table, ``xi``, ``drinfeld``
-and a CSV ``verify`` report import this module, so ``--version`` and a
-canonical ``char``, ``decomp`` or ``sam`` process writing JSON never
+than the canonical one, a CSV or aligned-text report, ``xi`` and
+``drinfeld`` import this module, so ``--version`` and a canonical
+``char``, ``decomp``, ``sam`` or ``verify`` process writing JSON never
 compile it; ``argparse`` loads only inside the full parser.
 """
 
 import io
 
 from . import InputError, __version__, cli
-from .cli import _json_text, _meta
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +96,8 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def table_text(fmt, report):
-    """The ``csv`` or ``pretty`` form of a ``char``, ``decomp`` or ``sam``
-    table ``report``, the dict that :func:`minaff.cli._table_report` writes
-    as JSON."""
+def _table_text(fmt, report):
+    """The ``csv`` or ``pretty`` form of a ``char``, ``decomp`` or ``sam`` report."""
     entries = report["multiplicities"]
     if fmt == "csv":
         rows = [(" ".join(map(str, e["mu"])), e["m"], e["dim"]) for e in entries]
@@ -113,6 +112,64 @@ def table_text(fmt, report):
         mu = ",".join(map(str, e["mu"]))
         lines.append(f"  {mu:<{3 * n + 1}}{e['m']:<7}{e['dim']}")
     return "\n".join(lines) + "\n"
+
+
+def _family_str(n, s):
+    return {1: "1", n - 1: "n-1", n: "n"}[s]
+
+
+def _xi_text(fmt, report):
+    """The ``csv`` or ``pretty`` form of an ``xi`` report: each weight as
+    :func:`_weight_json` gives it, its finite coordinates joined."""
+    n, s = report["n"], report["s"]
+    sequences = (("xi", report["xi"]), ("Lambda", report["Lambda"] or ()))
+    if fmt == "csv":
+        rows = [
+            (seq, j, " ".join(map(str, w["finite"])), w["level"], w["delta"])
+            for seq, weights in sequences
+            for j, w in enumerate(weights, 1)
+        ]
+        return _csv_text(("seq", "j", "finite", "level", "delta"), rows)
+    lines = [f"n = {n}  s = {_family_str(n, s)}  lambda = {','.join(map(str, report['lambda']))}"]
+    if report["m"] is not None:
+        lines.append(f"m = {report['m']}  m' = {report['m_prime']}")
+    if report["cut"] is not None:
+        lines.append(f"cut = {report['cut']}  lambda_bar = {report['lambda_bar']}")
+    for seq, weights in sequences:
+        for j, w in enumerate(weights, 1):
+            finite = ",".join(map(str, w["finite"]))
+            pad = " " * (6 - len(seq))  # the = of xi_j and Lambda_j in one column
+            lines.append(f"{seq}_{j}{pad} = {finite}  level {w['level']}  delta {w['delta']}")
+    return "\n".join(lines) + "\n"
+
+
+def _drinfeld_text(fmt, report):
+    factors = report["factors"]
+    if fmt == "csv":
+        return _csv_text(("i", "m", "c"), map(dict.values, factors))
+    n, sign = report["n"], "+" if report["epsilon"] > 0 else "-"
+    lines = [f"n = {n}  s = {_family_str(n, report['s'])}  epsilon = {sign}"]
+    for f in factors:
+        lines.append(f"node {f['i']}: degree {f['m']}, offset q^{f['c']}")
+    if not factors:
+        lines.append("trivial (zero weight)")
+    return "\n".join(lines) + "\n"
+
+
+def _verify_text(fmt, report):
+    checks = report["checks"]
+    if fmt == "csv":
+        return _csv_text(("check", "status"), map(dict.values, checks))
+    lines = [f"{'ok  ' if c['status'] == 'pass' else 'FAIL'} {c['name']}" for c in checks]
+    lines.append(f"{report['passed']} passed, {report['failed']} failed")
+    return "\n".join(lines) + "\n"
+
+
+def report_text(command, fmt, report):
+    """The ``csv`` or ``pretty`` form of ``command``'s ``report``, the dict
+    that :func:`minaff.cli.run` writes as JSON, built from that dict alone."""
+    writers = {"xi": _xi_text, "drinfeld": _drinfeld_text, "verify": _verify_text}
+    return writers.get(command, _table_text)(fmt, report)
 
 
 # ---------------------------------------------------------------------------
@@ -170,57 +227,26 @@ def _weight_json(k):
     return {"finite": list(k[:-2]), "level": k[-2], "delta": _delta(k[-1])}
 
 
-def _weight_text(k, sep):
-    """Finite part, level and delta of a key, the finite coordinates joined
-    by ``sep``."""
-    return sep.join(map(str, k[:-2])), k[-2], _delta(k[-1])
-
-
-def _family_str(n, s):
-    return {1: "1", n - 1: "n-1", n: "n"}[s]
-
-
 def xi_report(opts):
     from .affinization import _lambda_keys, xi_sequence
     from .weyl import fw_from_eps2
 
     n = opts["n"]
     xs = xi_sequence(n, opts["lambda"], opts["s"])
-    lam, s = xs.lam, xs.s
     lams = None
-    if s != n - 1:  # the rows of both sequences in fundamental coordinates
+    if xs.s != n - 1:  # the rows of both sequences in fundamental coordinates
         lams = [fw_from_eps2(n, k[:n]) + k[n:] for k in _lambda_keys(n, xs.keys)]
-    if opts["format"] == "json":
-        report = {
-            "n": n,
-            "s": s,
-            "lambda": list(lam),
-            "m": xs.m,
-            "m_prime": xs.m_prime,
-            "cut": xs.cut,
-            "lambda_bar": xs.lambda_bar,
-            "xi": [_weight_json(x) for x in xs.keys],
-            "Lambda": [_weight_json(x) for x in lams] if lams else None,
-            "meta": _meta(),
-        }
-        return _json_text(report), 0
-    if opts["format"] == "csv":
-        rows = []
-        for j, x in enumerate(xs.keys, 1):
-            rows.append(("xi", j, *map(str, _weight_text(x, " "))))
-        for j, x in enumerate(lams or (), 1):
-            rows.append(("Lambda", j, *map(str, _weight_text(x, " "))))
-        return _csv_text(("seq", "j", "finite", "level", "delta"), rows), 0
-    lines = [f"n = {n}  s = {_family_str(n, s)}  lambda = {','.join(map(str, lam))}"]
-    if xs.m is not None:
-        lines.append(f"m = {xs.m}  m' = {xs.m_prime}")
-    if xs.cut is not None:
-        lines.append(f"cut = {xs.cut}  lambda_bar = {xs.lambda_bar}")
-    for j, x in enumerate(xs.keys, 1):
-        lines.append("xi_{}     = {}  level {}  delta {}".format(j, *_weight_text(x, ",")))
-    for j, x in enumerate(lams or (), 1):
-        lines.append("Lambda_{} = {}  level {}  delta {}".format(j, *_weight_text(x, ",")))
-    return "\n".join(lines) + "\n", 0
+    return {
+        "n": n,
+        "s": xs.s,
+        "lambda": list(xs.lam),
+        "m": xs.m,
+        "m_prime": xs.m_prime,
+        "cut": xs.cut,
+        "lambda_bar": xs.lambda_bar,
+        "xi": [_weight_json(x) for x in xs.keys],
+        "Lambda": [_weight_json(x) for x in lams] if lams else None,
+    }, 0
 
 
 def drinfeld_report(opts):
@@ -229,22 +255,10 @@ def drinfeld_report(opts):
     n, lam = opts["n"], opts["lambda"]
     eps = _parse_epsilon(opts["epsilon"])
     factors = drinfeld(n, lam, opts["s"], eps)
-    s = resolve_family(n, opts["s"])  # for the report: drinfeld returns only the factors
-    if opts["format"] == "json":
-        report = {
-            "n": n,
-            "s": s,
-            "epsilon": eps,
-            "lambda": list(lam),
-            "factors": [{"i": i, "m": m, "c": c} for i, m, c in factors],
-            "meta": _meta(),
-        }
-        return _json_text(report), 0
-    if opts["format"] == "csv":
-        return _csv_text(("i", "m", "c"), list(factors)), 0
-    lines = [f"n = {n}  s = {_family_str(n, s)}  epsilon = {'+' if eps > 0 else '-'}"]
-    for i, m, c in factors:
-        lines.append(f"node {i}: degree {m}, offset q^{c}")
-    if not factors:
-        lines.append("trivial (zero weight)")
-    return "\n".join(lines) + "\n", 0
+    return {
+        "n": n,
+        "s": resolve_family(n, opts["s"]),  # drinfeld returns only the factors
+        "epsilon": eps,
+        "lambda": list(lam),
+        "factors": [{"i": i, "m": m, "c": c} for i, m, c in factors],
+    }, 0

@@ -16,7 +16,7 @@ for the symplectic lattice, so nothing is doubled here).
 
 from functools import lru_cache
 
-from .cartan import check_weight, is_regular
+from .cartan import _irregular, check_weight, is_regular
 from . import CharacterError, InputError
 
 
@@ -187,7 +187,7 @@ def sam_table(n, lam):
     """
     lam = tuple(lam)
     if not is_regular(n, lam):
-        raise InputError(f"weight {lam} is outside the regular classification")
+        raise _irregular(lam)
     rank = n - 1
     p = _strip(partition_of(_fold(n, lam)))
     table = _sp_branch(p, rank)

@@ -22,7 +22,10 @@ in its frame, with node 0 added here (:func:`_step`), and on its
 whose table or character the library refuses as inconsistent (a
 CharacterError or VerificationError) fails, so a broken kernel still
 prints every check line.  Only the ``verify`` handler imports this
-module, so no other subcommand compiles it.
+module, so no other subcommand compiles it.  The handler returns its
+report as a dict, one status per check and the counts; the command line
+writes it as JSON, or through :mod:`minaff.cli_extra` as CSV or aligned
+text, and this module imports neither.
 """
 
 import random
@@ -30,7 +33,6 @@ from operator import add, mul, sub
 
 from . import CharacterError, VerificationError, affinization, polyring, spbranch, weyl
 from .cartan import _rho2, dim_irr, eps2, varpi
-from .cli import _json_text, _meta
 
 
 def finite_edges(n):
@@ -325,26 +327,11 @@ def verify_report(opts):
     for suite in _SUITES if opts["suite"] == "all" else (opts["suite"],):
         _SUITES[suite](n, checks)
     passed = sum(1 for _, ok in checks if ok)
-    failed = len(checks) - passed
-    if opts["format"] == "json":
-        report = {
-            "n": n,
-            "suite": opts["suite"],
-            "checks": [{"name": name, "status": "pass" if ok else "FAIL"} for name, ok in checks],
-            "passed": passed,
-            "failed": failed,
-            "meta": _meta(),
-        }
-        text = _json_text(report)
-    elif opts["format"] == "csv":
-        from .cli_extra import _csv_text
-
-        text = _csv_text(
-            ("check", "status"),
-            [(name, "pass" if ok else "FAIL") for name, ok in checks],
-        )
-    else:
-        lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in checks]
-        lines.append(f"{passed} passed, {failed} failed")
-        text = "\n".join(lines) + "\n"
-    return text, (0 if failed == 0 else 3)
+    report = {
+        "n": n,
+        "suite": opts["suite"],
+        "checks": [{"name": name, "status": "pass" if ok else "FAIL"} for name, ok in checks],
+        "passed": passed,
+        "failed": len(checks) - passed,
+    }
+    return report, (0 if passed == len(checks) else 3)

@@ -49,7 +49,7 @@ from functools import lru_cache
 from operator import add, itemgetter, mul
 
 from minaff import InputError, VerificationError, weyl
-from minaff.cartan import _unit, check_node, check_rank, eps2, support, varpi
+from minaff.cartan import _unit, check_node, check_rank, check_weight, eps2, varpi
 from minaff.verify import _identity_tau, finite_edges
 from minaff.weyl import fw_from_eps2
 
@@ -57,7 +57,8 @@ from minaff.weyl import fw_from_eps2
 # ---------------------------------------------------------------------------
 # The labels by their definitions.  minaff writes each of them in closed
 # form: the family labels as (1, n - 1, n), regularity on four coordinates
-# (``cartan.is_regular``) and the prefixes as tuple literals.
+# (``cartan.is_regular``) and the prefixes as tuple literals, so the support
+# of a weight or a root, which the branch sets are read against, lives here.
 
 
 def family_nodes(n):
@@ -74,6 +75,19 @@ def branch_set(n, s):
     if s == n:
         return frozenset((n,))
     raise InputError(f"family label must be one of {family_nodes(n)}, got {s}")
+
+
+def support(coords):
+    """Indices (1-based nodes) of strictly positive coordinates.
+
+    Serves both dominant weights and positive roots (in simple-root
+    coordinates); a negative coordinate means the input is neither and is
+    rejected, and so is anything ``cartan.check_weight`` refuses.
+    """
+    check_weight(len(coords), coords)
+    if any(v < 0 for v in coords):
+        raise InputError(f"support undefined for {coords}: negative coordinate")
+    return frozenset(i + 1 for i, v in enumerate(coords) if v > 0)
 
 
 def regular_by_branches(n, lam):

@@ -13,7 +13,7 @@ from minaff.affinization import (
     resolve_family,
     xi_sequence,
 )
-from minaff.cartan import eps2, support, varpi
+from minaff.cartan import eps2, varpi
 from minaff.cli import run
 from minaff.cli_extra import drinfeld
 from minaff.polyring import character
@@ -37,6 +37,7 @@ from _weyl_oracle import (
     longest_word,
     sigma_word,
     simple,
+    support,
     tau_fork,
 )
 import _weyl_oracle as oracle

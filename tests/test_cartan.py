@@ -7,7 +7,7 @@ from operator import mul, sub
 import pytest
 
 from minaff import InputError, VerificationError, cartan, decomp, spbranch, verify, weyl
-from minaff.cartan import _rho2, check_rank, eps2, support, varpi
+from minaff.cartan import _rho2, check_rank, eps2, varpi
 from minaff.weyl import _dominates, fw_from_eps2
 from minaff.verify import _alpha, _step, affine_edges, bilinear, finite_edges
 from _decomp_oracle import _dot, positive_roots_eps2
@@ -28,6 +28,7 @@ from _weyl_oracle import (
     positive_roots,
     regular_by_branches,
     root_to_fw,
+    support,
     weight_of,
 )
 
@@ -392,8 +393,9 @@ def test_support():
     assert support(tuple(a + b for a, b in zip(varpi(4, 1), varpi(4, 3)))) == {1, 3}
     assert support((0, 0, 0, 0)) == frozenset()
     assert support(alpha_interval(4, 2, 4)) == {2, 4}
-    with pytest.raises(InputError):
-        support((-1, 0, 0, 0))
+    for bad in ((-1, 0, 0, 0), (1.5, 0), (True, 0)):
+        with pytest.raises(InputError):
+            support(bad)
 
 
 def test_coordinate_round_trips():
@@ -459,7 +461,9 @@ def test_dominates_matches_sums_of_positive_roots():
 # kernel that the frame replaced is the Weyl oracle's.
 MOVED_TO_WEYL = ("_dominates", "_dominantize", "fw_from_eps2")
 MOVED_TO_VERIFY = ("affine_edges", "bilinear", "finite_edges")
-MOVED_TO_ORACLE = ("theta_coeffs", "root_to_fw", "fw_to_root", "key_pairing", "alpha_key")
+MOVED_TO_ORACLE = (
+    "theta_coeffs", "root_to_fw", "fw_to_root", "key_pairing", "alpha_key", "support"
+)
 # Root lists: the doubled one lives with its only reader, the Freudenthal
 # recursion of the decomposition oracle; the simple-root-coordinate one and
 # its family subsets in the Weyl oracle.
@@ -491,11 +495,10 @@ def test_cartan_keeps_the_weight_lattice_and_weyl_the_roots():
 SAM_UNCALLED = {
     "check_node",  # the node rule, read by varpi
     "varpi",  # a library export; the Demazure side and verify call it
-    "support",  # a library export; is_regular reads coordinates, not the support
-    "support.<locals>.<genexpr>",  # part of support
     "_unit",  # varpi's body and the level-one weights of the Demazure side
     "_unit.<locals>.<genexpr>",  # part of _unit
     "resolve_family",  # the family label, which a sam line given no --s never reads
+    "_irregular",  # the refusal of an irregular weight, which no benchmark line meets
     "dim_irr",  # the checked library export; a table report calls _dim_irr
 }
 

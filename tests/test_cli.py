@@ -344,6 +344,15 @@ def test_non_regular_message_names_the_exceptional_case(capsys):
     assert "fork coordinate" in err
 
 
+def test_both_pipelines_refuse_an_irregular_weight_with_one_text(capsys):
+    lam = ("--n", "5", "--lambda", "2,1,0,1,1")
+    refusals = {invoke(capsys, *argv) for argv in (("sam", *lam), ("char", *lam, "--s", "1"))}
+    assert refusals == {(
+        2, "", "error: weight (2, 1, 0, 1, 1) is outside the regular classification "
+        "(full spread support with zero fork coordinate)\n"
+    )}
+
+
 def test_decomp_mu_filter(capsys):
     code, out, _ = invoke(
         capsys,
@@ -494,6 +503,23 @@ PINNED_BYTES = {
     (*VERIFY, "--format", "csv"): "cac4163b8fba21ede9d05210bcc39b47ccc1d41231ef825497d1f55d8e0d1686",
     (*VERIFY, "--format", "pretty"): "175d625760f4b72c8fe24bd0fc9da0c84d5834aac75ade26eec583369539cd1a",
 }
+# and of the CSV and aligned-text forms of the drinfeld and table reports,
+# which the command line builds from the dict it writes as JSON
+DRINFELD = ("drinfeld", "--n", "5", "--lambda", "1,1,0,2,0", "--s", "n")
+TABLE = ("--n", "5", "--lambda", "1,0,1,1,2")
+MU = ("--mu", "1,0,1,0,1")
+PINNED_BYTES |= {
+    (*DRINFELD, "--epsilon", "+", "--format", "csv"): "33584fd887c66571bacabcb8627c7ad9a206067db66de6ee63edfa32ae40b5fa",
+    (*DRINFELD, "--epsilon", "+", "--format", "pretty"): "307aff741b743f1efb094d23b1432d5ab59af0c3e564e952e938fc0d12297987",
+    (*DRINFELD, "--epsilon", "-", "--format", "csv"): "393de61f80c6fba9ff7f8f2185ee200396a2bf4d60464383e818514483699271",
+    (*DRINFELD, "--epsilon", "-", "--format", "pretty"): "2c639d35542ec354111a14b69d51b6c7bca7d21f227ea31f82cd37f2e320610d",
+    ("drinfeld", "--n", "4", "--lambda", "0,0,0,0", "--s", "1", "--format", "pretty"): "4192df0bf9dc2ad9975f71ae43c49ed8ea2e63c5fddc0a7e89019f1ad56cd39b",
+    ("char", *TABLE, "--s", "1", "--format", "csv"): "aa4e8abf7b1d68513f156fb964ee93061fb00bdec7cef8a4734cb819c54d059b",
+    ("char", *TABLE, "--s", "1", "--format", "pretty"): "ba5b017ff6660a7e145bb414bbe51895db5010852e95679e0efe18b2e95e0282",
+    ("char", *TABLE, "--s", "1", *MU, "--format", "csv"): "526284113d12768808ad43afbffb43169dcae84a4e8b58943a8ab83531bc6fb9",
+    ("char", *TABLE, "--s", "1", *MU, "--format", "pretty"): "8046613d971a93cbd0ec09f30fad13c8075b038c55f4056448c780c35f5e50be",
+    ("sam", *TABLE, "--format", "pretty"): "ba5b017ff6660a7e145bb414bbe51895db5010852e95679e0efe18b2e95e0282",
+}
 
 
 @pytest.mark.parametrize("argv", PINNED_BYTES, ids=" ".join)
@@ -501,7 +527,7 @@ def test_weight_and_verify_reports_print_their_pinned_bytes(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BYTES[argv]
-    if argv[-3:] == ("1", "--format", "pretty"):
+    if argv[0] == "xi" and argv[-3:] == ("1", "--format", "pretty"):
         assert "Lambda_1 = 0,0,0,0,0  level 1  delta 1/2\n" in out
 
 
@@ -665,6 +691,8 @@ SUBCOMMANDS = (
 REFUSED = ("char", "--n", "4", "--frobnicate", "1")
 HELP = (("--help",), ("char", "--help"))
 SPELLED = ("char", "--n=4", "--lam", "1,1,1,1", "--s", "1")  # read by the full parser
+JSON_VERIFY = (("verify", "--n", "4", "--suite", "weyl", "--format", "json"),)
+TEXT_TABLES = ((*CHAR, "--format", "csv"), (*SAM, "--format", "pretty"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -735,11 +763,12 @@ def test_only_verify_loads_the_full_character(argv):
 
 def test_verify_loads_both_pipelines_and_the_full_character():
     # verify runs on the key kernel of weyl and its (prefix, letters) pairs;
-    # the longest word's letters come with the full character
+    # the longest word's letters come with the full character, and the
+    # aligned text of its report with the extra cli
     modules = minaff_modules(modules_after_run(*SUBCOMMANDS[-1]))
     assert modules == CLI_BASE | {
         "minaff.cartan", "minaff.weyl", "minaff.affinization",
-        "minaff.polyring", "minaff.spbranch", "minaff.verify",
+        "minaff.polyring", "minaff.spbranch", "minaff.verify", "minaff.cli_extra",
     }
 
 
@@ -755,12 +784,13 @@ def test_no_subcommand_loads_json(argv):
     assert "json" not in modules_after_run(*argv)
 
 
-def test_only_help_refusals_xi_and_drinfeld_load_the_extra_cli():
+def test_only_help_refusals_xi_drinfeld_and_text_reports_load_the_extra_cli():
     # and an accepted spelling other than the canonical one, which the full
-    # parser reads
-    argvs = (*SUBCOMMANDS, *HELP, REFUSED, SPELLED)
+    # parser reads; cli writes every JSON report, cli_extra every CSV and
+    # aligned-text one, verify's default among them
+    argvs = (*SUBCOMMANDS, *HELP, REFUSED, SPELLED, *JSON_VERIFY, *TEXT_TABLES)
     loading = {argv for argv in argvs if "minaff.cli_extra" in modules_after_run(*argv)}
-    assert loading == {SUBCOMMANDS[4], SUBCOMMANDS[5], *HELP, REFUSED, SPELLED}
+    assert loading == {*SUBCOMMANDS[4:], *HELP, REFUSED, SPELLED, *TEXT_TABLES}
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

@@ -17,7 +17,7 @@ from minaff.cli_extra import drinfeld
 SURFACE = {
     "CharacterError", "InputError", "VerificationError", "XiSequence", "character",
     "compare_affinization", "dim_irr", "drinfeld", "is_regular", "multiplicity_table",
-    "partition_of", "resolve_family", "sam_table", "support", "varpi", "xi_sequence",
+    "partition_of", "resolve_family", "sam_table", "varpi", "xi_sequence",
 }
 # The Weyl group as words: the tests keep it in _weyl_oracle, verify runs
 # on (prefix, letters) pairs, and the package exports none of it.
@@ -30,7 +30,7 @@ REMOVED = {
     "lambda_sequence": "affinization", "straighten": "affinization", "dominates": "weyl",
     "is_dominant": "weyl", "identity": "weyl", "iota": "spbranch",
     "lr_coefficient": "spbranch", "sp_dim_irr": "spbranch", "sp_branch": "spbranch",
-    "schur_dim": "spbranch", "_check_partition": "spbranch",
+    "schur_dim": "spbranch", "_check_partition": "spbranch", "support": "cartan",
 }
 
 
@@ -50,7 +50,7 @@ def test_removed_wrappers_stay_gone(name):
 
 
 def test_the_word_api_is_gone():
-    assert len(minaff.__all__) == 16
+    assert len(minaff.__all__) == 15
     for name in [*WORD_API, "words"]:
         with pytest.raises(AttributeError):
             getattr(minaff, name)
@@ -164,7 +164,6 @@ BAD_INPUT = {
     "resolve_family": [(4, True), (4, 1.0), (4, 2), (3, 1)],
     "sam_table": [(4, (0, 0, 1, 1.0)), (4, (0, 0, 1)), (3, (0, 1, 1)), (4, (1, 0, 0, 0.5)),
                   (4, (0, 0, -1, 0))],
-    "support": [((1.5, 0),), ((True, 0),)],
     "varpi": [(4, 1.0), (4, True), (4, 5), (3, 1)],
     "xi_sequence": [(5, (1, 1, 0, 2, 0.5), 5), (5, (1, 1, 0, 2, 0, 0), 5), (3, (1, 1, 0), 1),
                     (5, (1, 1, 0, 2, 0.0), 5), (5, (1, 1, 0, 2), 5), (5, (1, 1, 0, 2, 0), 2),
